@@ -686,10 +686,19 @@ mod tests {
         .unwrap()
     }
 
-    fn student_csv() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("rankfair_cli_tests");
+    /// A private directory for test `test`: tests run in parallel threads
+    /// and test binaries run concurrently, so a shared path would let one
+    /// test rewrite a file another is reading.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("rankfair_cli_{test}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("student.csv");
+        dir
+    }
+
+    /// The seeded synthetic Student CSV, written into `test`'s own
+    /// directory.
+    fn student_csv(test: &str) -> std::path::PathBuf {
+        let path = test_dir(test).join("student.csv");
         let ds = rankfair_synth::student(rankfair_synth::SynthConfig::new(150, 7));
         rankfair_data::csv::write_csv(&ds, &path, ',').unwrap();
         path
@@ -702,7 +711,7 @@ mod tests {
 
     #[test]
     fn detect_runs_on_csv() {
-        let path = student_csv();
+        let path = student_csv("detect_runs_on_csv");
         let f = detect_flags(&[
             "--csv",
             path.to_str().unwrap(),
@@ -724,7 +733,7 @@ mod tests {
 
     #[test]
     fn detect_proportional_with_attr_subset() {
-        let path = student_csv();
+        let path = student_csv("detect_proportional_with_attr_subset");
         let f = detect_flags(&[
             "--csv",
             path.to_str().unwrap(),
@@ -748,7 +757,7 @@ mod tests {
 
     #[test]
     fn detect_over_and_combined_tasks() {
-        let path = student_csv();
+        let path = student_csv("detect_over_and_combined_tasks");
         for task in ["over", "combined"] {
             for engine in ["optimized", "baseline"] {
                 let mut args = vec![
@@ -846,7 +855,7 @@ mod tests {
     fn detect_multithreaded_matches_single() {
         // The CLI output goes to stdout; here we only assert both runs
         // succeed (byte-identity is covered by the library tests).
-        let path = student_csv();
+        let path = student_csv("detect_multithreaded_matches_single");
         for threads in ["1", "4"] {
             let f = detect_flags(&[
                 "--csv",
@@ -872,7 +881,7 @@ mod tests {
 
     #[test]
     fn explain_runs_on_csv() {
-        let path = student_csv();
+        let path = student_csv("explain_runs_on_csv");
         let f = explain_flags(&[
             "--csv",
             path.to_str().unwrap(),
@@ -892,7 +901,7 @@ mod tests {
 
     #[test]
     fn compare_runs_on_csv() {
-        let path = student_csv();
+        let path = student_csv("compare_runs_on_csv");
         let f = parse_flags(
             &[
                 "--csv",
@@ -919,7 +928,7 @@ mod tests {
 
     #[test]
     fn detect_csv_format() {
-        let path = student_csv();
+        let path = student_csv("detect_csv_format");
         let f = detect_flags(&[
             "--csv",
             path.to_str().unwrap(),
@@ -954,8 +963,8 @@ mod tests {
 
     #[test]
     fn monitor_replays_an_edit_log() {
-        let path = student_csv();
-        let dir = std::env::temp_dir().join("rankfair_cli_tests");
+        let path = student_csv("monitor_replays_an_edit_log");
+        let dir = test_dir("monitor_replays_an_edit_log");
         let log = dir.join("edits.jsonl");
         // A score batch, an insert (cells must cover every column of the
         // synthetic student CSV — build it from the dataset itself), and
@@ -1078,7 +1087,7 @@ mod tests {
 
     #[test]
     fn unknown_rank_column_is_reported() {
-        let path = student_csv();
+        let path = student_csv("unknown_rank_column_is_reported");
         let f = detect_flags(&["--csv", path.to_str().unwrap(), "--rank-by", "nope"]);
         let err = detect(&f).unwrap_err();
         assert!(err.to_string().contains("nope"));
@@ -1088,7 +1097,7 @@ mod tests {
 
     #[test]
     fn bad_k_range_is_reported() {
-        let path = student_csv();
+        let path = student_csv("bad_k_range_is_reported");
         let f = detect_flags(&[
             "--csv",
             path.to_str().unwrap(),
@@ -1106,7 +1115,7 @@ mod tests {
 
     #[test]
     fn unknown_group_value_is_reported() {
-        let path = student_csv();
+        let path = student_csv("unknown_group_value_is_reported");
         let f = explain_flags(&[
             "--csv",
             path.to_str().unwrap(),

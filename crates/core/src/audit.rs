@@ -310,6 +310,19 @@ impl CountsProvider for AuditIndex {
         AuditIndex::counts(self, p, k)
     }
 
+    fn child_counts(
+        &self,
+        parent: &Pattern,
+        start: AttrId,
+        k: usize,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        match self {
+            AuditIndex::Single(i) => i.child_counts(parent, start, k, out),
+            AuditIndex::Sharded(i) => i.child_counts(parent, start, k, out),
+        }
+    }
+
     fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
         AuditIndex::code_at(self, pos, attr)
     }
@@ -1569,6 +1582,44 @@ mod tests {
             .unwrap();
         for (got, want) in out.per_k.iter().zip(&full.per_k) {
             assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn evaluation_counts_stay_pinned_on_a_fixed_instance() {
+        // `nodes_evaluated` counts one per pattern the engines evaluate,
+        // however the counts are computed (one batched pass per expansion
+        // or one scan per child). Pinned so the meaning of "evals" in
+        // benchmarks and stats cannot drift with the count kernel.
+        let spec = rankfair_synth::RandomSpec {
+            rows: 400,
+            attrs: 5,
+            max_card: 4,
+        };
+        let audit = Audit::builder(Arc::new(rankfair_synth::random_dataset(12, spec)))
+            .ranking(Ranking::from_order(rankfair_synth::random_ranking(12, spec.rows)).unwrap())
+            .build()
+            .unwrap();
+        let cfg = DetectConfig::new(10, 10, 60);
+        for (task, evals) in [
+            (
+                AuditTask::UnderRep(BiasMeasure::Proportional { alpha: 0.8 }),
+                607,
+            ),
+            (
+                AuditTask::OverRep {
+                    upper: Bounds::LinearFraction(0.3),
+                    scope: OverRepScope::MostSpecific,
+                },
+                121,
+            ),
+            (
+                AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::LinearFraction(0.2))),
+                1638,
+            ),
+        ] {
+            let out = audit.run(&cfg, &task, Engine::Optimized).unwrap();
+            assert_eq!(out.stats.nodes_evaluated, evals, "{task:?}");
         }
     }
 

@@ -78,7 +78,7 @@ use std::collections::VecDeque;
 
 use crate::bounds::{BiasMeasure, Bounds};
 use crate::pattern::Pattern;
-use crate::space::{AttrId, CountsProvider, PatternSpace};
+use crate::space::{counted_children, AttrId, CountsProvider, PatternSpace};
 use crate::stats::{
     DeadlineGuard, DetectConfig, DetectionOutput, KResult, ReplayCounters, SearchStats,
 };
@@ -303,11 +303,24 @@ impl<'a, I: CountsProvider> Engine<'a, I> {
         self.stopped[id as usize]
     }
 
-    /// Evaluates a fresh pattern (one fused bitmap scan), interns the node
-    /// in the arena, and gives non-biased nodes their initial `k̃`
-    /// schedule entry.
-    fn eval_new(&mut self, pattern: Pattern, parent: u32, k: usize) -> u32 {
-        let (sd, count) = self.index.counts(&pattern, k);
+    /// Evaluates every search-tree child of `pattern` (the node `parent`,
+    /// or [`ROOT`] for the empty pattern) in one batched count and interns
+    /// them in `(a, v)` order.
+    fn eval_children(&mut self, pattern: &Pattern, parent: u32, k: usize) -> Vec<u32> {
+        counted_children(self.index, self.space, pattern, k)
+            .map(|(child, counts)| self.eval_new(child, parent, counts, k))
+            .collect()
+    }
+
+    /// Interns a freshly evaluated pattern with its `(s_D, s_Rk)` and
+    /// gives a non-biased node its initial `k̃` schedule entry.
+    fn eval_new(
+        &mut self,
+        pattern: Pattern,
+        parent: u32,
+        (sd, count): (usize, usize),
+        k: usize,
+    ) -> u32 {
         self.stats.nodes_evaluated += 1;
         let id = u32::try_from(self.arena.nodes.len()).expect("node ids fit u32");
         let pruned = sd < self.tau_s;
@@ -374,8 +387,8 @@ impl<'a, I: CountsProvider> Engine<'a, I> {
 
     /// Opens `id`'s search-tree children (Definition 4.1) in the current
     /// run: stored children are re-activated with prefix recounts, a node
-    /// never expanded before generates (and fully evaluates) them fresh.
-    /// Idempotent per run.
+    /// never expanded before generates them fresh and counts them all in
+    /// one batched pass over its own intersection. Idempotent per run.
     fn expand(&mut self, id: u32, k: usize) {
         if self.open[id as usize] {
             return;
@@ -386,20 +399,8 @@ impl<'a, I: CountsProvider> Engine<'a, I> {
                 self.activate(c, k);
             }
         } else {
-            let (start, pattern) = {
-                let nd = &self.arena.nodes[id as usize];
-                (
-                    nd.pattern.max_attr().map_or(0, |a| a + 1),
-                    nd.pattern.clone(),
-                )
-            };
-            let m = self.space.n_attrs() as AttrId;
-            let mut children = Vec::new();
-            for a in start..m {
-                for v in self.space.value_codes(a) {
-                    children.push(self.eval_new(pattern.child(a, v), id, k));
-                }
-            }
+            let pattern = self.arena.nodes[id as usize].pattern.clone();
+            let children = self.eval_children(&pattern, id, k);
             let nd = &mut self.arena.nodes[id as usize];
             nd.children = children;
             nd.expanded = true;
@@ -557,19 +558,13 @@ impl<'a, I: CountsProvider> Engine<'a, I> {
     /// Full top-down build at `k` (used for `k_min` and for global-bound
     /// steps). Breadth-first so dominance sees subsets before supersets.
     /// With a populated arena the whole pass runs on prefix recounts —
-    /// fresh fused evaluations happen only for never-seen patterns.
+    /// fresh evaluations happen only for never-seen patterns.
     fn build(&mut self, k: usize, guard: &mut DeadlineGuard) -> bool {
         self.stats.full_searches += 1;
         let mut queue: VecDeque<u32> = VecDeque::new();
         if self.arena.root_children.is_empty() {
-            let m = self.space.n_attrs() as AttrId;
-            for a in 0..m {
-                for v in self.space.value_codes(a) {
-                    let id = self.eval_new(Pattern::single(a, v), ROOT, k);
-                    self.arena.root_children.push(id);
-                    queue.push_back(id);
-                }
-            }
+            self.arena.root_children = self.eval_children(&Pattern::empty(), ROOT, k);
+            queue.extend(&self.arena.root_children);
         } else {
             for i in 0..self.arena.root_children.len() {
                 let id = self.arena.root_children[i];

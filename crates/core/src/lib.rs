@@ -93,8 +93,7 @@ pub use monitor::{
 };
 pub use pattern::Pattern;
 pub use report::{
-    render_report, render_report_csv, summarize, summarize_audit, BiasDirection, BiasedGroup,
-    KReport,
+    render_report, render_report_csv, summarize_audit, BiasDirection, BiasedGroup, KReport,
 };
 pub use shard::ShardedIndex;
 pub use space::{AttrId, CountsProvider, PatternSpace, RankedIndex, SpaceError};

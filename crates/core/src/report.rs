@@ -5,10 +5,9 @@
 //! their representation”).
 
 use crate::audit::{AuditOutcome, AuditTask};
-use crate::bounds::BiasMeasure;
 use crate::pattern::Pattern;
 use crate::space::{CountsProvider, PatternSpace};
-use crate::stats::DetectionOutput;
+use crate::util::FxHashMap;
 
 /// Which bound a reported group violates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,50 +60,15 @@ pub struct KReport {
     pub groups: Vec<BiasedGroup>,
 }
 
-/// Enriches a detection output into per-`k` reports.
-pub fn summarize<I: CountsProvider>(
-    out: &DetectionOutput,
-    index: &I,
-    space: &PatternSpace,
-    measure: &BiasMeasure,
-) -> Vec<KReport> {
-    out.per_k
-        .iter()
-        .map(|kr| {
-            let mut groups: Vec<BiasedGroup> = kr
-                .patterns
-                .iter()
-                .map(|p| {
-                    let (sd, count) = index.counts(p, kr.k);
-                    let required = measure.required(sd, kr.k, index.n());
-                    BiasedGroup {
-                        pattern: p.clone(),
-                        display: space.display(p),
-                        direction: BiasDirection::Under,
-                        size_in_data: sd,
-                        size_in_topk: count,
-                        required,
-                        bias_gap: required - count as f64,
-                    }
-                })
-                .collect();
-            groups.sort_by(|a, b| {
-                b.bias_gap
-                    .partial_cmp(&a.bias_gap)
-                    .expect("gaps are finite")
-                    .then(b.size_in_data.cmp(&a.size_in_data))
-                    .then(a.display.cmp(&b.display))
-            });
-            KReport { k: kr.k, groups }
-        })
-        .collect()
-}
-
 /// Enriches an [`AuditOutcome`] into per-`k` reports covering **both**
 /// directions: under-represented groups first (largest deficit first),
 /// then over-represented ones (largest excess first).
-pub fn summarize_audit<I: CountsProvider>(
-    out: &AuditOutcome,
+///
+/// A group reported at many `k` values is counted in the data once: `s_D`
+/// does not depend on `k`, so it is memoized per distinct pattern, and
+/// each row pays only the truncated top-`k` prefix count.
+pub fn summarize_audit<'o, I: CountsProvider>(
+    out: &'o AuditOutcome,
     index: &I,
     space: &PatternSpace,
     task: &AuditTask,
@@ -124,11 +88,15 @@ pub fn summarize_audit<I: CountsProvider>(
             AuditTask::UnderRep(_) => 0.0, // no over side
         }
     };
+    let mut size_in_data: FxHashMap<&'o Pattern, usize> = FxHashMap::default();
     out.per_k
         .iter()
         .map(|kr| {
-            let enrich = |p: &Pattern, direction: BiasDirection| {
-                let (sd, count) = index.counts(p, kr.k);
+            let mut enrich = |p: &'o Pattern, direction: BiasDirection| {
+                let sd = *size_in_data
+                    .entry(p)
+                    .or_insert_with(|| index.size_in_data(p));
+                let count = index.prefix_count(p, kr.k);
                 let required = match direction {
                     BiasDirection::Under => under_required(sd, kr.k),
                     BiasDirection::Over => upper_allowed(kr.k),
@@ -216,14 +184,17 @@ pub fn render_report(reports: &[KReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::Bounds;
+    use crate::audit::AuditKResult;
+    use crate::bounds::{BiasMeasure, Bounds};
     use crate::engine::global_bounds;
     use crate::space::RankedIndex;
     use crate::stats::DetectConfig;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
     use rankfair_rank::Ranking;
 
-    fn setup() -> (PatternSpace, RankedIndex, DetectionOutput, BiasMeasure) {
+    /// Example 4.6's GlobalBounds run (`L = 2`, `τs = 4`, `k ∈ [4, 5]`) as
+    /// an under-representation outcome, with the task that produced it.
+    pub(super) fn setup() -> (PatternSpace, RankedIndex, AuditOutcome, AuditTask) {
         let ds = students_fig1();
         let space = PatternSpace::from_dataset(&ds).unwrap();
         let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
@@ -231,13 +202,26 @@ mod tests {
         let cfg = DetectConfig::new(4, 4, 5);
         let bounds = Bounds::constant(2);
         let out = global_bounds(&index, &space, &cfg, &bounds);
-        (space, index, out, BiasMeasure::GlobalLower(bounds))
+        let outcome = AuditOutcome {
+            per_k: out
+                .per_k
+                .into_iter()
+                .map(|kr| AuditKResult {
+                    k: kr.k,
+                    under: kr.patterns,
+                    over: Vec::new(),
+                })
+                .collect(),
+            stats: out.stats,
+        };
+        let task = AuditTask::UnderRep(BiasMeasure::GlobalLower(bounds));
+        (space, index, outcome, task)
     }
 
     #[test]
     fn summary_contains_sizes_and_gaps() {
-        let (space, index, out, measure) = setup();
-        let reports = summarize(&out, &index, &space, &measure);
+        let (space, index, out, task) = setup();
+        let reports = summarize_audit(&out, &index, &space, &task);
         assert_eq!(reports.len(), 2);
         let k4 = &reports[0];
         assert_eq!(k4.k, 4);
@@ -254,8 +238,8 @@ mod tests {
 
     #[test]
     fn groups_sorted_by_gap_desc() {
-        let (space, index, out, measure) = setup();
-        let reports = summarize(&out, &index, &space, &measure);
+        let (space, index, out, task) = setup();
+        let reports = summarize_audit(&out, &index, &space, &task);
         for r in &reports {
             for w in r.groups.windows(2) {
                 assert!(w[0].bias_gap >= w[1].bias_gap);
@@ -265,8 +249,8 @@ mod tests {
 
     #[test]
     fn render_is_nonempty_and_mentions_k() {
-        let (space, index, out, measure) = setup();
-        let text = render_report(&summarize(&out, &index, &space, &measure));
+        let (space, index, out, task) = setup();
+        let text = render_report(&summarize_audit(&out, &index, &space, &task));
         assert!(text.contains("k = 4"));
         assert!(text.contains("{School=GP}"));
         assert!(text.contains("required"));
@@ -312,23 +296,11 @@ pub fn render_report_csv(reports: &[KReport]) -> String {
 #[cfg(test)]
 mod csv_tests {
     use super::*;
-    use crate::bounds::{BiasMeasure, Bounds};
-    use crate::engine::global_bounds;
-    use crate::space::{PatternSpace, RankedIndex};
-    use crate::stats::DetectConfig;
-    use rankfair_data::examples::{fig1_rank_order, students_fig1};
-    use rankfair_rank::Ranking;
 
     #[test]
     fn csv_has_header_and_quoted_groups() {
-        let ds = students_fig1();
-        let space = PatternSpace::from_dataset(&ds).unwrap();
-        let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
-        let index = RankedIndex::build(&ds, &space, &ranking);
-        let cfg = DetectConfig::new(4, 4, 5);
-        let bounds = Bounds::constant(2);
-        let out = global_bounds(&index, &space, &cfg, &bounds);
-        let reports = summarize(&out, &index, &space, &BiasMeasure::GlobalLower(bounds));
+        let (space, index, out, task) = tests::setup();
+        let reports = summarize_audit(&out, &index, &space, &task);
         let csv = render_report_csv(&reports);
         let mut lines = csv.lines();
         assert_eq!(

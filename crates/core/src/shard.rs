@@ -220,6 +220,52 @@ impl CountsProvider for ShardedIndex {
         ShardedIndex::counts(self, p, k)
     }
 
+    /// The additive merge of per-shard child counts: each shard counts
+    /// the whole expansion on its block, so a large universe fans out
+    /// over threads once per expansion, not once per child.
+    fn child_counts(
+        &self,
+        parent: &Pattern,
+        start: AttrId,
+        k: usize,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        if self.shards.len() == 1 {
+            return self.shards[0].child_counts(parent, start, k, out);
+        }
+        let mut partials: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.shards.len()];
+        if self.parallel {
+            std::thread::scope(|scope| {
+                for (s, (shard, slot)) in self.shards.iter().zip(partials.iter_mut()).enumerate() {
+                    // An empty shard contributes zeros; its empty slot adds
+                    // nothing in the merge below.
+                    if shard.n() == 0 {
+                        continue;
+                    }
+                    let local_k = self.local_k(s, k);
+                    scope.spawn(move || shard.child_counts(parent, start, local_k, slot));
+                }
+            });
+        } else {
+            for (s, (shard, slot)) in self.shards.iter().zip(partials.iter_mut()).enumerate() {
+                shard.child_counts(parent, start, self.local_k(s, k), slot);
+            }
+        }
+        // Every non-empty shard reports every child, so the longest
+        // partial fixes the child count.
+        let base = out.len();
+        out.resize(
+            base + partials.iter().map(Vec::len).max().unwrap_or(0),
+            (0, 0),
+        );
+        for part in &partials {
+            for (o, &(sd, topk)) in out[base..].iter_mut().zip(part) {
+                o.0 += sd;
+                o.1 += topk;
+            }
+        }
+    }
+
     fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
         ShardedIndex::code_at(self, pos, attr)
     }
@@ -294,6 +340,35 @@ mod tests {
             }
             assert_eq!(sharded.prefix_count(&Pattern::empty(), 5), 5);
         }
+    }
+
+    #[test]
+    fn child_counts_merge_equals_per_child_counts() {
+        // 25 shards over 16 rows leaves 9 of them empty.
+        let ks: Vec<usize> = (0..=18).collect();
+        for shards in [1, 2, 3, 7, 25] {
+            let (space, single, sharded) = fig1_sharded(shards);
+            crate::space::assert_child_counts_match(&sharded, &single, &space, &ks);
+        }
+    }
+
+    #[test]
+    fn child_counts_fan_out_matches_unsharded() {
+        // Past PARALLEL_MIN_ROWS the shards count on scoped threads (on a
+        // multi-core host); the merge must not care which path ran.
+        let rows = ShardedIndex::PARALLEL_MIN_ROWS + 5;
+        let spec = rankfair_synth::RandomSpec {
+            rows,
+            attrs: 3,
+            max_card: 3,
+        };
+        let ds = rankfair_synth::random_dataset(5, spec);
+        let space = PatternSpace::from_dataset(&ds).unwrap();
+        let ranking = Ranking::from_order(rankfair_synth::random_ranking(5, rows)).unwrap();
+        let single = RankedIndex::build(&ds, &space, &ranking);
+        let sharded = ShardedIndex::build(&ds, &space, &ranking, 3);
+        let ks = [0, 1, 64, rows / 3 + 1, rows - 1, rows];
+        crate::space::assert_child_counts_match(&sharded, &single, &space, &ks);
     }
 
     #[test]

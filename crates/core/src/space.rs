@@ -1,7 +1,8 @@
 use std::fmt;
 
 use rankfair_data::{
-    intersect_counts_iter, intersect_prefix_iter, Bitmap, Dataset, TupleId, ValueCode,
+    and_counts, intersect_counts_iter, intersect_into, intersect_prefix_iter, Bitmap, Dataset,
+    TupleId, ValueCode,
 };
 use rankfair_rank::Ranking;
 
@@ -39,8 +40,9 @@ impl std::error::Error for SpaceError {}
 /// The count surface the detection engines consume.
 ///
 /// Everything in the lower and upper engines reaches the data through
-/// three primitives — the universe size, the fused `(s_D, s_Rk)` count,
-/// and the value of an attribute at a rank position — so any provider
+/// four primitives — the universe size, the fused `(s_D, s_Rk)` count of
+/// one pattern, the same pair for every child of an expanded node, and
+/// the value of an attribute at a rank position — so any provider
 /// implementing them runs the same algorithms unchanged: the single
 /// [`RankedIndex`], the sharded additive merge of
 /// [`ShardedIndex`](crate::ShardedIndex), or the
@@ -52,6 +54,20 @@ pub trait CountsProvider: Sync {
     /// `(s_D(p), s_Rk(p))` — the pattern's size in the data and in the
     /// top-`k` prefix of the ranking.
     fn counts(&self, p: &Pattern, k: usize) -> (usize, usize);
+
+    /// Appends `counts(parent.child(a, v), k)` to `out` for every
+    /// search-tree child with `a ≥ start`, in `(a, v)` order (attributes
+    /// ascending, then value codes ascending) — the order in which both
+    /// engines intern a node's children. Providers share the parent's
+    /// intersection across the children instead of recounting it per
+    /// child; this is how every fresh expansion is evaluated.
+    fn child_counts(
+        &self,
+        parent: &Pattern,
+        start: AttrId,
+        k: usize,
+        out: &mut Vec<(usize, usize)>,
+    );
 
     /// Value of `attr` for the tuple at rank position `pos` (0-based).
     fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode;
@@ -75,6 +91,26 @@ pub trait CountsProvider: Sync {
     fn matches_at(&self, pos: usize, p: &Pattern) -> bool {
         p.matches(|a| self.code_at(pos, a))
     }
+}
+
+/// The search-tree children of `parent` (Definition 4.1) with their
+/// `(s_D, s_Rk)` at `k`, in `(a, v)` order, from one batched
+/// [`CountsProvider::child_counts`] call — how both engines evaluate a
+/// fresh expansion.
+pub(crate) fn counted_children<'s>(
+    index: &impl CountsProvider,
+    space: &'s PatternSpace,
+    parent: &'s Pattern,
+    k: usize,
+) -> impl Iterator<Item = (Pattern, (usize, usize))> + 's {
+    let start = parent.max_attr().map_or(0, |a| a + 1);
+    let mut counts = Vec::new();
+    index.child_counts(parent, start, k, &mut counts);
+    debug_assert_eq!(counts.len(), space.child_bindings(start).count());
+    space
+        .child_bindings(start)
+        .zip(counts)
+        .map(move |((a, v), c)| (parent.child(a, v), c))
 }
 
 #[derive(Debug, Clone)]
@@ -164,6 +200,16 @@ impl PatternSpace {
         &self.attrs[usize::from(a)].name
     }
 
+    /// The `(a, v)` bindings of a search-tree node's children: every value
+    /// of every attribute from `start` on, in the order
+    /// [`CountsProvider::child_counts`] reports their counts.
+    pub(crate) fn child_bindings(
+        &self,
+        start: AttrId,
+    ) -> impl Iterator<Item = (AttrId, ValueCode)> + '_ {
+        (start..self.attr_ids().end).flat_map(move |a| self.value_codes(a).map(move |v| (a, v)))
+    }
+
     /// Label of value `v` of attribute `a`.
     pub fn label(&self, a: AttrId, v: ValueCode) -> &str {
         &self.attrs[usize::from(a)].labels[usize::from(v)]
@@ -234,9 +280,11 @@ impl PatternSpace {
 /// * `s_D(pattern)` = popcount of the AND of the term bitmaps,
 /// * `s_Rk(pattern)` = popcount of the same AND over the first `k` bits,
 ///
-/// both computed by one fused pass ([`RankedIndex::counts`]); and the tuple
-/// entering the top-k when `k` grows by one is simply position `k`
-/// ([`RankedIndex::code_at`] feeds the incremental walk).
+/// both computed by one fused pass ([`RankedIndex::counts`]), or for all
+/// children of a search node at once from their parent's AND
+/// ([`CountsProvider::child_counts`]); and the tuple entering the top-k when
+/// `k` grows by one is simply position `k` ([`RankedIndex::code_at`] feeds
+/// the incremental walk).
 #[derive(Debug, Clone)]
 pub struct RankedIndex {
     n: usize,
@@ -300,18 +348,19 @@ impl RankedIndex {
         self.n
     }
 
-    /// `(s_D(p), s_Rk(p))` in one fused bitmap pass, with **zero heap
-    /// allocations**: the term→bitmap mapping is a lazy iterator handed to
-    /// [`intersect_counts_iter`], so the search hot path never materializes
-    /// a `Vec<&Bitmap>` per pattern evaluation.
+    /// The bitmaps of `p`'s terms.
+    fn term_maps<'s>(&'s self, p: &'s Pattern) -> impl Iterator<Item = &'s Bitmap> + Clone {
+        p.terms()
+            .iter()
+            .map(|&(a, v)| &self.bitmaps[usize::from(a)][usize::from(v)])
+    }
+
+    /// `(s_D(p), s_Rk(p))` of one pattern in one fused bitmap pass. The
+    /// engines evaluate whole expansions through
+    /// [`CountsProvider::child_counts`]; this single-pattern count serves
+    /// the report, the baseline, the oracle and the shard merge.
     pub fn counts(&self, p: &Pattern, k: usize) -> (usize, usize) {
-        intersect_counts_iter(
-            p.terms()
-                .iter()
-                .map(|&(a, v)| &self.bitmaps[usize::from(a)][usize::from(v)]),
-            k,
-            self.n,
-        )
+        intersect_counts_iter(self.term_maps(p), k, self.n)
     }
 
     /// `s_D(p)` alone.
@@ -323,13 +372,7 @@ impl RankedIndex {
     /// top-`k` prefix — the engines' arena re-activation recount, which
     /// for `k ≪ n` touches a `k/n` fraction of the fused pass's blocks.
     pub fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
-        intersect_prefix_iter(
-            p.terms()
-                .iter()
-                .map(|&(a, v)| &self.bitmaps[usize::from(a)][usize::from(v)]),
-            k,
-            self.n,
-        )
+        intersect_prefix_iter(self.term_maps(p), k, self.n)
     }
 
     /// Value of `attr` for the tuple at rank position `pos` (0-based).
@@ -427,12 +470,68 @@ impl CountsProvider for RankedIndex {
         RankedIndex::counts(self, p, k)
     }
 
+    /// ANDs the parent's term bitmaps once, then counts each child with
+    /// one two-operand pass over that buffer and the child's own bitmap.
+    fn child_counts(
+        &self,
+        parent: &Pattern,
+        start: AttrId,
+        k: usize,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        let mut words = Vec::new();
+        intersect_into(self.term_maps(parent), self.n, &mut words);
+        for maps in &self.bitmaps[usize::from(start)..] {
+            out.extend(maps.iter().map(|m| and_counts(&words, m, k)));
+        }
+    }
+
     fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
         RankedIndex::code_at(self, pos, attr)
     }
 
     fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
         RankedIndex::prefix_count(self, p, k)
+    }
+}
+
+/// Checks `index.child_counts` against one `reference.counts` call per
+/// child, at every `k` in `ks`, for every `start` from `0` to `m` (the
+/// last has no children) and every parent of 0–3 terms over the
+/// attributes before `start`. The batch must append, leaving what `out`
+/// already held in place.
+#[cfg(test)]
+pub(crate) fn assert_child_counts_match(
+    index: &impl CountsProvider,
+    reference: &impl CountsProvider,
+    space: &PatternSpace,
+    ks: &[usize],
+) {
+    const SENTINEL: (usize, usize) = (usize::MAX, 0);
+    for start in 0..=space.attr_ids().end {
+        let mut parents = vec![Pattern::empty()];
+        for a in 0..start {
+            let grown: Vec<Pattern> = parents
+                .iter()
+                .filter(|p| p.len() < 3)
+                .flat_map(|p| space.value_codes(a).map(move |v| p.child(a, v)))
+                .collect();
+            parents.extend(grown);
+        }
+        for parent in &parents {
+            for &k in ks {
+                let mut got = vec![SENTINEL];
+                index.child_counts(parent, start, k, &mut got);
+                let want: Vec<(usize, usize)> = std::iter::once(SENTINEL)
+                    .chain(
+                        space
+                            .child_bindings(start)
+                            .map(|(a, v)| reference.counts(&parent.child(a, v), k)),
+                    )
+                    .collect();
+                assert_eq!(got, want, "parent={parent:?} start={start} k={k}");
+            }
+        }
     }
 }
 
@@ -555,6 +654,13 @@ mod tests {
     fn empty_pattern_counts_are_universe() {
         let (_ds, _space, index) = fig1();
         assert_eq!(index.counts(&Pattern::empty(), 5), (16, 5));
+    }
+
+    #[test]
+    fn child_counts_equal_per_child_counts() {
+        let (_ds, space, index) = fig1();
+        let ks: Vec<usize> = (0..=18).collect();
+        assert_child_counts_match(&index, &index, &space, &ks);
     }
 
     #[test]

@@ -69,7 +69,7 @@
 use crate::audit::OverRepScope;
 use crate::bounds::Bounds;
 use crate::pattern::Pattern;
-use crate::space::{AttrId, CountsProvider, PatternSpace};
+use crate::space::{counted_children, AttrId, CountsProvider, PatternSpace};
 use crate::stats::{DeadlineGuard, DetectConfig, KResult, ReplayCounters, SearchStats};
 use crate::util::FxHashSet;
 use rankfair_data::ValueCode;
@@ -215,10 +215,17 @@ impl<'a, I: CountsProvider> UpperEngine<'a, I> {
         (self.arena, self.stats, self.prefix_recounts)
     }
 
-    /// Evaluates a fresh pattern (one fused, zero-allocation bitmap scan),
-    /// interns the node in the arena, and classifies it under `(k, u)`.
-    fn eval_new(&mut self, pattern: Pattern, k: usize, u: usize) -> u32 {
-        let (sd, count) = self.index.counts(&pattern, k);
+    /// Evaluates every search-tree child of `pattern` in one batched count
+    /// and interns them in `(a, v)` order, classified under `(k, u)`.
+    fn eval_children(&mut self, pattern: &Pattern, k: usize, u: usize) -> Vec<u32> {
+        counted_children(self.index, self.space, pattern, k)
+            .map(|(child, counts)| self.eval_new(child, counts, u))
+            .collect()
+    }
+
+    /// Interns a freshly evaluated pattern with its `(s_D, s_Rk)` and
+    /// classifies it under the bound `u`.
+    fn eval_new(&mut self, pattern: Pattern, (sd, count): (usize, usize), u: usize) -> u32 {
         self.stats.nodes_evaluated += 1;
         let pruned = sd < self.tau_s;
         let id = u32::try_from(self.arena.nodes.len()).expect("node ids fit u32");
@@ -333,10 +340,10 @@ impl<'a, I: CountsProvider> UpperEngine<'a, I> {
 
     /// Phase 2: repair the tree closure. Every node in `fresh` (newly
     /// qualifying) is opened; stored children re-activate with prefix
-    /// recounts, never-expanded nodes generate (and fully evaluate) their
-    /// children fresh. Children that qualify under `(k, u)` join the
-    /// worklist, so the closure grows to cover the whole new qualifying
-    /// region.
+    /// recounts, never-expanded nodes generate their children fresh and
+    /// count them in one batched pass. Children that qualify under
+    /// `(k, u)` join the worklist, so the closure grows to cover the whole
+    /// new qualifying region.
     fn cascade(
         &mut self,
         fresh: &mut Vec<u32>,
@@ -344,7 +351,6 @@ impl<'a, I: CountsProvider> UpperEngine<'a, I> {
         u: usize,
         guard: &mut DeadlineGuard,
     ) -> bool {
-        let m = self.space.n_attrs() as AttrId;
         let mut i = 0;
         while i < fresh.len() {
             if guard.expired() {
@@ -366,23 +372,9 @@ impl<'a, I: CountsProvider> UpperEngine<'a, I> {
                     }
                 }
             } else {
-                let (start, pattern) = {
-                    let nd = &self.arena.nodes[id as usize];
-                    (
-                        nd.pattern.max_attr().map_or(0, |a| a + 1),
-                        nd.pattern.clone(),
-                    )
-                };
-                let mut children = Vec::new();
-                for a in start..m {
-                    for v in self.space.value_codes(a) {
-                        let c = self.eval_new(pattern.child(a, v), k, u);
-                        if self.qualified[c as usize] {
-                            fresh.push(c);
-                        }
-                        children.push(c);
-                    }
-                }
+                let pattern = self.arena.nodes[id as usize].pattern.clone();
+                let children = self.eval_children(&pattern, k, u);
+                fresh.extend(children.iter().filter(|&&c| self.qualified[c as usize]));
                 let nd = &mut self.arena.nodes[id as usize];
                 nd.children = children;
                 nd.expanded = true;
@@ -526,16 +518,13 @@ impl<'a, I: CountsProvider> UpperEngine<'a, I> {
         self.stats.full_searches += 1;
         let mut fresh = Vec::new();
         if self.arena.root_children.is_empty() {
-            let m = self.space.n_attrs() as AttrId;
-            for a in 0..m {
-                for v in self.space.value_codes(a) {
-                    let id = self.eval_new(Pattern::single(a, v), k, u);
-                    self.arena.root_children.push(id);
-                    if self.qualified[id as usize] {
-                        fresh.push(id);
-                    }
-                }
-            }
+            self.arena.root_children = self.eval_children(&Pattern::empty(), k, u);
+            fresh.extend(
+                self.arena
+                    .root_children
+                    .iter()
+                    .filter(|&&id| self.qualified[id as usize]),
+            );
         } else {
             for i in 0..self.arena.root_children.len() {
                 let id = self.arena.root_children[i];

@@ -4,8 +4,10 @@
 /// rows laid out in **rank order**. The size of a pattern in the whole
 /// dataset (`s_D`) is then the popcount of the AND of its term bitmaps, and
 /// its size in the top-k (`s_Rk`) is the popcount of the same AND restricted
-/// to the first `k` bits — both computed by [`intersect_counts`] in a single
-/// fused pass, with no intermediate bitmap materialized.
+/// to the first `k` bits. One pattern's pair comes from
+/// [`intersect_counts`] in a single fused pass; the children of one search
+/// node share their parent's AND, so [`intersect_into`] computes it once
+/// and [`and_counts`] adds one term per child.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
     blocks: Vec<u64>,
@@ -111,8 +113,9 @@ pub fn intersect_counts(maps: &[&Bitmap], k: usize, universe_len: usize) -> (usi
 
 /// Iterator form of [`intersect_counts`]: the same fused full/prefix
 /// popcount without requiring the caller to materialize a `&[&Bitmap]`
-/// slice — the detection hot path maps pattern terms to bitmaps lazily, so
-/// a pattern evaluation performs **zero heap allocations**.
+/// slice. This is the one-pattern count (reports, baselines, shards); the
+/// engines count a node's children together with [`intersect_into`] and
+/// [`and_counts`] instead.
 ///
 /// The iterator is re-walked once per 64-bit block, so it must be `Clone`
 /// and cheap to advance (a slice iterator plus a map closure is).
@@ -190,6 +193,60 @@ where
         prefix += (acc & ((1u64 << k_rem) - 1)).count_ones() as usize;
     }
     prefix
+}
+
+/// ANDs `maps` into `out`, one word per 64-bit block of a
+/// `universe_len`-position universe — the shared parent half of a batched
+/// child count, fed to [`and_counts`] once per child.
+///
+/// With no maps the AND is the universe: every position below
+/// `universe_len` is set, and the bits past it stay clear.
+pub fn intersect_into<'a>(
+    maps: impl IntoIterator<Item = &'a Bitmap>,
+    universe_len: usize,
+    out: &mut Vec<u64>,
+) {
+    out.clear();
+    let mut maps = maps.into_iter();
+    let Some(first) = maps.next() else {
+        out.resize(universe_len / BITS, !0);
+        if !universe_len.is_multiple_of(BITS) {
+            out.push((1u64 << (universe_len % BITS)) - 1);
+        }
+        return;
+    };
+    debug_assert_eq!(first.len, universe_len);
+    out.extend_from_slice(&first.blocks);
+    for m in maps {
+        debug_assert_eq!(m.len, universe_len);
+        for (o, &b) in out.iter_mut().zip(&m.blocks) {
+            *o &= b;
+        }
+    }
+}
+
+/// `(|parent ∧ map|, |parent ∧ map ∩ [0, k)|)` for a `parent` built by
+/// [`intersect_into`] over `map`'s universe: one two-operand AND and
+/// popcount pass, split at the block holding `k` so both counts come out
+/// of the same sweep. The loops are plain zips the compiler vectorizes.
+pub fn and_counts(parent: &[u64], map: &Bitmap, k: usize) -> (usize, usize) {
+    debug_assert_eq!(parent.len(), map.blocks.len());
+    let ones = |a: &[u64], b: &[u64]| -> usize {
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| (x & y).count_ones() as usize)
+            .sum()
+    };
+    let k = k.min(map.len);
+    let (k_full, k_rem) = (k / BITS, k % BITS);
+    let head = ones(&parent[..k_full], &map.blocks[..k_full]);
+    let tail = ones(&parent[k_full..], &map.blocks[k_full..]);
+    let partial = if k_rem > 0 {
+        (parent[k_full] & map.blocks[k_full] & ((1u64 << k_rem) - 1)).count_ones() as usize
+    } else {
+        0
+    };
+    (head + tail, head + partial)
 }
 
 #[cfg(test)]
@@ -322,6 +379,80 @@ mod tests {
                 intersect_prefix_iter([&big_a, &big_b].into_iter(), k, 300),
                 pre,
                 "k={k}"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_child_kernels_match_naive_bit_loop() {
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [1usize, 63, 64, 65, 517] {
+            for _case in 0..4 {
+                // Five bitmaps at densities 1/2, 1/3, ..., 1/6: up to three
+                // form the parent, the rest are children.
+                let sets: Vec<Vec<bool>> = (2..7u64)
+                    .map(|d| (0..n).map(|_| next() % d == 0).collect())
+                    .collect();
+                let maps: Vec<Bitmap> = sets
+                    .iter()
+                    .map(|s| {
+                        let mut m = Bitmap::new(n);
+                        s.iter()
+                            .enumerate()
+                            .filter(|&(_, &b)| b)
+                            .for_each(|(i, _)| m.set(i));
+                        m
+                    })
+                    .collect();
+                for parent_terms in 0..=3 {
+                    let mut words = vec![0xdead_beef; 3];
+                    intersect_into(&maps[..parent_terms], n, &mut words);
+                    let in_parent = |i: usize| sets[..parent_terms].iter().all(|s| s[i]);
+                    assert_eq!(words.len(), n.div_ceil(BITS), "n={n}");
+                    for i in 0..words.len() * BITS {
+                        let bit = words[i / BITS] >> (i % BITS) & 1 == 1;
+                        assert_eq!(bit, i < n && in_parent(i), "n={n} bit {i}");
+                    }
+                    for (child, set) in maps.iter().zip(&sets).skip(parent_terms) {
+                        for k in [0, 1, 63, 64, 65, n, n + 7] {
+                            let naive = |end: usize| {
+                                (0..end.min(n)).filter(|&i| in_parent(i) && set[i]).count()
+                            };
+                            assert_eq!(
+                                and_counts(&words, child, k),
+                                (naive(n), naive(k)),
+                                "n={n} parent_terms={parent_terms} k={k}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_parent_is_the_universe_in_the_batched_kernels() {
+        let mut words = Vec::new();
+        intersect_into(std::iter::empty(), 70, &mut words);
+        assert_eq!(words, vec![!0, (1 << 6) - 1]);
+        intersect_into(std::iter::empty(), 128, &mut words);
+        assert_eq!(words, vec![!0, !0]);
+        intersect_into(std::iter::empty(), 0, &mut words);
+        assert!(words.is_empty());
+        assert_eq!(and_counts(&words, &Bitmap::new(0), 5), (0, 0));
+        // Against the empty parent a child counts as itself.
+        let child = from_bits(&[0, 1, 1, 0, 1]);
+        intersect_into(std::iter::empty(), 5, &mut words);
+        for k in 0..=7 {
+            assert_eq!(
+                and_counts(&words, &child, k),
+                (child.count_ones(), child.count_prefix(k))
             );
         }
     }

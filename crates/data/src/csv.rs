@@ -315,7 +315,7 @@ mod tests {
             .categorical_from_str("g", &["x", "y"])
             .build()
             .unwrap();
-        let dir = std::env::temp_dir().join("rankfair_csv_test");
+        let dir = std::env::temp_dir().join(format!("rankfair_csv_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.csv");
         write_csv(&ds, &path, ',').unwrap();

@@ -19,7 +19,9 @@
 //! * [`Bitmap`] — packed bitsets with fused *full + prefix* intersection
 //!   popcounts. When rows are laid out in rank order, the size of a pattern
 //!   in the whole data (`s_D`) and in the top-k (`s_Rk`) fall out of a single
-//!   pass over the AND of the per-term bitmaps.
+//!   pass over the AND of the per-term bitmaps; [`intersect_into`] and
+//!   [`and_counts`] count all one-term extensions of a pattern from one
+//!   shared AND.
 //! * [`examples`] — the paper’s Figure 1 running example, used verbatim by
 //!   unit tests across the workspace.
 //!
@@ -55,7 +57,10 @@ mod dataset;
 mod error;
 pub mod examples;
 
-pub use bitmap::{intersect_counts, intersect_counts_iter, intersect_prefix_iter, Bitmap};
+pub use bitmap::{
+    and_counts, intersect_counts, intersect_counts_iter, intersect_into, intersect_prefix_iter,
+    Bitmap,
+};
 pub use column::{Column, ColumnData};
 pub use dataset::{Dataset, DatasetBuilder, RowValue};
 pub use error::DataError;

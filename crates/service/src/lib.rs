@@ -1197,7 +1197,8 @@ mod tests {
 
     #[test]
     fn bucketize_and_csv_registration_work_end_to_end() {
-        let dir = std::env::temp_dir().join("rankfair_service_tests");
+        let dir =
+            std::env::temp_dir().join(format!("rankfair_service_tests_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("student.csv");
         let ds = rankfair_synth::student(rankfair_synth::SynthConfig::new(80, 7));

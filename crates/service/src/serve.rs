@@ -234,7 +234,8 @@ mod tests {
         // rows → same audit again (must now succeed). Without the
         // dataset-lane ordering the first audit could race past the
         // re-registration and nondeterministically succeed.
-        let dir = std::env::temp_dir().join("rankfair_serve_barrier");
+        let dir =
+            std::env::temp_dir().join(format!("rankfair_serve_barrier_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (small, large) = (dir.join("small.csv"), dir.join("large.csv"));
         for (path, rows) in [(&small, 60), (&large, 100)] {
@@ -286,7 +287,7 @@ mod tests {
 
     #[test]
     fn mixed_ops_and_errors_stay_in_band() {
-        let dir = std::env::temp_dir().join("rankfair_serve_tests");
+        let dir = std::env::temp_dir().join(format!("rankfair_serve_tests_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("students.csv");
         let ds = rankfair_synth::student(rankfair_synth::SynthConfig::new(60, 5));
