@@ -1590,37 +1590,109 @@ mod tests {
         // `nodes_evaluated` counts one per pattern the engines evaluate,
         // however the counts are computed (one batched pass per expansion
         // or one scan per child). Pinned so the meaning of "evals" in
-        // benchmarks and stats cannot drift with the count kernel.
+        // benchmarks and stats cannot drift with the count kernel, and
+        // with every other work counter so a restructuring of the engines
+        // cannot change the work they do.
         let spec = rankfair_synth::RandomSpec {
             rows: 400,
             attrs: 5,
             max_card: 4,
         };
+        let order = rankfair_synth::random_ranking(12, spec.rows);
         let audit = Audit::builder(Arc::new(rankfair_synth::random_dataset(12, spec)))
-            .ranking(Ranking::from_order(rankfair_synth::random_ranking(12, spec.rows)).unwrap())
+            .ranking(Ranking::from_order(order.clone()).unwrap())
             .build()
             .unwrap();
         let cfg = DetectConfig::new(10, 10, 60);
-        for (task, evals) in [
+        let counters = |s: &SearchStats| {
+            (
+                s.nodes_evaluated,
+                s.nodes_touched,
+                s.schedule_pops,
+                s.full_searches,
+            )
+        };
+        // (evaluated, touched, schedule pops, full searches) of the batch
+        // run and of the stream. They differ only where the batch
+        // GlobalBounds rebuilds at a bound step and the stream rescans.
+        for (task, batch, streamed) in [
             (
                 AuditTask::UnderRep(BiasMeasure::Proportional { alpha: 0.8 }),
-                607,
+                (607, 1140, 509, 1),
+                (607, 1140, 509, 1),
             ),
             (
                 AuditTask::OverRep {
                     upper: Bounds::LinearFraction(0.3),
                     scope: OverRepScope::MostSpecific,
                 },
-                121,
+                (121, 2608, 0, 1),
+                (121, 2608, 0, 1),
             ),
             (
                 AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::LinearFraction(0.2))),
-                1638,
+                (1638, 682, 0, 11),
+                (283, 2865, 0, 1),
             ),
         ] {
             let out = audit.run(&cfg, &task, Engine::Optimized).unwrap();
-            assert_eq!(out.stats.nodes_evaluated, evals, "{task:?}");
+            let mut stream = audit.run_streaming(&cfg, &task).unwrap();
+            assert_eq!(stream.by_ref().count(), cfg.range_len());
+            assert_eq!(counters(&out.stats), batch, "{task:?}");
+            assert_eq!(counters(&stream.stats()), streamed, "{task:?}");
         }
+        // The monitor's replay path over the same instance: a score column
+        // that reproduces the ranking above, then one reorder batch.
+        let mut ds = rankfair_synth::random_dataset(12, spec);
+        let mut scores = vec![0.0; spec.rows];
+        for (pos, &row) in order.iter().enumerate() {
+            scores[row as usize] = (spec.rows - pos) as f64;
+        }
+        ds.push_column(rankfair_data::Column::numeric("score", scores))
+            .unwrap();
+        let task = AuditTask::Combined {
+            lower: Bounds::LinearFraction(0.2),
+            upper: Bounds::LinearFraction(0.3),
+        };
+        let mut monitor = crate::MonitorAudit::builder(ds, "score")
+            .build(cfg.clone(), task, Engine::Optimized)
+            .unwrap();
+        let built = crate::CheckpointStats {
+            cadence: 8,
+            lower_checkpoints: 7,
+            upper_checkpoints: 7,
+            stored_nodes: 2621,
+            arena_nodes: 404,
+            seeks: 0,
+            cold_builds: 2,
+            repairs: 0,
+            replayed_steps: 102,
+            prefix_recounts: 0,
+            segments: 2,
+            invalidated: 0,
+        };
+        assert_eq!(monitor.checkpoint_stats().unwrap(), built);
+        // Lift the row at position 49 to position 25: the changed-k
+        // segment starts at k = 26, a grid k, so its seek checkpoint is
+        // repaired.
+        monitor
+            .apply(&[crate::RankingEdit::ScoreUpdate {
+                row: order[49],
+                score: (spec.rows - 25) as f64 + 0.5,
+            }])
+            .unwrap();
+        let reordered = crate::CheckpointStats {
+            lower_checkpoints: 6,
+            upper_checkpoints: 6,
+            stored_nodes: 2282,
+            seeks: 2,
+            repairs: 2,
+            replayed_steps: 148,
+            prefix_recounts: 33,
+            segments: 4,
+            ..built
+        };
+        assert_eq!(monitor.checkpoint_stats().unwrap(), reordered);
     }
 
     #[test]
