@@ -45,11 +45,12 @@
 use std::fmt;
 use std::sync::Arc;
 
-use rankfair_data::{Dataset, TupleId, ValueCode};
+use rankfair_data::{Dataset, ValueCode};
 use rankfair_rank::{Ranker, Ranking};
 
 use crate::bounds::{BiasMeasure, Bounds};
-use crate::engine;
+use crate::engine::{LowerEngine, LowerFrontier};
+use crate::incremental::{self, ReorderSpec, Store, Stream};
 use crate::oracle;
 use crate::pattern::Pattern;
 use crate::report::{summarize_audit, KReport};
@@ -59,7 +60,7 @@ use crate::stats::{
     DeadlineGuard, DetectConfig, DetectionOutput, KResult, ReplayCounters, SearchStats,
 };
 use crate::topdown;
-use crate::upper_engine::{self, UpperStream};
+use crate::upper_engine::{UpperEngine, UpperFrontier};
 
 /// Typed error for audit construction and execution, replacing the
 /// `SpaceError`-or-`String` mix of the old facade.
@@ -678,8 +679,8 @@ pub(crate) struct AuditParts<'a, I: CountsProvider> {
 }
 
 /// The persistent engine state a [`crate::MonitorAudit`] carries between
-/// delta re-audits: per-direction stores (the shared node arena plus
-/// counts-only engine snapshots every `cadence` values of `k`, grid
+/// delta re-audits: one [`Store`] per direction (the shared node arena
+/// plus counts-only engine checkpoints every `cadence` values of `k`, grid
 /// `k ≡ k_min (mod cadence)`) and the replay work counters. The monitor
 /// invalidates entries that an edit batch made stale — the changed-`k`
 /// segments for a pure reorder, everything (arena included) for an
@@ -687,14 +688,12 @@ pub(crate) struct AuditParts<'a, I: CountsProvider> {
 /// while recomputing.
 #[derive(Debug)]
 pub(crate) struct EngineCheckpoints {
-    /// Grid spacing `C`: one snapshot every `C` values of `k`.
+    /// Grid spacing `C`: one checkpoint every `C` values of `k`.
     pub(crate) cadence: usize,
-    /// Lower-engine arena + snapshots (UnderRep and the lower half of
-    /// Combined).
-    pub(crate) lower: engine::LowerStore,
-    /// Upper-engine arena + snapshots (OverRep and the upper half of
-    /// Combined).
-    pub(crate) upper: upper_engine::UpperStore,
+    /// Lower-engine store (UnderRep and the lower half of Combined).
+    pub(crate) lower: Store<LowerFrontier>,
+    /// Upper-engine store (OverRep and the upper half of Combined).
+    pub(crate) upper: Store<UpperFrontier>,
     /// Seek/build/replay counters accumulated over the monitor's life.
     pub(crate) counters: ReplayCounters,
     /// Checkpoints dropped by edit invalidation so far.
@@ -705,8 +704,8 @@ impl EngineCheckpoints {
     pub(crate) fn new(cadence: usize) -> Self {
         EngineCheckpoints {
             cadence: cadence.max(1),
-            lower: engine::LowerStore::default(),
-            upper: upper_engine::UpperStore::default(),
+            lower: Store::default(),
+            upper: Store::default(),
             counters: ReplayCounters::default(),
             invalidated: 0,
         }
@@ -714,13 +713,11 @@ impl EngineCheckpoints {
 
     /// Drops every checkpoint *and* both arenas — an insertion moved `n`
     /// and `s_D`, which every interned node's pruned verdict and every
-    /// snapshot's classification depend on.
+    /// checkpoint's classification depend on.
     pub(crate) fn invalidate_all(&mut self) {
         self.invalidated += (self.lower.snaps.len() + self.upper.snaps.len()) as u64;
-        self.lower.snaps.clear();
-        self.lower.arena.clear();
-        self.upper.snaps.clear();
-        self.upper.arena.clear();
+        self.lower.clear();
+        self.upper.clear();
     }
 
     /// Live checkpoints per direction.
@@ -728,20 +725,9 @@ impl EngineCheckpoints {
         (self.lower.snaps.len(), self.upper.snaps.len())
     }
 
-    /// Total node slots held across every stored snapshot (each one
-    /// `u32` count plus frontier bits — the arena is shared, not cloned).
+    /// Total node slots held across every stored checkpoint.
     pub(crate) fn stored_nodes(&self) -> usize {
-        self.lower
-            .snaps
-            .iter()
-            .map(|cp| cp.stored_nodes())
-            .sum::<usize>()
-            + self
-                .upper
-                .snaps
-                .iter()
-                .map(|cp| cp.stored_nodes())
-                .sum::<usize>()
+        self.lower.stored_nodes() + self.upper.stored_nodes()
     }
 
     /// Nodes interned across both arenas (the steady-state memory
@@ -751,101 +737,83 @@ impl EngineCheckpoints {
     }
 }
 
-/// Shared checkpoint-grid maintenance for both engines' snapshot stores
-/// (one definition so the heal/prune policy cannot drift between them).
-/// Writes a snapshot at `k` when it sits on the grid
-/// (`k ≡ k_min (mod cadence)`): reorder replays pass a `heal_cutoff` so
-/// only the snapshots near the span start — where the next seek lands —
-/// are (re)written, and deeper stale ones are dropped instead of
-/// recloned; full builds (no cutoff) lay the whole grid. Returns whether
-/// a snapshot was written (inserted or overwritten) at `k` — segmented
-/// replays track written grid `k`s so a later segment of the same call
-/// never re-repairs state that already holds the new order.
-pub(crate) fn maintain_grid_snapshot<T>(
-    store: &mut Vec<T>,
-    k: usize,
-    k_min: usize,
-    cadence: usize,
-    heal_cutoff: Option<usize>,
-    key: impl FnMut(&T) -> usize,
-    snapshot: impl FnOnce() -> T,
-) -> bool {
-    if k < k_min || !(k - k_min).is_multiple_of(cadence) {
-        return false;
-    }
-    match store.binary_search_by_key(&k, key) {
-        Ok(i) => match heal_cutoff {
-            Some(cut) if k > cut => {
-                store.remove(i);
-                false
-            }
-            _ => {
-                store[i] = snapshot();
-                true
-            }
-        },
-        Err(i) => {
-            if heal_cutoff.is_none_or(|cut| k <= cut) {
-                store.insert(i, snapshot());
-                true
-            } else {
-                false
-            }
-        }
+/// One direction of a task, as [`assemble`] asks a runner for it.
+enum Side<'t> {
+    /// Most general groups under the measure.
+    Under(&'t BiasMeasure),
+    /// Groups over the upper bound, at the given scope.
+    Over(&'t Bounds, OverRepScope),
+}
+
+/// Pulls the next `k` from each present side and zips them into one row;
+/// `None` once any present side has ended.
+fn next_row(
+    under: Option<&mut impl Iterator<Item = KResult>>,
+    over: Option<&mut impl Iterator<Item = KResult>>,
+) -> Option<AuditKResult> {
+    let under = match under {
+        Some(side) => Some(side.next()?),
+        None => None,
+    };
+    let over = match over {
+        Some(side) => Some(side.next()?),
+        None => None,
+    };
+    let k = under.as_ref().or(over.as_ref())?.k;
+    Some(AuditKResult {
+        k,
+        under: under.map(|r| r.patterns).unwrap_or_default(),
+        over: over.map(|r| r.patterns).unwrap_or_default(),
+    })
+}
+
+/// The sides `task` runs: the under-representation measure and the
+/// over-representation bound with its scope.
+fn sides(task: &AuditTask) -> (Option<BiasMeasure>, Option<(&Bounds, OverRepScope)>) {
+    match task {
+        AuditTask::UnderRep(measure) => (Some(measure.clone()), None),
+        AuditTask::OverRep { upper, scope } => (None, Some((upper, *scope))),
+        AuditTask::Combined { lower, upper } => (
+            Some(BiasMeasure::GlobalLower(lower.clone())),
+            Some((upper, OverRepScope::MostSpecific)),
+        ),
     }
 }
 
-/// How a pure-reorder edit batch moved the ranking: the hull start `lo`
-/// (smallest rank position whose occupant changed) and the pre-batch
-/// order. A checkpoint at `k ≤ lo` or `k > hi` is untouched by the
-/// reorder; the one seek checkpoint that can land inside `(lo, hi]` is
-/// **repaired** from this spec instead of discarded — the top-`k` set
-/// diff is bounded by the number of moved tuples, never by the span, so
-/// the repair costs a handful of ±count walks plus one store rescan
-/// where a discard would cost a from-scratch build at `k_min`.
-pub(crate) struct ReorderSpec {
-    /// Smallest rank position whose occupant changed.
-    pub lo: usize,
-    /// The full pre-batch rank order.
-    pub old_order: Vec<TupleId>,
-}
-
-/// The top-`k` set transition of a reorder whose hull starts at `lo`:
-/// `(entering, leaving)` rank positions **in the new order**. Entering
-/// tuples (joined the top-`k`) sit at their new positions `< k`; leaving
-/// tuples sit at their new positions `≥ k`, where the patched index can
-/// still read their attribute codes.
-pub(crate) fn top_k_diff(
-    k: usize,
-    lo: usize,
-    old_order: &[TupleId],
-    new_order: &[TupleId],
-) -> (Vec<usize>, Vec<usize>) {
-    debug_assert!(lo < k && k <= old_order.len() && old_order.len() == new_order.len());
-    // Only the window [lo, k) can differ between the two top-k sets; hash
-    // the windows so the diff stays linear in the window even when a
-    // top-of-ranking edit meets a large `k_min` (window = [0, k_min)).
-    let old_w: crate::util::FxHashSet<TupleId> = old_order[lo..k].iter().copied().collect();
-    let new_w: crate::util::FxHashSet<TupleId> = new_order[lo..k].iter().copied().collect();
-    let entering: Vec<usize> = (lo..k)
-        .filter(|&p| !old_w.contains(&new_order[p]))
-        .collect();
-    let mut remaining: crate::util::FxHashSet<TupleId> =
-        old_w.difference(&new_w).copied().collect();
-    debug_assert_eq!(entering.len(), remaining.len());
-    let mut leaving = Vec::with_capacity(remaining.len());
-    if !remaining.is_empty() {
-        for (off, r) in new_order[k..].iter().enumerate() {
-            if remaining.remove(r) {
-                leaving.push(k + off);
-                if remaining.is_empty() {
-                    break;
-                }
-            }
-        }
-        debug_assert!(remaining.is_empty(), "leaving tuples must reappear below k");
+/// The one task assembly behind every batch mode: runs each side the task
+/// needs through `run_side` and zips their rows. For Combined, the over side
+/// covers only the `k` values the (possibly deadline-truncated) under side
+/// produced — no work whose results the zip would discard — under the
+/// *remaining* wall-clock budget, not a fresh one.
+fn assemble(
+    cfg: &DetectConfig,
+    task: &AuditTask,
+    mut run_side: impl FnMut(Side<'_>, &DetectConfig) -> DetectionOutput,
+) -> AuditOutcome {
+    let (under, over) = sides(task);
+    let low = under.map(|measure| run_side(Side::Under(&measure), cfg));
+    let over_cfg = match &low {
+        None => Some(cfg.clone()),
+        Some(low) => low.per_k.last().map(|last| DetectConfig {
+            k_max: last.k,
+            deadline: cfg.deadline.map(|d| d.saturating_sub(low.stats.elapsed)),
+            ..cfg.clone()
+        }),
+    };
+    let high = over
+        .zip(over_cfg)
+        .map(|((upper, scope), over_cfg)| run_side(Side::Over(upper, scope), &over_cfg));
+    let mut stats = SearchStats::default();
+    for side in low.iter().chain(&high) {
+        stats.merge(&side.stats);
     }
-    (entering, leaving)
+    // The sides ran back to back: report their total, not the max merge
+    // takes for parallel workers.
+    stats.elapsed = low.iter().chain(&high).map(|side| side.stats.elapsed).sum();
+    let mut under_rows = low.map(|side| side.per_k.into_iter());
+    let mut over_rows = high.map(|side| side.per_k.into_iter());
+    let per_k = std::iter::from_fn(|| next_row(under_rows.as_mut(), over_rows.as_mut())).collect();
+    AuditOutcome { per_k, stats }
 }
 
 impl<I: CountsProvider> AuditParts<'_, I> {
@@ -857,73 +825,10 @@ impl<I: CountsProvider> AuditParts<'_, I> {
         task: &AuditTask,
         engine: Engine,
     ) -> AuditOutcome {
-        match task {
-            AuditTask::UnderRep(measure) => {
-                let out = self.run_under(cfg, measure, engine);
-                AuditOutcome {
-                    per_k: out
-                        .per_k
-                        .into_iter()
-                        .map(|kr| AuditKResult {
-                            k: kr.k,
-                            under: kr.patterns,
-                            over: Vec::new(),
-                        })
-                        .collect(),
-                    stats: out.stats,
-                }
-            }
-            AuditTask::OverRep { upper, scope } => {
-                let (per_k, stats) = self.run_over(cfg, upper, *scope, engine);
-                AuditOutcome {
-                    per_k: per_k
-                        .into_iter()
-                        .map(|kr| AuditKResult {
-                            k: kr.k,
-                            under: Vec::new(),
-                            over: kr.patterns,
-                        })
-                        .collect(),
-                    stats,
-                }
-            }
-            AuditTask::Combined { lower, upper } => {
-                let low = self.run_under(cfg, &BiasMeasure::GlobalLower(lower.clone()), engine);
-                // Only compute the over side for the k values the (possibly
-                // deadline-truncated) under side produced — no work whose
-                // results would be discarded by the zip below — and give it
-                // the *remaining* wall-clock budget, not a fresh one.
-                let (high, over_stats) = match low.per_k.last() {
-                    Some(last) => {
-                        let over_cfg = DetectConfig {
-                            k_max: last.k,
-                            deadline: cfg.deadline.map(|d| d.saturating_sub(low.stats.elapsed)),
-                            ..cfg.clone()
-                        };
-                        self.run_over(&over_cfg, upper, OverRepScope::MostSpecific, engine)
-                    }
-                    None => (Vec::new(), SearchStats::default()),
-                };
-                let mut stats = low.stats.clone();
-                stats.merge(&over_stats);
-                // The two phases ran back to back: report their total, not
-                // the max merge_stats uses for parallel workers.
-                stats.elapsed = low.stats.elapsed + over_stats.elapsed;
-                AuditOutcome {
-                    per_k: low
-                        .per_k
-                        .into_iter()
-                        .zip(high)
-                        .map(|(l, h)| AuditKResult {
-                            k: l.k,
-                            under: l.patterns,
-                            over: h.patterns,
-                        })
-                        .collect(),
-                    stats,
-                }
-            }
-        }
+        assemble(cfg, task, |side, cfg| match side {
+            Side::Under(measure) => self.run_under(cfg, measure, engine),
+            Side::Over(upper, scope) => self.run_over(cfg, upper, scope, engine),
+        })
     }
 
     /// Checkpointed execution over the disjoint ascending `k` segments
@@ -933,10 +838,10 @@ impl<I: CountsProvider> AuditParts<'_, I> {
     /// Functionally identical to [`AuditParts::run_range`] over the same
     /// `k` values (both directions drive the same engine step code; the
     /// differential sweeps assert equality), but it seeks into `ckpts`'s
-    /// stored snapshots instead of building the engines from scratch at
+    /// stored checkpoints instead of building the engines from scratch at
     /// each segment's first `k`, repairing the seek checkpoint against
-    /// `reorder` when an edit swallowed it, and refreshes snapshots as it
-    /// replays. Deadlines are unsupported (monitors reject them at
+    /// `reorder` when an edit swallowed it, and refreshes checkpoints as
+    /// it replays. Deadlines are unsupported (monitors reject them at
     /// construction): a truncated replay would leave the checkpoint store
     /// inconsistent with the cached results.
     pub(crate) fn run_range_checkpointed(
@@ -948,87 +853,32 @@ impl<I: CountsProvider> AuditParts<'_, I> {
         reorder: Option<&ReorderSpec>,
     ) -> AuditOutcome {
         debug_assert!(cfg.deadline.is_none(), "checkpointed runs take no deadline");
-        let cadence = ckpts.cadence;
-        let lower_side = |measure: &BiasMeasure, ckpts: &mut EngineCheckpoints| {
-            engine::lower_replay(
-                self.index,
-                self.space,
-                measure,
-                cfg,
-                spans,
-                reorder.map(|r| (r, self.ranking.order())),
-                &mut ckpts.lower,
-                cadence,
-                &mut ckpts.counters,
-            )
-        };
-        let upper_side = |upper: &Bounds, scope: OverRepScope, ckpts: &mut EngineCheckpoints| {
-            upper_engine::upper_replay(
-                self.index,
-                self.space,
-                cfg,
-                upper,
-                scope,
-                spans,
-                reorder.map(|r| (r, self.ranking.order())),
-                &mut ckpts.upper,
-                cadence,
-                &mut ckpts.counters,
-            )
-        };
-        match task {
-            AuditTask::UnderRep(measure) => {
-                let out = lower_side(measure, ckpts);
-                AuditOutcome {
-                    per_k: out
-                        .per_k
-                        .into_iter()
-                        .map(|kr| AuditKResult {
-                            k: kr.k,
-                            under: kr.patterns,
-                            over: Vec::new(),
-                        })
-                        .collect(),
-                    stats: out.stats,
-                }
+        let reorder = reorder.map(|r| (r, self.ranking.order()));
+        let EngineCheckpoints {
+            cadence,
+            lower,
+            upper: upper_store,
+            counters,
+            ..
+        } = ckpts;
+        assemble(cfg, task, |side, cfg| match side {
+            Side::Under(measure) => {
+                let engine = LowerEngine::new(self.index, self.space, cfg, measure.clone(), true);
+                incremental::replay(engine, lower, cfg.k_min, spans, reorder, *cadence, counters)
             }
-            AuditTask::OverRep { upper, scope } => {
-                let (per_k, stats) = upper_side(upper, *scope, ckpts);
-                AuditOutcome {
-                    per_k: per_k
-                        .into_iter()
-                        .map(|kr| AuditKResult {
-                            k: kr.k,
-                            under: Vec::new(),
-                            over: kr.patterns,
-                        })
-                        .collect(),
-                    stats,
-                }
+            Side::Over(upper, scope) => {
+                let engine = UpperEngine::new(self.index, self.space, cfg, upper.clone(), scope);
+                incremental::replay(
+                    engine,
+                    upper_store,
+                    cfg.k_min,
+                    spans,
+                    reorder,
+                    *cadence,
+                    counters,
+                )
             }
-            AuditTask::Combined { lower, upper } => {
-                let low = lower_side(&BiasMeasure::GlobalLower(lower.clone()), ckpts);
-                let (high, over_stats) = upper_side(upper, OverRepScope::MostSpecific, ckpts);
-                let mut stats = low.stats.clone();
-                stats.merge(&over_stats);
-                // Sequential phases: wall clocks add (merge takes the max
-                // for parallel workers).
-                stats.elapsed = low.stats.elapsed + over_stats.elapsed;
-                AuditOutcome {
-                    per_k: low
-                        .per_k
-                        .into_iter()
-                        .zip(high)
-                        .map(|(l, h)| AuditKResult {
-                            k: l.k,
-                            under: l.patterns,
-                            over: h.patterns,
-                        })
-                        .collect(),
-                    stats,
-                }
-            }
-        }
+        })
     }
 
     fn run_under(
@@ -1039,14 +889,11 @@ impl<I: CountsProvider> AuditParts<'_, I> {
     ) -> DetectionOutput {
         match engine_sel {
             Engine::Baseline => topdown::iter_td(self.index, self.space, cfg, measure),
-            Engine::Optimized => match measure {
-                BiasMeasure::GlobalLower(b) => {
-                    engine::global_bounds(self.index, self.space, cfg, b)
-                }
-                BiasMeasure::Proportional { alpha } => {
-                    engine::prop_bounds(self.index, self.space, cfg, *alpha)
-                }
-            },
+            Engine::Optimized => Stream::new(
+                LowerEngine::new(self.index, self.space, cfg, measure.clone(), false),
+                cfg,
+            )
+            .into_output(),
         }
     }
 
@@ -1056,12 +903,13 @@ impl<I: CountsProvider> AuditParts<'_, I> {
         upper: &Bounds,
         scope: OverRepScope,
         engine_sel: Engine,
-    ) -> (Vec<KResult>, SearchStats) {
+    ) -> DetectionOutput {
         // The optimized path is the incremental engine: one build at
         // `k_min`, then per-`k` subtree walks and frontier deltas instead
         // of a fresh DFS plus full maximality sweep at every `k`.
         if engine_sel == Engine::Optimized {
-            return upper_engine::upper_incremental(self.index, self.space, cfg, upper, scope);
+            let engine = UpperEngine::new(self.index, self.space, cfg, upper.clone(), scope);
+            return Stream::new(engine, cfg).into_output();
         }
         // The guard starts before the substantial-set enumeration so that
         // time counts against the budget; within each per-`k` scan it is
@@ -1087,7 +935,7 @@ impl<I: CountsProvider> AuditParts<'_, I> {
             }
         }
         stats.elapsed = guard.elapsed();
-        (per_k, stats)
+        DetectionOutput { per_k, stats }
     }
 
     /// Brute-force over-representation baseline on a different code path
@@ -1144,53 +992,24 @@ impl Audit {
         task: &AuditTask,
     ) -> Result<AuditStream<'_>, AuditError> {
         self.validate(cfg, task)?;
-        let under = match task {
-            AuditTask::UnderRep(BiasMeasure::GlobalLower(b)) => {
-                Some(engine::StreamCore::global(&self.index, &self.space, cfg, b))
-            }
-            AuditTask::UnderRep(BiasMeasure::Proportional { alpha }) => Some(
-                engine::StreamCore::proportional(&self.index, &self.space, cfg, *alpha),
-            ),
-            AuditTask::Combined { lower, .. } => Some(engine::StreamCore::global(
-                &self.index,
-                &self.space,
+        let (index, space) = (&self.index, &self.space);
+        let (under, over) = sides(task);
+        let under = under
+            .map(|measure| Stream::new(LowerEngine::new(index, space, cfg, measure, true), cfg));
+        let over = over.map(|(upper, scope)| {
+            Stream::new(
+                UpperEngine::new(index, space, cfg, upper.clone(), scope),
                 cfg,
-                lower,
-            )),
-            AuditTask::OverRep { .. } => None,
-        };
-        let over = match task {
-            AuditTask::UnderRep(_) => None,
-            AuditTask::OverRep { upper, scope } => Some(UpperStream::new(
-                &self.index,
-                &self.space,
-                cfg,
-                upper.clone(),
-                *scope,
-            )),
-            AuditTask::Combined { upper, .. } => Some(UpperStream::new(
-                &self.index,
-                &self.space,
-                cfg,
-                upper.clone(),
-                OverRepScope::MostSpecific,
-            )),
-        };
-        Ok(AuditStream {
-            k_max: cfg.k_max,
-            under,
-            over,
-            next_k: cfg.k_min,
-        })
+            )
+        });
+        Ok(AuditStream { under, over })
     }
 }
 
 /// Lazy per-`k` iterator returned by [`Audit::run_streaming`].
 pub struct AuditStream<'a> {
-    k_max: usize,
-    under: Option<engine::StreamCore<'a, AuditIndex>>,
-    over: Option<UpperStream<'a, AuditIndex>>,
-    next_k: usize,
+    under: Option<Stream<LowerEngine<'a, AuditIndex>>>,
+    over: Option<Stream<UpperEngine<'a, AuditIndex>>>,
 }
 
 impl AuditStream<'_> {
@@ -1198,7 +1017,7 @@ impl AuditStream<'_> {
     pub fn stats(&self) -> SearchStats {
         let mut stats = self.over.as_ref().map(|s| s.stats()).unwrap_or_default();
         if let Some(s) = &self.under {
-            stats.merge(s.stats());
+            stats.merge(&s.stats());
         }
         stats
     }
@@ -1213,24 +1032,11 @@ impl AuditStream<'_> {
 impl Iterator for AuditStream<'_> {
     type Item = AuditKResult;
 
+    /// Each side enforces the deadline inside its incremental engine; if
+    /// either truncates, the zipped stream ends (truncate-and-flag,
+    /// matching the batch path).
     fn next(&mut self) -> Option<AuditKResult> {
-        if self.next_k > self.k_max {
-            return None;
-        }
-        // Each side enforces the deadline inside its incremental engine;
-        // if either truncates, the zipped stream ends (truncate-and-flag,
-        // matching the batch path).
-        let k = self.next_k;
-        let under = match &mut self.under {
-            Some(stream) => stream.next()?.patterns,
-            None => Vec::new(),
-        };
-        let over = match &mut self.over {
-            Some(stream) => stream.next()?.patterns,
-            None => Vec::new(),
-        };
-        self.next_k += 1;
-        Some(AuditKResult { k, under, over })
+        next_row(self.under.as_mut(), self.over.as_mut())
     }
 }
 
@@ -1582,6 +1388,59 @@ mod tests {
             .unwrap();
         for (got, want) in out.per_k.iter().zip(&full.per_k) {
             assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn combined_honors_deadline() {
+        // Under a zero budget the lower engine truncates before producing
+        // any `k`, and the combined report is a (here empty) consistent
+        // prefix rather than a full-length result.
+        let audit = fig1_audit();
+        let task = AuditTask::Combined {
+            lower: Bounds::constant(2),
+            upper: Bounds::constant(3),
+        };
+        let cfg = DetectConfig::new(2, 4, 6).with_deadline(std::time::Duration::ZERO);
+        let out = audit.run(&cfg, &task, Engine::Optimized).unwrap();
+        assert!(out.per_k.is_empty());
+        assert!(out.stats.timed_out);
+        // And the undeadlined run still covers the whole range.
+        let full = audit
+            .run(&DetectConfig::new(2, 4, 6), &task, Engine::Optimized)
+            .unwrap();
+        assert_eq!(full.per_k.len(), 3);
+        assert!(!full.stats.timed_out);
+    }
+
+    #[test]
+    fn streaming_stats_carry_timeout_and_elapsed() {
+        let audit = fig1_audit();
+        for task in [
+            AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(2))),
+            AuditTask::OverRep {
+                upper: Bounds::constant(1),
+                scope: OverRepScope::MostSpecific,
+            },
+            AuditTask::Combined {
+                lower: Bounds::constant(2),
+                upper: Bounds::constant(3),
+            },
+        ] {
+            let cfg = DetectConfig::new(1, 2, 16).with_deadline(std::time::Duration::ZERO);
+            let mut stream = audit.run_streaming(&cfg, &task).unwrap();
+            assert_eq!(stream.by_ref().count(), 0, "{task:?}");
+            assert!(stream.timed_out(), "{task:?}");
+            assert_eq!(stream.stats().timed_out, stream.timed_out(), "{task:?}");
+            let mut stream = audit
+                .run_streaming(&DetectConfig::new(1, 2, 16), &task)
+                .unwrap();
+            assert_eq!(stream.by_ref().count(), 15, "{task:?}");
+            assert!(!stream.stats().timed_out, "{task:?}");
+            assert!(
+                stream.stats().elapsed > std::time::Duration::ZERO,
+                "{task:?}"
+            );
         }
     }
 

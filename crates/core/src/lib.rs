@@ -69,6 +69,7 @@
 mod audit;
 mod bounds;
 mod engine;
+mod incremental;
 pub mod json;
 mod monitor;
 pub mod oracle;

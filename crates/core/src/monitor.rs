@@ -101,8 +101,8 @@ use rankfair_rank::{Ranking, ScoredRanking};
 
 use crate::audit::{
     validate_task, AuditError, AuditKResult, AuditParts, AuditTask, Engine, EngineCheckpoints,
-    ReorderSpec,
 };
+use crate::incremental::ReorderSpec;
 use crate::pattern::Pattern;
 use crate::report::KReport;
 use crate::space::{PatternSpace, RankedIndex};

@@ -184,9 +184,8 @@ pub fn render_report(reports: &[KReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::AuditKResult;
+    use crate::audit::{AuditParts, Engine};
     use crate::bounds::{BiasMeasure, Bounds};
-    use crate::engine::global_bounds;
     use crate::space::RankedIndex;
     use crate::stats::DetectConfig;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
@@ -200,21 +199,14 @@ mod tests {
         let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
         let index = RankedIndex::build(&ds, &space, &ranking);
         let cfg = DetectConfig::new(4, 4, 5);
-        let bounds = Bounds::constant(2);
-        let out = global_bounds(&index, &space, &cfg, &bounds);
-        let outcome = AuditOutcome {
-            per_k: out
-                .per_k
-                .into_iter()
-                .map(|kr| AuditKResult {
-                    k: kr.k,
-                    under: kr.patterns,
-                    over: Vec::new(),
-                })
-                .collect(),
-            stats: out.stats,
+        let task = AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(2)));
+        let parts = AuditParts {
+            dataset: &ds,
+            space: &space,
+            ranking: &ranking,
+            index: &index,
         };
-        let task = AuditTask::UnderRep(BiasMeasure::GlobalLower(bounds));
+        let outcome = parts.run_range(&cfg, &task, Engine::Optimized);
         (space, index, outcome, task)
     }
 

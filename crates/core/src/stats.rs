@@ -88,11 +88,11 @@ impl SearchStats {
     }
 }
 
-/// Work counters of the checkpointed replay drivers (`lower_replay` /
-/// `upper_replay`): how often a delta re-audit could seek to a stored
-/// engine snapshot versus paying a from-scratch build, and how many `k`
-/// positions the replay actually computed — the quantity segmented
-/// replay minimizes.
+/// Work counters of the checkpointed replay driver (`incremental::replay`,
+/// run once per engine direction): how often a delta re-audit could seek
+/// to a stored engine checkpoint versus paying a from-scratch build, and
+/// how many `k` positions the replay actually computed — the quantity
+/// segmented replay minimizes.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ReplayCounters {
     /// Segment starts that resumed from a stored checkpoint.
@@ -103,7 +103,7 @@ pub(crate) struct ReplayCounters {
     /// Seek checkpoints repaired in place from a top-`k` set diff
     /// because the edit hull had swallowed them.
     pub repairs: u64,
-    /// Every `k` position the replay drivers computed — cold builds,
+    /// Every `k` position the replay driver computed — cold builds,
     /// catch-up steps from a seek point to a segment start, and in-segment
     /// advances. Hull-vs-segmented comparisons of this counter measure
     /// exactly the `k` work segmentation saves.

@@ -247,7 +247,7 @@ impl Executor {
             .collect();
         // Send while still holding the dispatch lock: queue order must
         // equal ticket order.
-        // lint:allow(guard-across-blocking) -- deliberate: the job channel is unbounded, so send never blocks; holding `dispatch` is what makes queue order equal ticket order
+        // lint:allow(guard-across-blocking) -- deliberate: send blocks only while the bounded queue is full, and workers never take `dispatch` to pop or complete a job, so the queue always drains; holding `dispatch` is what makes queue order equal ticket order
         let _ = job_tx.send(Job {
             seq,
             res_tx,
@@ -747,6 +747,70 @@ mod tests {
         assert_eq!(String::from_utf8(out).expect("utf8"), "a\nb\nc\n");
         assert_eq!(summary.requests, 3);
         assert_eq!(summary.errors, 1);
+    }
+
+    #[test]
+    fn submit_blocked_on_a_full_queue_completes_once_a_job_is_released() {
+        // One worker, queue capacity 4. Job 0 holds the worker, jobs 1-4
+        // fill the queue, and job 5's submitter blocks in `send` while
+        // holding `dispatch`. The worker pops and completes jobs without
+        // ever taking `dispatch`, so releasing job 0 drains one slot and
+        // the blocked submit completes.
+        let service = AuditService::new();
+        let exec = Executor::new(1, true);
+        let (res_tx, res_rx) = mpsc::channel();
+        let dead = Arc::new(AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            exec.start_workers(scope, &service);
+            let (started_tx, started_rx) = mpsc::channel::<()>();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            exec.submit(
+                0,
+                res_tx.clone(),
+                Arc::clone(&dead),
+                &[],
+                call(move || {
+                    started_tx.send(()).expect("test waits for the start");
+                    release_rx.recv_timeout(TICK).expect("test releases job 0");
+                    "0".to_string()
+                }),
+            );
+            started_rx
+                .recv_timeout(TICK)
+                .expect("the worker runs job 0");
+            for seq in 1..=4 {
+                let fill = exec.submit(
+                    seq,
+                    res_tx.clone(),
+                    Arc::clone(&dead),
+                    &[],
+                    Work::Ready(seq.to_string(), true),
+                );
+                assert!(fill);
+            }
+            let (done_tx, done_rx) = mpsc::channel::<bool>();
+            let (exec, dead, tx) = (&exec, Arc::clone(&dead), res_tx.clone());
+            scope.spawn(move || {
+                let ok = exec.submit(5, tx, dead, &[], Work::Ready("5".to_string(), true));
+                done_tx.send(ok).expect("test waits for the submit");
+            });
+            // The submitter holds `dispatch` from its lock until its send
+            // returns, and the send cannot return while the queue is full.
+            while exec.dispatch.try_lock().is_ok() {
+                std::thread::yield_now();
+            }
+            assert!(done_rx.try_recv().is_err(), "the queue is full");
+            release_tx.send(()).expect("job 0 is waiting");
+            assert!(done_rx
+                .recv_timeout(TICK)
+                .expect("the blocked submit completes"));
+            let mut got: Vec<String> = (0..6)
+                .map(|_| res_rx.recv_timeout(TICK).expect("every job completes").1)
+                .collect();
+            got.sort();
+            assert_eq!(got, ["0", "1", "2", "3", "4", "5"]);
+            exec.close();
+        });
     }
 
     #[test]
