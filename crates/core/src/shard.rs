@@ -49,7 +49,7 @@ pub struct ShardedIndex {
 /// Split `n` rank positions into `shards` contiguous blocks whose sizes
 /// differ by at most one (the first `n % shards` blocks get the extra
 /// row). Returns the `shards + 1` block boundaries.
-fn shard_boundaries(n: usize, shards: usize) -> Vec<usize> {
+pub(crate) fn shard_boundaries(n: usize, shards: usize) -> Vec<usize> {
     let base = n / shards;
     let rem = n % shards;
     let mut boundaries = Vec::with_capacity(shards + 1);

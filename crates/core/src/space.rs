@@ -318,29 +318,35 @@ impl RankedIndex {
     /// `counts(p, k) = Σ_shard counts(p, k ∩ shard span)` recovering the
     /// global counts (see [`ShardedIndex`](crate::ShardedIndex)).
     ///
+    /// Per attribute, one loop gathers the codes in rank order and one
+    /// pass checks their range; [`Bitmap::per_value`] then builds the
+    /// attribute's bitmaps a word at a time.
+    ///
     /// # Panics
     /// Panics if a row id is out of range for `ds`, or codes exceed the
     /// space's cardinalities.
     pub fn build_from_order(ds: &Dataset, space: &PatternSpace, order: &[TupleId]) -> Self {
-        let n = order.len();
-        let m = space.n_attrs();
-        let mut codes = Vec::with_capacity(m);
-        let mut bitmaps = Vec::with_capacity(m);
-        for a in 0..m {
-            let col = ds.column(space.dataset_col(a as AttrId));
-            let card = space.card(a as AttrId);
-            let mut attr_codes = Vec::with_capacity(n);
-            let mut attr_maps = vec![Bitmap::new(n); card];
-            for (pos, &row) in order.iter().enumerate() {
-                let v = col.code(row as usize);
-                assert!(usize::from(v) < card, "code out of range for attribute");
-                attr_codes.push(v);
-                attr_maps[usize::from(v)].set(pos);
-            }
-            codes.push(attr_codes);
-            bitmaps.push(attr_maps);
+        let (codes, bitmaps) = space
+            .attr_ids()
+            .map(|a| {
+                let col = ds.column(space.dataset_col(a));
+                let card = space.card(a);
+                let codes: Vec<ValueCode> =
+                    order.iter().map(|&row| col.code(row as usize)).collect();
+                let max = codes.iter().copied().max();
+                assert!(
+                    max.is_none_or(|v| usize::from(v) < card),
+                    "code out of range for attribute"
+                );
+                let maps = Bitmap::per_value(&codes, card);
+                (codes, maps)
+            })
+            .unzip();
+        RankedIndex {
+            n: order.len(),
+            codes,
+            bitmaps,
         }
-        RankedIndex { n, codes, bitmaps }
     }
 
     /// Number of tuples.
@@ -661,6 +667,76 @@ mod tests {
         let (_ds, space, index) = fig1();
         let ks: Vec<usize> = (0..=18).collect();
         assert_child_counts_match(&index, &index, &space, &ks);
+    }
+
+    /// The per-bit build `build_from_order` replaced: one `Column::code`
+    /// read, range check and `Bitmap::set` per (position, attribute).
+    fn per_bit_build(ds: &Dataset, space: &PatternSpace, order: &[TupleId]) -> RankedIndex {
+        let n = order.len();
+        let (mut codes, mut bitmaps) = (Vec::new(), Vec::new());
+        for a in space.attr_ids() {
+            let col = ds.column(space.dataset_col(a));
+            let card = space.card(a);
+            let mut attr_codes = Vec::with_capacity(n);
+            let mut attr_maps = vec![Bitmap::new(n); card];
+            for (pos, &row) in order.iter().enumerate() {
+                let v = col.code(row as usize);
+                assert!(usize::from(v) < card, "code out of range for attribute");
+                attr_codes.push(v);
+                attr_maps[usize::from(v)].set(pos);
+            }
+            codes.push(attr_codes);
+            bitmaps.push(attr_maps);
+        }
+        RankedIndex { n, codes, bitmaps }
+    }
+
+    #[test]
+    fn build_from_order_matches_a_per_bit_build() {
+        use rankfair_synth::{random_dataset, random_ranking, RandomSpec};
+        for (seed, rows) in [(1, 1), (2, 63), (3, 64), (4, 65), (5, 517), (6, 3_000)] {
+            let spec = RandomSpec {
+                rows,
+                attrs: 4,
+                max_card: 7,
+            };
+            let ds = random_dataset(seed, spec);
+            let space = PatternSpace::from_dataset(&ds).unwrap();
+            let order = random_ranking(seed, rows);
+            // The full order, then the shard blocks of 2, 7 and more
+            // shards than rows (trailing blocks empty).
+            let mut slices = vec![&order[..]];
+            for shards in [2, 7, rows + 3] {
+                let bounds = crate::shard::shard_boundaries(rows, shards);
+                slices.extend(bounds.windows(2).map(|w| &order[w[0]..w[1]]));
+            }
+            for slice in slices {
+                let got = RankedIndex::build_from_order(&ds, &space, slice);
+                let want = per_bit_build(&ds, &space, slice);
+                assert_eq!(got.n, want.n);
+                assert_eq!(got.codes, want.codes, "rows={rows} len={}", slice.len());
+                assert_eq!(got.bitmaps, want.bitmaps, "rows={rows} len={}", slice.len());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "code out of range for attribute")]
+    fn build_rejects_a_code_past_the_space_cardinality() {
+        use rankfair_data::RowValue;
+        // A label that arrives after the space was built has no bitmap.
+        let mut ds = students_fig1();
+        let space = PatternSpace::from_dataset(&ds).unwrap();
+        ds.push_row(&[
+            RowValue::Label("X".into()),
+            RowValue::Label("GP".into()),
+            RowValue::Label("R".into()),
+            RowValue::Label("1".into()),
+            RowValue::Number(9.0),
+        ])
+        .unwrap();
+        let order: Vec<TupleId> = (0..17).collect();
+        RankedIndex::build_from_order(&ds, &space, &order);
     }
 
     #[test]

@@ -1,3 +1,5 @@
+use crate::ValueCode;
+
 /// A fixed-length packed bitset over row positions.
 ///
 /// The detection engine stores one bitmap per (attribute, value) pair with
@@ -23,6 +25,34 @@ impl Bitmap {
             blocks: vec![0; len.div_ceil(BITS)],
             len,
         }
+    }
+
+    /// One bitmap per value `0..card` of a code column: bit `i` of map
+    /// `v` is set when `codes[i] == v`. The codes go in 64 at a time and
+    /// come out as one word per value, so every output word is written
+    /// once, in order.
+    ///
+    /// # Panics
+    /// Panics if a code is `card` or more.
+    pub fn per_value(codes: &[ValueCode], card: usize) -> Vec<Bitmap> {
+        let n_blocks = codes.len().div_ceil(BITS);
+        let mut blocks: Vec<Vec<u64>> = (0..card).map(|_| Vec::with_capacity(n_blocks)).collect();
+        let mut words = vec![0u64; card];
+        for chunk in codes.chunks(BITS) {
+            for (i, &c) in chunk.iter().enumerate() {
+                words[usize::from(c)] |= 1 << i;
+            }
+            for (map, word) in blocks.iter_mut().zip(&mut words) {
+                map.push(std::mem::take(word));
+            }
+        }
+        blocks
+            .into_iter()
+            .map(|blocks| Bitmap {
+                blocks,
+                len: codes.len(),
+            })
+            .collect()
     }
 
     /// Number of positions covered.
@@ -455,6 +485,36 @@ mod tests {
                 (child.count_ones(), child.count_prefix(k))
             );
         }
+    }
+
+    #[test]
+    fn per_value_matches_per_bit_set() {
+        let mut state = 0x5DEE_CE66_D1CE_4E5Bu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [0usize, 1, 63, 64, 65, 517] {
+            for card in [1usize, 2, 5, 300] {
+                let codes: Vec<ValueCode> = (0..n)
+                    .map(|_| ValueCode::try_from(next() % card as u64).unwrap())
+                    .collect();
+                // The per-bit loop `per_value` replaced.
+                let mut want = vec![Bitmap::new(n); card];
+                for (i, &c) in codes.iter().enumerate() {
+                    want[usize::from(c)].set(i);
+                }
+                assert_eq!(Bitmap::per_value(&codes, card), want, "n={n} card={card}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn per_value_rejects_a_code_past_card() {
+        Bitmap::per_value(&[0, 2, 1], 2);
     }
 
     #[test]

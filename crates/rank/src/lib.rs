@@ -15,9 +15,10 @@
 //!   user-supplied scoring, standing in for externally provided rankings
 //!   such as the German Credit creditworthiness order).
 //!
-//! All rankers sort **stably**, breaking remaining ties by row id, so a
-//! given dataset always produces the same ranking — a property the
-//! incremental detection algorithms and the test suite rely on.
+//! Every ranker breaks remaining ties by row id, so a given dataset
+//! always produces the same ranking — a property the incremental
+//! detection algorithms and the test suite rely on. [`LinearScoreRanker`]
+//! and [`FnRanker`] rank a NaN score last, whatever its sign.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

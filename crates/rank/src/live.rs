@@ -15,15 +15,19 @@
 //! top-`k` membership can have changed (only `k` in `(lo, hi]` for a pure
 //! reorder over positions `[lo, hi]`).
 //!
-//! Ordering matches [`Ranking::from_scores_desc`] exactly: score
-//! descending (or ascending when built with [`ScoredRanking::ascending`]),
-//! ties broken by row id ascending — so a `ScoredRanking` built from a
-//! column and the frozen ranking a [`crate::Ranker`] would produce agree
-//! byte for byte, and stay in agreement after any edit sequence.
+//! Ordering matches [`Ranking::from_scores_desc`] by construction: the
+//! constructor sorts with the same function, and every later placement
+//! compares the same `(score key, row id)` pairs that sort orders by.
+//! Scores rank descending (or ascending when built with
+//! [`ScoredRanking::ascending`]) under [`f64::total_cmp`], so `+0.0` and
+//! `-0.0` are distinct scores, and ties break by row id ascending. A
+//! `ScoredRanking` built from a column and the frozen ranking a
+//! [`crate::Ranker`] would produce therefore agree byte for byte, and
+//! stay in agreement after any edit sequence.
 
 use rankfair_data::TupleId;
 
-use crate::ranking::{Ranking, RankingError};
+use crate::ranking::{score_key, sort_rows, Ranking, RankingError};
 
 /// The positions a ranking edit touched.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,18 +77,12 @@ impl ScoredRanking {
         if let Some(i) = scores.iter().position(|s| s.is_nan()) {
             return Err(RankingError(format!("score of row {i} is NaN")));
         }
-        let n = u32::try_from(scores.len())
-            .map_err(|_| RankingError("row count exceeds the TupleId space".to_string()))?;
-        let mut order: Vec<TupleId> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            let (sa, sb) = (scores[a as usize], scores[b as usize]);
-            let key = if ascending {
-                sa.total_cmp(&sb)
-            } else {
-                sb.total_cmp(&sa)
-            };
-            key.then(a.cmp(&b))
-        });
+        if u32::try_from(scores.len()).is_err() {
+            return Err(RankingError(
+                "row count exceeds the TupleId space".to_string(),
+            ));
+        }
+        let order = sort_rows(&scores, ascending);
         let mut position = vec![0u32; order.len()];
         for (p, &row) in order.iter().enumerate() {
             position[row as usize] = p as u32;
@@ -151,17 +149,11 @@ impl ScoredRanking {
         Ranking::from_order(self.order.clone()).expect("order is maintained as a permutation")
     }
 
-    /// `true` when `row a` must precede `row b` under the current scores.
+    /// `true` when `row a` must precede `row b` under the current scores:
+    /// the `(score key, row id)` order the constructor sorts by.
     fn before(&self, a: TupleId, b: TupleId) -> bool {
-        let (sa, sb) = (self.scores[a as usize], self.scores[b as usize]);
-        if sa == sb {
-            return a < b;
-        }
-        if self.ascending {
-            sa < sb
-        } else {
-            sa > sb
-        }
+        let key = |row: TupleId| score_key(self.scores[row as usize], self.ascending);
+        (key(a), a) < (key(b), b)
     }
 
     /// Re-scores `row`, repairing the order with one local rotation.
@@ -375,8 +367,15 @@ mod tests {
             state ^= state << 17;
             state
         };
+        // Both zeros come up often: `total_cmp` ranks +0.0 above -0.0,
+        // so a placement that treats them as a tie drifts from a resort.
+        let score = |x: u64| match x % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => ((x >> 3) % 97) as f64 / 7.0,
+        };
         for ascending in [false, true] {
-            let scores: Vec<f64> = (0..40).map(|_| (next() % 97) as f64 / 7.0).collect();
+            let scores: Vec<f64> = (0..40).map(|_| score(next())).collect();
             let mut live = if ascending {
                 ScoredRanking::ascending(scores).unwrap()
             } else {
@@ -384,20 +383,40 @@ mod tests {
             };
             for _ in 0..200 {
                 if next() % 4 == 0 {
-                    live.insert((next() % 97) as f64 / 7.0).unwrap();
+                    live.insert(score(next())).unwrap();
                 } else {
                     let row = (next() % live.len() as u64) as TupleId;
-                    live.update_score(row, (next() % 97) as f64 / 7.0).unwrap();
+                    live.update_score(row, score(next())).unwrap();
                 }
                 live.check_invariants();
-                // The live order equals a from-scratch sort of the scores.
+                // The live order equals a from-scratch sort of the scores,
+                // and the frozen ranking of the same scores (negated for
+                // an ascending ranking: negation reverses total_cmp).
                 let fresh = if ascending {
                     ScoredRanking::ascending(live.scores.clone()).unwrap()
                 } else {
                     ScoredRanking::new(live.scores.clone()).unwrap()
                 };
                 assert_eq!(live.order(), fresh.order());
+                let sign = if ascending { -1.0 } else { 1.0 };
+                let signed: Vec<f64> = live.scores.iter().map(|s| sign * s).collect();
+                assert_eq!(live.order(), Ranking::from_scores_desc(&signed).order());
             }
         }
+    }
+
+    #[test]
+    fn signed_zeros_place_as_a_full_sort_ranks_them() {
+        let mut live = ScoredRanking::new(vec![-0.0, 0.0]).unwrap();
+        live.insert(0.0).unwrap();
+        assert_eq!(live.order(), &[1, 2, 0]);
+        assert_eq!(
+            live.order(),
+            Ranking::from_scores_desc(&[-0.0, 0.0, 0.0]).order()
+        );
+        let mut live = ScoredRanking::new(vec![1.0, 0.0, -0.0]).unwrap();
+        live.update_score(0, -0.0).unwrap();
+        assert_eq!(live.order(), &[1, 0, 2]);
+        live.check_invariants();
     }
 }

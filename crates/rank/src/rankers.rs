@@ -280,6 +280,18 @@ mod tests {
     }
 
     #[test]
+    fn linear_score_ranks_a_nan_cell_last() {
+        use rankfair_data::csv::{read_csv_str, CsvOptions};
+        // The CSV reader parses `NaN` (and an empty cell) as a NaN number,
+        // and min-max normalization carries it into the score.
+        let ds = read_csv_str("x\n1\nNaN\n3\n\n2\n", &CsvOptions::default()).unwrap();
+        let ranker = LinearScoreRanker::new(vec![ScoreTerm::plain("x")]);
+        let scores = ranker.scores(&ds);
+        assert!(scores[1].is_nan() && scores[3].is_nan());
+        assert_eq!(ranker.rank(&ds).order(), &[2, 4, 0, 1, 3]);
+    }
+
+    #[test]
     fn inverted_term_prefers_small_values() {
         let ds = Dataset::builder()
             .numeric("age", vec![20.0, 60.0, 40.0])
