@@ -41,7 +41,7 @@ use crate::incremental::{Core, Incremental, ROOT};
 use crate::pattern::Pattern;
 use crate::space::{CountsProvider, PatternSpace};
 use crate::stats::{DeadlineGuard, DetectConfig, KResult};
-use crate::util::{FxHashMap, FxHashSet};
+use crate::util::FxHashMap;
 
 /// The bias predicate and the `k̃` schedule it drives.
 struct Bias {
@@ -122,7 +122,7 @@ impl Bias {
 /// designations, and the `k̃` schedule.
 #[derive(Debug)]
 pub(crate) struct LowerFrontier {
-    res: FxHashSet<u32>,
+    res: Vec<u32>,
     dres: FxHashMap<u32, u32>,
     dominates: FxHashMap<u32, Vec<u32>>,
     schedule: Vec<Vec<u32>>,
@@ -137,7 +137,9 @@ pub(crate) struct LowerEngine<'a, I: CountsProvider> {
     /// Handle a bound *increase* by a store rescan instead of Algorithm
     /// 2's rebuild.
     fast_steps: bool,
-    res: FxHashSet<u32>,
+    /// `Res`, in canonical pattern order: a snapshot copies it as is, and
+    /// membership is a binary search ([`LowerEngine::res_slot`]).
+    res: Vec<u32>,
     /// The dominated biased nodes (`DRes`), each mapped to its
     /// **designated dominator**: one current `res` member whose pattern
     /// is a proper subset. When a `res` member un-biases, only the nodes
@@ -148,6 +150,11 @@ pub(crate) struct LowerEngine<'a, I: CountsProvider> {
     /// be stale (the designee re-designated or removed); they are
     /// validated against `dres` when consumed.
     dominates: FxHashMap<u32, Vec<u32>>,
+    /// Buffers reused from step to step, so a steady-state step does not
+    /// allocate: the transition candidates and the resumed search's
+    /// stack.
+    cands: Vec<u32>,
+    stack: Vec<u32>,
 }
 
 impl<'a, I: CountsProvider> LowerEngine<'a, I> {
@@ -180,15 +187,40 @@ impl<'a, I: CountsProvider> LowerEngine<'a, I> {
                 schedule,
             },
             fast_steps,
-            res: FxHashSet::default(),
+            res: Vec::new(),
             dres: FxHashMap::default(),
             dominates: FxHashMap::default(),
+            cands: Vec::new(),
+            stack: Vec::new(),
         }
     }
 
     #[inline]
     fn is_biased(&self, id: u32, k: usize) -> bool {
         self.bias.biased(&self.core, id, k)
+    }
+
+    /// Where node `id` sits in `res`, or where it would be inserted.
+    /// Patterns are interned once per arena, so pattern order is an order
+    /// on ids.
+    fn res_slot(&self, id: u32) -> Result<usize, usize> {
+        let p = self.core.pattern(id);
+        self.res.binary_search_by(|&r| self.core.pattern(r).cmp(p))
+    }
+
+    fn res_insert(&mut self, id: u32) {
+        if let Err(i) = self.res_slot(id) {
+            self.res.insert(i, id);
+        }
+    }
+
+    /// Removes `id` from `res`; whether it was there.
+    fn res_remove(&mut self, id: u32) -> bool {
+        let slot = self.res_slot(id);
+        if let Ok(i) = slot {
+            self.res.remove(i);
+        }
+        slot.is_ok()
     }
 
     #[inline]
@@ -218,12 +250,13 @@ impl<'a, I: CountsProvider> LowerEngine<'a, I> {
         }
     }
 
-    /// The first `res` member whose pattern is a subset of `p`.
-    fn dominator_of(&self, p: &Pattern) -> Option<u32> {
+    /// The first `res` member whose pattern is a subset of node `id`'s.
+    fn dominator_of(&self, id: u32) -> Option<u32> {
+        let p = self.core.pattern(id);
         self.res
             .iter()
             .copied()
-            .find(|&r| self.core.pattern(r).is_subset_of(p))
+            .find(|&r| self.core.may_be_subset(r, id) && self.core.pattern(r).is_subset_of(p))
     }
 
     /// Inserts a newly biased node into `Res`/`DRes`, demoting any `Res`
@@ -232,21 +265,23 @@ impl<'a, I: CountsProvider> LowerEngine<'a, I> {
         if self.in_stopped(id) {
             return;
         }
-        let p = self.core.pattern(id);
-        if let Some(dom) = self.dominator_of(p) {
+        if let Some(dom) = self.dominator_of(id) {
             self.dres.insert(id, dom);
             self.core.mark[id as usize] = true;
             self.push_designee(dom, id);
         } else {
-            let demote: Vec<u32> = self
-                .res
-                .iter()
-                .copied()
-                .filter(|&r| p.is_proper_subset_of(self.core.pattern(r)))
-                .collect();
+            let core = &self.core;
+            let p = core.pattern(id);
+            let mut demote: Vec<u32> = Vec::new();
+            self.res.retain(|&r| {
+                let dominated = core.may_be_subset(id, r) && p.is_proper_subset_of(core.pattern(r));
+                if dominated {
+                    demote.push(r);
+                }
+                !dominated
+            });
             let mut mine: Vec<u32> = Vec::new();
             for r in demote {
-                self.res.remove(&r);
                 // Everything designated to `r` is also dominated by the
                 // strictly more general `id` — re-point in O(designees).
                 for d in self.dominates.remove(&r).unwrap_or_default() {
@@ -261,7 +296,7 @@ impl<'a, I: CountsProvider> LowerEngine<'a, I> {
             if !mine.is_empty() {
                 self.dominates.entry(id).or_default().extend(mine);
             }
-            self.res.insert(id);
+            self.res_insert(id);
             self.core.mark[id as usize] = true;
         }
     }
@@ -274,35 +309,36 @@ impl<'a, I: CountsProvider> LowerEngine<'a, I> {
     /// promoted pattern immediately dominates its own supersets.
     fn remove_stopped(&mut self, id: u32, k: usize) {
         self.core.mark[id as usize] = false;
-        if self.res.remove(&id) {
-            let mut cands = self.dominates.remove(&id).unwrap_or_default();
-            cands.retain(|&d| self.dres.get(&d) == Some(&id));
-            cands.sort_by_key(|&d| (self.core.pattern(d).len(), d));
-            for d in cands {
-                // Designation lists can hold duplicates (a node designated
-                // here, moved away, then designated here again): re-check
-                // so a second occurrence of an already promoted or
-                // re-designated node is skipped — processing it again
-                // would self-designate a fresh `res` member into `dres`.
-                if self.dres.get(&d) != Some(&id) {
-                    continue;
-                }
-                // A candidate that flipped non-biased in this same round is
-                // left for its own pending transition event (its dangling
-                // designation dies with that event's `dres` removal).
-                if !self.is_biased(d, k) {
-                    continue;
-                }
-                if let Some(dom) = self.dominator_of(self.core.pattern(d)) {
-                    self.dres.insert(d, dom);
-                    self.push_designee(dom, d);
-                } else {
-                    self.dres.remove(&d);
-                    self.res.insert(d);
-                }
+        // A marked node sits in exactly one of `dres` and `res`: the hash
+        // probe settles the dominated case without a binary search.
+        if self.dres.remove(&id).is_some() || !self.res_remove(id) {
+            return;
+        }
+        let mut cands = self.dominates.remove(&id).unwrap_or_default();
+        cands.retain(|&d| self.dres.get(&d) == Some(&id));
+        cands.sort_by_key(|&d| (self.core.pattern(d).len(), d));
+        for d in cands {
+            // Designation lists can hold duplicates (a node designated
+            // here, moved away, then designated here again): re-check so a
+            // second occurrence of an already promoted or re-designated
+            // node is skipped — processing it again would self-designate a
+            // fresh `res` member into `dres`.
+            if self.dres.get(&d) != Some(&id) {
+                continue;
             }
-        } else {
-            self.dres.remove(&id);
+            // A candidate that flipped non-biased in this same round is
+            // left for its own pending transition event (its dangling
+            // designation dies with that event's `dres` removal).
+            if !self.is_biased(d, k) {
+                continue;
+            }
+            if let Some(dom) = self.dominator_of(d) {
+                self.dres.insert(d, dom);
+                self.push_designee(dom, d);
+            } else {
+                self.dres.remove(&d);
+                self.res_insert(d);
+            }
         }
     }
 
@@ -324,14 +360,18 @@ impl<'a, I: CountsProvider> LowerEngine<'a, I> {
     /// node that just stopped being biased, expanding any frontier not yet
     /// opened and stopping at (and registering) biased descendants.
     fn resume_subtree(&mut self, id: u32, k: usize, guard: &mut DeadlineGuard) -> bool {
-        let mut stack = vec![id];
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.clear();
+        stack.push(id);
+        let mut finished = true;
         while let Some(nid) = stack.pop() {
             if guard.expired() {
-                return false;
+                finished = false;
+                break;
             }
             self.expand(nid, k);
-            for i in 0..self.core.arena.nodes[nid as usize].children.len() {
-                let c = self.core.arena.nodes[nid as usize].children[i];
+            for i in 0..self.core.children(nid).len() {
+                let c = self.core.children(nid)[i];
                 if self.core.arena.pruned[c as usize] {
                     continue;
                 }
@@ -342,17 +382,18 @@ impl<'a, I: CountsProvider> LowerEngine<'a, I> {
                 }
             }
         }
-        true
+        self.stack = stack;
+        finished
     }
 
     /// Phase 1 of an incremental step: bump the count of every live node
     /// the newly ranked tuple satisfies, collecting nodes whose bias
     /// classification may flip.
-    fn bump_entering(&mut self, k: usize, cands: &mut FxHashSet<u32>) {
+    fn bump_entering(&mut self, k: usize, cands: &mut Vec<u32>) {
         let bias = &self.bias;
         self.core.walk(k - 1, true, |core, id| {
             if bias.flipped(core, id, k) {
-                cands.insert(id);
+                cands.push(id);
             }
         });
     }
@@ -363,11 +404,11 @@ impl<'a, I: CountsProvider> LowerEngine<'a, I> {
     /// new bound is already stored (its tree ancestors are non-biased
     /// under the new bound, hence were non-biased — and therefore expanded
     /// — under every earlier, smaller bound).
-    fn rescan_all(&mut self, k: usize, cands: &mut FxHashSet<u32>) {
+    fn rescan_all(&mut self, k: usize, cands: &mut Vec<u32>) {
         let bias = &self.bias;
         self.core.rescan(|core, id| {
             if bias.flipped(core, id, k) {
-                cands.insert(id);
+                cands.push(id);
             }
         });
     }
@@ -375,7 +416,7 @@ impl<'a, I: CountsProvider> LowerEngine<'a, I> {
     /// Phase 2 (proportional only): drain the `k̃` bucket for `k`. Stale
     /// entries (count grew since scheduling) are re-inserted at their
     /// recomputed `k̃`; genuine flips join the transition candidates.
-    fn pop_schedule(&mut self, k: usize, cands: &mut FxHashSet<u32>) {
+    fn pop_schedule(&mut self, k: usize, cands: &mut Vec<u32>) {
         if self.bias.schedule.is_empty() {
             return;
         }
@@ -387,7 +428,7 @@ impl<'a, I: CountsProvider> LowerEngine<'a, I> {
             }
             let biased = self.is_biased(id, k);
             if biased != self.in_stopped(id) {
-                cands.insert(id);
+                cands.push(id);
             }
             if !biased {
                 self.bias.push(&self.core, id, k);
@@ -395,16 +436,18 @@ impl<'a, I: CountsProvider> LowerEngine<'a, I> {
         }
     }
 
-    /// Phase 3: apply bias transitions, most-general patterns first.
+    /// Phase 3: apply bias transitions, most-general patterns first. The
+    /// phases above may list a node twice (a walked node the schedule or
+    /// the rescan also flags); its second listing finds its membership
+    /// already matching its verdict and changes nothing.
     fn apply_transitions(
         &mut self,
         k: usize,
-        cands: FxHashSet<u32>,
+        cands: &mut [u32],
         guard: &mut DeadlineGuard,
     ) -> bool {
-        let mut ids: Vec<u32> = cands.into_iter().collect();
-        ids.sort_by_key(|&id| (self.core.pattern(id).len(), id));
-        for id in ids {
+        cands.sort_unstable_by_key(|&id| (self.core.pattern(id).len(), id));
+        for &id in cands.iter() {
             let before = self.in_stopped(id);
             let after = self.is_biased(id, k);
             if before && !after {
@@ -456,7 +499,7 @@ impl<'a, I: CountsProvider> Incremental<'a> for LowerEngine<'a, I> {
                 self.add_stopped(id);
             } else {
                 self.expand(id, k);
-                queue.extend(&self.core.arena.nodes[id as usize].children);
+                queue.extend(self.core.children(id));
             }
         }
         true
@@ -470,14 +513,15 @@ impl<'a, I: CountsProvider> Incremental<'a> for LowerEngine<'a, I> {
             BiasMeasure::GlobalLower(b) => b.at(k).cmp(&b.at(k - 1)),
             BiasMeasure::Proportional { .. } => Ordering::Equal,
         };
-        let mut cands = FxHashSet::default();
-        match step {
+        let mut cands = std::mem::take(&mut self.cands);
+        cands.clear();
+        let finished = match step {
             // A bound *increase* with the extension enabled: walk the new
             // tuple, then reclassify the whole store.
             Ordering::Greater if self.fast_steps => {
                 self.bump_entering(k, &mut cands);
                 self.rescan_all(k, &mut cands);
-                self.apply_transitions(k, cands, guard)
+                self.apply_transitions(k, &mut cands, guard)
             }
             // Algorithm 2, lines 4–5: a bound change invalidates the
             // incremental frontier — run a fresh search. (Also the
@@ -491,9 +535,11 @@ impl<'a, I: CountsProvider> Incremental<'a> for LowerEngine<'a, I> {
             Ordering::Equal => {
                 self.bump_entering(k, &mut cands);
                 self.pop_schedule(k, &mut cands);
-                self.apply_transitions(k, cands, guard)
+                self.apply_transitions(k, &mut cands, guard)
             }
-        }
+        };
+        self.cands = cands;
+        finished
     }
 
     /// Reclassifies the whole store after the ±count walks and applies
@@ -522,9 +568,9 @@ impl<'a, I: CountsProvider> Incremental<'a> for LowerEngine<'a, I> {
         for &pos in entering {
             self.core.walk(pos, true, |_, _| {});
         }
-        let mut cands = FxHashSet::default();
+        let mut cands = Vec::new();
         self.rescan_all(k, &mut cands);
-        if !self.apply_transitions(k, cands, guard) {
+        if !self.apply_transitions(k, &mut cands, guard) {
             return false;
         }
         // Refresh k̃ entries for every decremented, still-unbiased node:
@@ -540,12 +586,11 @@ impl<'a, I: CountsProvider> Incremental<'a> for LowerEngine<'a, I> {
 
     /// The current `Res` as sorted patterns.
     fn snapshot(&self, k: usize) -> KResult {
-        let mut patterns: Vec<Pattern> = self
+        let patterns: Vec<Pattern> = self
             .res
             .iter()
             .map(|&id| self.core.pattern(id).clone())
             .collect();
-        patterns.sort_unstable();
         KResult { k, patterns }
     }
 
@@ -559,10 +604,10 @@ impl<'a, I: CountsProvider> Incremental<'a> for LowerEngine<'a, I> {
     }
 
     fn set_frontier(&mut self, frontier: &LowerFrontier) {
-        self.res = frontier.res.clone();
-        self.dres = frontier.dres.clone();
-        self.dominates = frontier.dominates.clone();
-        self.bias.schedule = frontier.schedule.clone();
+        self.res.clone_from(&frontier.res);
+        self.dres.clone_from(&frontier.dres);
+        self.dominates.clone_from(&frontier.dominates);
+        self.bias.schedule.clone_from(&frontier.schedule);
         for &id in self.res.iter().chain(self.dres.keys()) {
             self.core.mark[id as usize] = true;
         }

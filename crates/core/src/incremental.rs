@@ -68,6 +68,9 @@ pub(crate) const ROOT: u32 = u32::MAX;
 /// run. Real counts are bounded by `n`, which fits `TupleId` (u32).
 const NOT_LIVE: u32 = u32::MAX;
 
+/// Sentinel in [`Arena::first_child`] for a node with no stored children.
+const NOT_EXPANDED: u32 = u32::MAX;
+
 /// Everything about a node that is a function of its pattern alone —
 /// shared across runs, checkpoints and replays without cloning.
 #[derive(Debug)]
@@ -75,13 +78,6 @@ pub(crate) struct Node {
     pub(crate) pattern: Pattern,
     pub(crate) parent: u32,
     pub(crate) sd: u32,
-    /// Structural: the children have been generated and stored. Distinct
-    /// from the run-level `open` frontier — a node expanded in an earlier
-    /// run re-activates its stored children instead of re-evaluating them.
-    expanded: bool,
-    /// Children in (attribute, value) order for attributes past
-    /// `max_attr`, enabling arithmetic child lookup on the walk.
-    pub(crate) children: Vec<u32>,
 }
 
 /// The index-addressed node arena: flat `Vec` of [`Node`]s plus the
@@ -94,6 +90,26 @@ pub(crate) struct Arena {
     /// resolve the prune-skip from one flat byte array — a closed node's
     /// visit never has to pull its full `Node` cache line.
     pub(crate) pruned: Vec<bool>,
+    /// One bit per term of each node's pattern, bit
+    /// `(card_prefix[a] + v) mod 64` for the term `a = v`. `q ⊆ p` implies
+    /// `mask(q) & !mask(p) == 0`, so a dominance scan rejects almost every
+    /// non-subset on one AND before comparing terms
+    /// ([`Core::may_be_subset`]).
+    masks: Vec<u64>,
+    /// Per node, the first attribute its children bind: one past its
+    /// pattern's last.
+    child_attr: Vec<AttrId>,
+    /// Per node, where its children start in `children`, or
+    /// [`NOT_EXPANDED`]. Structural: a node expanded in an earlier run
+    /// re-activates its stored children instead of re-evaluating them,
+    /// whatever the run-level `open` frontier says.
+    first_child: Vec<u32>,
+    /// Every expanded node's children, back to back, each node's in
+    /// `(a, v)` order: node `id`'s child binding `a = v` sits at
+    /// `first_child[id] + card_prefix[a] − card_prefix[child_attr[id]] + v`.
+    /// The walks resolve a child from these flat vectors alone, never
+    /// pulling the node's [`Node`] cache line.
+    children: Vec<u32>,
     /// Level-1 nodes laid out by `card_prefix[attr] + value` — the walk's
     /// entry points.
     pub(crate) root_children: Vec<u32>,
@@ -179,19 +195,20 @@ pub(crate) struct Core<'a, I: CountsProvider> {
     pub(crate) mark: Vec<bool>,
     /// `card_prefix[a] = Σ_{b<a} card(b)`. Children of an expanded node are
     /// generated in (attribute, value) order, so the child binding
-    /// `(a, v)` sits at `children[card_prefix[a] − card_prefix[ma+1] + v]`
-    /// (where `ma` is the node's max attribute) — child lookup is pure
-    /// arithmetic, no hashing on the hot walk.
+    /// `(a, v)` sits `card_prefix[a] − card_prefix[ma+1] + v` past its
+    /// first child (where `ma` is the node's max attribute; see
+    /// [`Arena::children`]) — child lookup is pure arithmetic, no hashing
+    /// on the hot walk.
     card_prefix: Vec<u32>,
     pub(crate) stats: SearchStats,
     /// Activations served by a stored `s_D` plus a truncated prefix scan
     /// instead of a full fused evaluation.
     prefix_recounts: u64,
-    /// Reused walk buffers: the DFS stack and the entering tuple's value
-    /// codes. Taken/returned by the walk so a replay's per-step walks
+    /// Reused walk buffers: the DFS stack and the entering tuple's child
+    /// slots. Taken/returned by the walk so a replay's per-step walks
     /// never hit the allocator.
     scratch_stack: Vec<u32>,
-    scratch_codes: Vec<ValueCode>,
+    scratch_slots: Vec<u32>,
 }
 
 impl<'a, I: CountsProvider> Core<'a, I> {
@@ -216,7 +233,7 @@ impl<'a, I: CountsProvider> Core<'a, I> {
             stats: SearchStats::default(),
             prefix_recounts: 0,
             scratch_stack: Vec::new(),
-            scratch_codes: Vec::new(),
+            scratch_slots: Vec::new(),
         }
     }
 
@@ -231,6 +248,14 @@ impl<'a, I: CountsProvider> Core<'a, I> {
     pub(crate) fn count(&self, id: u32) -> usize {
         debug_assert!(self.counts[id as usize] != NOT_LIVE);
         self.counts[id as usize] as usize
+    }
+
+    /// `false` only when node `a`'s pattern is certainly not a subset of
+    /// node `b`'s: a term of `a` is missing from `b`'s term mask. `true`
+    /// leaves the term comparison to the caller.
+    #[inline]
+    pub(crate) fn may_be_subset(&self, a: u32, b: u32) -> bool {
+        self.arena.masks[a as usize] & !self.arena.masks[b as usize] == 0
     }
 
     /// Whether node `id` is in the current run with a count to classify:
@@ -272,13 +297,25 @@ impl<'a, I: CountsProvider> Core<'a, I> {
     fn intern(&mut self, pattern: Pattern, parent: u32, (sd, count): (usize, usize)) -> u32 {
         self.stats.nodes_evaluated += 1;
         let id = u32::try_from(self.arena.nodes.len()).expect("node ids fit u32");
+        // A child extends its parent by one term, its last.
+        let parent_mask = if parent == ROOT {
+            0
+        } else {
+            self.arena.masks[parent as usize]
+        };
+        let term_bit = pattern.terms().last().map_or(0, |&(a, v)| {
+            1u64 << ((self.card_prefix[usize::from(a)] + u32::from(v)) % 64)
+        });
+        self.arena.masks.push(parent_mask | term_bit);
+        self.arena
+            .child_attr
+            .push(pattern.max_attr().map_or(0, |a| a + 1));
+        self.arena.first_child.push(NOT_EXPANDED);
         self.arena.nodes.push(Node {
             pattern,
             parent,
             // Row counts are bounded by n, which fits TupleId (u32).
             sd: u32::try_from(sd).expect("row counts fit TupleId"),
-            expanded: false,
-            children: Vec::new(),
         });
         self.arena.pruned.push(sd < self.tau_s);
         self.counts
@@ -362,20 +399,35 @@ impl<'a, I: CountsProvider> Core<'a, I> {
         if self.open[i] {
             return;
         }
-        if self.arena.nodes[i].expanded {
-            for ci in 0..self.arena.nodes[i].children.len() {
-                let c = self.arena.nodes[i].children[ci];
+        if self.arena.first_child[i] == NOT_EXPANDED {
+            let children = self.fresh_children(id, k, &mut on_live);
+            self.arena.first_child[i] =
+                u32::try_from(self.arena.children.len()).expect("node ids fit u32");
+            self.arena.children.extend(children);
+        } else {
+            for ci in 0..self.children(id).len() {
+                let c = self.children(id)[ci];
                 if self.activate(c, k) {
                     on_live(self, c);
                 }
             }
-        } else {
-            let children = self.fresh_children(id, k, &mut on_live);
-            let node = &mut self.arena.nodes[i];
-            node.children = children;
-            node.expanded = true;
         }
         self.open[i] = true;
+    }
+
+    /// Node `id`'s stored children in `(a, v)` order; empty until the node
+    /// is first expanded.
+    pub(crate) fn children(&self, id: u32) -> &[u32] {
+        let i = id as usize;
+        match self.arena.first_child[i] {
+            NOT_EXPANDED => &[],
+            first => {
+                let first = first as usize;
+                let start = usize::from(self.arena.child_attr[i]);
+                let len = self.card_prefix[self.card_prefix.len() - 1] - self.card_prefix[start];
+                &self.arena.children[first..first + len as usize]
+            }
+        }
     }
 
     /// Adds (`up`) or removes one tuple's worth of counts: bumps every
@@ -386,26 +438,33 @@ impl<'a, I: CountsProvider> Core<'a, I> {
     /// its codes.
     pub(crate) fn walk(&mut self, t_pos: usize, up: bool, mut hook: impl FnMut(&mut Self, u32)) {
         let m = self.space.n_attrs() as AttrId;
-        // Hoist the tuple's value codes into one contiguous buffer: the
-        // inner loop below reads a code per remaining attribute for every
-        // open node, and `code_at` is a per-column indirection. Both
-        // buffers are core-owned scratch, so steady-state steps are
+        // Hoist the tuple's child slots into one contiguous buffer:
+        // `slots[a] = card_prefix[a] + code(a)` places its level-1 node
+        // for `a`, and a node whose children start at attribute `s` holds
+        // the matching child for `a` at `slots[a] − card_prefix[s]`. The
+        // inner loop reads a slot per remaining attribute for every open
+        // node, and `code_at` is a per-column indirection. Both buffers
+        // are core-owned scratch, so steady-state steps are
         // allocation-free.
-        let mut codes = std::mem::take(&mut self.scratch_codes);
-        codes.clear();
-        codes.extend((0..m).map(|a| self.index.code_at(t_pos, a)));
+        let mut slots = std::mem::take(&mut self.scratch_slots);
+        slots.clear();
+        slots.extend(
+            (0..m).map(|a| {
+                self.card_prefix[usize::from(a)] + u32::from(self.index.code_at(t_pos, a))
+            }),
+        );
+        // Pruned nodes are never stacked: their counts are never read.
+        let pruned = &self.arena.pruned;
         let mut stack = std::mem::take(&mut self.scratch_stack);
         stack.clear();
-        for a in 0..m {
-            let idx =
-                self.card_prefix[usize::from(a)] as usize + usize::from(codes[usize::from(a)]);
-            stack.push(self.arena.root_children[idx]);
-        }
+        stack.extend(
+            slots
+                .iter()
+                .map(|&s| self.arena.root_children[s as usize])
+                .filter(|&c| !pruned[c as usize]),
+        );
         while let Some(id) = stack.pop() {
             let i = id as usize;
-            if self.arena.pruned[i] {
-                continue; // counts of pruned nodes are never read
-            }
             if up {
                 self.counts[i] += 1;
             } else {
@@ -414,16 +473,19 @@ impl<'a, I: CountsProvider> Core<'a, I> {
             self.stats.nodes_touched += 1;
             hook(self, id);
             if self.open[i] {
-                let start = self.arena.nodes[i].pattern.max_attr().map_or(0, |a| a + 1);
-                let base = self.card_prefix[usize::from(start)];
-                for a in start..m {
-                    let idx = (self.card_prefix[usize::from(a)] - base) as usize
-                        + usize::from(codes[usize::from(a)]);
-                    stack.push(self.arena.nodes[i].children[idx]);
-                }
+                let arena = &self.arena;
+                let start = usize::from(arena.child_attr[i]);
+                let first = arena.first_child[i] as usize;
+                let base = self.card_prefix[start];
+                stack.extend(
+                    slots[start..]
+                        .iter()
+                        .map(|&s| arena.children[first + (s - base) as usize])
+                        .filter(|&c| !arena.pruned[c as usize]),
+                );
             }
         }
-        self.scratch_codes = codes;
+        self.scratch_slots = slots;
         self.scratch_stack = stack;
     }
 
@@ -439,24 +501,42 @@ impl<'a, I: CountsProvider> Core<'a, I> {
         }
     }
 
-    /// Finds the live node for sorted `terms` by walking the child
-    /// arithmetic from the root, or `None` if the path leaves the open
-    /// frontier.
-    pub(crate) fn lookup(&self, terms: &[(AttrId, ValueCode)]) -> Option<u32> {
-        let (&(a0, v0), rest) = terms.split_first()?;
-        let mut id =
-            self.arena.root_children[self.card_prefix[usize::from(a0)] as usize + usize::from(v0)];
-        let mut ma = a0;
-        for &(a, v) in rest {
-            if !self.open[id as usize] {
-                return None;
-            }
-            let base = self.card_prefix[usize::from(ma) + 1];
-            id = self.arena.nodes[id as usize].children
-                [(self.card_prefix[usize::from(a)] - base) as usize + usize::from(v)];
-            ma = a;
+    /// The children of `id` ([`ROOT`] for the level-1 nodes) that bind
+    /// attribute `a`, indexed by value code; `None` unless `id` is open
+    /// (the root always is). `a` must come after `id`'s last attribute.
+    pub(crate) fn children_binding(&self, id: u32, a: AttrId) -> Option<&[u32]> {
+        let a = usize::from(a);
+        let (lo, hi) = (
+            self.card_prefix[a] as usize,
+            self.card_prefix[a + 1] as usize,
+        );
+        if id == ROOT {
+            return Some(&self.arena.root_children[lo..hi]);
         }
-        Some(id)
+        let i = id as usize;
+        if !self.open[i] {
+            return None;
+        }
+        let first = self.arena.first_child[i] as usize;
+        let base = self.card_prefix[usize::from(self.arena.child_attr[i])] as usize;
+        Some(&self.arena.children[first + lo - base..first + hi - base])
+    }
+
+    /// Finds the live node for `from`'s pattern plus the sorted `terms`,
+    /// which all bind attributes past `from`'s last, by walking the child
+    /// arithmetic down from `from` ([`ROOT`] for the empty pattern).
+    /// `None` if the path leaves the open frontier or names no node.
+    /// Starting below the root saves the hops a caller already knows: a
+    /// live node's ancestors are all open.
+    pub(crate) fn descend(
+        &self,
+        from: u32,
+        terms: impl IntoIterator<Item = (AttrId, ValueCode)>,
+    ) -> Option<u32> {
+        let id = terms.into_iter().try_fold(from, |id, (a, v)| {
+            Some(self.children_binding(id, a)?[usize::from(v)])
+        })?;
+        (id != ROOT).then_some(id)
     }
 }
 
@@ -802,4 +882,103 @@ pub(crate) fn replay<'a, E: Incremental<'a>>(
     let mut stats = std::mem::take(&mut core.stats);
     stats.elapsed = guard.elapsed();
     DetectionOutput { per_k, stats }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::space::RankedIndex;
+    use rankfair_rank::Ranking;
+    use rankfair_synth::{random_dataset, random_ranking, RandomSpec};
+
+    /// The flat child layout, the ancestor-started lookups, the term masks
+    /// and the walk, each checked node by node against the patterns
+    /// themselves on an arena expanded three levels deep.
+    #[test]
+    fn arena_layout_lookups_and_walk_match_the_patterns() {
+        for seed in 1..=3 {
+            let rows = 300;
+            let spec = RandomSpec {
+                rows,
+                attrs: 5,
+                max_card: 4,
+            };
+            let ds = random_dataset(seed, spec);
+            let space = PatternSpace::from_dataset(&ds).unwrap();
+            let ranking = Ranking::from_order(random_ranking(seed, rows)).unwrap();
+            let index = RankedIndex::build(&ds, &space, &ranking);
+            let k = 40;
+            let mut core = Core::new(&index, &space, 5);
+            core.open_root(k, |_, _| {});
+            let mut queue: std::collections::VecDeque<u32> =
+                core.arena.root_children.iter().copied().collect();
+            while let Some(id) = queue.pop_front() {
+                if !core.arena.pruned[id as usize] && core.pattern(id).len() < 3 {
+                    core.expand(id, k, |_, _| {});
+                    queue.extend(core.children(id).to_vec());
+                }
+            }
+            let ids = 0..u32::try_from(core.arena.len()).unwrap();
+            for id in ids.clone() {
+                let p = core.pattern(id).clone();
+                // The children, in (a, v) order, extend `p` by one term.
+                let start = p.max_attr().map_or(0, |a| a + 1);
+                let want: Vec<Pattern> = (start..space.n_attrs() as AttrId)
+                    .flat_map(|a| space.value_codes(a).map(move |v| (a, v)))
+                    .map(|(a, v)| p.child(a, v))
+                    .collect();
+                let got: Vec<Pattern> = core
+                    .children(id)
+                    .iter()
+                    .map(|&c| core.pattern(c).clone())
+                    .collect();
+                if core.open[id as usize] {
+                    assert_eq!(got, want, "children of {p:?}");
+                    for a in start..space.n_attrs() as AttrId {
+                        for (v, &c) in core.children_binding(id, a).unwrap().iter().enumerate() {
+                            assert_eq!(core.pattern(c), &p.child(a, v as ValueCode));
+                        }
+                    }
+                } else {
+                    assert!(got.is_empty(), "children of unexpanded {p:?}");
+                    if usize::from(start) < space.n_attrs() {
+                        assert!(core.children_binding(id, start).is_none());
+                    }
+                }
+                // Every stored node is found from the root and from each
+                // of its ancestors.
+                let terms = p.terms();
+                assert_eq!(core.descend(ROOT, terms.iter().copied()), Some(id));
+                let mut ancestor = id;
+                for depth in (0..terms.len()).rev() {
+                    ancestor = core.arena.nodes[ancestor as usize].parent;
+                    let rest = terms[depth..].iter().copied();
+                    assert_eq!(
+                        core.descend(ancestor, rest),
+                        Some(id),
+                        "{p:?} from depth {depth}"
+                    );
+                }
+                // The mask filter never rejects a true subset.
+                for other in ids.clone() {
+                    if core.pattern(other).is_subset_of(&p) {
+                        assert!(core.may_be_subset(other, id), "{other} ⊆ {id}");
+                    }
+                }
+            }
+            // A walk bumps exactly the live unpruned nodes the tuple
+            // matches.
+            for t_pos in [0, 1, k - 1, rows / 2, rows - 1] {
+                let before = core.counts.clone();
+                core.walk(t_pos, true, |_, _| {});
+                for id in ids.clone() {
+                    if core.is_live(id) {
+                        let bump = core.counts[id as usize] - before[id as usize];
+                        let matches = index.matches_at(t_pos, core.pattern(id));
+                        assert_eq!(bump, u32::from(matches), "t_pos={t_pos} {id}");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -107,7 +107,6 @@ use crate::pattern::Pattern;
 use crate::report::KReport;
 use crate::space::{PatternSpace, RankedIndex};
 use crate::stats::{DetectConfig, SearchStats};
-use crate::util::FxHashMap;
 use crate::AuditOutcome;
 
 /// One edit to a live ranking.
@@ -749,7 +748,7 @@ impl MonitorAudit {
             match &old_order {
                 Some(old) if self.segmented => changed_k_segments(
                     old,
-                    self.scored.order(),
+                    |row| self.scored.position(row),
                     lo,
                     hi,
                     self.cfg.k_min,
@@ -865,7 +864,7 @@ impl MonitorAudit {
 /// `[lo+1, hi]`, so hull replay is the one-segment special case.
 fn changed_k_segments(
     old_order: &[TupleId],
-    new_order: &[TupleId],
+    new_position: impl Fn(TupleId) -> usize,
     lo: usize,
     hi: usize,
     k_min: usize,
@@ -873,25 +872,21 @@ fn changed_k_segments(
     gap: usize,
 ) -> Vec<(usize, usize)> {
     let mut intervals: Vec<(usize, usize)> = Vec::new();
-    match (old_order.get(lo..=hi), new_order.get(lo..=hi)) {
-        (Some(old_hull), Some(new_hull)) => {
-            let mut old_pos = FxHashMap::default();
+    match old_order.get(lo..=hi) {
+        Some(old_hull) => {
             for (i, &row) in old_hull.iter().enumerate() {
-                old_pos.insert(row, lo + i);
-            }
-            for (i, &row) in new_hull.iter().enumerate() {
-                let p = lo + i;
-                match old_pos.get(&row) {
-                    // A pure reorder permutes the hull's own occupants; an
-                    // unknown row means the caller's hull is unsound — fall
-                    // back to full-hull replay rather than under-recompute.
-                    None => {
-                        debug_assert!(false, "row {row} entered the reorder hull");
-                        intervals = vec![(lo + 1, hi)];
-                        break;
-                    }
-                    Some(&op) if op != p => intervals.push((op.min(p) + 1, op.max(p))),
-                    Some(_) => {}
+                let op = lo + i;
+                let p = new_position(row);
+                // A pure reorder permutes the hull's own occupants; a row
+                // that left the hull means the caller's hull is unsound —
+                // fall back to full-hull replay rather than under-recompute.
+                if !(lo..=hi).contains(&p) {
+                    debug_assert!(false, "row {row} left the reorder hull");
+                    intervals = vec![(lo + 1, hi)];
+                    break;
+                }
+                if op != p {
+                    intervals.push((op.min(p) + 1, op.max(p)));
                 }
             }
         }
@@ -925,6 +920,10 @@ fn changed_k_segments(
 fn diff_sorted(old: &[Pattern], new: &[Pattern]) -> (Vec<Pattern>, Vec<Pattern>) {
     let mut entered = Vec::new();
     let mut left = Vec::new();
+    // Most replayed `k` keep their patterns: one equality pass, no merge.
+    if old == new {
+        return (entered, left);
+    }
     let (mut i, mut j) = (0, 0);
     loop {
         match (old.get(i), new.get(j)) {
@@ -1028,6 +1027,62 @@ mod tests {
         let (lo, hi) = d.recomputed.unwrap();
         assert!(lo >= 2 && hi <= 16, "span [{lo}, {hi}]");
         assert_matches_fresh(&monitor);
+    }
+
+    #[test]
+    fn delta_report_lists_exactly_the_patterns_that_moved() {
+        use rankfair_synth::{random_dataset, RandomSpec};
+        let rows = 200;
+        let spec = RandomSpec {
+            rows,
+            attrs: 4,
+            max_card: 3,
+        };
+        let mut ds = random_dataset(7, spec);
+        let scores: Vec<f64> = (0..rows).map(|r| ((r * 37) % rows) as f64).collect();
+        ds.push_column(rankfair_data::Column::numeric("score", scores))
+            .unwrap();
+        let task = AuditTask::Combined {
+            lower: Bounds::steps(vec![(10, 2), (30, 5)]),
+            upper: Bounds::steps(vec![(10, 6), (30, 14)]),
+        };
+        let mut monitor = MonitorAudit::builder(ds, "score")
+            .build(DetectConfig::new(8, 10, 40), task, Engine::Optimized)
+            .unwrap();
+        let minus = |a: &[Pattern], b: &[Pattern]| -> Vec<Pattern> {
+            a.iter().filter(|p| !b.contains(p)).cloned().collect()
+        };
+        let (mut moved, mut kept) = (0, 0);
+        // Swaps of neighbours and longer moves across the audited range.
+        for (pos, to) in [(20, 21), (35, 12), (11, 10), (5, 45), (30, 31), (44, 2)] {
+            let before = monitor.results().to_vec();
+            let row = monitor.ranking().at(pos);
+            let target = monitor.scored.score(monitor.ranking().at(to));
+            let score = target + if to < pos { 0.5 } else { -0.5 };
+            let d = monitor
+                .apply(&[RankingEdit::ScoreUpdate { row, score }])
+                .unwrap();
+            let want: Vec<KDelta> = before
+                .iter()
+                .zip(monitor.results())
+                .map(|(old, new)| KDelta {
+                    k: new.k,
+                    entered_under: minus(&new.under, &old.under),
+                    left_under: minus(&old.under, &new.under),
+                    entered_over: minus(&new.over, &old.over),
+                    left_over: minus(&old.over, &new.over),
+                })
+                .filter(|kd| !kd.is_empty())
+                .collect();
+            assert_eq!(d.changed, want, "move {pos} -> {to}");
+            assert_matches_fresh(&monitor);
+            let replayed: usize = d.segments.iter().map(|&(lo, hi)| hi - lo + 1).sum();
+            moved += want.len();
+            kept += replayed - want.len();
+        }
+        // Both paths of the diff ran: replayed `k` whose patterns moved
+        // and replayed `k` that kept them.
+        assert!(moved > 0 && kept > 0, "moved {moved}, kept {kept}");
     }
 
     #[test]

@@ -350,6 +350,15 @@ mod tests {
             let (space, single, sharded) = fig1_sharded(shards);
             crate::space::assert_child_counts_match(&sharded, &single, &space, &ks);
         }
+        // A card-1 attribute, whose only child each shard derives from its
+        // parent alone; 50 shards over 40 rows leaves 10 of them empty.
+        let (ds, space, order) = crate::space::partition_instance(40);
+        let single = RankedIndex::build_from_order(&ds, &space, &order);
+        let ks: Vec<usize> = (0..=42).collect();
+        for shards in [3, 50] {
+            let sharded = ShardedIndex::build_from_order(&ds, &space, &order, shards);
+            crate::space::assert_child_counts_match(&sharded, &single, &space, &ks);
+        }
     }
 
     #[test]

@@ -285,6 +285,13 @@ impl PatternSpace {
 /// ([`CountsProvider::child_counts`]); and the tuple entering the top-k when
 /// `k` grows by one is simply position `k` ([`RankedIndex::code_at`] feeds
 /// the incremental walk).
+///
+/// Every position holds exactly one value of every attribute, so an
+/// attribute's value bitmaps partition the rank positions.
+/// [`CountsProvider::child_counts`] relies on that: it derives each
+/// attribute's last child by subtraction. [`RankedIndex::grow`] breaks
+/// the partition until [`RankedIndex::rewrite_span`] has covered the grown
+/// position, so no count is valid in between.
 #[derive(Debug, Clone)]
 pub struct RankedIndex {
     n: usize,
@@ -390,7 +397,11 @@ impl RankedIndex {
     /// codes and clear bits). The caller must follow up with
     /// [`RankedIndex::rewrite_span`] covering the new position — a live
     /// insertion shifts every position from the insertion point to the
-    /// end, so the repaired span always includes it.
+    /// end, so the repaired span always includes it. Until then the new
+    /// position holds no value bit, the value bitmaps no longer partition
+    /// the positions, and counts are not valid: the last child that
+    /// [`CountsProvider::child_counts`] derives by subtraction would
+    /// count the position.
     pub fn grow(&mut self) {
         // The placeholder must be a code no attribute can have: a valid
         // code would fool `rewrite_span`'s `old == new` short-circuit into
@@ -476,8 +487,12 @@ impl CountsProvider for RankedIndex {
         RankedIndex::counts(self, p, k)
     }
 
-    /// ANDs the parent's term bitmaps once, then counts each child with
-    /// one two-operand pass over that buffer and the child's own bitmap.
+    /// ANDs the parent's term bitmaps once and counts the parent's own
+    /// pair from that buffer, then counts each child but the last of
+    /// every attribute with one two-operand pass over the buffer and the
+    /// child's own bitmap. An attribute's value bitmaps partition the rank
+    /// positions, so its last child's pair is the parent's minus its
+    /// siblings'.
     fn child_counts(
         &self,
         parent: &Pattern,
@@ -485,10 +500,23 @@ impl CountsProvider for RankedIndex {
         k: usize,
         out: &mut Vec<(usize, usize)>,
     ) {
+        let attrs = &self.bitmaps[usize::from(start)..];
+        if attrs.is_empty() {
+            return;
+        }
         let mut words = Vec::new();
-        intersect_into(self.term_maps(parent), self.n, &mut words);
-        for maps in &self.bitmaps[usize::from(start)..] {
-            out.extend(maps.iter().map(|m| and_counts(&words, m, k)));
+        let (parent_d, parent_k) = intersect_into(self.term_maps(parent), self.n, k, &mut words);
+        for maps in attrs {
+            let Some((_last, rest)) = maps.split_last() else {
+                continue;
+            };
+            let mut last = (parent_d, parent_k);
+            for m in rest {
+                let (d, top) = and_counts(&words, m, k);
+                last = (last.0 - d, last.1 - top);
+                out.push((d, top));
+            }
+            out.push(last);
         }
     }
 
@@ -499,6 +527,26 @@ impl CountsProvider for RankedIndex {
     fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
         RankedIndex::prefix_count(self, p, k)
     }
+}
+
+/// A seeded instance of `rows` rows over three random attributes and a
+/// constant one: a card-1 attribute, placed second so that parents can
+/// hold its one term and children follow it. Returns the dataset, the
+/// space and a random rank order.
+#[cfg(test)]
+pub(crate) fn partition_instance(rows: usize) -> (Dataset, PatternSpace, Vec<TupleId>) {
+    use rankfair_data::Column;
+    use rankfair_synth::{random_dataset, random_ranking, RandomSpec};
+    let spec = RandomSpec {
+        rows,
+        attrs: 3,
+        max_card: 5,
+    };
+    let mut ds = random_dataset(11, spec);
+    let constant = Column::categorical_encoded("constant", vec![0; rows], vec!["c".into()]);
+    ds.push_column(constant).unwrap();
+    let space = PatternSpace::from_columns(&ds, &[0, 3, 1, 2]).unwrap();
+    (ds, space, random_ranking(11, rows))
 }
 
 /// Checks `index.child_counts` against one `reference.counts` call per
@@ -667,6 +715,33 @@ mod tests {
         let (_ds, space, index) = fig1();
         let ks: Vec<usize> = (0..=18).collect();
         assert_child_counts_match(&index, &index, &space, &ks);
+    }
+
+    #[test]
+    fn child_counts_partition_holds_past_a_block_and_after_rewrites() {
+        use rankfair_data::RowValue;
+        // 4 161 rows fill 66 words: two 32-word blocks and a remainder.
+        let rows = 4_161;
+        let ks = |n: usize| [0, 1, 63, 64, 2_047, 2_048, 2_049, n, n + 7];
+        let (mut ds, space, mut order) = partition_instance(rows);
+        let mut index = RankedIndex::build_from_order(&ds, &space, &order);
+        assert_child_counts_match(&index, &index, &space, &ks(rows));
+
+        // An insertion at rank position 100 shifts every later position.
+        let label = |l: &str| RowValue::Label(l.into());
+        ds.push_row(&[label("v1"), label("v0"), label("v1"), label("c")])
+            .unwrap();
+        order.insert(100, TupleId::try_from(rows).unwrap());
+        index.grow();
+        index.rewrite_span(&ds, &space, &order, 100, rows);
+        let fresh = RankedIndex::build_from_order(&ds, &space, &order);
+        assert_child_counts_match(&index, &fresh, &space, &ks(rows + 1));
+
+        // A reorder across the first block boundary.
+        order[2_000..=2_100].rotate_left(7);
+        index.rewrite_span(&ds, &space, &order, 2_000, 2_100);
+        let fresh = RankedIndex::build_from_order(&ds, &space, &order);
+        assert_child_counts_match(&index, &fresh, &space, &ks(rows + 1));
     }
 
     /// The per-bit build `build_from_order` replaced: one `Column::code`

@@ -54,12 +54,11 @@
 
 use crate::audit::OverRepScope;
 use crate::bounds::Bounds;
-use crate::incremental::{Core, Incremental};
+use crate::incremental::{Core, Incremental, ROOT};
 use crate::pattern::Pattern;
 use crate::space::{AttrId, CountsProvider, PatternSpace};
 use crate::stats::{DeadlineGuard, DetectConfig, KResult};
 use crate::util::FxHashSet;
-use rankfair_data::ValueCode;
 
 /// The upper engine's checkpointed frontier: the qualification flags and
 /// the maximal frontier.
@@ -136,69 +135,68 @@ impl<'a, I: CountsProvider> UpperEngine<'a, I> {
 
     /// Whether any one-term extension of `id` qualifies under the current
     /// bound `u` — entirely from live state, with **zero** fresh pattern
-    /// evaluations: a `lookup` miss means some tree prefix of the
+    /// evaluations: a missing node means some tree prefix of the
     /// extension is unopened, i.e. non-qualifying, and qualification is
     /// subset-closed, so the extension cannot qualify either. Returns
     /// `None` on deadline expiry.
     fn probe_maximal(&mut self, id: u32, u: usize, guard: &mut DeadlineGuard) -> Option<bool> {
-        let pattern = self.core.pattern(id).clone();
-        let m = self.core.space.n_attrs() as AttrId;
-        let mut ext: Vec<(AttrId, ValueCode)> = Vec::with_capacity(pattern.len() + 1);
-        for a in 0..m {
-            if pattern.value_of(a).is_some() {
-                continue;
-            }
-            for v in self.core.space.value_codes(a) {
-                if guard.expired() {
-                    return None;
+        let core = &self.core;
+        let terms = core.pattern(id).terms();
+        let m = core.space.n_attrs() as AttrId;
+        let mut touched = 0;
+        // The extension by `a = v` is `terms[..slot]`, then `a = v`, then
+        // `terms[slot..]`. `prefix` is the node of `terms[..slot]`, an
+        // ancestor of `id` (or `id` itself): its children binding `a` are
+        // where every extension by `a` branches off.
+        let mut slot = 0;
+        let mut prefix = Some(ROOT);
+        let verdict = 'probe: {
+            for a in 0..m {
+                if let Some(&term) = terms.get(slot).filter(|&&(b, _)| b == a) {
+                    prefix = prefix.and_then(|p| core.descend(p, [term]));
+                    slot += 1;
+                    continue;
                 }
-                ext.clear();
-                ext.extend_from_slice(pattern.terms());
-                ext.push((a, v));
-                ext.sort_unstable();
-                let qualifies = match self.core.lookup(&ext) {
-                    Some(eid) => {
-                        self.core.stats.nodes_touched += 1;
-                        !self.core.arena.pruned[eid as usize] && self.core.count(eid) > u
+                let branches = prefix.and_then(|p| core.children_binding(p, a));
+                for v in core.space.value_codes(a) {
+                    if guard.expired() {
+                        break 'probe None;
                     }
-                    None => false,
-                };
-                if qualifies {
-                    return Some(false);
+                    let ext = branches.and_then(|row| {
+                        core.descend(row[usize::from(v)], terms[slot..].iter().copied())
+                    });
+                    if let Some(eid) = ext {
+                        touched += 1;
+                        if !core.arena.pruned[eid as usize] && core.count(eid) > u {
+                            break 'probe Some(false);
+                        }
+                    }
                 }
             }
-        }
-        Some(true)
+            Some(true)
+        };
+        self.core.stats.nodes_touched += touched;
+        verdict
     }
 
-    /// The sorted one-term-deletion subsets of a stored node's pattern
-    /// (empty for single-term patterns, whose only subset is the
-    /// never-reported empty pattern), resolved to node ids. The subsets of
+    /// The one-term-deletion subsets of a stored node's pattern, last
+    /// term dropped first (none for single-term patterns, whose only
+    /// subset is the never-reported empty pattern), resolved to node ids.
+    /// The subsets of
     /// a pattern that qualifies — or qualified before this step — are
     /// always live and reachable, hence the `expect`.
-    fn one_term_subset_ids(&self, id: u32) -> Vec<u32> {
-        let pattern = self.core.pattern(id);
-        if pattern.len() < 2 {
-            return Vec::new();
-        }
-        let terms = pattern.terms();
-        let mut sub: Vec<(AttrId, ValueCode)> = Vec::with_capacity(terms.len() - 1);
-        (0..terms.len())
-            .map(|drop_i| {
-                sub.clear();
-                sub.extend(
-                    terms
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| i != drop_i)
-                        .map(|(_, &t)| t),
-                );
-                self.core
-                    .lookup(&sub)
-                    // lint:allow(panic-reachability) -- closure invariant: every one-term subset of a stored pattern is itself stored; the expect is the loud invariant check
-                    .expect("one-term subsets of a qualifying pattern are stored")
-            })
-            .collect()
+    fn one_term_subset_ids<'c>(core: &'c Core<'a, I>, id: u32) -> impl Iterator<Item = u32> + 'c {
+        let terms = core.pattern(id).terms();
+        let subsets = if terms.len() < 2 { 0 } else { terms.len() };
+        // Dropping `terms[i]` keeps the ancestor of `terms[..i]` and
+        // re-attaches `terms[i + 1..]` below it: walk up from `id`.
+        let mut ancestor = id;
+        (0..subsets).rev().map(move |drop_i| {
+            ancestor = core.arena.nodes[ancestor as usize].parent;
+            core.descend(ancestor, terms[drop_i + 1..].iter().copied())
+                // lint:allow(panic-reachability) -- closure invariant: every one-term subset of a stored pattern is itself stored; the expect is the loud invariant check
+                .expect("one-term subsets of a qualifying pattern are stored")
+        })
     }
 
     /// Applies the frontier delta once a step has finalized every
@@ -226,20 +224,29 @@ impl<'a, I: CountsProvider> UpperEngine<'a, I> {
             self.maximal.remove(&id);
         }
         for &id in fresh {
-            for sid in self.one_term_subset_ids(id) {
+            for sid in Self::one_term_subset_ids(&self.core, id) {
                 self.maximal.remove(&sid);
             }
         }
-        let mut cands: Vec<u32> = fresh.to_vec();
-        let mut seen: FxHashSet<u32> = fresh.iter().copied().collect();
-        for &id in lost {
-            for sid in self.one_term_subset_ids(id) {
-                if self.core.mark[sid as usize] && seen.insert(sid) {
-                    cands.push(sid);
+        // Each candidate's probe reads only counts and flags, so the order
+        // they are probed in does not matter; a duplicate is probed once.
+        let mut merged: Vec<u32> = Vec::new();
+        let cands = if lost.is_empty() {
+            fresh
+        } else {
+            merged.extend_from_slice(fresh);
+            for &id in lost {
+                for sid in Self::one_term_subset_ids(&self.core, id) {
+                    if self.core.mark[sid as usize] {
+                        merged.push(sid);
+                    }
                 }
             }
-        }
-        for id in cands {
+            merged.sort_unstable();
+            merged.dedup();
+            &merged
+        };
+        for &id in cands {
             // A candidate already in the frontier kept its verdict: any
             // newly qualifying extension would have evicted it above.
             if !self.core.mark[id as usize] || self.maximal.contains(&id) {
@@ -396,7 +403,7 @@ impl<'a, I: CountsProvider> Incremental<'a> for UpperEngine<'a, I> {
         self.core.mark.clear();
         self.core.mark.extend_from_slice(&frontier.qualified);
         self.core.mark.resize(n, false);
-        self.maximal = frontier.maximal.clone();
+        self.maximal.clone_from(&frontier.maximal);
     }
 
     fn reset(&mut self) {
@@ -453,6 +460,41 @@ mod tests {
     ) -> Vec<KResult> {
         let engine = UpperEngine::new(index, space, cfg, upper.clone(), scope);
         replay(engine, store, cfg.k_min, spans, None, cadence, counters).per_k
+    }
+
+    /// A one-term subset shared by several lost nodes is probed once:
+    /// listing a lost node twice costs no extra probe work.
+    #[test]
+    fn a_shared_subset_of_lost_nodes_is_probed_once() {
+        let (space, index) = fig1();
+        let cfg = DetectConfig::new(1, 2, 16);
+        let (k, u) = (12, 1);
+        let built = || {
+            let mut engine = UpperEngine::new(
+                &index,
+                &space,
+                &cfg,
+                Bounds::constant(u),
+                OverRepScope::MostSpecific,
+            );
+            assert!(engine.build(k, &mut DeadlineGuard::new(None)));
+            engine
+        };
+        // A qualifying two-term node: its subsets qualify and, with it
+        // qualifying, none of them is maximal, so each probe runs in full.
+        let engine = built();
+        let lost = (0..u32::try_from(engine.core.arena.len()).unwrap())
+            .find(|&id| engine.core.mark[id as usize] && engine.core.pattern(id).len() == 2)
+            .expect("fig1 has a qualifying two-term group");
+        let touched = |lost: &[u32]| {
+            let mut engine = built();
+            let before = engine.core.stats.nodes_touched;
+            assert!(engine.apply_frontier_delta(&[], lost, u, &mut DeadlineGuard::new(None)));
+            engine.core.stats.nodes_touched - before
+        };
+        let once = touched(&[lost]);
+        assert!(once > 0);
+        assert_eq!(touched(&[lost, lost]), once);
     }
 
     #[test]

@@ -1,3 +1,17 @@
+//! Packed bitsets over rank positions and the count kernels every
+//! `(s_D, s_Rk)` pair is read through.
+//!
+//! A full-universe count ANDs its maps a block of 32 words at a time and
+//! counts each block with a Harley–Seal carry-save popcount
+//! ([`CarrySave`]): 4 independent lanes of 8 words, summed through a
+//! carry-save adder tree so that one popcount serves 8 words of a lane.
+//! The lanes vectorize on the baseline SSE2 target, and the kernel needs
+//! no popcount instruction, `unsafe` code or build flag. Remainders
+//! shorter than a block, and the prefix-only recount
+//! [`intersect_prefix_iter`], count word by word.
+
+use std::ops::Range;
+
 use crate::ValueCode;
 
 /// A fixed-length packed bitset over row positions.
@@ -127,10 +141,121 @@ impl Bitmap {
         total
     }
 
-    /// Raw blocks (used by the fused intersection below and by tests).
+    /// Raw blocks (used by the prefix recount [`intersect_prefix_iter`]).
     fn blocks(&self) -> &[u64] {
         &self.blocks
     }
+}
+
+/// Independent carry-save lanes: the baseline SSE2 target runs two per
+/// instruction.
+const LANES: usize = 4;
+/// Words per carry-save block: 8 words for each of the [`LANES`] lanes.
+const BLOCK: usize = 8 * LANES;
+type Lanes = [u64; LANES];
+
+/// A Harley–Seal carry-save popcount (Muła, Kurz and Lemire, arXiv
+/// 1611.07612). Each lane sums its 8 words of a block bitwise through a
+/// tree of carry-save adders into running `ones`, `twos` and `fours`
+/// words, and only the carry of weight 8 is popcounted: one popcount per
+/// 8 words. The default x86-64 target has no popcount instruction, so
+/// every `count_ones` saved is a bit-twiddling sequence saved.
+#[derive(Default)]
+struct CarrySave {
+    ones: Lanes,
+    twos: Lanes,
+    fours: Lanes,
+    eights: usize,
+}
+
+/// `a + b + c = 2·high + low`, bitwise and per lane: returns `(high, low)`.
+#[inline(always)]
+fn csa(a: Lanes, b: Lanes, c: Lanes) -> (Lanes, Lanes) {
+    let mut high = [0; LANES];
+    let mut low = [0; LANES];
+    for i in 0..LANES {
+        let u = a[i] ^ b[i];
+        high[i] = (a[i] & b[i]) | (u & c[i]);
+        low[i] = u ^ c[i];
+    }
+    (high, low)
+}
+
+/// Set bits in `words`, one `count_ones` per word.
+#[inline]
+fn ones_in(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+impl CarrySave {
+    /// Adds the set bits of one block; row `i` holds word `i` of every
+    /// lane.
+    #[inline(always)]
+    fn add(&mut self, block: &[Lanes; 8]) {
+        let [w0, w1, w2, w3, w4, w5, w6, w7] = *block;
+        let (twos_a, ones) = csa(self.ones, w0, w1);
+        let (twos_b, ones) = csa(ones, w2, w3);
+        let (fours_a, twos) = csa(self.twos, twos_a, twos_b);
+        let (twos_a, ones) = csa(ones, w4, w5);
+        let (twos_b, ones) = csa(ones, w6, w7);
+        let (fours_b, twos) = csa(twos, twos_a, twos_b);
+        let (eights, fours) = csa(self.fours, fours_a, fours_b);
+        self.ones = ones;
+        self.twos = twos;
+        self.fours = fours;
+        self.eights += ones_in(&eights);
+    }
+
+    /// Set bits over every block added.
+    #[inline]
+    fn total(&self) -> usize {
+        8 * self.eights + 4 * ones_in(&self.fours) + 2 * ones_in(&self.twos) + ones_in(&self.ones)
+    }
+}
+
+/// Set bits in the words `range` of a word sequence that `fill` writes:
+/// `fill(lo, buf)` stores words `lo..lo + buf.len()` into `buf`. Whole
+/// blocks go through [`CarrySave`] from one stack buffer; the remainder
+/// shorter than a block, and a range with no whole block, is counted
+/// word by word.
+#[inline]
+fn count_words(range: Range<usize>, mut fill: impl FnMut(usize, &mut [u64])) -> usize {
+    let mut buf = [[0; LANES]; 8];
+    let (mut lo, mut total) = (range.start, 0);
+    if range.len() >= BLOCK {
+        let mut acc = CarrySave::default();
+        while range.end - lo >= BLOCK {
+            fill(lo, buf.as_flattened_mut());
+            acc.add(&buf);
+            lo += BLOCK;
+        }
+        total = acc.total();
+    }
+    let rest = &mut buf.as_flattened_mut()[..range.end - lo];
+    fill(lo, rest);
+    total + ones_in(rest)
+}
+
+/// `(set bits, set bits among the first k positions)` of the `n_words`
+/// words `fill` writes (see [`count_words`]), from one sweep split at the
+/// word holding `k`. `k` must be at most `64 · n_words`.
+#[inline]
+fn split_counts(
+    n_words: usize,
+    k: usize,
+    mut fill: impl FnMut(usize, &mut [u64]),
+) -> (usize, usize) {
+    let (k_full, k_rem) = (k / BITS, k % BITS);
+    let head = count_words(0..k_full, &mut fill);
+    let tail = count_words(k_full..n_words, &mut fill);
+    let partial = if k_rem > 0 {
+        let mut word = [0];
+        fill(k_full, &mut word);
+        (word[0] & ((1u64 << k_rem) - 1)).count_ones() as usize
+    } else {
+        0
+    };
+    (head + tail, head + partial)
 }
 
 /// Computes `(|AND maps|, |AND maps ∩ [0, k)|)` in one pass.
@@ -143,44 +268,31 @@ pub fn intersect_counts(maps: &[&Bitmap], k: usize, universe_len: usize) -> (usi
 
 /// Iterator form of [`intersect_counts`]: the same fused full/prefix
 /// popcount without requiring the caller to materialize a `&[&Bitmap]`
-/// slice. This is the one-pattern count (reports, baselines, shards); the
-/// engines count a node's children together with [`intersect_into`] and
-/// [`and_counts`] instead.
+/// slice. This is the one-pattern count (reports, baselines, the oracle,
+/// shards); the engines count a node's children together with
+/// [`intersect_into`] and [`and_counts`] instead.
 ///
-/// The iterator is re-walked once per 64-bit block, so it must be `Clone`
-/// and cheap to advance (a slice iterator plus a map closure is).
-pub fn intersect_counts_iter<'a, I>(maps: I, k: usize, universe_len: usize) -> (usize, usize)
+/// The maps are ANDed a block of 32 words at a time into a stack buffer
+/// and counted through the carry-save popcount, so the iterator is
+/// re-walked once per 32 words. It must be `Clone` and cheap to advance
+/// (a slice iterator plus a map closure is).
+pub fn intersect_counts_iter<'a, I>(mut maps: I, k: usize, universe_len: usize) -> (usize, usize)
 where
     I: Iterator<Item = &'a Bitmap> + Clone,
 {
-    let mut probe = maps.clone();
-    let Some(first) = probe.next() else {
+    let Some(first) = maps.next() else {
         return (universe_len, k.min(universe_len));
     };
-    let len = first.len;
-    debug_assert!(maps.clone().all(|m| m.len == len));
-    let k = k.min(len);
-    let n_blocks = first.blocks.len();
-    let k_full = k / BITS;
-    let k_rem = k % BITS;
-    let mut full = 0usize;
-    let mut prefix = 0usize;
-    for b in 0..n_blocks {
-        // First map copied, remaining ANDed in: avoids a !0 sentinel and
-        // lets LLVM unroll the common 1–3 term case.
-        let mut acc = first.blocks[b];
-        for m in maps.clone().skip(1) {
-            acc &= m.blocks()[b];
+    debug_assert!(maps.clone().all(|m| m.len == first.len));
+    split_counts(first.blocks.len(), k.min(first.len), |lo, buf| {
+        let words = lo..lo + buf.len();
+        buf.copy_from_slice(&first.blocks[words.clone()]);
+        for m in maps.clone() {
+            for (o, &w) in buf.iter_mut().zip(&m.blocks[words.clone()]) {
+                *o &= w;
+            }
         }
-        let ones = acc.count_ones() as usize;
-        full += ones;
-        if b < k_full {
-            prefix += ones;
-        } else if b == k_full && k_rem > 0 {
-            prefix += (acc & ((1u64 << k_rem) - 1)).count_ones() as usize;
-        }
-    }
-    (full, prefix)
+    })
 }
 
 /// Computes `|AND maps ∩ [0, k)|` alone — the prefix half of
@@ -227,15 +339,18 @@ where
 
 /// ANDs `maps` into `out`, one word per 64-bit block of a
 /// `universe_len`-position universe — the shared parent half of a batched
-/// child count, fed to [`and_counts`] once per child.
+/// child count, fed to [`and_counts`] once per child — and returns the
+/// parent's own `(|AND maps|, |AND maps ∩ [0, k)|)`, counted from `out`
+/// through the carry-save popcount.
 ///
 /// With no maps the AND is the universe: every position below
 /// `universe_len` is set, and the bits past it stay clear.
 pub fn intersect_into<'a>(
     maps: impl IntoIterator<Item = &'a Bitmap>,
     universe_len: usize,
+    k: usize,
     out: &mut Vec<u64>,
-) {
+) -> (usize, usize) {
     out.clear();
     let mut maps = maps.into_iter();
     let Some(first) = maps.next() else {
@@ -243,7 +358,7 @@ pub fn intersect_into<'a>(
         if !universe_len.is_multiple_of(BITS) {
             out.push((1u64 << (universe_len % BITS)) - 1);
         }
-        return;
+        return (universe_len, k.min(universe_len));
     };
     debug_assert_eq!(first.len, universe_len);
     out.extend_from_slice(&first.blocks);
@@ -253,35 +368,41 @@ pub fn intersect_into<'a>(
             *o &= b;
         }
     }
+    split_counts(out.len(), k.min(universe_len), |lo, buf| {
+        buf.copy_from_slice(&out[lo..lo + buf.len()]);
+    })
 }
 
 /// `(|parent ∧ map|, |parent ∧ map ∩ [0, k)|)` for a `parent` built by
 /// [`intersect_into`] over `map`'s universe: one two-operand AND and
-/// popcount pass, split at the block holding `k` so both counts come out
-/// of the same sweep. The loops are plain zips the compiler vectorizes.
+/// popcount sweep, split at the word holding `k` so both counts come out
+/// of it. Each 32-word block is ANDed into a stack buffer and counted
+/// through the carry-save popcount.
 pub fn and_counts(parent: &[u64], map: &Bitmap, k: usize) -> (usize, usize) {
     debug_assert_eq!(parent.len(), map.blocks.len());
-    let ones = |a: &[u64], b: &[u64]| -> usize {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| (x & y).count_ones() as usize)
-            .sum()
-    };
-    let k = k.min(map.len);
-    let (k_full, k_rem) = (k / BITS, k % BITS);
-    let head = ones(&parent[..k_full], &map.blocks[..k_full]);
-    let tail = ones(&parent[k_full..], &map.blocks[k_full..]);
-    let partial = if k_rem > 0 {
-        (parent[k_full] & map.blocks[k_full] & ((1u64 << k_rem) - 1)).count_ones() as usize
-    } else {
-        0
-    };
-    (head + tail, head + partial)
+    split_counts(parent.len(), k.min(map.len), |lo, buf| {
+        let words = lo..lo + buf.len();
+        for ((o, &x), &y) in buf
+            .iter_mut()
+            .zip(&parent[words.clone()])
+            .zip(&map.blocks[words])
+        {
+            *o = x & y;
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn from_bools(bits: &[bool]) -> Bitmap {
+        let mut m = Bitmap::new(bits.len());
+        for (i, _) in bits.iter().enumerate().filter(|&(_, &b)| b) {
+            m.set(i);
+        }
+        m
+    }
 
     fn from_bits(bits: &[u8]) -> Bitmap {
         let mut m = Bitmap::new(bits.len());
@@ -361,18 +482,7 @@ mod tests {
             let sets: Vec<Vec<bool>> = (0..3)
                 .map(|_| (0..n).map(|_| next() % 3 == 0).collect())
                 .collect();
-            let maps: Vec<Bitmap> = sets
-                .iter()
-                .map(|s| {
-                    let mut m = Bitmap::new(n);
-                    for (i, &b) in s.iter().enumerate() {
-                        if b {
-                            m.set(i);
-                        }
-                    }
-                    m
-                })
-                .collect();
+            let maps: Vec<Bitmap> = sets.iter().map(|s| from_bools(s)).collect();
             let refs: Vec<&Bitmap> = maps.iter().collect();
             let k = (next() % (n as u64 + 1)) as usize;
             let naive_full = (0..n).filter(|&i| sets.iter().all(|s| s[i])).count();
@@ -422,44 +532,69 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for n in [1usize, 63, 64, 65, 517] {
-            for _case in 0..4 {
-                // Five bitmaps at densities 1/2, 1/3, ..., 1/6: up to three
-                // form the parent, the rest are children.
-                let sets: Vec<Vec<bool>> = (2..7u64)
-                    .map(|d| (0..n).map(|_| next() % d == 0).collect())
-                    .collect();
-                let maps: Vec<Bitmap> = sets
-                    .iter()
-                    .map(|s| {
-                        let mut m = Bitmap::new(n);
-                        s.iter()
-                            .enumerate()
-                            .filter(|&(_, &b)| b)
-                            .for_each(|(i, _)| m.set(i));
-                        m
-                    })
-                    .collect();
+        // `cum[i]` = set bits among the first `i` positions, one bit at a time.
+        let prefix_sums = |bits: &[bool]| -> Vec<usize> {
+            std::iter::once(0)
+                .chain(bits.iter().scan(0, |c, &b| {
+                    *c += usize::from(b);
+                    Some(*c)
+                }))
+                .collect()
+        };
+        // Up to 517 positions the counts never fill a 32-word carry-save
+        // block; from 2 047 on they run whole blocks plus a remainder.
+        for n in [1usize, 63, 64, 65, 517, 2_047, 2_048, 2_049, 4_161, 70_000] {
+            // Random maps at densities 1/2, 1/3 and 1/9 between the two
+            // extremes: all-ones saturates every carry level of a block.
+            let mut sets: Vec<Vec<bool>> = [2u64, 3, 9]
+                .iter()
+                .map(|&d| (0..n).map(|_| next() % d == 0).collect())
+                .collect();
+            sets.insert(1, vec![true; n]);
+            sets.push(vec![false; n]);
+            sets.push(vec![true; n]);
+            let maps: Vec<Bitmap> = sets.iter().map(|s| from_bools(s)).collect();
+            let ks = [0, 1, 63, 64, 65, 2_047, 2_048, 2_049, n, n + 7];
+            // Each rotation heads the parents with another map, so every
+            // map is a parent term and a child of the others.
+            for rot in 0..maps.len() {
+                let order: Vec<usize> = (0..maps.len()).map(|i| (i + rot) % maps.len()).collect();
                 for parent_terms in 0..=3 {
+                    let (parent, children) = order.split_at(parent_terms);
+                    let in_parent: Vec<bool> =
+                        (0..n).map(|i| parent.iter().all(|&m| sets[m][i])).collect();
+                    let parent_cum = prefix_sums(&in_parent);
+                    let child_cums: Vec<Vec<usize>> = children
+                        .iter()
+                        .map(|&c| {
+                            let both: Vec<bool> = in_parent
+                                .iter()
+                                .zip(&sets[c])
+                                .map(|(&p, &b)| p && b)
+                                .collect();
+                            prefix_sums(&both)
+                        })
+                        .collect();
+                    let terms = || parent.iter().map(|&m| &maps[m]);
+                    // Stale contents the parent AND must overwrite.
                     let mut words = vec![0xdead_beef; 3];
-                    intersect_into(&maps[..parent_terms], n, &mut words);
-                    let in_parent = |i: usize| sets[..parent_terms].iter().all(|s| s[i]);
+                    for k in ks {
+                        let at = |cum: &[usize]| (cum[n], cum[k.min(n)]);
+                        let ctx = format!("n={n} rot={rot} parent_terms={parent_terms} k={k}");
+                        let want = at(&parent_cum);
+                        assert_eq!(intersect_into(terms(), n, k, &mut words), want, "{ctx}");
+                        assert_eq!(intersect_counts_iter(terms(), k, n), want, "{ctx}");
+                        assert_eq!(intersect_prefix_iter(terms(), k, n), want.1, "{ctx}");
+                        for (&c, cum) in children.iter().zip(&child_cums) {
+                            assert_eq!(and_counts(&words, &maps[c], k), at(cum), "{ctx} c={c}");
+                        }
+                    }
+                    // The buffer holds exactly the parent's positions, its
+                    // tail past `n` clear.
                     assert_eq!(words.len(), n.div_ceil(BITS), "n={n}");
                     for i in 0..words.len() * BITS {
                         let bit = words[i / BITS] >> (i % BITS) & 1 == 1;
-                        assert_eq!(bit, i < n && in_parent(i), "n={n} bit {i}");
-                    }
-                    for (child, set) in maps.iter().zip(&sets).skip(parent_terms) {
-                        for k in [0, 1, 63, 64, 65, n, n + 7] {
-                            let naive = |end: usize| {
-                                (0..end.min(n)).filter(|&i| in_parent(i) && set[i]).count()
-                            };
-                            assert_eq!(
-                                and_counts(&words, child, k),
-                                (naive(n), naive(k)),
-                                "n={n} parent_terms={parent_terms} k={k}"
-                            );
-                        }
+                        assert_eq!(bit, i < n && in_parent[i], "n={n} bit {i}");
                     }
                 }
             }
@@ -469,16 +604,22 @@ mod tests {
     #[test]
     fn empty_parent_is_the_universe_in_the_batched_kernels() {
         let mut words = Vec::new();
-        intersect_into(std::iter::empty(), 70, &mut words);
+        assert_eq!(
+            intersect_into(std::iter::empty(), 70, 9, &mut words),
+            (70, 9)
+        );
         assert_eq!(words, vec![!0, (1 << 6) - 1]);
-        intersect_into(std::iter::empty(), 128, &mut words);
+        assert_eq!(
+            intersect_into(std::iter::empty(), 128, 200, &mut words),
+            (128, 128)
+        );
         assert_eq!(words, vec![!0, !0]);
-        intersect_into(std::iter::empty(), 0, &mut words);
+        assert_eq!(intersect_into(std::iter::empty(), 0, 5, &mut words), (0, 0));
         assert!(words.is_empty());
         assert_eq!(and_counts(&words, &Bitmap::new(0), 5), (0, 0));
         // Against the empty parent a child counts as itself.
         let child = from_bits(&[0, 1, 1, 0, 1]);
-        intersect_into(std::iter::empty(), 5, &mut words);
+        intersect_into(std::iter::empty(), 5, 0, &mut words);
         for k in 0..=7 {
             assert_eq!(
                 and_counts(&words, &child, k),

@@ -19,9 +19,9 @@
 //! * [`Bitmap`] — packed bitsets with fused *full + prefix* intersection
 //!   popcounts. When rows are laid out in rank order, the size of a pattern
 //!   in the whole data (`s_D`) and in the top-k (`s_Rk`) fall out of a single
-//!   pass over the AND of the per-term bitmaps; [`intersect_into`] and
-//!   [`and_counts`] count all one-term extensions of a pattern from one
-//!   shared AND.
+//!   pass over the AND of the per-term bitmaps, counted 32 words at a time
+//!   by a carry-save popcount; [`intersect_into`] and [`and_counts`] count
+//!   all one-term extensions of a pattern from one shared AND.
 //! * [`examples`] — the paper’s Figure 1 running example, used verbatim by
 //!   unit tests across the workspace.
 //!

@@ -145,8 +145,7 @@ impl ScoredRanking {
 
     /// A frozen [`Ranking`] snapshot of the current order (`O(n)`).
     pub fn to_ranking(&self) -> Ranking {
-        // lint:allow(panic-reachability) -- insert/remove maintain `order` as a permutation; the expect is the loud invariant check
-        Ranking::from_order(self.order.clone()).expect("order is maintained as a permutation")
+        Ranking::from_parts(self.order.clone(), self.position.clone())
     }
 
     /// `true` when `row a` must precede `row b` under the current scores:

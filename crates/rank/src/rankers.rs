@@ -1,5 +1,6 @@
 use rankfair_data::Dataset;
 
+use crate::ranking::score_key;
 use crate::{Ranker, Ranking};
 
 /// Extracts a sortable numeric key from a column: numeric columns yield the
@@ -52,6 +53,9 @@ impl SortKey {
 /// students are ranked by grade, and “in the case of similar grades,
 /// students with fewer failures are ranked higher” (Example 2.1). The
 /// Student-dataset experiments rank by `G3` alone.
+///
+/// A NaN key ranks last in either direction, whatever its sign, as it
+/// does in [`Ranking::from_scores_desc`] and in a live monitor.
 #[derive(Debug, Clone)]
 pub struct AttributeRanker {
     keys: Vec<SortKey>,
@@ -94,14 +98,10 @@ impl Ranker for AttributeRanker {
             (0..u32::try_from(ds.n_rows()).expect("row count fits TupleId")).collect();
         order.sort_by(|&a, &b| {
             for &(col, desc) in &cols {
-                let (va, vb) = (
-                    sort_value(ds, col, a as usize),
-                    sort_value(ds, col, b as usize),
-                );
-                // total_cmp: a NaN sort key gets a fixed position
-                // instead of panicking the audit.
-                let ord = va.total_cmp(&vb);
-                let ord = if desc { ord.reverse() } else { ord };
+                // score_key: every NaN ranks last in either direction,
+                // as in a score ranking or a live monitor.
+                let key = |row: u32| score_key(sort_value(ds, col, row as usize), !desc);
+                let ord = key(a).cmp(&key(b));
                 if ord != std::cmp::Ordering::Equal {
                     return ord;
                 }
@@ -320,6 +320,29 @@ mod tests {
             .unwrap();
         let ranker = AttributeRanker::new(vec![SortKey::asc("fails")]);
         assert_eq!(ranker.rank(&ds).order(), &[2, 1, 0]);
+    }
+
+    #[test]
+    fn attribute_ranker_ranks_a_nan_key_last_whatever_its_sign() {
+        let nan = f64::NAN;
+        let ds = Dataset::builder()
+            .numeric("x", vec![1.0, nan, 3.0, -nan])
+            .numeric("y", vec![0.0, 5.0, 0.0, 9.0])
+            .build()
+            .unwrap();
+        assert!(ds.value(3, 0).is_sign_negative());
+        let rank = |keys| AttributeRanker::new(keys).rank(&ds).order().to_vec();
+        assert_eq!(rank(vec![SortKey::desc("x")]), [2, 0, 1, 3]);
+        assert_eq!(rank(vec![SortKey::asc("x")]), [0, 2, 1, 3]);
+        // The two NaN rows tie on `x`, so `y` orders them.
+        assert_eq!(
+            rank(vec![SortKey::desc("x"), SortKey::desc("y")]),
+            [2, 0, 3, 1]
+        );
+        assert_eq!(
+            rank(vec![SortKey::asc("x"), SortKey::desc("y")]),
+            [0, 2, 3, 1]
+        );
     }
 
     #[test]

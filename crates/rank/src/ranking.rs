@@ -100,6 +100,17 @@ impl Ranking {
         Ok(Ranking { order, position })
     }
 
+    /// A ranking from an order and its inverse that the caller already
+    /// keeps consistent, as [`crate::ScoredRanking`] does: no validation
+    /// pass.
+    pub(crate) fn from_parts(order: Vec<TupleId>, position: Vec<u32>) -> Self {
+        debug_assert!(order
+            .iter()
+            .enumerate()
+            .all(|(p, &row)| position[row as usize] as usize == p));
+        Ranking { order, position }
+    }
+
     /// Ranks rows by `score` descending, breaking ties by row id: the
     /// order a stable sort under [`f64::total_cmp`] gives (so `+0.0`
     /// ranks above `-0.0`), except that every NaN, whatever its sign,
