@@ -2,11 +2,14 @@
 //! entry point for every detection mode in the paper.
 //!
 //! [`Audit`] owns its dataset (behind an [`Arc`]), the pattern space, the
-//! ranking and the ranked counting index ([`AuditIndex`]: a single
-//! [`RankedIndex`] or a [`ShardedIndex`] merging per-shard counts
+//! ranking and the counting index ([`AuditIndex`]: a single
+//! [`RankedIndex`] or a [`ShardedIndex`] merging per-shard `s_D` counts
 //! additively), so it is `Send + Sync` and can be shared across threads,
-//! held in a server, or cached between requests. The detection mode is a
-//! value, not a method name:
+//! held in a server, or cached between requests. Building an audit builds
+//! the index's membership maps and copies the ranking's order; the rank
+//! blocks `s_Rk` reads are built on first read, so a run with `k ≤ k_max`
+//! builds `⌈k_max/64⌉` of them, whatever the row count. The detection
+//! mode is a value, not a method name:
 //!
 //! * [`AuditTask::UnderRep`] — the paper's Problems 3.1/3.2 (most general
 //!   under-represented groups, Algorithms 1–3);
@@ -234,17 +237,17 @@ impl AuditOutcome {
 }
 
 /// The counting index an [`Audit`] executes against: one [`RankedIndex`]
-/// over the whole ranking, or a [`ShardedIndex`] whose per-shard counts
-/// merge additively ([`AuditBuilder::shards`]). Both satisfy the
+/// over the whole dataset, or a [`ShardedIndex`] whose per-shard `s_D`
+/// counts merge additively ([`AuditBuilder::shards`]). Both satisfy the
 /// [`CountsProvider`] contract the engines consume, so every task,
 /// engine and streaming mode runs unchanged on either variant and the
 /// results are identical — the differential suite sweeps that equality.
 #[derive(Debug, Clone)]
 pub enum AuditIndex {
-    /// A single index over the whole ranking (the default).
+    /// A single index over the whole dataset (the default).
     Single(RankedIndex),
-    /// Rows partitioned into contiguous rank blocks with one shard-local
-    /// index per block.
+    /// Row ids partitioned into contiguous blocks of membership maps, with
+    /// one global rank side.
     Sharded(ShardedIndex),
 }
 
@@ -265,9 +268,9 @@ impl AuditIndex {
         }
     }
 
-    /// `s_Rk(p)` alone via a truncated prefix scan — the arena engines'
-    /// re-activation fast path (the stored `s_D` makes the full fused
-    /// scan redundant).
+    /// `s_Rk(p)` alone, from the rank blocks below `k` — the arena
+    /// engines' re-activation fast path (the stored `s_D` makes the
+    /// membership-map count redundant).
     pub fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
         match self {
             AuditIndex::Single(i) => i.prefix_count(p, k),
@@ -298,6 +301,15 @@ impl AuditIndex {
         match self {
             AuditIndex::Single(_) => 1,
             AuditIndex::Sharded(i) => i.shard_count(),
+        }
+    }
+
+    /// Number of rank blocks built so far.
+    #[cfg(test)]
+    fn built_rank_blocks(&self) -> usize {
+        match self {
+            AuditIndex::Single(i) => i.built_rank_blocks(),
+            AuditIndex::Sharded(i) => i.built_rank_blocks(),
         }
     }
 }
@@ -432,7 +444,9 @@ impl AuditBuilder {
     }
 
     /// Builds the audit: ranks (if needed), applies preparation hooks,
-    /// constructs the pattern space and the ranked bitmap index.
+    /// constructs the pattern space and the counting index (its
+    /// membership maps and a copy of the rank order; rank blocks are built
+    /// when a run reads them).
     pub fn build(self) -> Result<Audit, AuditError> {
         let Some(ranking) = self.ranking else {
             return Err(AuditError::MissingRanking);
@@ -1310,6 +1324,68 @@ mod tests {
                     "streaming shards={shards} {task:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn an_audit_up_to_k_49_builds_one_rank_block() {
+        // 10 000 rows make 157 rank blocks; every count and code an audit
+        // with k_max = 49 reads lies in the first.
+        use rankfair_synth::{random_dataset, random_ranking, RandomSpec};
+        let rows = 10_000;
+        let spec = RandomSpec {
+            rows,
+            attrs: 3,
+            max_card: 4,
+        };
+        let ds = Arc::new(random_dataset(17, spec));
+        let ranking = Ranking::from_order(random_ranking(17, rows)).unwrap();
+        // The baseline over-representation search scans every row per
+        // pattern and `k`, so the range stays short.
+        let cfg = DetectConfig::new(400, 40, 49);
+        let tasks = [
+            AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(10))),
+            AuditTask::UnderRep(BiasMeasure::Proportional { alpha: 0.8 }),
+            AuditTask::OverRep {
+                upper: Bounds::constant(10),
+                scope: OverRepScope::MostSpecific,
+            },
+            AuditTask::OverRep {
+                upper: Bounds::constant(10),
+                scope: OverRepScope::MostGeneral,
+            },
+            AuditTask::Combined {
+                lower: Bounds::constant(10),
+                upper: Bounds::constant(20),
+            },
+        ];
+        let audit = |threads: usize| {
+            let audit = Audit::builder(Arc::clone(&ds))
+                .ranking(ranking.clone())
+                .threads(threads)
+                .build()
+                .unwrap();
+            assert_eq!(audit.index().built_rank_blocks(), 0);
+            audit
+        };
+        for task in &tasks {
+            for engine in [Engine::Optimized, Engine::Baseline] {
+                for threads in [1, 2] {
+                    let audit = audit(threads);
+                    let out = audit.run(&cfg, task, engine).unwrap();
+                    audit.report(&out, task);
+                    let ctx = format!("{task:?} {engine:?} threads={threads}");
+                    assert_eq!(audit.index().built_rank_blocks(), 1, "{ctx}");
+                }
+            }
+            let audit = audit(1);
+            let per_k: Vec<AuditKResult> = audit.run_streaming(&cfg, task).unwrap().collect();
+            let out = AuditOutcome {
+                per_k,
+                stats: SearchStats::default(),
+            };
+            audit.report(&out, task);
+            assert_eq!(audit.index().built_rank_blocks(), 1, "streaming {task:?}");
         }
     }
 

@@ -3,7 +3,7 @@
 //! The paper's algorithms audit a *frozen* ranking; a serving deployment
 //! faces rankings that churn — scores get re-estimated, new tuples
 //! arrive, the interesting `k` cutoffs move. Rebuilding an [`Audit`]
-//! (pattern space + rank-ordered bitmap index) and re-running the whole
+//! (pattern space + counting index) and re-running the whole
 //! `k` range after every batch of edits throws away almost all of the
 //! previous work: a small batch of score updates only reorders a narrow
 //! band of rank positions, and the per-`k` result sets outside that band
@@ -17,9 +17,11 @@
 //!
 //! 1. applies each edit to the dataset and the ranking, accumulating the
 //!    hull `[lo, hi]` of rank positions whose occupant changed;
-//! 2. patches the bitmap index over that span only
-//!    ([`RankedIndex::rewrite_span`] — `O(span·m)` bit flips, no
-//!    rebuild);
+//! 2. patches the index over that span only
+//!    ([`RankedIndex::rewrite_span`]: it copies the span of the rank order
+//!    and rewrites the span's positions in the rank blocks already built,
+//!    `O(span)` plus `O(m)` per built position, no rebuild; the membership
+//!    maps do not depend on the order);
 //! 3. re-runs the audit task over exactly the `k` values whose top-`k`
 //!    membership changed. The hull `[lo+1, hi]` bounds them (for
 //!    `k ≤ lo` the top-`k` prefix is untouched, and for `k > hi` it
@@ -73,7 +75,8 @@
 //! bound and every stored checkpoint count at *any* `k`; a batch
 //! containing an insertion therefore voids the checkpoint store and
 //! recomputes the full `k` range (reseeding the checkpoint grid) —
-//! still against the patched index, so the `O(n·m)` index rebuild is
+//! still against the patched index ([`RankedIndex::grow`] appends one bit
+//! per attribute to the membership maps), so the index rebuild is
 //! avoided even then.
 //!
 //! ```
@@ -601,7 +604,8 @@ impl MonitorAudit {
                                 if is_new {
                                     let card = col.cardinality().unwrap_or(0);
                                     // `>=` mirrors the data layer's cap,
-                                    // which reserves ValueCode::MAX.
+                                    // which keeps every cardinality a
+                                    // ValueCode.
                                     if card + pending.len() >= usize::from(u16::MAX) {
                                         return Err(MonitorError::BadEdit(format!(
                                             "column `{}` would exceed the dictionary space",
@@ -708,7 +712,7 @@ impl MonitorAudit {
                         .scored
                         .insert(score)
                         .map_err(|e| MonitorError::BadEdit(e.to_string()))?;
-                    self.index.grow();
+                    self.index.grow(&self.dataset, &self.space);
                     inserted = true;
                     merge(d.changed, &mut span);
                 }

@@ -1,54 +1,56 @@
-//! Sharded counting: rows partitioned across shard-local ranked indexes,
-//! pattern counts merged additively.
+//! Sharded counting: row ids partitioned into contiguous blocks of
+//! membership maps, `s_D` merged additively, one global rank side.
 //!
-//! Both quantities the detection engines consume are **additive over
-//! disjoint row partitions**: `s_D(p)` is a sum of per-partition match
-//! counts, and — because the partition is by *contiguous rank blocks* —
-//! the global top-`k` prefix splits into per-shard prefixes, so
-//! `s_Rk(p)` is a sum too. Concretely, for shard `s` spanning global rank
-//! positions `[lo_s, hi_s)`:
+//! `s_D(p)` is **additive over disjoint row partitions**: for shards `s`
+//! covering row ids `[lo_s, hi_s)`,
 //!
 //! ```text
-//! counts(p, k) = Σ_s  shard_s.counts(p, clamp(k, lo_s, hi_s) − lo_s)
+//! s_D(p) = Σ_s  s_D,s(p)
 //! ```
 //!
-//! This is the whole trick: each shard is an ordinary [`RankedIndex`]
-//! over its block of the rank order, [`ShardedIndex::counts`] reduces the
-//! per-shard fused counts with two additions per shard, and the engines
-//! run unchanged behind the [`CountsProvider`] surface. Per-shard
-//! counting fans out over scoped threads when the universe is large
-//! enough for the scan to dominate the spawn cost.
+//! where `s_D,s` counts `p` in shard `s`'s membership maps. Those maps
+//! take no ranking, so a shard is the same whatever the order. `s_Rk(p)`
+//! and the codes at rank positions come from one global set of rank
+//! blocks, built on first read from the order and the shards' maps, as
+//! in [`RankedIndex`](crate::RankedIndex). [`ShardedIndex::counts`] and
+//! [`CountsProvider::child_counts`] sum the shards' `s_D` and read `s_Rk`
+//! once; the engines run unchanged behind the [`CountsProvider`] surface.
+//! The shards' counting fans out over scoped threads when each shard is
+//! large enough for its scan to dominate the spawn cost.
+
+use std::ops::Range;
 
 use rankfair_data::{Dataset, TupleId, ValueCode};
 use rankfair_rank::Ranking;
 
 use crate::pattern::Pattern;
-use crate::space::{AttrId, CountsProvider, PatternSpace, RankedIndex};
+use crate::space::{AttrId, CountsProvider, MembershipMaps, PatternSpace, RankBlocks};
 
-/// Rows partitioned into contiguous rank blocks, one [`RankedIndex`] per
-/// block, with `counts(p, k)` an additive merge of the per-shard counts.
+/// Row ids partitioned into contiguous blocks, one set of membership maps
+/// per block, with `s_D` an additive merge of the per-shard counts and
+/// `s_Rk` read from one global set of rank blocks.
 ///
-/// Built by [`ShardedIndex::build`]; drop-in for [`RankedIndex`] anywhere
-/// a [`CountsProvider`] is accepted (every engine, the audit tasks, the
-/// report enrichment). A single-shard instance degenerates to exactly the
-/// unsharded index.
+/// Built by [`ShardedIndex::build`]; drop-in for
+/// [`RankedIndex`](crate::RankedIndex) anywhere a [`CountsProvider`] is
+/// accepted (every engine, the audit tasks, the report enrichment). A
+/// single-shard instance counts exactly as the unsharded index.
 #[derive(Debug, Clone)]
 pub struct ShardedIndex {
-    n: usize,
-    /// `boundaries[s]..boundaries[s+1]` is shard `s`'s global rank span;
-    /// `boundaries[0] == 0`, `boundaries[last] == n`. Spans may be empty
+    /// `boundaries[s]..boundaries[s+1]` is shard `s`'s block of row ids;
+    /// `boundaries[0] == 0`, `boundaries[last] == n`. Blocks may be empty
     /// when there are more shards than rows.
     boundaries: Vec<usize>,
-    shards: Vec<RankedIndex>,
+    shards: Vec<MembershipMaps>,
+    rank: RankBlocks,
     /// Fan counting out over scoped threads: decided once at build time —
-    /// more than one non-empty shard, a universe large enough that the
-    /// per-shard scan dominates thread spawn cost, and more than one core.
+    /// more than one shard, enough rows per shard that its scan dominates
+    /// thread spawn cost, and more than one core.
     parallel: bool,
 }
 
-/// Split `n` rank positions into `shards` contiguous blocks whose sizes
-/// differ by at most one (the first `n % shards` blocks get the extra
-/// row). Returns the `shards + 1` block boundaries.
+/// Split `n` row ids into `shards` contiguous blocks whose sizes differ by
+/// at most one (the first `n % shards` blocks get the extra row). Returns
+/// the `shards + 1` block boundaries.
 pub(crate) fn shard_boundaries(n: usize, shards: usize) -> Vec<usize> {
     let base = n / shards;
     let rem = n % shards;
@@ -63,13 +65,15 @@ pub(crate) fn shard_boundaries(n: usize, shards: usize) -> Vec<usize> {
 }
 
 impl ShardedIndex {
-    /// Universe size below which per-shard counting stays sequential: a
-    /// sub-64Ki-row scan finishes in the time a thread spawn costs.
+    /// Rows per shard below which counting stays sequential: a
+    /// sub-64Ki-row scan finishes in the time a thread spawn costs. The
+    /// build fans out once the whole table reaches it.
     pub const PARALLEL_MIN_ROWS: usize = 1 << 16;
 
-    /// Builds `shards` shard-local indexes over contiguous blocks of the
-    /// rank order. Shard sizes differ by at most one row; `shards` may
-    /// exceed the row count, leaving trailing shards empty.
+    /// Builds `shards` sets of membership maps over contiguous blocks of
+    /// row ids, and the global rank side of `ranking`. Shard sizes differ
+    /// by at most one row; `shards` may exceed the row count, leaving
+    /// trailing shards empty.
     ///
     /// # Panics
     /// Panics if `shards == 0` or the ranking length differs from the
@@ -85,6 +89,10 @@ impl ShardedIndex {
 
     /// [`ShardedIndex::build`] over a raw rank order (the monitor-free
     /// path used by tests and benches).
+    ///
+    /// # Panics
+    /// Panics if `shards == 0` or `order` does not rank every row of `ds`
+    /// (its length differs).
     pub fn build_from_order(
         ds: &Dataset,
         space: &PatternSpace,
@@ -92,17 +100,22 @@ impl ShardedIndex {
         shards: usize,
     ) -> Self {
         assert!(shards > 0, "at least one shard");
+        assert_eq!(
+            order.len(),
+            ds.n_rows(),
+            "order must rank every dataset row"
+        );
         let n = order.len();
         let boundaries = shard_boundaries(n, shards);
-        let spans: Vec<(usize, usize)> = boundaries.windows(2).map(|w| (w[0], w[1])).collect();
+        let spans: Vec<Range<usize>> = boundaries.windows(2).map(|w| w[0]..w[1]).collect();
         let many_cores = std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
         let build_parallel = shards > 1 && many_cores && n >= Self::PARALLEL_MIN_ROWS;
-        let shard_indexes: Vec<RankedIndex> = if build_parallel {
-            let mut slots: Vec<Option<RankedIndex>> = (0..shards).map(|_| None).collect();
+        let shard_maps: Vec<MembershipMaps> = if build_parallel {
+            let mut slots: Vec<Option<MembershipMaps>> = (0..shards).map(|_| None).collect();
             std::thread::scope(|scope| {
-                for (slot, &(lo, hi)) in slots.iter_mut().zip(&spans) {
+                for (slot, span) in slots.iter_mut().zip(&spans) {
                     scope.spawn(move || {
-                        *slot = Some(RankedIndex::build_from_order(ds, space, &order[lo..hi]));
+                        *slot = Some(MembershipMaps::build(ds, space, span.clone()))
                     });
                 }
             });
@@ -111,21 +124,20 @@ impl ShardedIndex {
         } else {
             spans
                 .iter()
-                .map(|&(lo, hi)| RankedIndex::build_from_order(ds, space, &order[lo..hi]))
+                .map(|span| MembershipMaps::build(ds, space, span.clone()))
                 .collect()
         };
-        let non_empty = spans.iter().filter(|&&(lo, hi)| hi > lo).count();
         ShardedIndex {
-            n,
             boundaries,
-            shards: shard_indexes,
-            parallel: non_empty > 1 && many_cores && n >= Self::PARALLEL_MIN_ROWS,
+            shards: shard_maps,
+            rank: RankBlocks::new(space, order),
+            parallel: shards > 1 && many_cores && n / shards >= Self::PARALLEL_MIN_ROWS,
         }
     }
 
     /// Number of tuples across all shards.
     pub fn n(&self) -> usize {
-        self.n
+        self.rank.n()
     }
 
     /// Number of shards (including empty ones).
@@ -138,76 +150,59 @@ impl ShardedIndex {
         self.boundaries.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// The global top-`k` prefix restricted to shard `s`: its length
-    /// within the shard's span.
-    fn local_k(&self, s: usize, k: usize) -> usize {
-        k.clamp(self.boundaries[s], self.boundaries[s + 1]) - self.boundaries[s]
+    /// A row's codes from the membership maps of the shard holding it, for
+    /// building rank blocks.
+    fn row_codes(&self) -> impl Fn(usize, &mut [ValueCode]) + '_ {
+        |row, out| {
+            // First boundary strictly above `row`, minus one, is the
+            // owning shard; repeated boundaries (empty shards) resolve
+            // past them.
+            let s = self.boundaries.partition_point(|&b| b <= row) - 1;
+            self.shards[s].codes_of(row - self.boundaries[s], out);
+        }
     }
 
-    /// `(s_D(p), s_Rk(p))` as the additive merge of per-shard fused
-    /// counts — the identity in the module docs. Fans out over scoped
-    /// threads for large universes, one thread per non-empty shard.
+    /// `(s_D(p), s_Rk(p))`: the additive merge of the shards' `s_D` (the
+    /// identity in the module docs) and the global rank blocks' `s_Rk`.
     pub fn counts(&self, p: &Pattern, k: usize) -> (usize, usize) {
-        if self.shards.len() == 1 {
-            return self.shards[0].counts(p, k);
-        }
-        if self.parallel {
-            let mut partials: Vec<(usize, usize)> = vec![(0, 0); self.shards.len()];
-            std::thread::scope(|scope| {
-                for (s, (shard, slot)) in self.shards.iter().zip(partials.iter_mut()).enumerate() {
-                    if shard.n() == 0 {
-                        continue;
-                    }
-                    let local_k = self.local_k(s, k);
-                    scope.spawn(move || *slot = shard.counts(p, local_k));
-                }
-            });
-            partials
-                .into_iter()
-                .fold((0, 0), |(sd, topk), (s_sd, s_topk)| {
-                    (sd + s_sd, topk + s_topk)
-                })
-        } else {
-            self.shards
-                .iter()
-                .enumerate()
-                .fold((0, 0), |(sd, topk), (s, shard)| {
-                    let (s_sd, s_topk) = shard.counts(p, self.local_k(s, k));
-                    (sd + s_sd, topk + s_topk)
-                })
-        }
+        (self.size_in_data(p), self.prefix_count(p, k))
     }
 
-    /// `s_D(p)` alone.
+    /// `s_D(p)` alone, summed over the shards. Fans out over scoped
+    /// threads for large shards, one thread per shard.
     pub fn size_in_data(&self, p: &Pattern) -> usize {
-        self.counts(p, 0).0
+        if !self.parallel {
+            return self.shards.iter().map(|shard| shard.size(p)).sum();
+        }
+        let mut partials = vec![0; self.shards.len()];
+        std::thread::scope(|scope| {
+            for (shard, slot) in self.shards.iter().zip(partials.iter_mut()) {
+                scope.spawn(move || *slot = shard.size(p));
+            }
+        });
+        partials.into_iter().sum()
     }
 
-    /// `s_Rk(p)` alone: only the shards whose span overlaps the top-`k`
-    /// prefix are consulted, each with a truncated prefix scan — shards
-    /// entirely past `k` contribute nothing and are skipped outright.
+    /// `s_Rk(p)` alone, from the global rank blocks below `k`.
     pub fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
-        self.shards
-            .iter()
-            .enumerate()
-            .take_while(|&(s, _)| self.boundaries[s] < k)
-            .map(|(s, shard)| shard.prefix_count(p, self.local_k(s, k)))
-            .sum()
+        self.rank.prefix_count(p, k, &self.row_codes())
     }
 
-    /// Value of `attr` for the tuple at **global** rank position `pos`:
-    /// locates the owning shard by boundary search, then reads the
-    /// shard-local position.
+    /// Value of `attr` for the tuple at rank position `pos`, from the
+    /// global rank blocks.
     pub fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
-        // First boundary strictly above `pos`, minus one, is the owning
-        // shard; repeated boundaries (empty shards) resolve past them.
-        let s = self.boundaries.partition_point(|&b| b <= pos) - 1;
-        self.shards[s].code_at(pos - self.boundaries[s], attr)
+        self.rank.code_at(pos, attr, &self.row_codes())
     }
 
-    /// Whether the tuple at global rank position `pos` satisfies `p`.
+    /// Whether the tuple at rank position `pos` satisfies `p`.
     pub fn matches_at(&self, pos: usize, p: &Pattern) -> bool {
         p.matches(|a| self.code_at(pos, a))
+    }
+
+    /// Number of rank blocks built so far.
+    #[cfg(test)]
+    pub(crate) fn built_rank_blocks(&self) -> usize {
+        self.rank.built()
     }
 }
 
@@ -220,9 +215,10 @@ impl CountsProvider for ShardedIndex {
         ShardedIndex::counts(self, p, k)
     }
 
-    /// The additive merge of per-shard child counts: each shard counts
-    /// the whole expansion on its block, so a large universe fans out
-    /// over threads once per expansion, not once per child.
+    /// The additive merge of per-shard child sizes — each shard counts the
+    /// whole expansion on its rows, so large shards fan out over threads
+    /// once per expansion, not once per child — then `s_Rk` of every child
+    /// from the global rank blocks.
     fn child_counts(
         &self,
         parent: &Pattern,
@@ -230,40 +226,33 @@ impl CountsProvider for ShardedIndex {
         k: usize,
         out: &mut Vec<(usize, usize)>,
     ) {
-        if self.shards.len() == 1 {
-            return self.shards[0].child_counts(parent, start, k, out);
-        }
-        let mut partials: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.shards.len()];
-        if self.parallel {
-            std::thread::scope(|scope| {
-                for (s, (shard, slot)) in self.shards.iter().zip(partials.iter_mut()).enumerate() {
-                    // An empty shard contributes zeros; its empty slot adds
-                    // nothing in the merge below.
-                    if shard.n() == 0 {
-                        continue;
-                    }
-                    let local_k = self.local_k(s, k);
-                    scope.spawn(move || shard.child_counts(parent, start, local_k, slot));
-                }
-            });
-        } else {
-            for (s, (shard, slot)) in self.shards.iter().zip(partials.iter_mut()).enumerate() {
-                shard.child_counts(parent, start, self.local_k(s, k), slot);
-            }
-        }
-        // Every non-empty shard reports every child, so the longest
-        // partial fixes the child count.
         let base = out.len();
-        out.resize(
-            base + partials.iter().map(Vec::len).max().unwrap_or(0),
-            (0, 0),
-        );
-        for part in &partials {
-            for (o, &(sd, topk)) in out[base..].iter_mut().zip(part) {
-                o.0 += sd;
-                o.1 += topk;
+        if let [shard] = &self.shards[..] {
+            shard.child_sizes(parent, start, out);
+        } else {
+            let mut partials: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.shards.len()];
+            if self.parallel {
+                std::thread::scope(|scope| {
+                    for (shard, slot) in self.shards.iter().zip(partials.iter_mut()) {
+                        scope.spawn(move || shard.child_sizes(parent, start, slot));
+                    }
+                });
+            } else {
+                for (shard, slot) in self.shards.iter().zip(partials.iter_mut()) {
+                    shard.child_sizes(parent, start, slot);
+                }
+            }
+            // Every shard reports every child, so the first partial fixes
+            // the child count.
+            out.resize(base + partials[0].len(), (0, 0));
+            for part in &partials {
+                for (o, &(size, _)) in out[base..].iter_mut().zip(part) {
+                    o.0 += size;
+                }
             }
         }
+        self.rank
+            .add_child_prefix(parent, start, k, &mut out[base..], &self.row_codes());
     }
 
     fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
@@ -278,6 +267,7 @@ impl CountsProvider for ShardedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::RankedIndex;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
 
     fn fig1_sharded(shards: usize) -> (PatternSpace, RankedIndex, ShardedIndex) {
@@ -363,9 +353,10 @@ mod tests {
 
     #[test]
     fn child_counts_fan_out_matches_unsharded() {
-        // Past PARALLEL_MIN_ROWS the shards count on scoped threads (on a
-        // multi-core host); the merge must not care which path ran.
-        let rows = ShardedIndex::PARALLEL_MIN_ROWS + 5;
+        // At PARALLEL_MIN_ROWS rows per shard the shards count on scoped
+        // threads (on a multi-core host); the merge must not care which
+        // path ran.
+        let rows = 3 * ShardedIndex::PARALLEL_MIN_ROWS + 5;
         let spec = rankfair_synth::RandomSpec {
             rows,
             attrs: 3,
@@ -376,6 +367,9 @@ mod tests {
         let ranking = Ranking::from_order(rankfair_synth::random_ranking(5, rows)).unwrap();
         let single = RankedIndex::build(&ds, &space, &ranking);
         let sharded = ShardedIndex::build(&ds, &space, &ranking, 3);
+        let many_cores = std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
+        assert_eq!(sharded.parallel, many_cores);
+        assert!(!ShardedIndex::build(&ds, &space, &ranking, 4).parallel);
         let ks = [0, 1, 64, rows / 3 + 1, rows - 1, rows];
         crate::space::assert_child_counts_match(&sharded, &single, &space, &ks);
     }
@@ -407,8 +401,8 @@ mod tests {
 
     #[test]
     fn k_smaller_than_first_shard_slice() {
-        // With 2 shards of 8, k = 3 lies inside the first shard: every
-        // other shard must contribute a zero prefix count.
+        // With 2 shards of 8 rows, k = 3 is below the first shard's size:
+        // the top-3 prefix still holds rows of both shards.
         let (space, single, sharded) = fig1_sharded(2);
         let p = space.pattern(&[("School", "GP")]).unwrap();
         assert_eq!(sharded.counts(&p, 3), single.counts(&p, 3));

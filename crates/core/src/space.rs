@@ -1,8 +1,9 @@
 use std::fmt;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use rankfair_data::{
-    and_counts, intersect_counts_iter, intersect_into, intersect_prefix_iter, Bitmap, Dataset,
-    TupleId, ValueCode,
+    and_counts, intersect_counts_iter, intersect_into, Bitmap, Dataset, TupleId, ValueCode,
 };
 use rankfair_rank::Ranking;
 
@@ -40,13 +41,16 @@ impl std::error::Error for SpaceError {}
 /// The count surface the detection engines consume.
 ///
 /// Everything in the lower and upper engines reaches the data through
-/// four primitives — the universe size, the fused `(s_D, s_Rk)` count of
-/// one pattern, the same pair for every child of an expanded node, and
-/// the value of an attribute at a rank position — so any provider
+/// four primitives — the universe size, the `(s_D, s_Rk)` pair of one
+/// pattern, the same pair for every child of an expanded node, and the
+/// value of an attribute at a rank position — so any provider
 /// implementing them runs the same algorithms unchanged: the single
 /// [`RankedIndex`], the sharded additive merge of
 /// [`ShardedIndex`](crate::ShardedIndex), or the
-/// [`AuditIndex`](crate::AuditIndex) dispatching between them.
+/// [`AuditIndex`](crate::AuditIndex) dispatching between them. `s_D` does
+/// not depend on the ranking, and `s_Rk` and the codes at positions below
+/// `k` depend only on the top-`k` prefix; the providers read each from
+/// its own structure.
 pub trait CountsProvider: Sync {
     /// Number of tuples.
     fn n(&self) -> usize;
@@ -80,9 +84,9 @@ pub trait CountsProvider: Sync {
     /// `s_Rk(p)` alone — the prefix half of [`CountsProvider::counts`].
     ///
     /// The engines call this when re-activating a stored node whose `s_D`
-    /// is already interned in the arena, so providers should truncate the
-    /// scan at `k` when they can ([`RankedIndex`] does); the default
-    /// computes the fused pair and discards `s_D`.
+    /// is already interned in the arena, so providers should read only the
+    /// top-`k` prefix when they can ([`RankedIndex`] reads its rank blocks
+    /// below `k`); the default computes the pair and discards `s_D`.
     fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
         self.counts(p, k).1
     }
@@ -271,35 +275,367 @@ impl PatternSpace {
     }
 }
 
-/// The dataset re-indexed in **rank order** with one bitmap per
-/// (attribute, value) pair.
+/// Rank positions per rank block.
+const BLOCK_LEN: usize = 64;
+
+/// One bitmap per (attribute, value) over a contiguous block of row ids in
+/// **dataset order**: bit `i` of `maps[a][v]` is set when the block's row
+/// `i` has value `v` of attribute `a`. No ranking goes into them, so a
+/// reorder never touches them, and `s_D` is read from them alone.
 ///
-/// Position `p` of every structure refers to the tuple ranked `p+1`-th.
-/// With this layout:
+/// Every row holds exactly one value of every attribute, so an
+/// attribute's maps partition the rows; [`MembershipMaps::child_sizes`] derives
+/// each attribute's last child by subtraction.
+#[derive(Debug, Clone)]
+pub(crate) struct MembershipMaps {
+    rows: usize,
+    maps: Vec<Vec<Bitmap>>,
+}
+
+impl MembershipMaps {
+    /// The maps of `ds`'s rows `rows`, each attribute's built from its
+    /// column's code slice by [`Bitmap::per_value`].
+    ///
+    /// # Panics
+    /// Panics if a code exceeds the space's cardinalities.
+    pub(crate) fn build(ds: &Dataset, space: &PatternSpace, rows: Range<usize>) -> Self {
+        let maps = space
+            .attr_ids()
+            .map(|a| {
+                let codes = &ds.column(space.dataset_col(a)).code_slice()[rows.clone()];
+                let card = space.card(a);
+                let max = codes.iter().copied().max();
+                assert!(
+                    max.is_none_or(|v| usize::from(v) < card),
+                    "code out of range for attribute"
+                );
+                Bitmap::per_value(codes, card)
+            })
+            .collect();
+        MembershipMaps {
+            rows: rows.len(),
+            maps,
+        }
+    }
+
+    /// The maps of `p`'s terms.
+    fn term_maps<'s>(&'s self, p: &'s Pattern) -> impl Iterator<Item = &'s Bitmap> + Clone {
+        p.terms()
+            .iter()
+            .map(|&(a, v)| &self.maps[usize::from(a)][usize::from(v)])
+    }
+
+    /// `s_D(p)` over these rows.
+    pub(crate) fn size(&self, p: &Pattern) -> usize {
+        intersect_counts_iter(self.term_maps(p), self.rows)
+    }
+
+    /// Appends `(s_D(child), 0)` over these rows for every child of
+    /// `parent` with `a ≥ start`, in `(a, v)` order. ANDs the parent's
+    /// maps once and counts the parent from that buffer, then counts each
+    /// child but the last of every attribute with one two-operand pass
+    /// over the buffer and the child's own map; the last child's size is
+    /// the parent's minus its siblings'.
+    pub(crate) fn child_sizes(
+        &self,
+        parent: &Pattern,
+        start: AttrId,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        let attrs = &self.maps[usize::from(start)..];
+        if attrs.is_empty() {
+            return;
+        }
+        let mut words = Vec::new();
+        let parent_size = intersect_into(self.term_maps(parent), self.rows, &mut words);
+        for maps in attrs {
+            let Some((_last, rest)) = maps.split_last() else {
+                continue;
+            };
+            let mut last = parent_size;
+            for m in rest {
+                let size = and_counts(&words, m);
+                last -= size;
+                out.push((size, 0));
+            }
+            out.push((last, 0));
+        }
+    }
+
+    /// Writes row `row`'s codes into `out`, one per attribute: the value
+    /// whose map holds the row.
+    pub(crate) fn codes_of(&self, row: usize, out: &mut [ValueCode]) {
+        for (o, maps) in out.iter_mut().zip(&self.maps) {
+            // The maps partition the rows: exactly one holds `row`.
+            *o = (0..)
+                .zip(maps)
+                .find_map(|(v, m)| m.get(row).then_some(v))
+                .unwrap_or_default();
+        }
+    }
+
+    /// Appends one row holding `codes`, one per attribute.
+    fn push(&mut self, codes: &[ValueCode]) {
+        for (maps, &v) in self.maps.iter_mut().zip(codes) {
+            debug_assert!(
+                usize::from(v) < maps.len(),
+                "code out of range for attribute"
+            );
+            for m in maps.iter_mut() {
+                m.push_zero();
+            }
+            maps[usize::from(v)].set(self.rows);
+        }
+        self.rows += 1;
+    }
+}
+
+/// The rank side of an index: the rank order, and one [`RankBlock`] per
+/// 64 rank positions, built on first read.
 ///
-/// * `s_D(pattern)` = popcount of the AND of the term bitmaps,
-/// * `s_Rk(pattern)` = popcount of the same AND over the first `k` bits,
+/// `s_Rk` at `k`, and the codes of positions below `k`, read only blocks
+/// `0..⌈k/64⌉`, so an audit whose `k_max` is 49 builds one block whatever
+/// the row count. Blocks are built when read rather than sized up front:
+/// an audit learns `k_max` only per run, and a monitor's walks read the
+/// positions that tuples leaving the top-`k` fall to.
+#[derive(Debug, Clone)]
+pub(crate) struct RankBlocks {
+    order: Vec<TupleId>,
+    /// `value_base[a]` is the first word of attribute `a`'s values in a
+    /// block's `words`; the last entry is the word count.
+    value_base: Vec<usize>,
+    blocks: Vec<OnceLock<RankBlock>>,
+}
+
+/// Rank positions `64·b..64·b + 64` of block `b`.
+#[derive(Debug, Clone)]
+struct RankBlock {
+    /// `codes[i·m + a]`: value of attribute `a` at the block's position
+    /// `i`; `0` past the last position.
+    codes: Vec<ValueCode>,
+    /// `words[value_base[a] + v]`: bit `i` is set when the block's
+    /// position `i` holds value `v` of attribute `a`.
+    words: Vec<u64>,
+}
+
+impl RankBlock {
+    /// Puts `codes`, one per attribute, at the block's position `i`,
+    /// clearing the bits of the values the position held. A position never
+    /// written holds code 0 with no bit set, so clearing it changes nothing.
+    fn put(&mut self, value_base: &[usize], i: usize, codes: &[ValueCode]) {
+        let bit = 1u64 << i;
+        let m = codes.len();
+        let held = &mut self.codes[i * m..(i + 1) * m];
+        for ((old, &new), &base) in held.iter_mut().zip(codes).zip(value_base) {
+            self.words[base + usize::from(*old)] &= !bit;
+            self.words[base + usize::from(new)] |= bit;
+            *old = new;
+        }
+    }
+
+    /// The block's positions that match `p`, one bit each.
+    fn matches(&self, value_base: &[usize], p: &Pattern) -> u64 {
+        p.terms().iter().fold(!0, |word, &(a, v)| {
+            word & self.words[value_base[usize::from(a)] + usize::from(v)]
+        })
+    }
+}
+
+impl RankBlocks {
+    pub(crate) fn new(space: &PatternSpace, order: &[TupleId]) -> Self {
+        let value_base = std::iter::once(0)
+            .chain(space.attr_ids().scan(0, |end, a| {
+                *end += space.card(a);
+                Some(*end)
+            }))
+            .collect();
+        RankBlocks {
+            order: order.to_vec(),
+            value_base,
+            blocks: (0..order.len().div_ceil(BLOCK_LEN))
+                .map(|_| OnceLock::new())
+                .collect(),
+        }
+    }
+
+    /// Number of ranked rows.
+    pub(crate) fn n(&self) -> usize {
+        self.order.len()
+    }
+
+    fn n_attrs(&self) -> usize {
+        self.value_base.len() - 1
+    }
+
+    /// Block `b`, built on first read: `codes_of(row, out)` writes a
+    /// row's codes, one per attribute.
+    fn block(&self, b: usize, codes_of: &impl Fn(usize, &mut [ValueCode])) -> &RankBlock {
+        self.blocks[b].get_or_init(|| {
+            let m = self.n_attrs();
+            let mut block = RankBlock {
+                codes: vec![0; BLOCK_LEN * m],
+                words: vec![0; self.value_base[m]],
+            };
+            let mut codes = vec![0; m];
+            let rows = self.order[b * BLOCK_LEN..].iter().take(BLOCK_LEN);
+            for (i, &row) in rows.enumerate() {
+                codes_of(row as usize, &mut codes);
+                block.put(&self.value_base, i, &codes);
+            }
+            block
+        })
+    }
+
+    /// The blocks of the top-`k` prefix, each with the mask of its
+    /// positions below `k`.
+    fn prefix<'s>(
+        &'s self,
+        k: usize,
+        codes_of: &'s impl Fn(usize, &mut [ValueCode]),
+    ) -> impl Iterator<Item = (&'s RankBlock, u64)> + 's {
+        let k = k.min(self.n());
+        (0..k.div_ceil(BLOCK_LEN)).map(move |b| {
+            let below = k - b * BLOCK_LEN;
+            let mask = if below >= BLOCK_LEN {
+                !0
+            } else {
+                (1 << below) - 1
+            };
+            (self.block(b, codes_of), mask)
+        })
+    }
+
+    /// Value of `attr` at rank position `pos`.
+    pub(crate) fn code_at(
+        &self,
+        pos: usize,
+        attr: AttrId,
+        codes_of: &impl Fn(usize, &mut [ValueCode]),
+    ) -> ValueCode {
+        let block = self.block(pos / BLOCK_LEN, codes_of);
+        block.codes[pos % BLOCK_LEN * self.n_attrs() + usize::from(attr)]
+    }
+
+    /// `s_Rk(p)`.
+    pub(crate) fn prefix_count(
+        &self,
+        p: &Pattern,
+        k: usize,
+        codes_of: &impl Fn(usize, &mut [ValueCode]),
+    ) -> usize {
+        self.prefix(k, codes_of)
+            .map(|(block, mask)| (block.matches(&self.value_base, p) & mask).count_ones() as usize)
+            .sum()
+    }
+
+    /// Adds `s_Rk` of every child of `parent` with `a ≥ start` to the
+    /// second member of `out`'s entries, in `(a, v)` order: per block, one
+    /// AND for the parent, then one AND and popcount per child.
+    pub(crate) fn add_child_prefix(
+        &self,
+        parent: &Pattern,
+        start: AttrId,
+        k: usize,
+        out: &mut [(usize, usize)],
+        codes_of: &impl Fn(usize, &mut [ValueCode]),
+    ) {
+        let first = self.value_base[usize::from(start)];
+        if first == self.value_base[self.n_attrs()] {
+            return;
+        }
+        for (block, mask) in self.prefix(k, codes_of) {
+            let parent_word = block.matches(&self.value_base, parent) & mask;
+            for (o, &w) in out.iter_mut().zip(&block.words[first..]) {
+                o.1 += (parent_word & w).count_ones() as usize;
+            }
+        }
+    }
+
+    /// Copies `order[lo..=hi]` and patches the positions `lo..=hi` of the
+    /// blocks already built; `codes_of` reads the new occupants' codes.
+    fn rewrite(
+        &mut self,
+        order: &[TupleId],
+        lo: usize,
+        hi: usize,
+        codes_of: &impl Fn(usize, &mut [ValueCode]),
+    ) {
+        self.order[lo..=hi].copy_from_slice(&order[lo..=hi]);
+        let mut codes = vec![0; self.n_attrs()];
+        for b in lo / BLOCK_LEN..=hi / BLOCK_LEN {
+            let Some(block) = self.blocks[b].get_mut() else {
+                continue;
+            };
+            let span = lo.max(b * BLOCK_LEN)..=hi.min((b + 1) * BLOCK_LEN - 1);
+            for pos in span {
+                codes_of(self.order[pos] as usize, &mut codes);
+                block.put(&self.value_base, pos % BLOCK_LEN, &codes);
+            }
+        }
+    }
+
+    /// Appends `row`, holding `codes`, at a new last rank position.
+    fn push(&mut self, row: TupleId, codes: &[ValueCode]) {
+        let pos = self.n();
+        self.order.push(row);
+        if pos.is_multiple_of(BLOCK_LEN) {
+            self.blocks.push(OnceLock::new());
+        } else if let Some(block) = self.blocks.last_mut().and_then(OnceLock::get_mut) {
+            block.put(&self.value_base, pos % BLOCK_LEN, codes);
+        }
+    }
+
+    /// Number of blocks built so far.
+    #[cfg(test)]
+    pub(crate) fn built(&self) -> usize {
+        self.blocks.iter().filter(|b| b.get().is_some()).count()
+    }
+}
+
+/// Writes a row's codes, read from `ds`, into `out`, one per attribute of
+/// `space`.
+fn dataset_codes<'a>(
+    ds: &'a Dataset,
+    space: &'a PatternSpace,
+) -> impl Fn(usize, &mut [ValueCode]) + 'a {
+    move |row, out| {
+        for (o, a) in out.iter_mut().zip(space.attr_ids()) {
+            *o = ds.column(space.dataset_col(a)).code(row);
+            debug_assert!(
+                usize::from(*o) < space.card(a),
+                "code out of range for attribute"
+            );
+        }
+    }
+}
+
+/// The counting index: membership maps for `s_D` and rank blocks for
+/// `s_Rk`, split along what each count depends on.
 ///
-/// both computed by one fused pass ([`RankedIndex::counts`]), or for all
-/// children of a search node at once from their parent's AND
-/// ([`CountsProvider::child_counts`]); and the tuple entering the top-k when
-/// `k` grows by one is simply position `k` ([`RankedIndex::code_at`] feeds
-/// the incremental walk).
+/// * `s_D(pattern)` = popcount of the AND of the pattern's membership
+///   maps, one bitmap per (attribute, value) over row ids in dataset
+///   order. No ranking goes into them.
+/// * `s_Rk(pattern)` and the value of an attribute at rank position `pos`
+///   ([`RankedIndex::code_at`], which feeds the incremental walk: the
+///   tuple entering the top-`k` when `k` grows by one is position `k`)
+///   come from the rank blocks of the top-`k` prefix. A rank block holds
+///   64 positions' codes and one word per (attribute, value), and is
+///   built on first read from the rank order and the membership maps.
+///   An audit over `k ≤ 64` therefore builds one block, whatever the row
+///   count; an audit whose `k_max` nears `n` builds them all, and the
+///   layout is then a rank-order index plus the membership maps.
 ///
-/// Every position holds exactly one value of every attribute, so an
-/// attribute's value bitmaps partition the rank positions.
-/// [`CountsProvider::child_counts`] relies on that: it derives each
-/// attribute's last child by subtraction. [`RankedIndex::grow`] breaks
-/// the partition until [`RankedIndex::rewrite_span`] has covered the grown
-/// position, so no count is valid in between.
+/// Both come one pattern at a time ([`RankedIndex::counts`]) or for all
+/// children of a search node at once ([`CountsProvider::child_counts`]).
+/// Every row holds exactly one value of every attribute, so an
+/// attribute's membership maps partition the rows, and `child_counts`
+/// derives each attribute's last `s_D` by subtraction. Every count is
+/// valid at every `k`, after every [`RankedIndex::grow`] and
+/// [`RankedIndex::rewrite_span`].
 #[derive(Debug, Clone)]
 pub struct RankedIndex {
-    n: usize,
-    /// `codes[attr][pos]` — value of `attr` for the tuple at rank position
-    /// `pos`.
-    codes: Vec<Vec<ValueCode>>,
-    /// `bitmaps[attr][value]` over rank positions.
-    bitmaps: Vec<Vec<Bitmap>>,
+    data: MembershipMaps,
+    rank: RankBlocks,
 }
 
 impl RankedIndex {
@@ -318,110 +654,86 @@ impl RankedIndex {
         Self::build_from_order(ds, space, ranking.order())
     }
 
-    /// Builds the index over a (possibly partial) rank-order slice: the
-    /// tuple at `order[pos]` occupies local position `pos`. This is the
-    /// shard-local build — a contiguous block of a global ranking becomes
-    /// its own index, with the additive-merge identity
-    /// `counts(p, k) = Σ_shard counts(p, k ∩ shard span)` recovering the
-    /// global counts (see [`ShardedIndex`](crate::ShardedIndex)).
-    ///
-    /// Per attribute, one loop gathers the codes in rank order and one
-    /// pass checks their range; [`Bitmap::per_value`] then builds the
-    /// attribute's bitmaps a word at a time.
+    /// Builds the index over a raw rank order: the tuple at `order[pos]`
+    /// occupies rank position `pos`. Builds the membership maps from each
+    /// column's codes and copies the order; no rank block is built until
+    /// a count reads it.
     ///
     /// # Panics
-    /// Panics if a row id is out of range for `ds`, or codes exceed the
-    /// space's cardinalities.
+    /// Panics if `order` does not rank every row of `ds` (its length
+    /// differs), or codes exceed the space's cardinalities.
     pub fn build_from_order(ds: &Dataset, space: &PatternSpace, order: &[TupleId]) -> Self {
-        let (codes, bitmaps) = space
-            .attr_ids()
-            .map(|a| {
-                let col = ds.column(space.dataset_col(a));
-                let card = space.card(a);
-                let codes: Vec<ValueCode> =
-                    order.iter().map(|&row| col.code(row as usize)).collect();
-                let max = codes.iter().copied().max();
-                assert!(
-                    max.is_none_or(|v| usize::from(v) < card),
-                    "code out of range for attribute"
-                );
-                let maps = Bitmap::per_value(&codes, card);
-                (codes, maps)
-            })
-            .unzip();
+        assert_eq!(
+            order.len(),
+            ds.n_rows(),
+            "order must rank every dataset row"
+        );
         RankedIndex {
-            n: order.len(),
-            codes,
-            bitmaps,
+            data: MembershipMaps::build(ds, space, 0..ds.n_rows()),
+            rank: RankBlocks::new(space, order),
         }
     }
 
     /// Number of tuples.
     pub fn n(&self) -> usize {
-        self.n
+        self.rank.n()
     }
 
-    /// The bitmaps of `p`'s terms.
-    fn term_maps<'s>(&'s self, p: &'s Pattern) -> impl Iterator<Item = &'s Bitmap> + Clone {
-        p.terms()
-            .iter()
-            .map(|&(a, v)| &self.bitmaps[usize::from(a)][usize::from(v)])
+    /// A row's codes from the membership maps, for building rank blocks.
+    fn row_codes(&self) -> impl Fn(usize, &mut [ValueCode]) + '_ {
+        |row, out| self.data.codes_of(row, out)
     }
 
-    /// `(s_D(p), s_Rk(p))` of one pattern in one fused bitmap pass. The
-    /// engines evaluate whole expansions through
-    /// [`CountsProvider::child_counts`]; this single-pattern count serves
-    /// the report, the baseline, the oracle and the shard merge.
+    /// `(s_D(p), s_Rk(p))` of one pattern: a membership-map count and a
+    /// read of the top-`k` rank blocks. The engines evaluate whole
+    /// expansions through [`CountsProvider::child_counts`]; this
+    /// single-pattern count serves the report, the baseline, the oracle
+    /// and tests.
     pub fn counts(&self, p: &Pattern, k: usize) -> (usize, usize) {
-        intersect_counts_iter(self.term_maps(p), k, self.n)
+        (self.size_in_data(p), self.prefix_count(p, k))
     }
 
-    /// `s_D(p)` alone.
+    /// `s_D(p)` alone, from the membership maps.
     pub fn size_in_data(&self, p: &Pattern) -> usize {
-        self.counts(p, 0).0
+        self.data.size(p)
     }
 
-    /// `s_Rk(p)` alone, walking only the bitmap blocks that overlap the
-    /// top-`k` prefix — the engines' arena re-activation recount, which
-    /// for `k ≪ n` touches a `k/n` fraction of the fused pass's blocks.
+    /// `s_Rk(p)` alone, from the rank blocks below `k` — the engines'
+    /// arena re-activation recount.
     pub fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
-        intersect_prefix_iter(self.term_maps(p), k, self.n)
+        self.rank.prefix_count(p, k, &self.row_codes())
     }
 
     /// Value of `attr` for the tuple at rank position `pos` (0-based).
     pub fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
-        self.codes[usize::from(attr)][pos]
+        self.rank.code_at(pos, attr, &self.row_codes())
     }
 
-    /// Grows the index by one rank position (appended with placeholder
-    /// codes and clear bits). The caller must follow up with
-    /// [`RankedIndex::rewrite_span`] covering the new position — a live
-    /// insertion shifts every position from the insertion point to the
-    /// end, so the repaired span always includes it. Until then the new
-    /// position holds no value bit, the value bitmaps no longer partition
-    /// the positions, and counts are not valid: the last child that
-    /// [`CountsProvider::child_counts`] derives by subtraction would
-    /// count the position.
-    pub fn grow(&mut self) {
-        // The placeholder must be a code no attribute can have: a valid
-        // code would fool `rewrite_span`'s `old == new` short-circuit into
-        // skipping the position, leaving the new tuple's bit unset.
-        for attr_codes in &mut self.codes {
-            attr_codes.push(ValueCode::MAX);
-        }
-        for attr_maps in &mut self.bitmaps {
-            for map in attr_maps {
-                map.push_zero();
-            }
-        }
-        self.n += 1;
+    /// Appends the row just pushed onto `ds` (row id [`RankedIndex::n`])
+    /// at a new last rank position: one bit per attribute in the
+    /// membership maps, and its codes in the last rank block if that is
+    /// built. The index stays valid; a live insertion then moves the row
+    /// to its rank with [`RankedIndex::rewrite_span`], which covers every
+    /// position from the insertion point to the end.
+    ///
+    /// # Panics
+    /// Panics if `ds` has no row `n`.
+    pub fn grow(&mut self, ds: &Dataset, space: &PatternSpace) {
+        let row = self.n();
+        let mut codes = vec![0; space.n_attrs()];
+        dataset_codes(ds, space)(row, &mut codes);
+        self.data.push(&codes);
+        self.rank
+            .push(TupleId::try_from(row).expect("row ids fit TupleId"), &codes);
     }
 
-    /// Patches the index after ranking edits: for every position in
-    /// `lo..=hi`, re-reads the occupant row from `order` and rewrites the
-    /// position's codes and bitmap bits in place. `O((hi−lo+1)·m)` bit
-    /// flips instead of the `O(n·m)` full rebuild — the index half of the
-    /// monitor's delta re-audit.
+    /// Patches the index after ranking edits: copies `order[lo..=hi]`
+    /// into the index's rank order and rewrites those positions of the
+    /// rank blocks already built, reading the new occupants' codes from
+    /// `ds`. Blocks not yet built are built from the new order when read,
+    /// and the membership maps do not depend on the order. `O(hi−lo+1)`
+    /// plus `O(m)` per built position, instead of a rebuild — the index
+    /// half of the monitor's delta re-audit.
     ///
     /// The span and value codes are **internal invariants**: the primary
     /// caller is the monitor, whose edit validation rejects out-of-range
@@ -448,33 +760,20 @@ impl RankedIndex {
         lo: usize,
         hi: usize,
     ) {
-        debug_assert!(hi < self.n && lo <= hi, "span [{lo}, {hi}] out of range");
-        assert_eq!(order.len(), self.n, "order must cover every position");
-        for (a, (attr_codes, attr_maps)) in self.codes.iter_mut().zip(&mut self.bitmaps).enumerate()
-        {
-            let col = ds.column(space.dataset_col(a as AttrId));
-            for pos in lo..=hi {
-                let new = col.code(order[pos] as usize);
-                debug_assert!(
-                    usize::from(new) < attr_maps.len(),
-                    "code out of range for attribute"
-                );
-                let old = attr_codes[pos];
-                if old != new {
-                    // `old` may be the `grow` placeholder (no bit set yet).
-                    if let Some(map) = attr_maps.get_mut(usize::from(old)) {
-                        map.clear(pos);
-                    }
-                    attr_maps[usize::from(new)].set(pos);
-                    attr_codes[pos] = new;
-                }
-            }
-        }
+        debug_assert!(hi < self.n() && lo <= hi, "span [{lo}, {hi}] out of range");
+        assert_eq!(order.len(), self.n(), "order must cover every position");
+        self.rank.rewrite(order, lo, hi, &dataset_codes(ds, space));
     }
 
     /// Whether the tuple at rank position `pos` satisfies `p`.
     pub fn matches_at(&self, pos: usize, p: &Pattern) -> bool {
         p.matches(|a| self.code_at(pos, a))
+    }
+
+    /// Number of rank blocks built so far.
+    #[cfg(test)]
+    pub(crate) fn built_rank_blocks(&self) -> usize {
+        self.rank.built()
     }
 }
 
@@ -487,12 +786,9 @@ impl CountsProvider for RankedIndex {
         RankedIndex::counts(self, p, k)
     }
 
-    /// ANDs the parent's term bitmaps once and counts the parent's own
-    /// pair from that buffer, then counts each child but the last of
-    /// every attribute with one two-operand pass over the buffer and the
-    /// child's own bitmap. An attribute's value bitmaps partition the rank
-    /// positions, so its last child's pair is the parent's minus its
-    /// siblings'.
+    /// `s_D` of every child from the membership maps (one parent AND, one
+    /// two-operand pass per child, each attribute's last child by
+    /// subtraction), then `s_Rk` from the rank blocks below `k`.
     fn child_counts(
         &self,
         parent: &Pattern,
@@ -500,24 +796,10 @@ impl CountsProvider for RankedIndex {
         k: usize,
         out: &mut Vec<(usize, usize)>,
     ) {
-        let attrs = &self.bitmaps[usize::from(start)..];
-        if attrs.is_empty() {
-            return;
-        }
-        let mut words = Vec::new();
-        let (parent_d, parent_k) = intersect_into(self.term_maps(parent), self.n, k, &mut words);
-        for maps in attrs {
-            let Some((_last, rest)) = maps.split_last() else {
-                continue;
-            };
-            let mut last = (parent_d, parent_k);
-            for m in rest {
-                let (d, top) = and_counts(&words, m, k);
-                last = (last.0 - d, last.1 - top);
-                out.push((d, top));
-            }
-            out.push(last);
-        }
+        let base = out.len();
+        self.data.child_sizes(parent, start, out);
+        self.rank
+            .add_child_prefix(parent, start, k, &mut out[base..], &self.row_codes());
     }
 
     fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
@@ -587,6 +869,107 @@ pub(crate) fn assert_child_counts_match(
             }
         }
     }
+}
+
+/// The rank-order reference the index is checked against: every rank
+/// position's codes, read one at a time from the dataset, and every count
+/// a loop over the positions.
+#[cfg(test)]
+pub(crate) struct RankOrderReference {
+    /// `codes[pos][a]`: value of attribute `a` at rank position `pos`.
+    codes: Vec<Vec<ValueCode>>,
+    space: PatternSpace,
+}
+
+#[cfg(test)]
+impl RankOrderReference {
+    pub(crate) fn build(ds: &Dataset, space: &PatternSpace, order: &[TupleId]) -> Self {
+        let codes = order
+            .iter()
+            .map(|&row| {
+                space
+                    .attr_ids()
+                    .map(|a| ds.code(row as usize, space.dataset_col(a)))
+                    .collect()
+            })
+            .collect();
+        RankOrderReference {
+            codes,
+            space: space.clone(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl CountsProvider for RankOrderReference {
+    fn n(&self) -> usize {
+        self.codes.len()
+    }
+
+    fn counts(&self, p: &Pattern, k: usize) -> (usize, usize) {
+        let (mut size, mut top) = (0, 0);
+        for (pos, codes) in self.codes.iter().enumerate() {
+            if p.matches(|a| codes[usize::from(a)]) {
+                size += 1;
+                top += usize::from(pos < k);
+            }
+        }
+        (size, top)
+    }
+
+    fn child_counts(
+        &self,
+        parent: &Pattern,
+        start: AttrId,
+        k: usize,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        for (a, v) in self.space.child_bindings(start) {
+            out.push(self.counts(&parent.child(a, v), k));
+        }
+    }
+
+    fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
+        self.codes[pos][usize::from(attr)]
+    }
+}
+
+/// Checks `index` against `reference`: `code_at` at every position;
+/// `counts`, `size_in_data` and `prefix_count` of the empty pattern and
+/// of every pattern of one and two terms, at every `k` in `ks`; and
+/// `child_counts` through [`assert_child_counts_match`].
+#[cfg(test)]
+pub(crate) fn assert_index_matches(
+    index: &impl CountsProvider,
+    reference: &impl CountsProvider,
+    space: &PatternSpace,
+    ks: &[usize],
+) {
+    assert_eq!(index.n(), reference.n());
+    for pos in 0..reference.n() {
+        for a in space.attr_ids() {
+            assert_eq!(
+                index.code_at(pos, a),
+                reference.code_at(pos, a),
+                "pos={pos} a={a}"
+            );
+        }
+    }
+    let mut patterns = vec![Pattern::empty()];
+    for (a, v) in space.child_bindings(0) {
+        let single = Pattern::single(a, v);
+        patterns.extend(space.child_bindings(a + 1).map(|(b, w)| single.child(b, w)));
+        patterns.push(single);
+    }
+    for p in &patterns {
+        for &k in ks {
+            let want = reference.counts(p, k);
+            assert_eq!(index.counts(p, k), want, "p={p:?} k={k}");
+            assert_eq!(index.size_in_data(p), want.0, "p={p:?}");
+            assert_eq!(index.prefix_count(p, k), want.1, "p={p:?} k={k}");
+        }
+    }
+    assert_child_counts_match(index, reference, space, ks);
 }
 
 #[cfg(test)]
@@ -717,80 +1100,100 @@ mod tests {
         assert_child_counts_match(&index, &index, &space, &ks);
     }
 
+    /// The `k`s the layout tests read at: around the first two rank
+    /// block edges, the whole table and past it.
+    fn block_edge_ks(n: usize) -> [usize; 9] {
+        [0, 1, 63, 64, 65, 127, 128, n, n + 7]
+    }
+
     #[test]
     fn child_counts_partition_holds_past_a_block_and_after_rewrites() {
         use rankfair_data::RowValue;
-        // 4 161 rows fill 66 words: two 32-word blocks and a remainder.
+        // 4 161 rows fill 66 words of every membership map (two 32-word
+        // carry-save blocks and a remainder) and 66 rank blocks, the last
+        // holding one position.
         let rows = 4_161;
-        let ks = |n: usize| [0, 1, 63, 64, 2_047, 2_048, 2_049, n, n + 7];
-        let (mut ds, space, mut order) = partition_instance(rows);
-        let mut index = RankedIndex::build_from_order(&ds, &space, &order);
-        assert_child_counts_match(&index, &index, &space, &ks(rows));
-
-        // An insertion at rank position 100 shifts every later position.
-        let label = |l: &str| RowValue::Label(l.into());
-        ds.push_row(&[label("v1"), label("v0"), label("v1"), label("c")])
-            .unwrap();
-        order.insert(100, TupleId::try_from(rows).unwrap());
-        index.grow();
-        index.rewrite_span(&ds, &space, &order, 100, rows);
+        let (ds, space, order) = partition_instance(rows);
         let fresh = RankedIndex::build_from_order(&ds, &space, &order);
-        assert_child_counts_match(&index, &fresh, &space, &ks(rows + 1));
+        assert_eq!(fresh.built_rank_blocks(), 0);
+        let reference = RankOrderReference::build(&ds, &space, &order);
+        assert_index_matches(&fresh, &reference, &space, &block_edge_ks(rows));
 
-        // A reorder across the first block boundary.
-        order[2_000..=2_100].rotate_left(7);
-        index.rewrite_span(&ds, &space, &order, 2_000, 2_100);
-        let fresh = RankedIndex::build_from_order(&ds, &space, &order);
-        assert_child_counts_match(&index, &fresh, &space, &ks(rows + 1));
-    }
-
-    /// The per-bit build `build_from_order` replaced: one `Column::code`
-    /// read, range check and `Bitmap::set` per (position, attribute).
-    fn per_bit_build(ds: &Dataset, space: &PatternSpace, order: &[TupleId]) -> RankedIndex {
-        let n = order.len();
-        let (mut codes, mut bitmaps) = (Vec::new(), Vec::new());
-        for a in space.attr_ids() {
-            let col = ds.column(space.dataset_col(a));
-            let card = space.card(a);
-            let mut attr_codes = Vec::with_capacity(n);
-            let mut attr_maps = vec![Bitmap::new(n); card];
-            for (pos, &row) in order.iter().enumerate() {
-                let v = col.code(row as usize);
-                assert!(usize::from(v) < card, "code out of range for attribute");
-                attr_codes.push(v);
-                attr_maps[usize::from(v)].set(pos);
+        // Each reorder edits a fresh index whose rank blocks were read only
+        // where `read` says: the rewrite patches built blocks and leaves
+        // the rest to be built from the new order.
+        let reorders: [(&str, usize, usize, &[usize]); 3] = [
+            ("a built block", 10, 50, &[0]),
+            ("an unbuilt block", 1_000, 1_050, &[]),
+            ("a block edge", 2_000, 2_100, &[2_047]),
+        ];
+        for (what, lo, hi, read) in reorders {
+            let mut index = RankedIndex::build_from_order(&ds, &space, &order);
+            for &pos in read {
+                index.code_at(pos, 0);
             }
-            codes.push(attr_codes);
-            bitmaps.push(attr_maps);
+            let built = index.built_rank_blocks();
+            let mut moved = order.clone();
+            moved[lo..=hi].rotate_left(7);
+            index.rewrite_span(&ds, &space, &moved, lo, hi);
+            assert_eq!(index.built_rank_blocks(), built, "{what}");
+            let ks = block_edge_ks(rows);
+            let fresh = RankedIndex::build_from_order(&ds, &space, &moved);
+            assert_index_matches(&index, &fresh, &space, &ks);
+            let reference = RankOrderReference::build(&ds, &space, &moved);
+            assert_index_matches(&index, &reference, &space, &ks);
         }
-        RankedIndex { n, codes, bitmaps }
+
+        // An insertion: `grow` appends the new row at the last position,
+        // into a built last block at 4 161 rows and into a new block at
+        // 128, and `rewrite_span` moves it to rank position 100, shifting
+        // every later position. The index is valid in between.
+        let label = |l: &str| RowValue::Label(l.into());
+        for rows in [4_161, 128] {
+            let (mut ds, space, mut order) = partition_instance(rows);
+            let mut index = RankedIndex::build_from_order(&ds, &space, &order);
+            index.code_at(rows - 1, 0);
+            index.code_at(0, 0);
+            ds.push_row(&[label("v1"), label("v0"), label("v1"), label("c")])
+                .unwrap();
+            index.grow(&ds, &space);
+            order.push(TupleId::try_from(rows).unwrap());
+            let ks = block_edge_ks(rows + 1);
+            let grown = RankOrderReference::build(&ds, &space, &order);
+            assert_index_matches(&index, &grown, &space, &ks);
+            let row = order.pop().unwrap();
+            order.insert(100, row);
+            index.rewrite_span(&ds, &space, &order, 100, rows);
+            let fresh = RankedIndex::build_from_order(&ds, &space, &order);
+            assert_index_matches(&index, &fresh, &space, &ks);
+            let reference = RankOrderReference::build(&ds, &space, &order);
+            assert_index_matches(&index, &reference, &space, &ks);
+        }
     }
 
     #[test]
     fn build_from_order_matches_a_per_bit_build() {
-        use rankfair_synth::{random_dataset, random_ranking, RandomSpec};
-        for (seed, rows) in [(1, 1), (2, 63), (3, 64), (4, 65), (5, 517), (6, 3_000)] {
-            let spec = RandomSpec {
-                rows,
-                attrs: 4,
-                max_card: 7,
-            };
-            let ds = random_dataset(seed, spec);
-            let space = PatternSpace::from_dataset(&ds).unwrap();
-            let order = random_ranking(seed, rows);
-            // The full order, then the shard blocks of 2, 7 and more
-            // shards than rows (trailing blocks empty).
-            let mut slices = vec![&order[..]];
-            for shards in [2, 7, rows + 3] {
-                let bounds = crate::shard::shard_boundaries(rows, shards);
-                slices.extend(bounds.windows(2).map(|w| &order[w[0]..w[1]]));
+        for rows in [1, 63, 64, 65, 517, 4_161] {
+            let (ds, space, order) = partition_instance(rows);
+            let ks = block_edge_ks(rows);
+            let index = RankedIndex::build_from_order(&ds, &space, &order);
+            let reference = RankOrderReference::build(&ds, &space, &order);
+            assert_index_matches(&index, &reference, &space, &ks);
+            // The membership maps: bit `row` of the map of each row's value.
+            for a in space.attr_ids() {
+                let col = ds.column(space.dataset_col(a));
+                let mut want = vec![Bitmap::new(rows); space.card(a)];
+                for row in 0..rows {
+                    want[usize::from(col.code(row))].set(row);
+                }
+                assert_eq!(index.data.maps[usize::from(a)], want, "rows={rows} a={a}");
             }
-            for slice in slices {
-                let got = RankedIndex::build_from_order(&ds, &space, slice);
-                let want = per_bit_build(&ds, &space, slice);
-                assert_eq!(got.n, want.n);
-                assert_eq!(got.codes, want.codes, "rows={rows} len={}", slice.len());
-                assert_eq!(got.bitmaps, want.bitmaps, "rows={rows} len={}", slice.len());
+            // Shards of row blocks, more shards than rows leaving trailing
+            // blocks empty.
+            for shards in [1, 2, 3, 7, rows + 3] {
+                let sharded = crate::ShardedIndex::build_from_order(&ds, &space, &order, shards);
+                assert_eq!(sharded.shard_sizes().iter().sum::<usize>(), rows);
+                assert_index_matches(&sharded, &index, &space, &ks);
             }
         }
     }
@@ -854,7 +1257,9 @@ mod tests {
         .unwrap();
         let mut order = fig1_rank_order();
         order.insert(5, 16);
-        index.grow();
+        // Build the one rank block, so that both edits patch it.
+        index.code_at(0, 0);
+        index.grow(&ds, &space);
         index.rewrite_span(&ds, &space, &order, 5, 16);
         let fresh = RankedIndex::build(&ds, &space, &Ranking::from_order(order).unwrap());
         assert_eq!(index.n(), 17);
@@ -862,8 +1267,9 @@ mod tests {
             for v in 0..space.card(a) as u16 {
                 let p = Pattern::single(a, v);
                 // Every prefix: equal prefix counts at all k pins the
-                // bitmaps bit-for-bit (regression: a grow placeholder code
-                // of 0 skipped setting the new tuple's value-0 bits).
+                // block's words bit-for-bit (a position never written
+                // holds code 0 with no bit, so writing value 0 there must
+                // still set its bit).
                 for k in 0..=17 {
                     assert_eq!(
                         index.counts(&p, k),

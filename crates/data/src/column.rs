@@ -44,8 +44,9 @@ impl Column {
             let code = match labels.iter().position(|l| l == v) {
                 Some(i) => i,
                 None => {
-                    // `>=` reserves ValueCode::MAX: the rank-index delta
-                    // path uses it as a can't-be-real placeholder code.
+                    // `>=` caps the cardinality at ValueCode::MAX, so
+                    // every cardinality is itself a ValueCode (see
+                    // `PatternSpace::value_codes`).
                     if labels.len() >= usize::from(u16::MAX) {
                         return None;
                     }
@@ -154,9 +155,19 @@ impl Column {
     /// # Panics
     /// Panics if the column is numeric or `row` is out of bounds.
     pub fn code(&self, row: usize) -> ValueCode {
+        self.code_slice()[row]
+    }
+
+    /// Dictionary codes of every row, in row order: the slice form of
+    /// [`Column::code`], under the same contract (categorical columns
+    /// only; [`Column::codes`] is the checked form).
+    ///
+    /// # Panics
+    /// Panics if the column is numeric.
+    pub fn code_slice(&self) -> &[ValueCode] {
         match &self.data {
-            ColumnData::Categorical { codes, .. } => codes[row],
-            // lint:allow(panic-reachability) -- documented contract: pattern spaces only hold categorical (or bucketized) columns, so serving paths never call code() on a numeric column
+            ColumnData::Categorical { codes, .. } => codes,
+            // lint:allow(panic-reachability) -- documented contract: pattern spaces only hold categorical (or bucketized) columns, so serving paths never call code() or code_slice() on a numeric column
             ColumnData::Numeric { .. } => panic!("column `{}` is not categorical", self.name),
         }
     }
@@ -184,9 +195,8 @@ impl Column {
                 let code = match labels.iter().position(|l| l == label) {
                     Some(i) => i as ValueCode,
                     None => {
-                        // `>=` reserves ValueCode::MAX (the rank-index
-                        // delta placeholder) — a real code must never
-                        // collide with it.
+                        // `>=` caps the cardinality at ValueCode::MAX,
+                        // so every cardinality is itself a ValueCode.
                         if labels.len() >= usize::from(u16::MAX) {
                             return Err(crate::DataError::DictionaryOverflow(self.name.clone()));
                         }

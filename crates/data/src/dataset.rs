@@ -205,8 +205,8 @@ impl Dataset {
             match (cell, c.is_categorical()) {
                 (RowValue::Label(l), true) => {
                     // `>=` matches `Column::push_label`'s cap, which
-                    // reserves ValueCode::MAX as the rank-index delta
-                    // placeholder.
+                    // keeps every cardinality representable as a
+                    // ValueCode.
                     if c.code_of(l).is_none() && c.cardinality() >= Some(usize::from(u16::MAX)) {
                         return Err(DataError::DictionaryOverflow(c.name().to_string()));
                     }

@@ -16,12 +16,12 @@
 //! * [`csv`] — a dependency-free CSV reader/writer with type inference so
 //!   the real COMPAS / Student / German Credit files can be loaded verbatim
 //!   when available.
-//! * [`Bitmap`] — packed bitsets with fused *full + prefix* intersection
-//!   popcounts. When rows are laid out in rank order, the size of a pattern
-//!   in the whole data (`s_D`) and in the top-k (`s_Rk`) fall out of a single
-//!   pass over the AND of the per-term bitmaps, counted 32 words at a time
-//!   by a carry-save popcount; [`intersect_into`] and [`and_counts`] count
-//!   all one-term extensions of a pattern from one shared AND.
+//! * [`Bitmap`] — packed bitsets over row ids with intersection
+//!   popcounts. With one bitmap per (attribute, value) in dataset order,
+//!   the size of a pattern in the whole data (`s_D`) is the popcount of
+//!   the AND of its term bitmaps, counted 32 words at a time by a
+//!   carry-save popcount; [`intersect_into`] and [`and_counts`] count all
+//!   one-term extensions of a pattern from one shared AND.
 //! * [`examples`] — the paper’s Figure 1 running example, used verbatim by
 //!   unit tests across the workspace.
 //!
@@ -57,10 +57,7 @@ mod dataset;
 mod error;
 pub mod examples;
 
-pub use bitmap::{
-    and_counts, intersect_counts, intersect_counts_iter, intersect_into, intersect_prefix_iter,
-    Bitmap,
-};
+pub use bitmap::{and_counts, intersect_counts_iter, intersect_into, Bitmap};
 pub use column::{Column, ColumnData};
 pub use dataset::{Dataset, DatasetBuilder, RowValue};
 pub use error::DataError;
