@@ -15,13 +15,13 @@
 //! testbed, synthetic vs. real data); the reproduced claims are the curve
 //! *shapes*: optimized ≪ baseline, gaps widening with attribute count and
 //! k-range, runtime decreasing in τs, and the qualitative content of the
-//! Shapley analysis and case study. See EXPERIMENTS.md.
+//! Shapley analysis and case study.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use rankfair::core::{
-    upper, AuditKResult, AuditTask, BiasMeasure, Bounds, DetectConfig, Engine, OverRepScope,
+    AuditKResult, AuditTask, BiasMeasure, Bounds, DetectConfig, Engine, OverRepScope,
 };
 use rankfair::explain::distribution::compare_distributions;
 use rankfair::explain::{ExplainConfig, RankSurrogate};
@@ -573,11 +573,10 @@ fn scaling(opts: &Opts) {
 }
 
 /// Over-representation engines: the incremental upper engine (one build,
-/// per-`k` subtree walks and frontier deltas) vs. the per-`k` rescan it
-/// replaced (fresh DFS + full maximality sweep at every `k`) vs. the
-/// brute-force baseline. Prints a table and writes `BENCH_overrep.json`.
+/// per-`k` subtree walks and frontier deltas) vs. the brute-force
+/// baseline. Prints a table and writes `BENCH_overrep.json`.
 fn overrep(opts: &Opts) {
-    println!("\n## Over-representation: incremental engine vs per-k rescan vs brute force");
+    println!("\n## Over-representation: incremental engine vs brute force");
     let attrs = if opts.quick { 6 } else { 9 };
     // Step upper bounds in the shape of the paper's lower-bound defaults:
     // the top-k may contain at most ~60% of its slots from one group.
@@ -586,10 +585,8 @@ fn overrep(opts: &Opts) {
         "dataset",
         "rows",
         "incremental_ms",
-        "rescan_ms",
         "baseline_ms",
         "inc_evals",
-        "rescan_evals",
         "groups",
     ]);
     let mut json_rows: Vec<String> = Vec::new();
@@ -607,17 +604,10 @@ fn overrep(opts: &Opts) {
         let inc_ms = t0.elapsed().as_secs_f64() * 1000.0;
 
         let t0 = std::time::Instant::now();
-        let rescan = upper::upper_most_specific(audit.index(), audit.space(), &cfg, &upper);
-        let rescan_ms = t0.elapsed().as_secs_f64() * 1000.0;
-
-        let t0 = std::time::Instant::now();
         let base = audit.run(&cfg, &task, Engine::Baseline).unwrap();
         let base_ms = t0.elapsed().as_secs_f64() * 1000.0;
 
-        // The three paths must agree on every k all of them completed.
-        for (a, b) in inc.per_k.iter().zip(&rescan.per_k) {
-            assert_eq!(a.over, b.patterns, "incremental vs rescan at k={}", a.k);
-        }
+        // Both engines must agree on every k both of them completed.
         for (a, b) in inc.per_k.iter().zip(&base.per_k) {
             assert_eq!(a.over, b.over, "incremental vs baseline at k={}", a.k);
         }
@@ -627,37 +617,32 @@ fn overrep(opts: &Opts) {
             w.name.to_string(),
             rows.to_string(),
             format!("{inc_ms:.1}"),
-            format!("{rescan_ms:.1}"),
             format!(
                 "{base_ms:.1}{}",
                 if base.stats.timed_out { "*" } else { "" }
             ),
             inc.stats.nodes_evaluated.to_string(),
-            rescan.stats.nodes_evaluated.to_string(),
             groups.to_string(),
         ]);
         json_rows.push(format!(
             concat!(
                 "    {{\"dataset\": \"{}\", \"rows\": {}, \"attrs\": {}, ",
-                "\"incremental_ms\": {:.3}, \"rescan_ms\": {:.3}, \"baseline_ms\": {:.3}, ",
-                "\"incremental_evals\": {}, \"rescan_evals\": {}, ",
+                "\"incremental_ms\": {:.3}, \"baseline_ms\": {:.3}, \"incremental_evals\": {}, ",
                 "\"incremental_touched\": {}, \"groups\": {}, \"baseline_timed_out\": {}}}"
             ),
             w.name,
             rows,
             attrs.min(w.attr_names().len()),
             inc_ms,
-            rescan_ms,
             base_ms,
             inc.stats.nodes_evaluated,
-            rescan.stats.nodes_evaluated,
             inc.stats.nodes_touched,
             groups,
             base.stats.timed_out,
         ));
     }
     print!("{}", t.render());
-    println!("(* = hit the timeout; rescan = the pre-incremental Engine::Optimized path)");
+    println!("(* = hit the timeout)");
     let json = format!(
         "{{\n  \"bench\": \"overrep\",\n  \"config\": {{\"tau_s\": 50, \"k_min\": 10, \"k_max\": 49, \"upper\": \"steps(10:6,20:12,30:18,40:24)\", \"quick\": {}, \"timeout_s\": {}, \"cores\": {}}},\n  \"rows\": [\n{}\n  ]\n}}\n",
         opts.quick,

@@ -1,10 +1,9 @@
 //! Shared machinery for the benchmark harness: experiment configuration,
-//! timing, and the table writer the `experiments` binary and the Criterion
-//! benches build on.
+//! timing, and the table writer the `experiments` binary builds on.
 //!
 //! Every table and figure of the paper’s evaluation (§VI) has a
-//! regenerating entry point here; see `DESIGN.md` §4 for the index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured outcomes.
+//! regenerating `experiments` command; the README section “Reproducing
+//! the paper's evaluation” lists them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -81,8 +81,13 @@ pub enum AuditError {
         /// Rows in the dataset.
         rows: usize,
     },
-    /// `k_max` exceeds the number of ranked tuples.
+    /// The `k` range is not `1 ≤ k_min ≤ k_max ≤ n`: it starts at 0, is
+    /// empty, or runs past the ranked tuples. [`DetectConfig`]'s fields
+    /// are public, so a struct literal can skip the asserts in
+    /// [`DetectConfig::new`].
     InvalidKRange {
+        /// Smallest requested `k`.
+        k_min: usize,
         /// Largest requested `k`.
         k_max: usize,
         /// Ranked tuples available.
@@ -109,12 +114,10 @@ impl fmt::Display for AuditError {
                 f,
                 "ranking covers {ranking} tuples but the dataset has {rows} rows"
             ),
-            AuditError::InvalidKRange { k_max, n } => {
-                write!(
-                    f,
-                    "k_max ({k_max}) exceeds the number of ranked tuples ({n})"
-                )
-            }
+            AuditError::InvalidKRange { k_min, k_max, n } => write!(
+                f,
+                "k range [{k_min}, {k_max}] must satisfy 1 <= k_min <= k_max <= {n}, the number of ranked tuples"
+            ),
             AuditError::InvalidAlpha(a) => {
                 write!(f, "alpha must be positive and finite, got {a}")
             }
@@ -434,10 +437,11 @@ impl AuditBuilder {
         self
     }
 
-    /// Partitions the ranking into `shards` contiguous rank blocks, each
-    /// with its own shard-local index; pattern counts are merged
-    /// additively across shards ([`ShardedIndex`]). `0` or `1` keeps the
-    /// single unsharded index; results are identical either way.
+    /// Partitions the row ids into `shards` contiguous blocks, each with
+    /// its own membership maps: `s_D` is merged additively across shards
+    /// and `s_Rk` is read from one global rank side ([`ShardedIndex`]).
+    /// `0` or `1` keeps the single unsharded index; results are identical
+    /// either way.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -654,8 +658,9 @@ pub(crate) fn validate_task(
     task: &AuditTask,
     n: usize,
 ) -> Result<(), AuditError> {
-    if cfg.k_max > n {
+    if cfg.k_min == 0 || cfg.k_min > cfg.k_max || cfg.k_max > n {
         return Err(AuditError::InvalidKRange {
+            k_min: cfg.k_min,
             k_max: cfg.k_max,
             n,
         });
@@ -1118,12 +1123,33 @@ mod tests {
     #[test]
     fn run_validates_range_and_alpha() {
         let audit = fig1_audit();
-        let cfg = DetectConfig::new(2, 2, 17);
         let task = AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(2)));
-        assert_eq!(
-            audit.run(&cfg, &task, Engine::Optimized).unwrap_err(),
-            AuditError::InvalidKRange { k_max: 17, n: 16 }
-        );
+        // A struct literal skips the asserts in `DetectConfig::new`, so
+        // every entry point must reject a range that runs past the 16
+        // rows, starts at 0, or is empty.
+        for (k_min, k_max) in [(2, 17), (0, 5), (5, 2)] {
+            let cfg = DetectConfig {
+                tau_s: 2,
+                k_min,
+                k_max,
+                deadline: None,
+            };
+            let want = AuditError::InvalidKRange {
+                k_min,
+                k_max,
+                n: 16,
+            };
+            for engine in [Engine::Optimized, Engine::Baseline] {
+                assert_eq!(audit.run(&cfg, &task, engine).unwrap_err(), want);
+            }
+            assert_eq!(audit.run_streaming(&cfg, &task).err(), Some(want.clone()));
+            let monitor = crate::MonitorAudit::builder(students_fig1(), "Grade").build(
+                cfg,
+                task.clone(),
+                Engine::Optimized,
+            );
+            assert_eq!(monitor.err(), Some(crate::MonitorError::Audit(want)));
+        }
         let cfg = DetectConfig::new(2, 2, 5);
         let bad = AuditTask::UnderRep(BiasMeasure::Proportional { alpha: 0.0 });
         assert_eq!(

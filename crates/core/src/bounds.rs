@@ -4,8 +4,10 @@
 /// The paper’s default experimental setting is a step function (“10 for
 /// 10 ≤ k < 20, 20 for 20 ≤ k < 30, …”); [`Bounds::steps`] builds exactly
 /// that shape. Bounds are assumed non-decreasing in `k` (footnote 3 of the
-/// paper); the `GlobalBounds` engine falls back to a fresh search whenever
-/// the bound changes, so even a decreasing specification stays correct.
+/// paper), but any shape stays exact: the `GlobalBounds` engine runs a
+/// fresh search at every decrease, and at an increase either a fresh
+/// search (the batch run) or a rescan of its node store (the stream and a
+/// monitor's replay).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Bounds {
     /// The same bound for every `k`.

@@ -509,7 +509,11 @@ mod tests {
         assert_eq!(v.get("patterns_examined").unwrap().as_usize(), Some(10));
         assert_eq!(v.get("timed_out").unwrap().as_bool(), Some(false));
 
-        let e = AuditError::InvalidKRange { k_max: 20, n: 16 };
+        let e = AuditError::InvalidKRange {
+            k_min: 2,
+            k_max: 20,
+            n: 16,
+        };
         let v = e.to_json();
         assert_eq!(v.get("kind").unwrap().as_str(), Some("invalid_k_range"));
         assert!(v.get("message").unwrap().as_str().unwrap().contains("20"));

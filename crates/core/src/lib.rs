@@ -80,7 +80,6 @@ mod space;
 mod stats;
 mod suggest;
 mod topdown;
-pub mod upper;
 mod upper_engine;
 pub mod util;
 
@@ -100,4 +99,4 @@ pub use shard::ShardedIndex;
 pub use space::{AttrId, CountsProvider, PatternSpace, RankedIndex, SpaceError};
 pub use stats::{DetectConfig, DetectionOutput, KResult, SearchStats};
 pub use suggest::suggest_tau;
-pub use topdown::top_down_single_k;
+pub use topdown::lower_most_specific_single_k;

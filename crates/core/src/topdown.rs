@@ -1,5 +1,6 @@
-//! Algorithm 1 (top-down search for a single `k`) and the `IterTD`
-//! baseline that applies it for every `k` in the range (§IV-A).
+//! Algorithm 1 (top-down search for a single `k`), the `IterTD`
+//! baseline that applies it for every `k` in the range (§IV-A), and the
+//! §III most-specific variant of the global lower-bound problem.
 
 use std::collections::VecDeque;
 
@@ -89,20 +90,6 @@ pub(crate) fn search_single_k<I: CountsProvider>(
     }
 }
 
-/// Public single-`k` entry point: the most general substantial patterns
-/// with biased representation in the top-`k`, in canonical order.
-pub fn top_down_single_k<I: CountsProvider>(
-    index: &I,
-    space: &PatternSpace,
-    tau_s: usize,
-    k: usize,
-    measure: &BiasMeasure,
-) -> Vec<Pattern> {
-    let mut stats = SearchStats::default();
-    let mut guard = DeadlineGuard::new(None);
-    search_single_k(index, space, tau_s, k, measure, &mut stats, &mut guard).res
-}
-
 /// The `IterTD` baseline (§IV-A): one full top-down search per `k`.
 pub(crate) fn iter_td<I: CountsProvider>(
     index: &I,
@@ -129,10 +116,72 @@ pub(crate) fn iter_td<I: CountsProvider>(
     DetectionOutput { per_k, stats }
 }
 
+/// Most **specific** substantial patterns below the global lower bound at
+/// one `k` — the paper’s §III variant of Problem 3.1, the narrowest
+/// descriptions of who is missing. For the global measure,
+/// under-representation is superset-closed (supersets have counts at most
+/// as large), so a biased substantial pattern is maximal exactly when
+/// every single-term extension falls below `τs`.
+pub fn lower_most_specific_single_k<I: CountsProvider>(
+    index: &I,
+    space: &PatternSpace,
+    tau_s: usize,
+    k: usize,
+    lower: usize,
+    stats: &mut SearchStats,
+) -> Vec<Pattern> {
+    let m = space.n_attrs() as AttrId;
+    let mut qualifying: Vec<Pattern> = Vec::new();
+    let mut stack: Vec<Pattern> = (0..m)
+        .flat_map(|a| space.value_codes(a).map(move |v| Pattern::single(a, v)))
+        .collect();
+    while let Some(p) = stack.pop() {
+        stats.nodes_evaluated += 1;
+        let (sd, count) = index.counts(&p, k);
+        if sd < tau_s {
+            continue;
+        }
+        let start = p.max_attr().map_or(0, |a| a + 1);
+        for a in start..m {
+            for v in space.value_codes(a) {
+                stack.push(p.child(a, v));
+            }
+        }
+        if count < lower {
+            qualifying.push(p);
+        }
+    }
+    let mut maximal: Vec<Pattern> = qualifying
+        .into_iter()
+        .filter(|p| {
+            // Maximal ⟺ no substantial 1-extension exists (any such
+            // extension would inherit the bias by anti-monotonicity).
+            for a in 0..m {
+                if p.value_of(a).is_some() {
+                    continue;
+                }
+                for v in space.value_codes(a) {
+                    let mut terms = p.terms().to_vec();
+                    terms.push((a, v));
+                    let ext = Pattern::from_terms(terms).expect("attribute unused");
+                    stats.nodes_evaluated += 1;
+                    if index.size_in_data(&ext) >= tau_s {
+                        return false;
+                    }
+                }
+            }
+            true
+        })
+        .collect();
+    maximal.sort_unstable();
+    maximal
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds::Bounds;
+    use crate::oracle;
     use crate::space::RankedIndex;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
     use rankfair_rank::Ranking;
@@ -143,6 +192,19 @@ mod tests {
         let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
         let index = RankedIndex::build(&ds, &space, &ranking);
         (space, index)
+    }
+
+    /// Algorithm 1's `Res` at one `k`.
+    fn top_down(
+        index: &RankedIndex,
+        space: &PatternSpace,
+        tau_s: usize,
+        k: usize,
+        measure: &BiasMeasure,
+    ) -> Vec<Pattern> {
+        let mut stats = SearchStats::default();
+        let mut guard = DeadlineGuard::new(None);
+        search_single_k(index, space, tau_s, k, measure, &mut stats, &mut guard).res
     }
 
     fn names(space: &PatternSpace, pats: &[Pattern]) -> Vec<String> {
@@ -191,7 +253,7 @@ mod tests {
         // dominated patterns become most general.
         let (space, index) = fig1();
         let measure = BiasMeasure::GlobalLower(Bounds::constant(2));
-        let res = names(&space, &top_down_single_k(&index, &space, 4, 5, &measure));
+        let res = names(&space, &top_down(&index, &space, 4, 5, &measure));
         let expected = [
             "{School=GP}",
             "{Failures=2}",
@@ -216,7 +278,7 @@ mod tests {
         // Res[5] additionally contains {Gender=F}.
         let (space, index) = fig1();
         let measure = BiasMeasure::Proportional { alpha: 0.9 };
-        let res4 = names(&space, &top_down_single_k(&index, &space, 5, 4, &measure));
+        let res4 = names(&space, &top_down(&index, &space, 5, 4, &measure));
         assert_eq!(
             res4,
             vec!["{School=GP}", "{Address=U}", "{Failures=1}"]
@@ -224,7 +286,7 @@ mod tests {
                 .map(String::from)
                 .collect::<Vec<_>>()
         );
-        let res5 = names(&space, &top_down_single_k(&index, &space, 5, 5, &measure));
+        let res5 = names(&space, &top_down(&index, &space, 5, 5, &measure));
         assert!(res5.contains(&"{Gender=F}".to_string()));
         assert!(res5.contains(&"{School=GP}".to_string()));
         assert!(res5.contains(&"{Address=U}".to_string()));
@@ -238,7 +300,7 @@ mod tests {
         for tau in [1, 2, 4, 8] {
             for k in 1..=16 {
                 let measure = BiasMeasure::GlobalLower(Bounds::constant(3));
-                let res = top_down_single_k(&index, &space, tau, k, &measure);
+                let res = top_down(&index, &space, tau, k, &measure);
                 for p in &res {
                     let (sd, count) = index.counts(p, k);
                     assert!(sd >= tau);
@@ -299,7 +361,7 @@ mod tests {
         // exactly the substantial single-term patterns.
         let (space, index) = fig1();
         let measure = BiasMeasure::GlobalLower(Bounds::constant(100));
-        let res = top_down_single_k(&index, &space, 4, 5, &measure);
+        let res = top_down(&index, &space, 4, 5, &measure);
         assert!(res.iter().all(|p| p.len() == 1));
         let n_substantial_singletons: usize = (0..space.n_attrs() as u16)
             .map(|a| {
@@ -315,6 +377,49 @@ mod tests {
     fn zero_bound_returns_nothing() {
         let (space, index) = fig1();
         let measure = BiasMeasure::GlobalLower(Bounds::constant(0));
-        assert!(top_down_single_k(&index, &space, 1, 5, &measure).is_empty());
+        assert!(top_down(&index, &space, 1, 5, &measure).is_empty());
+    }
+
+    #[test]
+    fn lower_most_specific_matches_bruteforce() {
+        let (space, index) = fig1();
+        let ds = students_fig1();
+        let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
+        let mut stats = SearchStats::default();
+        for tau in [2, 4] {
+            for k in [4, 8] {
+                for l in [1, 2, 4] {
+                    let got = lower_most_specific_single_k(&index, &space, tau, k, l, &mut stats);
+                    let all = oracle::enumerate_substantial(&ds, &space, &ranking, tau);
+                    let qualifying: Vec<&Pattern> = all
+                        .iter()
+                        .filter(|p| oracle::naive_counts(&ds, &space, &ranking, p, k).1 < l)
+                        .collect();
+                    let mut want: Vec<Pattern> = qualifying
+                        .iter()
+                        .filter(|p| !qualifying.iter().any(|q| p.is_proper_subset_of(q)))
+                        .map(|p| (*p).clone())
+                        .collect();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "tau={tau} k={k} l={l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn most_specific_results_are_substantial_and_maximal() {
+        let (space, index) = fig1();
+        let mut stats = SearchStats::default();
+        let res = lower_most_specific_single_k(&index, &space, 4, 4, 2, &mut stats);
+        assert!(!res.is_empty());
+        for p in &res {
+            assert!(index.size_in_data(p) >= 4);
+        }
+        for a in &res {
+            for b in &res {
+                assert!(a == b || !a.is_proper_subset_of(b));
+            }
+        }
     }
 }

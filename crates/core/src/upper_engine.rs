@@ -1,13 +1,13 @@
 //! The incremental over-representation engine: §III upper-bound detection
 //! without the per-`k` rescan.
 //!
-//! The per-`k` searches in [`crate::upper`] re-run a fresh DFS plus
-//! `O(m·card)` maximality probes at **every** `k` — exactly the cost
-//! blow-up the paper's Algorithms 2–3 eliminate for the lower-bound
-//! problems. This engine applies the same observation (Proposition 4.3:
-//! consecutive top-`k` sets differ by one tuple) to the upper-bound side,
-//! on the incremental core it shares with the lower engine
-//! ([`crate::incremental`]: arena, subtree walk, checkpoints, replay).
+//! A per-`k` search would re-run a fresh DFS plus `O(m·card)` maximality
+//! probes at **every** `k` — exactly the cost blow-up the paper's
+//! Algorithms 2–3 eliminate for the lower-bound problems. This engine
+//! applies the same observation (Proposition 4.3: consecutive top-`k`
+//! sets differ by one tuple) to the upper-bound side, on the incremental
+//! core it shares with the lower engine ([`crate::incremental`]: arena,
+//! subtree walk, checkpoints, replay).
 //!
 //! Qualification here is `s_D(p) ≥ τs ∧ s_Rk(p) > U_k`, which is
 //! **subset-closed**: both counts are anti-monotone in specialization, so
@@ -28,8 +28,8 @@
 //!   tree prefixes are subsets, hence qualify, hence are expanded). So the
 //!   per-step frontier delta is: drop the one-term subsets of each newly
 //!   qualifying node, then run the `O(m·card)` maximality probe **only on
-//!   the newly qualifying nodes** — not on the whole qualifying set as the
-//!   per-`k` rescan does. Probes read stored nodes exclusively: an
+//!   the newly qualifying nodes** — not on the whole qualifying set as a
+//!   per-`k` search would. Probes read stored nodes exclusively: an
 //!   extension outside the live closure has a non-qualifying (unopened)
 //!   prefix, so by subset-closure it cannot qualify — no probe ever costs
 //!   a fresh pattern evaluation.
@@ -416,10 +416,11 @@ impl<'a, I: CountsProvider> Incremental<'a> for UpperEngine<'a, I> {
 mod tests {
     use super::*;
     use crate::incremental::{replay, Store, Stream};
+    use crate::oracle;
     use crate::space::RankedIndex;
-    use crate::stats::{DetectionOutput, ReplayCounters, SearchStats};
-    use crate::upper::{upper_most_general_single_k, upper_most_specific_single_k};
+    use crate::stats::{DetectionOutput, ReplayCounters};
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
+    use rankfair_data::Dataset;
     use rankfair_rank::Ranking;
 
     fn fig1() -> (PatternSpace, RankedIndex) {
@@ -428,6 +429,37 @@ mod tests {
         let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
         let index = RankedIndex::build(&ds, &space, &ranking);
         (space, index)
+    }
+
+    /// Brute-force reference at one `k`: the substantial patterns with
+    /// `s_Rk(p) > u`, keeping those with no qualifying proper superset
+    /// (most specific) or no qualifying proper subset (most general).
+    fn oracle_upper(
+        ds: &Dataset,
+        space: &PatternSpace,
+        ranking: &Ranking,
+        tau: usize,
+        k: usize,
+        u: usize,
+        scope: OverRepScope,
+    ) -> Vec<Pattern> {
+        let all = oracle::enumerate_substantial(ds, space, ranking, tau);
+        let qualifying: Vec<&Pattern> = all
+            .iter()
+            .filter(|p| oracle::naive_counts(ds, space, ranking, p, k).1 > u)
+            .collect();
+        let mut want: Vec<Pattern> = qualifying
+            .iter()
+            .filter(|p| {
+                !qualifying.iter().any(|q| match scope {
+                    OverRepScope::MostSpecific => p.is_proper_subset_of(q),
+                    OverRepScope::MostGeneral => q.is_proper_subset_of(p),
+                })
+            })
+            .map(|p| (*p).clone())
+            .collect();
+        want.sort_unstable();
+        want
     }
 
     /// The batch run over the whole `k` range.
@@ -500,6 +532,8 @@ mod tests {
     #[test]
     fn incremental_matches_per_k_search_on_fig1() {
         let (space, index) = fig1();
+        let ds = students_fig1();
+        let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
         for tau in [1, 2, 4] {
             for u in [0, 1, 2, 4] {
                 for scope in [OverRepScope::MostSpecific, OverRepScope::MostGeneral] {
@@ -507,15 +541,7 @@ mod tests {
                     let per_k = batch(&index, &space, &cfg, &Bounds::constant(u), scope).per_k;
                     assert_eq!(per_k.len(), 15);
                     for kr in &per_k {
-                        let mut stats = SearchStats::default();
-                        let want = match scope {
-                            OverRepScope::MostSpecific => upper_most_specific_single_k(
-                                &index, &space, tau, kr.k, u, &mut stats,
-                            ),
-                            OverRepScope::MostGeneral => upper_most_general_single_k(
-                                &index, &space, tau, kr.k, u, &mut stats,
-                            ),
-                        };
+                        let want = oracle_upper(&ds, &space, &ranking, tau, kr.k, u, scope);
                         assert_eq!(kr.patterns, want, "tau={tau} u={u} k={} {scope:?}", kr.k);
                     }
                 }
@@ -526,40 +552,45 @@ mod tests {
     #[test]
     fn incremental_matches_per_k_search_across_bound_steps() {
         let (space, index) = fig1();
+        let ds = students_fig1();
+        let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
         // Includes an increasing and a decreasing step, exercising the
         // store-rescan path in both directions.
         let bounds = Bounds::steps(vec![(0, 1), (6, 3), (11, 2)]);
         let cfg = DetectConfig::new(2, 2, 16);
-        let per_k = batch(&index, &space, &cfg, &bounds, OverRepScope::MostSpecific).per_k;
-        for kr in &per_k {
-            let mut stats = SearchStats::default();
-            let want =
-                upper_most_specific_single_k(&index, &space, 2, kr.k, bounds.at(kr.k), &mut stats);
-            assert_eq!(kr.patterns, want, "k={}", kr.k);
+        for scope in [OverRepScope::MostSpecific, OverRepScope::MostGeneral] {
+            let per_k = batch(&index, &space, &cfg, &bounds, scope).per_k;
+            assert_eq!(per_k.len(), 15);
+            for kr in &per_k {
+                let want = oracle_upper(&ds, &space, &ranking, 2, kr.k, bounds.at(kr.k), scope);
+                assert_eq!(kr.patterns, want, "k={} {scope:?}", kr.k);
+            }
         }
     }
 
     #[test]
-    fn incremental_evaluates_fewer_nodes_than_per_k_rescan() {
+    fn incremental_evaluates_fewer_nodes_than_fresh_single_k_runs() {
         let (space, index) = fig1();
-        let cfg = DetectConfig::new(2, 2, 16);
-        let inc_stats = batch(
-            &index,
-            &space,
-            &cfg,
-            &Bounds::constant(2),
-            OverRepScope::MostSpecific,
-        )
-        .stats;
-        let mut rescan = SearchStats::default();
-        for k in 2..=16 {
-            upper_most_specific_single_k(&index, &space, 2, k, 2, &mut rescan);
+        let upper = Bounds::constant(2);
+        let scope = OverRepScope::MostSpecific;
+        let inc = batch(&index, &space, &DetectConfig::new(2, 2, 16), &upper, scope);
+        let mut fresh_evals = 0;
+        for kr in &inc.per_k {
+            let fresh = batch(
+                &index,
+                &space,
+                &DetectConfig::new(2, kr.k, kr.k),
+                &upper,
+                scope,
+            );
+            assert_eq!(fresh.per_k, std::slice::from_ref(kr));
+            fresh_evals += fresh.stats.nodes_evaluated;
         }
+        assert_eq!(inc.per_k.len(), 15);
         assert!(
-            inc_stats.nodes_evaluated < rescan.nodes_evaluated,
-            "incremental {} >= rescan {}",
-            inc_stats.nodes_evaluated,
-            rescan.nodes_evaluated
+            inc.stats.nodes_evaluated < fresh_evals,
+            "incremental {} >= fresh single-k runs {fresh_evals}",
+            inc.stats.nodes_evaluated,
         );
     }
 

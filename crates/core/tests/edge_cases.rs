@@ -1,13 +1,16 @@
 //! Edge-case integration tests for the detection engine: degenerate
 //! datasets, extreme parameters, and bound shapes the paper's assumptions
-//! do not cover (the engine must stay correct, falling back to fresh
-//! searches where the incremental reasoning does not apply).
+//! do not cover (the engine must stay correct, falling back to a fresh
+//! search or a rescan of its node store where the incremental step does
+//! not apply).
 
 use std::sync::Arc;
 
 use rankfair_core::{
-    oracle, Audit, AuditTask, BiasMeasure, Bounds, DetectConfig, Engine, KResult, Pattern,
+    oracle, Audit, AuditTask, BiasMeasure, Bounds, DetectConfig, Engine, KResult, MonitorAudit,
+    Pattern, RankingEdit,
 };
+use rankfair_data::Column;
 use rankfair_rank::Ranking;
 use rankfair_synth::{random_dataset, random_ranking, RandomSpec};
 
@@ -107,13 +110,15 @@ fn cardinality_one_attribute() {
 
 #[test]
 fn decreasing_bounds_still_exact() {
-    // Footnote 3 assumes non-decreasing L_k; the engine falls back to a
-    // fresh search on any bound change, so a decreasing specification must
-    // still be exact (if unusual).
+    // Footnote 3 assumes non-decreasing L_k. At a decreasing step every
+    // execution mode runs a fresh search: the batch run does so at any
+    // bound change, while the stream and a monitor's replay rescan their
+    // node store at an increase only. A decreasing specification must
+    // still be exact (if unusual) in each mode.
     let audit = build(11, 50, 4);
     let bounds = Bounds::steps(vec![(0, 6), (10, 4), (20, 2)]);
     let cfg = DetectConfig::new(2, 2, 40);
-    let measure = BiasMeasure::GlobalLower(bounds);
+    let measure = BiasMeasure::GlobalLower(bounds.clone());
     let base = under(&audit, &cfg, &measure, Engine::Baseline);
     let opt = under(&audit, &cfg, &measure, Engine::Optimized);
     assert_eq!(base, opt);
@@ -127,6 +132,70 @@ fn decreasing_bounds_still_exact() {
         &measure,
     );
     assert_eq!(opt, want);
+
+    // The stream equals the batch run. Both rebuild at k_min and at the
+    // two decreasing steps.
+    let task = AuditTask::UnderRep(measure);
+    let batch = audit.run(&cfg, &task, Engine::Optimized).unwrap();
+    let mut stream = audit.run_streaming(&cfg, &task).unwrap();
+    let streamed: Vec<_> = stream.by_ref().collect();
+    assert_eq!(streamed, batch.per_k);
+    assert_eq!(batch.stats.full_searches, 3);
+    assert_eq!(stream.stats().full_searches, 3);
+
+    // A monitor's checkpointed replay: scores that reproduce the audit's
+    // ranking, then reorder batches whose changed-k spans cross both
+    // steps (k = 10 and k = 20).
+    let mut ds = audit.dataset().clone();
+    let mut scores = vec![0.0; ds.n_rows()];
+    for (pos, &row) in audit.ranking().order().iter().enumerate() {
+        scores[row as usize] = (ds.n_rows() - pos) as f64;
+    }
+    ds.push_column(Column::numeric("score", scores)).unwrap();
+    let combined = AuditTask::Combined {
+        lower: bounds,
+        upper: Bounds::LinearFraction(0.4),
+    };
+    // Each batch moves the row at `from` to just above the row at `to`,
+    // both positions read before the batch.
+    let batches: [&[(usize, usize)]; 4] =
+        [&[(3, 25)], &[(35, 0)], &[(6, 14), (28, 18)], &[(0, 45)]];
+    for task in [task, combined] {
+        for cadence in [1, 3, 8] {
+            let mut monitor = MonitorAudit::builder(ds.clone(), "score")
+                .checkpoint_every(cadence)
+                .build(cfg.clone(), task.clone(), Engine::Optimized)
+                .unwrap();
+            for (b, moves) in batches.iter().enumerate() {
+                let ranking = monitor.ranking();
+                let score = monitor.dataset().column_by_name("score").unwrap();
+                let at = |pos: usize| score.value(ranking.at(pos) as usize);
+                let edits: Vec<RankingEdit> = moves
+                    .iter()
+                    .map(|&(from, to)| RankingEdit::ScoreUpdate {
+                        row: ranking.at(from),
+                        score: if to == 0 {
+                            at(0) + 1.0
+                        } else {
+                            (at(to - 1) + at(to)) / 2.0
+                        },
+                    })
+                    .collect();
+                monitor.apply(&edits).unwrap();
+                let fresh = Audit::builder(Arc::new(monitor.dataset().clone()))
+                    .ranking(monitor.ranking())
+                    .build()
+                    .unwrap()
+                    .run(&cfg, &task, Engine::Optimized)
+                    .unwrap();
+                assert_eq!(
+                    monitor.results(),
+                    &fresh.per_k[..],
+                    "{task:?} cadence {cadence} batch {b}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

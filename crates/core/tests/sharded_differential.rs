@@ -3,13 +3,15 @@
 //! sets identical to the unsharded audit — across shard counts, every
 //! task family, both engines, and [`Bounds::LinearFraction`] bounds.
 //!
-//! The additive-merge law (`counts(p, k)` as a sum of per-shard counts
-//! over contiguous rank blocks) is checked at the unit level in
-//! `core::shard`; this suite checks the law *through the engines*: the
-//! search order, dominance bookkeeping and bound schedules must be
-//! insensitive to how the index is partitioned. Edge cases ride along:
-//! empty shards (more shards than rows), `k` falling inside the first
-//! shard's slice, and shard counts that do not divide the row count.
+//! Shards are contiguous row-id blocks of membership maps with one
+//! global rank side. The additive-merge law (`s_D(p)` as a sum of
+//! per-shard counts, `s_Rk(p)` read once from the global rank blocks) is
+//! checked at the unit level in `core::shard`; this suite checks the law
+//! *through the engines*: the search order, dominance bookkeeping and
+//! bound schedules must be insensitive to how the index is partitioned.
+//! Edge cases ride along: empty shards (more shards than rows), a `k`
+//! range shorter than a shard, and shard counts that do not divide the
+//! row count.
 
 use std::sync::Arc;
 
@@ -113,9 +115,9 @@ fn more_shards_than_rows_still_agrees() {
 
 #[test]
 fn k_inside_the_first_shard_slice_agrees() {
-    // 2 shards over 40 rows: shard 0 spans ranks [0, 20), and the whole
-    // audited k range [2, 9] lies strictly inside it — every other shard
-    // must contribute an empty top-k prefix at every k.
+    // 2 shards of 20 row ids each under the short k range [2, 9]: `s_Rk`
+    // reads only the top 9 positions of the one global rank side, while
+    // every `s_D` sums both shards.
     let cfg = DetectConfig::new(2, 2, 9);
     let baseline = audit_with_shards(909, 40, 3, 3, 1);
     let sharded = audit_with_shards(909, 40, 3, 3, 2);

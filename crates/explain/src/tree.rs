@@ -1,7 +1,8 @@
 //! CART-style regression tree over mixed categorical/numeric features,
 //! grown by variance reduction. This is the base learner of the
-//! random-forest surrogate (the paper’s regression model `M_R` is
-//! unspecified; see DESIGN.md §7).
+//! random-forest surrogate. The paper leaves its regression model `M_R`
+//! unspecified; trees split categorical codes by equality and numeric
+//! values by threshold, so mixed attributes need no encoding.
 
 use rand::{rngs::StdRng, seq::SliceRandom};
 

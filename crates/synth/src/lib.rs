@@ -4,7 +4,9 @@
 //! Performance, UCI German Credit). Those files cannot be redistributed
 //! here, so this crate generates synthetic stand-ins with the documented
 //! **schemas, row counts, cardinalities and the correlations the paper’s
-//! analysis depends on** (see DESIGN.md §7 for the substitution argument):
+//! analysis depends on**. The row count and the pattern graph that the
+//! schema and cardinalities span set the size of the search; the
+//! correlations with the ranking attributes carry the §VI-C explanations:
 //!
 //! * [`student`] — 395 students × 33 attributes; grades `G1`/`G2`/`G3`
 //!   strongly correlated with each other and moderately with mother’s

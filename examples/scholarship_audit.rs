@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example scholarship_audit`
 
-use rankfair::core::{render_report, suggest_tau, upper, SearchStats};
+use rankfair::core::{lower_most_specific_single_k, render_report, suggest_tau, SearchStats};
 use rankfair::prelude::*;
 
 fn main() {
@@ -69,8 +69,7 @@ fn main() {
     // descriptions of who is missing — useful when an analyst wants the
     // narrowest actionable characterization instead of the broadest.
     let mut stats = SearchStats::default();
-    let narrow =
-        upper::lower_most_specific_single_k(audit.index(), audit.space(), 50, 49, 40, &mut stats);
+    let narrow = lower_most_specific_single_k(audit.index(), audit.space(), 50, 49, 40, &mut stats);
     println!(
         "\nMost specific substantial under-represented groups at k = 49: {} found, e.g.:",
         narrow.len()
@@ -86,5 +85,18 @@ fn main() {
     }
     if over49.len() > 10 {
         println!("  ... and {} more", over49.len() - 10);
+    }
+
+    // The other scope: the most general groups over the same bound, the
+    // broadest descriptions of who holds more than 30 of the 49 places.
+    let general_task = AuditTask::OverRep {
+        upper: Bounds::constant(30),
+        scope: OverRepScope::MostGeneral,
+    };
+    let general = audit.run(&cfg49, &general_task, Engine::Optimized).unwrap();
+    println!("\n=== Over-represented groups at k = 49 (count > 30, most general) ===");
+    for p in &general.per_k[0].over {
+        let (sd, count) = audit.index().counts(p, 49);
+        println!("  {:60} s_D = {sd:>3}, top-49 = {count}", audit.describe(p));
     }
 }
