@@ -6,10 +6,13 @@
 //! [`RankedIndex`] or a [`ShardedIndex`] merging per-shard `s_D` counts
 //! additively), so it is `Send + Sync` and can be shared across threads,
 //! held in a server, or cached between requests. Building an audit builds
-//! the index's membership maps and copies the ranking's order; the rank
-//! blocks `s_Rk` reads are built on first read, so a run with `k ≤ k_max`
-//! builds `⌈k_max/64⌉` of them, whatever the row count. The detection
-//! mode is a value, not a method name:
+//! the index's membership maps and shares the ranking with the index
+//! rather than copying its order; the rank blocks `s_Rk` reads are built
+//! on first read, so a run with `k ≤ k_max` builds `⌈k_max/64⌉` of them,
+//! whatever the row count, and reads only the first `k_max` ranked rows.
+//! A ranking by score ([`Ranking::from_scores_desc`]) sorts only its best
+//! 4 096 rows when built, so such a run with `k_max ≤ 4 096` never sorts
+//! the rest. The detection mode is a value, not a method name:
 //!
 //! * [`AuditTask::UnderRep`] — the paper's Problems 3.1/3.2 (most general
 //!   under-represented groups, Algorithms 1–3);
@@ -449,8 +452,8 @@ impl AuditBuilder {
 
     /// Builds the audit: ranks (if needed), applies preparation hooks,
     /// constructs the pattern space and the counting index (its
-    /// membership maps and a copy of the rank order; rank blocks are built
-    /// when a run reads them).
+    /// membership maps, and a handle on the ranking, whose order is not
+    /// copied; rank blocks are built when a run reads them).
     pub fn build(self) -> Result<Audit, AuditError> {
         let Some(ranking) = self.ranking else {
             return Err(AuditError::MissingRanking);
@@ -1353,10 +1356,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn an_audit_up_to_k_49_builds_one_rank_block() {
-        // 10 000 rows make 157 rank blocks; every count and code an audit
-        // with k_max = 49 reads lies in the first.
+    /// A seeded 10 000-row instance over three attributes, with scores
+    /// that rank it in a random order, and that order.
+    fn ten_thousand_rows() -> (Arc<Dataset>, Vec<f64>, Vec<rankfair_data::TupleId>) {
         use rankfair_synth::{random_dataset, random_ranking, RandomSpec};
         let rows = 10_000;
         let spec = RandomSpec {
@@ -1364,55 +1366,120 @@ mod tests {
             attrs: 3,
             max_card: 4,
         };
-        let ds = Arc::new(random_dataset(17, spec));
-        let ranking = Ranking::from_order(random_ranking(17, rows)).unwrap();
-        // The baseline over-representation search scans every row per
-        // pattern and `k`, so the range stays short.
-        let cfg = DetectConfig::new(400, 40, 49);
-        let tasks = [
-            AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(10))),
-            AuditTask::UnderRep(BiasMeasure::Proportional { alpha: 0.8 }),
+        let order = random_ranking(17, rows);
+        let mut scores = vec![0.0; rows];
+        for (p, &row) in order.iter().enumerate() {
+            scores[row as usize] = (rows - p) as f64;
+        }
+        (Arc::new(random_dataset(17, spec)), scores, order)
+    }
+
+    /// Every task family: global lower bound `lower`, proportional
+    /// `alpha`, over-representation bound `upper`, and Combined with
+    /// `lower` and `upper`.
+    fn all_tasks(lower: usize, alpha: f64, upper: usize) -> [AuditTask; 5] {
+        [
+            AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(lower))),
+            AuditTask::UnderRep(BiasMeasure::Proportional { alpha }),
             AuditTask::OverRep {
-                upper: Bounds::constant(10),
+                upper: Bounds::constant(upper),
                 scope: OverRepScope::MostSpecific,
             },
             AuditTask::OverRep {
-                upper: Bounds::constant(10),
+                upper: Bounds::constant(upper),
                 scope: OverRepScope::MostGeneral,
             },
             AuditTask::Combined {
-                lower: Bounds::constant(10),
-                upper: Bounds::constant(20),
+                lower: Bounds::constant(lower),
+                upper: Bounds::constant(upper),
             },
+        ]
+    }
+
+    #[test]
+    fn an_audit_up_to_k_49_builds_one_rank_block() {
+        // 10 000 rows make 157 rank blocks; every count and code an audit
+        // with k_max = 49 reads lies in the first. A ranking of the same
+        // rows by score sorts only its head when built, and the audit
+        // never finishes that sort, sharded or not.
+        let (ds, scores, order) = ten_thousand_rows();
+        let eager = Ranking::from_order(order).unwrap();
+        let rankings = [
+            ("from_order", 1, eager),
+            ("from_scores_desc", 1, Ranking::from_scores_desc(&scores)),
+            ("from_scores_desc", 3, Ranking::from_scores_desc(&scores)),
         ];
-        let audit = |threads: usize| {
-            let audit = Audit::builder(Arc::clone(&ds))
-                .ranking(ranking.clone())
-                .threads(threads)
-                .build()
-                .unwrap();
-            assert_eq!(audit.index().built_rank_blocks(), 0);
-            audit
-        };
-        for task in &tasks {
-            for engine in [Engine::Optimized, Engine::Baseline] {
-                for threads in [1, 2] {
-                    let audit = audit(threads);
-                    let out = audit.run(&cfg, task, engine).unwrap();
-                    audit.report(&out, task);
-                    let ctx = format!("{task:?} {engine:?} threads={threads}");
-                    assert_eq!(audit.index().built_rank_blocks(), 1, "{ctx}");
-                }
-            }
-            let audit = audit(1);
-            let per_k: Vec<AuditKResult> = audit.run_streaming(&cfg, task).unwrap().collect();
-            let out = AuditOutcome {
-                per_k,
-                stats: SearchStats::default(),
+        // The baseline over-representation search scans every row per
+        // pattern and `k`, so the range stays short.
+        let cfg = DetectConfig::new(400, 40, 49);
+        for (source, shards, ranking) in &rankings {
+            let lazy = !ranking.sort_finished_for_tests();
+            assert_eq!(lazy, *source == "from_scores_desc");
+            let audit = |threads: usize| {
+                let audit = Audit::builder(Arc::clone(&ds))
+                    .ranking(ranking.clone())
+                    .threads(threads)
+                    .shards(*shards)
+                    .build()
+                    .unwrap();
+                assert_eq!(audit.index().built_rank_blocks(), 0);
+                audit
             };
-            audit.report(&out, task);
-            assert_eq!(audit.index().built_rank_blocks(), 1, "streaming {task:?}");
+            for task in &all_tasks(10, 0.8, 10) {
+                for engine in [Engine::Optimized, Engine::Baseline] {
+                    for threads in [1, 2] {
+                        let audit = audit(threads);
+                        let out = audit.run(&cfg, task, engine).unwrap();
+                        audit.report(&out, task);
+                        let ctx = format!(
+                            "{source} shards={shards} {task:?} {engine:?} threads={threads}"
+                        );
+                        assert_eq!(audit.index().built_rank_blocks(), 1, "{ctx}");
+                        assert_eq!(ranking.sort_finished_for_tests(), !lazy, "{ctx}");
+                    }
+                }
+                let audit = audit(1);
+                let per_k: Vec<AuditKResult> = audit.run_streaming(&cfg, task).unwrap().collect();
+                let out = AuditOutcome {
+                    per_k,
+                    stats: SearchStats::default(),
+                };
+                audit.report(&out, task);
+                let ctx = format!("streaming {source} shards={shards} {task:?}");
+                assert_eq!(audit.index().built_rank_blocks(), 1, "{ctx}");
+                assert_eq!(ranking.sort_finished_for_tests(), !lazy, "{ctx}");
+            }
         }
+    }
+
+    #[test]
+    fn an_audit_past_the_sorted_head_matches_one_on_the_full_order() {
+        // k in [4 090, 4 100] crosses rank position 4 096, the end of the
+        // rows a 10 000-row score ranking sorts when built: the audit
+        // reads past it, which finishes the sort, and must give what the
+        // same audit gives on the full order.
+        let (ds, scores, _) = ten_thousand_rows();
+        let lazy = Ranking::from_scores_desc(&scores);
+        assert!(!lazy.sort_finished_for_tests());
+        let eager = Ranking::from_order(lazy.order().to_vec()).unwrap();
+        let lazy = Ranking::from_scores_desc(&scores);
+        let build = |ranking: &Ranking| {
+            Audit::builder(Arc::clone(&ds))
+                .ranking(ranking.clone())
+                .build()
+                .unwrap()
+        };
+        let (on_lazy, on_eager) = (build(&lazy), build(&eager));
+        let cfg = DetectConfig::new(400, 4_090, 4_100);
+        for task in &all_tasks(170, 0.95, 1_000) {
+            for engine in [Engine::Optimized, Engine::Baseline] {
+                let got = on_lazy.run(&cfg, task, engine).unwrap();
+                let want = on_eager.run(&cfg, task, engine).unwrap();
+                assert_eq!(got.per_k, want.per_k, "{task:?} {engine:?}");
+                assert!(got.total_groups() > 0, "{task:?} {engine:?}");
+            }
+        }
+        assert!(lazy.sort_finished_for_tests());
     }
 
     #[test]

@@ -383,7 +383,8 @@ impl MonitorBuilder {
         }
         validate_task(&cfg, &task, self.dataset.n_rows())?;
         let ranking = scored.to_ranking();
-        let index = RankedIndex::build(&self.dataset, &space, &ranking);
+        // The index owns its order from the start: every batch rewrites it.
+        let index = RankedIndex::build_from_order(&self.dataset, &space, scored.order());
         let parts = AuditParts {
             dataset: &self.dataset,
             space: &space,

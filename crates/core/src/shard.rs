@@ -71,9 +71,11 @@ impl ShardedIndex {
     pub const PARALLEL_MIN_ROWS: usize = 1 << 16;
 
     /// Builds `shards` sets of membership maps over contiguous blocks of
-    /// row ids, and the global rank side of `ranking`. Shard sizes differ
-    /// by at most one row; `shards` may exceed the row count, leaving
-    /// trailing shards empty.
+    /// row ids, and the global rank side of `ranking`, which reads its
+    /// rows from the shared ranking as
+    /// [`RankedIndex::build`](crate::RankedIndex::build) does. Shard sizes
+    /// differ by at most one row; `shards` may exceed the row count,
+    /// leaving trailing shards empty.
     ///
     /// # Panics
     /// Panics if `shards == 0` or the ranking length differs from the
@@ -84,11 +86,11 @@ impl ShardedIndex {
             ds.n_rows(),
             "ranking must cover every dataset row"
         );
-        Self::build_from_order(ds, space, ranking.order(), shards)
+        Self::with_rank_side(ds, space, RankBlocks::shared(space, ranking), shards)
     }
 
-    /// [`ShardedIndex::build`] over a raw rank order (the monitor-free
-    /// path used by tests and benches).
+    /// [`ShardedIndex::build`] over a raw rank order, copied (the
+    /// monitor-free path used by tests and benches).
     ///
     /// # Panics
     /// Panics if `shards == 0` or `order` does not rank every row of `ds`
@@ -99,13 +101,18 @@ impl ShardedIndex {
         order: &[TupleId],
         shards: usize,
     ) -> Self {
-        assert!(shards > 0, "at least one shard");
         assert_eq!(
             order.len(),
             ds.n_rows(),
             "order must rank every dataset row"
         );
-        let n = order.len();
+        Self::with_rank_side(ds, space, RankBlocks::owned(space, order), shards)
+    }
+
+    /// The shards' membership maps over `ds`'s rows, next to `rank`.
+    fn with_rank_side(ds: &Dataset, space: &PatternSpace, rank: RankBlocks, shards: usize) -> Self {
+        assert!(shards > 0, "at least one shard");
+        let n = rank.n();
         let boundaries = shard_boundaries(n, shards);
         let spans: Vec<Range<usize>> = boundaries.windows(2).map(|w| w[0]..w[1]).collect();
         let many_cores = std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
@@ -130,7 +137,7 @@ impl ShardedIndex {
         ShardedIndex {
             boundaries,
             shards: shard_maps,
-            rank: RankBlocks::new(space, order),
+            rank,
             parallel: shards > 1 && many_cores && n / shards >= Self::PARALLEL_MIN_ROWS,
         }
     }

@@ -390,21 +390,56 @@ impl MembershipMaps {
     }
 }
 
-/// The rank side of an index: the rank order, and one [`RankBlock`] per
-/// 64 rank positions, built on first read.
+/// The rank side of an index: the rows in rank order, and one
+/// [`RankBlock`] per 64 rank positions, built on first read.
 ///
 /// `s_Rk` at `k`, and the codes of positions below `k`, read only blocks
 /// `0..⌈k/64⌉`, so an audit whose `k_max` is 49 builds one block whatever
 /// the row count. Blocks are built when read rather than sized up front:
 /// an audit learns `k_max` only per run, and a monitor's walks read the
-/// positions that tuples leaving the top-`k` fall to.
+/// positions that tuples leaving the top-`k` fall to. The rows come from
+/// the [`Ranking`] the index was built from, shared rather than copied,
+/// and a block reads them through [`Ranking::top_k`], so blocks within a
+/// lazily sorted ranking's head never finish its sort.
 #[derive(Debug, Clone)]
 pub(crate) struct RankBlocks {
-    order: Vec<TupleId>,
+    /// Number of ranked rows.
+    n: usize,
+    rows: RankRows,
     /// `value_base[a]` is the first word of attribute `a`'s values in a
     /// block's `words`; the last entry is the word count.
     value_base: Vec<usize>,
     blocks: Vec<OnceLock<RankBlock>>,
+}
+
+/// Where rank blocks read their rows: the ranking an index was built
+/// from, or an owned order. Only monitors edit the order; the first edit
+/// copies a shared ranking's order and owns it from then on.
+#[derive(Debug, Clone)]
+struct RankRows {
+    /// The ranking the rows are read from; `None` once they are owned.
+    shared: Option<Ranking>,
+    /// The rows in rank order when `shared` is `None`.
+    owned: Vec<TupleId>,
+}
+
+impl RankRows {
+    /// The rows at rank positions `range`.
+    fn get(&self, range: Range<usize>) -> &[TupleId] {
+        match &self.shared {
+            Some(ranking) => &ranking.top_k(range.end)[range.start..],
+            None => &self.owned[range],
+        }
+    }
+
+    /// The rows in rank order, owned: the first call copies a shared
+    /// ranking's order.
+    fn to_mut(&mut self) -> &mut Vec<TupleId> {
+        if let Some(ranking) = self.shared.take() {
+            self.owned = ranking.order().to_vec();
+        }
+        &mut self.owned
+    }
 }
 
 /// Rank positions `64·b..64·b + 64` of block `b`.
@@ -442,7 +477,25 @@ impl RankBlock {
 }
 
 impl RankBlocks {
-    pub(crate) fn new(space: &PatternSpace, order: &[TupleId]) -> Self {
+    /// Rank blocks reading their rows from `ranking`, shared.
+    pub(crate) fn shared(space: &PatternSpace, ranking: &Ranking) -> Self {
+        let rows = RankRows {
+            shared: Some(ranking.clone()),
+            owned: Vec::new(),
+        };
+        Self::new(space, ranking.len(), rows)
+    }
+
+    /// Rank blocks over a copy of `order`.
+    pub(crate) fn owned(space: &PatternSpace, order: &[TupleId]) -> Self {
+        let rows = RankRows {
+            shared: None,
+            owned: order.to_vec(),
+        };
+        Self::new(space, order.len(), rows)
+    }
+
+    fn new(space: &PatternSpace, n: usize, rows: RankRows) -> Self {
         let value_base = std::iter::once(0)
             .chain(space.attr_ids().scan(0, |end, a| {
                 *end += space.card(a);
@@ -450,9 +503,10 @@ impl RankBlocks {
             }))
             .collect();
         RankBlocks {
-            order: order.to_vec(),
+            n,
+            rows,
             value_base,
-            blocks: (0..order.len().div_ceil(BLOCK_LEN))
+            blocks: (0..n.div_ceil(BLOCK_LEN))
                 .map(|_| OnceLock::new())
                 .collect(),
         }
@@ -460,7 +514,7 @@ impl RankBlocks {
 
     /// Number of ranked rows.
     pub(crate) fn n(&self) -> usize {
-        self.order.len()
+        self.n
     }
 
     fn n_attrs(&self) -> usize {
@@ -477,8 +531,9 @@ impl RankBlocks {
                 words: vec![0; self.value_base[m]],
             };
             let mut codes = vec![0; m];
-            let rows = self.order[b * BLOCK_LEN..].iter().take(BLOCK_LEN);
-            for (i, &row) in rows.enumerate() {
+            let first = b * BLOCK_LEN;
+            let rows = self.rows.get(first..self.n.min(first + BLOCK_LEN));
+            for (i, &row) in rows.iter().enumerate() {
                 codes_of(row as usize, &mut codes);
                 block.put(&self.value_base, i, &codes);
             }
@@ -551,8 +606,9 @@ impl RankBlocks {
         }
     }
 
-    /// Copies `order[lo..=hi]` and patches the positions `lo..=hi` of the
-    /// blocks already built; `codes_of` reads the new occupants' codes.
+    /// Copies `order[lo..=hi]` into the owned rows and patches the
+    /// positions `lo..=hi` of the blocks already built; `codes_of` reads
+    /// the new occupants' codes.
     fn rewrite(
         &mut self,
         order: &[TupleId],
@@ -560,7 +616,7 @@ impl RankBlocks {
         hi: usize,
         codes_of: &impl Fn(usize, &mut [ValueCode]),
     ) {
-        self.order[lo..=hi].copy_from_slice(&order[lo..=hi]);
+        self.rows.to_mut()[lo..=hi].copy_from_slice(&order[lo..=hi]);
         let mut codes = vec![0; self.n_attrs()];
         for b in lo / BLOCK_LEN..=hi / BLOCK_LEN {
             let Some(block) = self.blocks[b].get_mut() else {
@@ -568,16 +624,18 @@ impl RankBlocks {
             };
             let span = lo.max(b * BLOCK_LEN)..=hi.min((b + 1) * BLOCK_LEN - 1);
             for pos in span {
-                codes_of(self.order[pos] as usize, &mut codes);
+                codes_of(order[pos] as usize, &mut codes);
                 block.put(&self.value_base, pos % BLOCK_LEN, &codes);
             }
         }
     }
 
-    /// Appends `row`, holding `codes`, at a new last rank position.
+    /// Appends `row`, holding `codes`, at a new last rank position of the
+    /// owned rows.
     fn push(&mut self, row: TupleId, codes: &[ValueCode]) {
-        let pos = self.n();
-        self.order.push(row);
+        let pos = self.n;
+        self.rows.to_mut().push(row);
+        self.n += 1;
         if pos.is_multiple_of(BLOCK_LEN) {
             self.blocks.push(OnceLock::new());
         } else if let Some(block) = self.blocks.last_mut().and_then(OnceLock::get_mut) {
@@ -642,6 +700,14 @@ impl RankedIndex {
     /// Builds the index for `ds` under `ranking`, over the attributes of
     /// `space`.
     ///
+    /// Builds the membership maps from each column's codes and keeps a
+    /// handle on `ranking`, whose rows the rank blocks read when a count
+    /// first needs them: the order is not copied, and an audit whose
+    /// `k_max` stays within the rows a lazily sorted ranking sorted at
+    /// construction never finishes its sort. The first
+    /// [`RankedIndex::rewrite_span`] or [`RankedIndex::grow`] copies the
+    /// order.
+    ///
     /// # Panics
     /// Panics if the ranking length differs from the dataset, or codes
     /// exceed the space’s cardinalities.
@@ -651,13 +717,17 @@ impl RankedIndex {
             ds.n_rows(),
             "ranking must cover every dataset row"
         );
-        Self::build_from_order(ds, space, ranking.order())
+        RankedIndex {
+            data: MembershipMaps::build(ds, space, 0..ds.n_rows()),
+            rank: RankBlocks::shared(space, ranking),
+        }
     }
 
     /// Builds the index over a raw rank order: the tuple at `order[pos]`
     /// occupies rank position `pos`. Builds the membership maps from each
-    /// column's codes and copies the order; no rank block is built until
-    /// a count reads it.
+    /// column's codes and copies the order, which the index then owns (a
+    /// monitor builds its index this way and edits it); no rank block is
+    /// built until a count reads it.
     ///
     /// # Panics
     /// Panics if `order` does not rank every row of `ds` (its length
@@ -670,7 +740,7 @@ impl RankedIndex {
         );
         RankedIndex {
             data: MembershipMaps::build(ds, space, 0..ds.n_rows()),
-            rank: RankBlocks::new(space, order),
+            rank: RankBlocks::owned(space, order),
         }
     }
 
@@ -733,7 +803,10 @@ impl RankedIndex {
     /// `ds`. Blocks not yet built are built from the new order when read,
     /// and the membership maps do not depend on the order. `O(hi−lo+1)`
     /// plus `O(m)` per built position, instead of a rebuild — the index
-    /// half of the monitor's delta re-audit.
+    /// half of the monitor's delta re-audit. On an index that
+    /// [`RankedIndex::build`] made, the first edit (this or
+    /// [`RankedIndex::grow`]) first copies the shared ranking's order,
+    /// finishing its sort.
     ///
     /// The span and value codes are **internal invariants**: the primary
     /// caller is the monitor, whose edit validation rejects out-of-range
@@ -1169,6 +1242,55 @@ mod tests {
             let reference = RankOrderReference::build(&ds, &space, &order);
             assert_index_matches(&index, &reference, &space, &ks);
         }
+
+        // `RankedIndex::build` shares a lazily sorted ranking of 8 193 rows
+        // instead of copying its order: reading the first block leaves the
+        // sort unfinished. The first edit copies the order, then patches
+        // a built block or leaves an unbuilt one to be built from it. Each
+        // edit starts from a fresh index read only at position 0.
+        let rows = 8_193;
+        let (mut ds, space, mut order) = partition_instance(rows);
+        let mut scores = vec![0.0; rows];
+        for (p, &row) in order.iter().enumerate() {
+            scores[row as usize] = (rows - p) as f64;
+        }
+        let ranking = Ranking::from_scores_desc(&scores);
+        let shared = |ds: &Dataset| {
+            let index = RankedIndex::build(ds, &space, &ranking);
+            index.code_at(0, 0);
+            assert_eq!(index.built_rank_blocks(), 1);
+            index
+        };
+        shared(&ds);
+        assert!(!ranking.sort_finished_for_tests());
+        let ks = [0, 1, 64, 65, 4_096, 4_097, rows];
+        for (what, lo, hi) in [
+            ("a built block", 10, 50),
+            ("an unbuilt block", 6_000, 6_050),
+        ] {
+            let mut index = shared(&ds);
+            let mut moved = order.clone();
+            moved[lo..=hi].rotate_left(7);
+            index.rewrite_span(&ds, &space, &moved, lo, hi);
+            assert_eq!(index.built_rank_blocks(), 1, "{what}");
+            let reference = RankOrderReference::build(&ds, &space, &moved);
+            assert_index_matches(&index, &reference, &space, &ks);
+        }
+        // An insertion into a shared index: `grow` copies the order and
+        // appends the new row, and `rewrite_span` moves it to position 100.
+        let mut index = shared(&ds);
+        ds.push_row(&[label("v1"), label("v0"), label("v1"), label("c")])
+            .unwrap();
+        index.grow(&ds, &space);
+        order.push(TupleId::try_from(rows).unwrap());
+        let ks = [0, 1, 64, 65, 4_096, 4_097, rows + 1];
+        let grown = RankOrderReference::build(&ds, &space, &order);
+        assert_index_matches(&index, &grown, &space, &ks);
+        let row = order.pop().unwrap();
+        order.insert(100, row);
+        index.rewrite_span(&ds, &space, &order, 100, rows);
+        let reference = RankOrderReference::build(&ds, &space, &order);
+        assert_index_matches(&index, &reference, &space, &ks);
     }
 
     #[test]

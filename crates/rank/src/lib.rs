@@ -4,8 +4,14 @@
 //! ranking algorithm is treated as a black box, making the problem model
 //! agnostic”). This crate provides:
 //!
-//! * [`Ranking`] — a validated permutation of row ids with O(1) access to
-//!   both directions (`order[rank] = row`, `position[row] = rank`);
+//! * [`Ranking`] — a permutation of row ids with O(1) access to both
+//!   directions (`order[rank] = row`, `position[row] = rank`), held
+//!   behind a shared handle: a clone reads the same order. A ranking by
+//!   score of more than 8 192 rows sorts only its best 4 096 rows when it
+//!   is built, which is all an audit up to `k_max ≤ 4 096` reads; the
+//!   first read past them (`order`, `position`, a `top_k` or `at` beyond
+//!   the head) finishes the sort from one stored key per row (8 bytes a
+//!   row);
 //! * the [`Ranker`] trait — anything that turns a dataset into a
 //!   [`Ranking`];
 //! * three concrete rankers mirroring §VI-A of the paper:

@@ -27,7 +27,7 @@
 
 use rankfair_data::TupleId;
 
-use crate::ranking::{score_key, sort_rows, Ranking, RankingError};
+use crate::ranking::{inverse, score_key, sort_rows, Ranking, RankingError};
 
 /// The positions a ranking edit touched.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,10 +83,7 @@ impl ScoredRanking {
             ));
         }
         let order = sort_rows(&scores, ascending);
-        let mut position = vec![0u32; order.len()];
-        for (p, &row) in order.iter().enumerate() {
-            position[row as usize] = p as u32;
-        }
+        let position = inverse(&order);
         Ok(ScoredRanking {
             scores,
             order,

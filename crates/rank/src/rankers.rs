@@ -1,6 +1,6 @@
 use rankfair_data::Dataset;
 
-use crate::ranking::score_key;
+use crate::ranking::{inverse, score_key};
 use crate::{Ranker, Ranking};
 
 /// Extracts a sortable numeric key from a column: numeric columns yield the
@@ -108,8 +108,9 @@ impl Ranker for AttributeRanker {
             }
             std::cmp::Ordering::Equal // stable sort → ties by row id
         });
-        // lint:allow(panic-reachability) -- sorting 0..n yields a permutation by construction
-        Ranking::from_order(order).expect("sort of 0..n is a permutation")
+        // Sorting 0..n yields a permutation: no validation pass.
+        let position = inverse(&order);
+        Ranking::from_parts(order, position)
     }
 
     fn name(&self) -> &str {

@@ -227,6 +227,10 @@ pub enum ServiceError {
     Audit(AuditError),
     /// Monitor construction or an edit batch failed.
     Monitor(MonitorError),
+    /// The request's execution panicked. The worker caught the panic at
+    /// the job boundary and answered the line with this error; the lanes
+    /// the job claimed are released and the worker keeps serving.
+    Internal(String),
 }
 
 impl fmt::Display for ServiceError {
@@ -242,6 +246,7 @@ impl fmt::Display for ServiceError {
             ServiceError::BadRequest(e) => write!(f, "bad request: {e}"),
             ServiceError::Audit(e) => write!(f, "audit: {e}"),
             ServiceError::Monitor(e) => write!(f, "monitor: {e}"),
+            ServiceError::Internal(e) => write!(f, "internal error: {e}"),
         }
     }
 }
@@ -635,10 +640,17 @@ impl AuditService {
     /// The dataset a monitor was registered over, or `None` for an
     /// unknown monitor — the server uses this to claim the right dataset
     /// ordering lane for an `update` without locking the monitor itself.
+    ///
+    /// A monitor whose `apply` panicked has a poisoned entry lock; its
+    /// requests then answer `internal`. Its dataset name never changes
+    /// after registration, so this reads it through the poison: the
+    /// caller runs outside the workers' unwind boundary.
     pub fn monitor_dataset(&self, name: &str) -> Option<String> {
         let monitors = self.monitors.read().expect("monitor lock");
         let entry = monitors.get(name)?;
-        let entry = entry.lock().expect("monitor entry lock");
+        let entry = entry
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         Some(entry.dataset.clone())
     }
 

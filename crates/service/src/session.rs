@@ -38,6 +38,15 @@
 //! the earliest-dispatched one is always runnable, so some worker always
 //! makes progress.
 //!
+//! # Panics in a job
+//!
+//! A worker runs each job under `catch_unwind`. A panic answers the line
+//! with one in-band `internal` error echoing the request's id, and the
+//! worker keeps serving. A lane claim completes when it drops, so the
+//! job's lanes are released on every path and later jobs on them run.
+//! A monitor whose `apply` panicked part-way keeps its poisoned entry
+//! lock: every later request on it answers `internal`, none hangs.
+//!
 //! # Sessions
 //!
 //! A [`Session`] owns one request stream: it parses lines, computes lane
@@ -118,8 +127,13 @@ impl Claim {
             st = self.lane.turned.wait(st).expect("lane lock"); // lint:allow(panic-path) -- Condvar::wait only fails on mutex poison, i.e. another worker already panicked; propagates an existing panic rather than creating a path
         }
     }
+}
 
-    fn complete(self) {
+/// A claim completes when it is dropped, on every path: after its job
+/// ran, when its session died, when its job panicked, or when the job was
+/// never popped.
+impl Drop for Claim {
+    fn drop(&mut self) {
         let mut st = self.lane.state.lock().expect("lane lock");
         match self.mode {
             Mode::Shared => st.shared_done += 1,
@@ -281,30 +295,49 @@ fn worker_loop(service: &AuditService, strip_timing: bool, job_rx: &Mutex<mpsc::
             work,
         } = job;
         // A dead session (output error, peer gone) has nowhere to
-        // deliver: skip the work, but still complete the lane claims or
-        // every later job on those lanes would wait forever.
+        // deliver: skip the work. The claims complete when they drop
+        // below, or every later job on those lanes would wait forever.
         if !dead.load(Ordering::Relaxed) {
-            let (line, ok) = match work {
-                Work::Ready(line, ok) => (line, ok),
-                Work::Request(request) => {
-                    let response = wire::execute(service, &request, strip_timing);
-                    let ok = response
-                        .get("ok")
-                        .and_then(|v| v.as_bool())
-                        .unwrap_or(false);
-                    (response.render(), ok)
-                }
-                #[cfg(test)]
-                Work::Call(f) => f(),
-            };
+            let (line, ok) = run_work(service, strip_timing, work);
             if res_tx.send((seq, line, ok)).is_err() {
                 dead.store(true, Ordering::Relaxed);
             }
         }
-        for claim in claims {
-            claim.complete();
-        }
+        drop(claims);
     }
+}
+
+/// Runs one job's work and renders its response line. A panic in the work
+/// is caught here and answered in band with an `internal` error that
+/// echoes the request's id, so the line still gets its one response and
+/// the worker lives on.
+fn run_work(service: &AuditService, strip_timing: bool, work: Work) -> (String, bool) {
+    let id = match &work {
+        Work::Request(request) => request.id().cloned(),
+        _ => None,
+    };
+    let run = std::panic::AssertUnwindSafe(|| match work {
+        Work::Ready(line, ok) => (line, ok),
+        Work::Request(request) => {
+            let response = wire::execute(service, &request, strip_timing);
+            let ok = response
+                .get("ok")
+                .and_then(|v| v.as_bool())
+                .unwrap_or(false);
+            (response.render(), ok)
+        }
+        #[cfg(test)]
+        Work::Call(f) => f(),
+    });
+    std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "the request panicked".to_string());
+        let e = crate::ServiceError::Internal(message);
+        (wire::error_response(id.as_ref(), &e).render(), false)
+    })
 }
 
 /// Per-session pipeline window: at most `limit` requests may be past
@@ -920,6 +953,86 @@ mod tests {
             assert_eq!(log.lock().expect("event log").clone(), ["a", "b", "c", "d"]);
             exec.close();
         });
+    }
+
+    #[test]
+    fn a_panicking_job_answers_in_band_and_frees_its_lanes() {
+        // Job 0 panics on lane `mon:a`; job 1 waits on the same lane. The
+        // panic must cost one in-band `internal` line, job 1 must run,
+        // and the executor's scope must return after `close`. The scope
+        // runs on its own thread so that a wedged lane fails the test by
+        // timeout instead of hanging it.
+        let (res_tx, res_rx) = mpsc::channel();
+        let (scope_tx, scope_rx) = mpsc::channel::<()>();
+        std::thread::spawn(move || {
+            let (service, exec) = harness();
+            let dead = Arc::new(AtomicBool::new(false));
+            let lane = [("mon:a".to_string(), Mode::Exclusive)];
+            std::thread::scope(|scope| {
+                exec.start_workers(scope, &service);
+                exec.submit(
+                    0,
+                    res_tx.clone(),
+                    Arc::clone(&dead),
+                    &lane,
+                    Work::Call(Box::new(|| panic!("the job panics"))),
+                );
+                exec.submit(1, res_tx, dead, &lane, call(|| "second".to_string()));
+                exec.close();
+            });
+            scope_tx.send(()).expect("the test waits for the scope");
+        });
+        let mut got: Vec<Response> = (0..2)
+            .map(|_| res_rx.recv_timeout(TICK).expect("every line is answered"))
+            .collect();
+        got.sort();
+        let (seq, line, ok) = &got[0];
+        assert_eq!((*seq, *ok), (0, false));
+        assert!(line.contains(r#""kind":"internal""#), "{line}");
+        assert!(line.contains("the job panics"), "{line}");
+        assert_eq!(got[1], (1, "second".to_string(), true));
+        scope_rx
+            .recv_timeout(TICK)
+            .expect("the scope returns once the queue drains");
+    }
+
+    #[test]
+    fn a_monitor_poisoned_by_a_panic_answers_internal_with_the_id() {
+        // A monitor whose `apply` unwound leaves its entry lock poisoned.
+        // Each later request on it panics on that lock; the worker answers
+        // `internal`, echoing the line's id, instead of hanging or dying.
+        let service = AuditService::new();
+        service.register_dataset("fig1", Arc::new(rankfair_data::examples::students_fig1()));
+        let run = |line: &str| {
+            let request = wire::parse_line(line).expect("a valid line");
+            run_work(&service, true, Work::Request(Box::new(request)))
+        };
+        let (line, ok) = run(concat!(
+            r#"{"id":1,"op":"register_monitor","name":"m","dataset":"fig1","rank_by":"Grade","#,
+            r#""task":{"type":"under","measure":{"type":"global","lower":2}},"#,
+            r#""config":{"tau":4,"kmin":4,"kmax":5}}"#
+        ));
+        assert!(ok, "{line}");
+        let entry = service.monitor_entry("m").expect("registered");
+        let poisoner = std::thread::spawn(move || {
+            let _held = entry.lock().expect("monitor entry lock");
+            panic!("apply unwound");
+        });
+        assert!(poisoner.join().is_err());
+        for (id, line) in [
+            (7, r#"{"id":7,"op":"snapshot","monitor":"m"}"#),
+            (
+                8,
+                r#"{"id":8,"op":"update","monitor":"m","edits":[{"edit":"score","row":5,"score":19.5}]}"#,
+            ),
+        ] {
+            let (got, ok) = run(line);
+            let want = format!(r#"{{"id":{id},"ok":false,"error":{{"kind":"internal""#);
+            assert!(!ok && got.starts_with(&want), "{got}");
+        }
+        // The session's lane lookup reads the dataset name through the
+        // poison: it runs outside the workers' unwind boundary.
+        assert_eq!(service.monitor_dataset("m").as_deref(), Some("fig1"));
     }
 
     #[test]

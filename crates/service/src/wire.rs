@@ -671,6 +671,10 @@ pub fn error_json(e: &ServiceError) -> Value {
             ("kind", Value::from("bad_request")),
             ("message", Value::from(e.to_string())),
         ]),
+        ServiceError::Internal(_) => Value::object([
+            ("kind", Value::from("internal")),
+            ("message", Value::from(e.to_string())),
+        ]),
     }
 }
 
