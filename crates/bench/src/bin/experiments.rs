@@ -6,6 +6,9 @@
 //! ids: fig4 fig5 fig6 fig7 fig8 fig9 fig10 gain casestudy resultsize
 //!      worstcase faststeps scaling overrep serve monitor shard serve-net all
 //!
+//! An unknown flag or id, a missing or non-integer value, or a second id
+//! prints the usage and exits 2.
+//!
 //! `overrep`, `serve`, `monitor`, `shard` and `serve-net` additionally
 //! write their measurements to `BENCH_overrep.json` / `BENCH_service.json`
 //! / `BENCH_monitor.json` / `BENCH_shard.json` / `BENCH_net.json` in the
@@ -27,15 +30,19 @@ use rankfair::explain::distribution::compare_distributions;
 use rankfair::explain::{ExplainConfig, RankSurrogate};
 use rankfair::prelude::{compas_workload, german_workload, student_workload, Workload};
 use rankfair_bench::{
-    audit_with_attrs, fmt_ms, paper_defaults, run_algo, Algo, Measurement, Table,
+    audit_with_attrs, fmt_gain, fmt_ms, paper_defaults, run_algo, Algo, Measurement, Table,
 };
 use rankfair_divergence::{display_items, divergent_subgroups, DivergenceConfig};
 
+#[derive(Debug, PartialEq)]
 struct Opts {
     timeout: Duration,
     seed: u64,
     quick: bool,
 }
+
+/// Every experiment id, for the usage line.
+const IDS: &str = "fig4 fig5 fig6 fig7 fig8 fig9 fig10 gain casestudy resultsize worstcase faststeps scaling overrep serve monitor shard serve-net all";
 
 /// Host core count, recorded in every BENCH_*.json `config` so flat
 /// worker-scaling curves from 1-core CI containers are machine-readably
@@ -44,33 +51,35 @@ fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
-fn parse_args() -> (String, Opts) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cmd = String::from("all");
+/// Parses the arguments after the program name: at most one experiment
+/// id (default `all`) and the flags. An unknown flag, a flag without an
+/// integer value, or a second id is an error, so a typo cannot run the
+/// wrong mode.
+fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
+    let mut cmd: Option<&str> = None;
     let mut opts = Opts {
         timeout: Duration::from_secs(10),
         seed: 42,
         quick: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--timeout" => {
-                i += 1;
-                opts.timeout =
-                    Duration::from_secs(args.get(i).and_then(|s| s.parse().ok()).unwrap_or(10));
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(42);
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || -> Result<u64, String> {
+            let value = args.next().ok_or(format!("`{arg}` needs a value"))?;
+            value
+                .parse()
+                .map_err(|_| format!("`{arg}` takes a non-negative integer, got `{value}`"))
+        };
+        match arg.as_str() {
+            "--timeout" => opts.timeout = Duration::from_secs(value()?),
+            "--seed" => opts.seed = value()?,
             "--quick" => opts.quick = true,
-            other if !other.starts_with("--") => cmd = other.to_string(),
-            other => eprintln!("ignoring unknown flag {other}"),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            id if cmd.is_some() => return Err(format!("a second experiment id `{id}`")),
+            id => cmd = Some(id),
         }
-        i += 1;
     }
-    (cmd, opts)
+    Ok((cmd.unwrap_or("all").to_string(), opts))
 }
 
 fn workloads(opts: &Opts) -> Vec<Workload> {
@@ -273,13 +282,12 @@ fn gain(opts: &Opts) {
             };
             let base = run_algo(&audit, &cfg, &measure, Algo::IterTd);
             let opt = run_algo(&audit, &cfg, &measure, opt_algo);
-            let gain = 100.0 * (1.0 - opt.patterns_examined as f64 / base.patterns_examined as f64);
             t.row(&[
                 w.name.to_string(),
                 label.to_string(),
                 base.patterns_examined.to_string(),
                 opt.patterns_examined.to_string(),
-                format!("{gain:.2}"),
+                fmt_gain(&base, &opt),
             ]);
         }
     }
@@ -1071,8 +1079,8 @@ const SHARD_QUICK_FLOOR_AT_4: f64 = 1.5;
 const SHARD_FLOOR_MIN_CORES: usize = 4;
 
 /// Sharded audit at scale: a seeded synthetic dataset (10M+ rows; quick
-/// mode shrinks it for CI smoke) audited through [`ShardedIndex`] at
-/// several shard counts, every outcome cross-checked against the
+/// mode shrinks it for CI smoke) audited through `RankedIndex::sharded`
+/// at several shard counts, every outcome cross-checked against the
 /// unsharded audit, plus a subsampled control re-audited both ways.
 /// Prints a table and writes `BENCH_shard.json` (scale + parallel-speedup
 /// numbers); with `--quick` it enforces the speedup floor above when the
@@ -1555,7 +1563,13 @@ fn worstcase(opts: &Opts) {
 }
 
 fn main() {
-    let (cmd, opts) = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, opts) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!(
+            "error: {e}\nusage: experiments <id> [--timeout SECS] [--seed N] [--quick]\nids: {IDS}"
+        );
+        std::process::exit(2);
+    });
     println!(
         "# rankfair experiments — reproducing ICDE 2023 §VI (seed {}, timeout {:?}{})",
         opts.seed,
@@ -1602,8 +1616,52 @@ fn main() {
             serve_net_bench(&opts);
         }
         other => {
-            eprintln!("unknown experiment `{other}`; expected one of: fig4 fig5 fig6 fig7 fig8 fig9 fig10 gain casestudy resultsize worstcase faststeps scaling overrep serve monitor shard serve-net all");
+            eprintln!("unknown experiment `{other}`; expected one of: {IDS}");
             std::process::exit(2);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(String, Opts), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_args_reads_an_id_and_every_flag() {
+        let defaults = Opts {
+            timeout: Duration::from_secs(10),
+            seed: 42,
+            quick: false,
+        };
+        assert_eq!(parse(&[]), Ok(("all".to_string(), defaults)));
+        let (cmd, opts) = parse(&["--seed", "7", "monitor", "--quick", "--timeout", "5"]).unwrap();
+        assert_eq!(cmd, "monitor");
+        assert_eq!(
+            opts,
+            Opts {
+                timeout: Duration::from_secs(5),
+                seed: 7,
+                quick: true,
+            }
+        );
+    }
+
+    #[test]
+    fn parse_args_rejects_what_it_cannot_read() {
+        for args in [
+            &["monitor", "--quik"][..],
+            &["monitor", "--timeout", "five"],
+            &["monitor", "--timeout", "-1"],
+            &["monitor", "--timeout"],
+            &["monitor", "--seed"],
+            &["--seed", "--quick", "monitor"],
+            &["monitor", "shard"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?}");
         }
     }
 }

@@ -145,9 +145,35 @@ pub fn fmt_ms(m: &Measurement) -> String {
     }
 }
 
+/// The share of the baseline's examined patterns the optimized run
+/// saved, in percent with 2 decimals, or `TIMEOUT` when either run hit
+/// its deadline: a cut-short run's count gives no gain.
+pub fn fmt_gain(base: &Measurement, opt: &Measurement) -> String {
+    if base.timed_out || opt.timed_out {
+        "TIMEOUT".to_string()
+    } else {
+        let gain = 100.0 * (1.0 - opt.patterns_examined as f64 / base.patterns_examined as f64);
+        format!("{gain:.2}")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fmt_gain_reads_timeout_when_either_run_was_cut_short() {
+        let run = |patterns_examined, timed_out| Measurement {
+            elapsed: Duration::ZERO,
+            patterns_examined,
+            groups_reported: 0,
+            timed_out,
+        };
+        assert_eq!(fmt_gain(&run(400, false), &run(100, false)), "75.00");
+        assert_eq!(fmt_gain(&run(0, true), &run(100, false)), "TIMEOUT");
+        assert_eq!(fmt_gain(&run(400, false), &run(100, true)), "TIMEOUT");
+        assert_eq!(fmt_gain(&run(0, true), &run(0, true)), "TIMEOUT");
+    }
 
     #[test]
     fn table_renders_aligned() {

@@ -19,9 +19,9 @@ USAGE:
         --task under|over|combined   what to detect (default under)
         --engine optimized|baseline  algorithm family (default optimized)
         --threads N         worker threads over the k range (default 1, 0 = all cores)
-        --shards N          partition rows across N shard-local indexes whose
-                            pattern counts merge additively (default 1; results
-                            are identical to the monolithic index)
+        --shards N          cut the index's rows into N blocks whose pattern
+                            counts merge additively (default 1; results are
+                            identical to one block)
         --problem global|prop   under measure (default global; task under only)
         --lower N           lower bound L_k (default 10; global under / combined)
         --upper N           upper bound U_k (default 20; over / combined)

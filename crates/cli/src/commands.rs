@@ -95,7 +95,7 @@ fn build_audit(raw: &Arc<Dataset>, ranking: &Ranking, flags: &Flags) -> Result<A
     }
     builder = builder.threads(flags.num("threads", 1)?);
     // `--shards` is only in the detect flag spec; the other commands fall
-    // through to the default monolithic index.
+    // through to the default of one row block.
     builder = builder.shards(flags.num("shards", 1)?);
     // Build failures are data-dependent (unknown attribute columns, failed
     // bucketization hooks): runtime, not usage.

@@ -2,8 +2,8 @@
 //! entry point for every detection mode in the paper.
 //!
 //! [`Audit`] owns its dataset (behind an [`Arc`]), the pattern space, the
-//! ranking and the counting index ([`AuditIndex`]: a single
-//! [`RankedIndex`] or a [`ShardedIndex`] merging per-shard `s_D` counts
+//! ranking and the counting index ([`AuditIndex`], a [`RankedIndex`]
+//! whose membership maps may be cut into row blocks that merge `s_D`
 //! additively), so it is `Send + Sync` and can be shared across threads,
 //! held in a server, or cached between requests. Building an audit builds
 //! the index's membership maps and shares the ranking with the index
@@ -60,7 +60,6 @@ use crate::incremental::{self, ReorderSpec, Store, Stream};
 use crate::oracle;
 use crate::pattern::Pattern;
 use crate::report::{summarize_audit, KReport};
-use crate::shard::ShardedIndex;
 use crate::space::{AttrId, CountsProvider, PatternSpace, RankedIndex, SpaceError};
 use crate::stats::{
     DeadlineGuard, DetectConfig, DetectionOutput, KResult, ReplayCounters, SearchStats,
@@ -102,7 +101,7 @@ pub enum AuditError {
     /// A [`Bounds::LinearFraction`] must be finite and non-negative (a NaN
     /// or negative fraction silently empties or floods the result set).
     InvalidBound(f64),
-    /// A dataset-preparation hook (bucketization) failed.
+    /// Bucketizing a column ([`AuditBuilder::bucketize`]) failed.
     Prepare(String),
 }
 
@@ -242,91 +241,40 @@ impl AuditOutcome {
     }
 }
 
-/// The counting index an [`Audit`] executes against: one [`RankedIndex`]
-/// over the whole dataset, or a [`ShardedIndex`] whose per-shard `s_D`
-/// counts merge additively ([`AuditBuilder::shards`]). Both satisfy the
-/// [`CountsProvider`] contract the engines consume, so every task,
-/// engine and streaming mode runs unchanged on either variant and the
-/// results are identical — the differential suite sweeps that equality.
+/// The counting index an [`Audit`] executes against: a [`RankedIndex`],
+/// with one row block of membership maps or several
+/// ([`AuditBuilder::shards`]), whose `s_D` counts merge additively. It
+/// derefs to the [`RankedIndex`]; every task, engine and streaming mode
+/// runs on it unchanged, and the results are identical whatever the
+/// blocks — the differential suite sweeps that equality.
 #[derive(Debug, Clone)]
 pub enum AuditIndex {
-    /// A single index over the whole dataset (the default).
+    /// A single row block over the whole dataset (the default).
     Single(RankedIndex),
     /// Row ids partitioned into contiguous blocks of membership maps, with
-    /// one global rank side.
-    Sharded(ShardedIndex),
+    /// one global rank side ([`RankedIndex::sharded`]).
+    Sharded(RankedIndex),
 }
 
-impl AuditIndex {
-    /// Number of ranked tuples.
-    pub fn n(&self) -> usize {
+impl std::ops::Deref for AuditIndex {
+    type Target = RankedIndex;
+
+    fn deref(&self) -> &RankedIndex {
         match self {
-            AuditIndex::Single(i) => i.n(),
-            AuditIndex::Sharded(i) => i.n(),
-        }
-    }
-
-    /// `(s_D(p), s_Rk(p))` in one pass.
-    pub fn counts(&self, p: &Pattern, k: usize) -> (usize, usize) {
-        match self {
-            AuditIndex::Single(i) => i.counts(p, k),
-            AuditIndex::Sharded(i) => i.counts(p, k),
-        }
-    }
-
-    /// `s_Rk(p)` alone, from the rank blocks below `k` — the arena
-    /// engines' re-activation fast path (the stored `s_D` makes the
-    /// membership-map count redundant).
-    pub fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
-        match self {
-            AuditIndex::Single(i) => i.prefix_count(p, k),
-            AuditIndex::Sharded(i) => i.prefix_count(p, k),
-        }
-    }
-
-    /// `s_D(p)` alone.
-    pub fn size_in_data(&self, p: &Pattern) -> usize {
-        self.counts(p, 0).0
-    }
-
-    /// Value of `attr` for the tuple at rank position `pos`.
-    pub fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
-        match self {
-            AuditIndex::Single(i) => i.code_at(pos, attr),
-            AuditIndex::Sharded(i) => i.code_at(pos, attr),
-        }
-    }
-
-    /// Whether the tuple at rank position `pos` satisfies `p`.
-    pub fn matches_at(&self, pos: usize, p: &Pattern) -> bool {
-        p.matches(|a| self.code_at(pos, a))
-    }
-
-    /// Number of shards (`1` for the single-index variant).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            AuditIndex::Single(_) => 1,
-            AuditIndex::Sharded(i) => i.shard_count(),
-        }
-    }
-
-    /// Number of rank blocks built so far.
-    #[cfg(test)]
-    fn built_rank_blocks(&self) -> usize {
-        match self {
-            AuditIndex::Single(i) => i.built_rank_blocks(),
-            AuditIndex::Sharded(i) => i.built_rank_blocks(),
+            AuditIndex::Single(index) | AuditIndex::Sharded(index) => index,
         }
     }
 }
 
+/// Lets an audit's index go where a `&impl CountsProvider` is taken (deref
+/// coercion does not reach a generic bound).
 impl CountsProvider for AuditIndex {
     fn n(&self) -> usize {
-        AuditIndex::n(self)
+        RankedIndex::n(self)
     }
 
     fn counts(&self, p: &Pattern, k: usize) -> (usize, usize) {
-        AuditIndex::counts(self, p, k)
+        RankedIndex::counts(self, p, k)
     }
 
     fn child_counts(
@@ -336,22 +284,17 @@ impl CountsProvider for AuditIndex {
         k: usize,
         out: &mut Vec<(usize, usize)>,
     ) {
-        match self {
-            AuditIndex::Single(i) => i.child_counts(parent, start, k, out),
-            AuditIndex::Sharded(i) => i.child_counts(parent, start, k, out),
-        }
+        RankedIndex::child_counts(self, parent, start, k, out)
     }
 
     fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
-        AuditIndex::code_at(self, pos, attr)
+        RankedIndex::code_at(self, pos, attr)
     }
 
     fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
-        AuditIndex::prefix_count(self, p, k)
+        RankedIndex::prefix_count(self, p, k)
     }
 }
-
-type PrepareHook = Box<dyn FnOnce(&mut Dataset) -> Result<(), String>>;
 
 /// Fluent construction of an [`Audit`].
 ///
@@ -365,7 +308,9 @@ pub struct AuditBuilder {
     dataset: Arc<Dataset>,
     ranking: Option<Ranking>,
     attrs: Option<Vec<String>>,
-    prepare: Vec<PrepareHook>,
+    /// `(column, bins)` of every [`AuditBuilder::bucketize`] call, in call
+    /// order.
+    bucketize: Vec<(String, usize)>,
     threads: usize,
     shards: usize,
 }
@@ -377,7 +322,7 @@ impl AuditBuilder {
             dataset: dataset.into(),
             ranking: None,
             attrs: None,
-            prepare: Vec::new(),
+            bucketize: Vec::new(),
             threads: 1,
             shards: 1,
         }
@@ -410,26 +355,7 @@ impl AuditBuilder {
     /// Bucketizes a numeric column into `bins` equal-width bins before
     /// detection (after ranking). May be called repeatedly.
     pub fn bucketize(mut self, column: &str, bins: usize) -> Self {
-        let column = column.to_string();
-        self.prepare.push(Box::new(move |ds| {
-            rankfair_data::bucketize::bucketize_in_place(
-                ds,
-                &column,
-                bins,
-                rankfair_data::bucketize::BinStrategy::EqualWidth,
-            )
-            .map_err(|e| format!("bucketizing `{column}`: {e}"))
-        }));
-        self
-    }
-
-    /// Arbitrary dataset-preparation hook, run (in registration order,
-    /// after ranking) on a private copy of the dataset.
-    pub fn prepare_with(
-        mut self,
-        hook: impl FnOnce(&mut Dataset) -> Result<(), String> + 'static,
-    ) -> Self {
-        self.prepare.push(Box::new(hook));
+        self.bucketize.push((column.to_string(), bins));
         self
     }
 
@@ -442,15 +368,15 @@ impl AuditBuilder {
 
     /// Partitions the row ids into `shards` contiguous blocks, each with
     /// its own membership maps: `s_D` is merged additively across shards
-    /// and `s_Rk` is read from one global rank side ([`ShardedIndex`]).
-    /// `0` or `1` keeps the single unsharded index; results are identical
-    /// either way.
+    /// and `s_Rk` is read from one global rank side
+    /// ([`RankedIndex::sharded`]). `0` or `1` keeps one row block;
+    /// results are identical either way.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
     }
 
-    /// Builds the audit: ranks (if needed), applies preparation hooks,
+    /// Builds the audit: ranks (if needed), bucketizes,
     /// constructs the pattern space and the counting index (its
     /// membership maps, and a handle on the ranking, whose order is not
     /// copied; rank blocks are built when a run reads them).
@@ -458,12 +384,18 @@ impl AuditBuilder {
         let Some(ranking) = self.ranking else {
             return Err(AuditError::MissingRanking);
         };
-        let dataset = if self.prepare.is_empty() {
+        let dataset = if self.bucketize.is_empty() {
             self.dataset
         } else {
             let mut ds = (*self.dataset).clone();
-            for hook in self.prepare {
-                hook(&mut ds).map_err(AuditError::Prepare)?;
+            for (column, bins) in &self.bucketize {
+                rankfair_data::bucketize::bucketize_in_place(
+                    &mut ds,
+                    column,
+                    *bins,
+                    rankfair_data::bucketize::BinStrategy::EqualWidth,
+                )
+                .map_err(|e| AuditError::Prepare(format!("bucketizing `{column}`: {e}")))?;
             }
             Arc::new(ds)
         };
@@ -483,7 +415,12 @@ impl AuditBuilder {
         let index = if self.shards <= 1 {
             AuditIndex::Single(RankedIndex::build(&dataset, &space, &ranking))
         } else {
-            AuditIndex::Sharded(ShardedIndex::build(&dataset, &space, &ranking, self.shards))
+            AuditIndex::Sharded(RankedIndex::sharded(
+                &dataset,
+                &space,
+                &ranking,
+                self.shards,
+            ))
         };
         let threads = if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -546,7 +483,7 @@ impl Audit {
         &self.ranking
     }
 
-    /// The ranked counting index (single or sharded).
+    /// The ranked counting index (one row block or several).
     pub fn index(&self) -> &AuditIndex {
         &self.index
     }
@@ -571,7 +508,7 @@ impl Audit {
 
     /// Enriches an outcome into per-`k` display reports (both directions).
     pub fn report(&self, out: &AuditOutcome, task: &AuditTask) -> Vec<KReport> {
-        summarize_audit(out, &self.index, &self.space, task)
+        summarize_audit(out, &*self.index, &self.space, task)
     }
 
     fn validate(&self, cfg: &DetectConfig, task: &AuditTask) -> Result<(), AuditError> {
@@ -579,12 +516,12 @@ impl Audit {
     }
 
     /// The borrowed execution core shared with [`crate::MonitorAudit`].
-    fn parts(&self) -> AuditParts<'_, AuditIndex> {
+    fn parts(&self) -> AuditParts<'_, RankedIndex> {
         AuditParts {
             dataset: &self.dataset,
             space: &self.space,
             ranking: &self.ranking,
-            index: &self.index,
+            index: &*self.index,
         }
     }
 
@@ -1014,7 +951,7 @@ impl Audit {
         task: &AuditTask,
     ) -> Result<AuditStream<'_>, AuditError> {
         self.validate(cfg, task)?;
-        let (index, space) = (&self.index, &self.space);
+        let (index, space) = (&*self.index, &self.space);
         let (under, over) = sides(task);
         let under = under
             .map(|measure| Stream::new(LowerEngine::new(index, space, cfg, measure, true), cfg));
@@ -1030,8 +967,8 @@ impl Audit {
 
 /// Lazy per-`k` iterator returned by [`Audit::run_streaming`].
 pub struct AuditStream<'a> {
-    under: Option<Stream<LowerEngine<'a, AuditIndex>>>,
-    over: Option<Stream<UpperEngine<'a, AuditIndex>>>,
+    under: Option<Stream<LowerEngine<'a, RankedIndex>>>,
+    over: Option<Stream<UpperEngine<'a, RankedIndex>>>,
 }
 
 impl AuditStream<'_> {

@@ -75,7 +75,6 @@ mod monitor;
 pub mod oracle;
 mod pattern;
 mod report;
-mod shard;
 mod space;
 mod stats;
 mod suggest;
@@ -95,7 +94,6 @@ pub use pattern::Pattern;
 pub use report::{
     render_report, render_report_csv, summarize_audit, BiasDirection, BiasedGroup, KReport,
 };
-pub use shard::ShardedIndex;
 pub use space::{AttrId, CountsProvider, PatternSpace, RankedIndex, SpaceError};
 pub use stats::{DetectConfig, DetectionOutput, KResult, SearchStats};
 pub use suggest::suggest_tau;

@@ -44,13 +44,12 @@ impl std::error::Error for SpaceError {}
 /// four primitives — the universe size, the `(s_D, s_Rk)` pair of one
 /// pattern, the same pair for every child of an expanded node, and the
 /// value of an attribute at a rank position — so any provider
-/// implementing them runs the same algorithms unchanged: the single
-/// [`RankedIndex`], the sharded additive merge of
-/// [`ShardedIndex`](crate::ShardedIndex), or the
-/// [`AuditIndex`](crate::AuditIndex) dispatching between them. `s_D` does
-/// not depend on the ranking, and `s_Rk` and the codes at positions below
-/// `k` depend only on the top-`k` prefix; the providers read each from
-/// its own structure.
+/// implementing them runs the same algorithms unchanged. The library
+/// counts with [`RankedIndex`], unsharded or with its membership maps cut
+/// into row blocks; [`AuditIndex`](crate::AuditIndex) derefs and delegates
+/// to it. `s_D` does not depend on the ranking, and `s_Rk` and the codes
+/// at positions below `k` depend only on the top-`k` prefix; the index
+/// reads each from its own structure.
 pub trait CountsProvider: Sync {
     /// Number of tuples.
     fn n(&self) -> usize;
@@ -287,7 +286,7 @@ const BLOCK_LEN: usize = 64;
 /// attribute's maps partition the rows; [`MembershipMaps::child_sizes`] derives
 /// each attribute's last child by subtraction.
 #[derive(Debug, Clone)]
-pub(crate) struct MembershipMaps {
+struct MembershipMaps {
     rows: usize,
     maps: Vec<Vec<Bitmap>>,
 }
@@ -298,7 +297,7 @@ impl MembershipMaps {
     ///
     /// # Panics
     /// Panics if a code exceeds the space's cardinalities.
-    pub(crate) fn build(ds: &Dataset, space: &PatternSpace, rows: Range<usize>) -> Self {
+    fn build(ds: &Dataset, space: &PatternSpace, rows: Range<usize>) -> Self {
         let maps = space
             .attr_ids()
             .map(|a| {
@@ -326,7 +325,7 @@ impl MembershipMaps {
     }
 
     /// `s_D(p)` over these rows.
-    pub(crate) fn size(&self, p: &Pattern) -> usize {
+    fn size(&self, p: &Pattern) -> usize {
         intersect_counts_iter(self.term_maps(p), self.rows)
     }
 
@@ -336,12 +335,7 @@ impl MembershipMaps {
     /// child but the last of every attribute with one two-operand pass
     /// over the buffer and the child's own map; the last child's size is
     /// the parent's minus its siblings'.
-    pub(crate) fn child_sizes(
-        &self,
-        parent: &Pattern,
-        start: AttrId,
-        out: &mut Vec<(usize, usize)>,
-    ) {
+    fn child_sizes(&self, parent: &Pattern, start: AttrId, out: &mut Vec<(usize, usize)>) {
         let attrs = &self.maps[usize::from(start)..];
         if attrs.is_empty() {
             return;
@@ -364,7 +358,7 @@ impl MembershipMaps {
 
     /// Writes row `row`'s codes into `out`, one per attribute: the value
     /// whose map holds the row.
-    pub(crate) fn codes_of(&self, row: usize, out: &mut [ValueCode]) {
+    fn codes_of(&self, row: usize, out: &mut [ValueCode]) {
         for (o, maps) in out.iter_mut().zip(&self.maps) {
             // The maps partition the rows: exactly one holds `row`.
             *o = (0..)
@@ -402,7 +396,7 @@ impl MembershipMaps {
 /// and a block reads them through [`Ranking::top_k`], so blocks within a
 /// lazily sorted ranking's head never finish its sort.
 #[derive(Debug, Clone)]
-pub(crate) struct RankBlocks {
+struct RankBlocks {
     /// Number of ranked rows.
     n: usize,
     rows: RankRows,
@@ -478,7 +472,7 @@ impl RankBlock {
 
 impl RankBlocks {
     /// Rank blocks reading their rows from `ranking`, shared.
-    pub(crate) fn shared(space: &PatternSpace, ranking: &Ranking) -> Self {
+    fn shared(space: &PatternSpace, ranking: &Ranking) -> Self {
         let rows = RankRows {
             shared: Some(ranking.clone()),
             owned: Vec::new(),
@@ -487,7 +481,7 @@ impl RankBlocks {
     }
 
     /// Rank blocks over a copy of `order`.
-    pub(crate) fn owned(space: &PatternSpace, order: &[TupleId]) -> Self {
+    fn owned(space: &PatternSpace, order: &[TupleId]) -> Self {
         let rows = RankRows {
             shared: None,
             owned: order.to_vec(),
@@ -513,7 +507,7 @@ impl RankBlocks {
     }
 
     /// Number of ranked rows.
-    pub(crate) fn n(&self) -> usize {
+    fn n(&self) -> usize {
         self.n
     }
 
@@ -561,7 +555,7 @@ impl RankBlocks {
     }
 
     /// Value of `attr` at rank position `pos`.
-    pub(crate) fn code_at(
+    fn code_at(
         &self,
         pos: usize,
         attr: AttrId,
@@ -572,7 +566,7 @@ impl RankBlocks {
     }
 
     /// `s_Rk(p)`.
-    pub(crate) fn prefix_count(
+    fn prefix_count(
         &self,
         p: &Pattern,
         k: usize,
@@ -586,7 +580,7 @@ impl RankBlocks {
     /// Adds `s_Rk` of every child of `parent` with `a ≥ start` to the
     /// second member of `out`'s entries, in `(a, v)` order: per block, one
     /// AND for the parent, then one AND and popcount per child.
-    pub(crate) fn add_child_prefix(
+    fn add_child_prefix(
         &self,
         parent: &Pattern,
         start: AttrId,
@@ -645,7 +639,7 @@ impl RankBlocks {
 
     /// Number of blocks built so far.
     #[cfg(test)]
-    pub(crate) fn built(&self) -> usize {
+    fn built(&self) -> usize {
         self.blocks.iter().filter(|b| b.get().is_some()).count()
     }
 }
@@ -683,22 +677,65 @@ fn dataset_codes<'a>(
 ///   count; an audit whose `k_max` nears `n` builds them all, and the
 ///   layout is then a rank-order index plus the membership maps.
 ///
-/// Both come one pattern at a time ([`RankedIndex::counts`]) or for all
-/// children of a search node at once ([`CountsProvider::child_counts`]).
-/// Every row holds exactly one value of every attribute, so an
-/// attribute's membership maps partition the rows, and `child_counts`
-/// derives each attribute's last `s_D` by subtraction. Every count is
-/// valid at every `k`, after every [`RankedIndex::grow`] and
-/// [`RankedIndex::rewrite_span`].
+/// The membership maps are held as one or more contiguous row blocks
+/// (shards, [`RankedIndex::sharded`]). `s_D` counts rows, so it is
+/// additive over any partition of them: for blocks covering row ids
+/// `[lo_s, hi_s)`,
+///
+/// ```text
+/// s_D(p) = Σ_s  s_D,s(p)
+/// ```
+///
+/// where `s_D,s` counts `p` in block `s`'s maps. The rank side is one
+/// global set of rank blocks whatever the row blocks. Large blocks count
+/// on scoped threads, one per block.
+///
+/// Both counts come one pattern at a time ([`RankedIndex::counts`]) or
+/// for all children of a search node at once
+/// ([`CountsProvider::child_counts`]). Every row holds exactly one value
+/// of every attribute, so an attribute's membership maps partition the
+/// rows, and `child_counts` derives each attribute's last `s_D` by
+/// subtraction. Every count is valid at every `k`, after every
+/// [`RankedIndex::grow`] and [`RankedIndex::rewrite_span`].
 #[derive(Debug, Clone)]
 pub struct RankedIndex {
-    data: MembershipMaps,
+    /// `bounds[s]..bounds[s + 1]` is row block `s`'s row ids;
+    /// `bounds[0] == 0` and the last entry is `n`. Blocks may be empty
+    /// when there are more blocks than rows.
+    bounds: Vec<usize>,
+    /// One set of membership maps per row block.
+    data: Vec<MembershipMaps>,
     rank: RankBlocks,
+    /// Count `s_D` on scoped threads, one per row block: decided once at
+    /// build time — more than one block, enough rows per block that its
+    /// scan dominates thread spawn cost, and more than one core.
+    parallel: bool,
+}
+
+/// Split `n` row ids into `blocks` contiguous blocks whose sizes differ by
+/// at most one (the first `n % blocks` blocks get the extra row). Returns
+/// the `blocks + 1` block boundaries.
+fn shard_boundaries(n: usize, blocks: usize) -> Vec<usize> {
+    let base = n / blocks;
+    let rem = n % blocks;
+    let mut bounds = Vec::with_capacity(blocks + 1);
+    let mut at = 0;
+    bounds.push(at);
+    for s in 0..blocks {
+        at += base + usize::from(s < rem);
+        bounds.push(at);
+    }
+    bounds
 }
 
 impl RankedIndex {
+    /// Rows per row block below which counting stays sequential: a
+    /// sub-64Ki-row scan finishes in the time a thread spawn costs. The
+    /// build fans out once the whole table reaches it.
+    pub const PARALLEL_MIN_ROWS: usize = 1 << 16;
+
     /// Builds the index for `ds` under `ranking`, over the attributes of
-    /// `space`.
+    /// `space`, with one row block.
     ///
     /// Builds the membership maps from each column's codes and keeps a
     /// handle on `ranking`, whose rows the rank blocks read when a count
@@ -712,22 +749,31 @@ impl RankedIndex {
     /// Panics if the ranking length differs from the dataset, or codes
     /// exceed the space’s cardinalities.
     pub fn build(ds: &Dataset, space: &PatternSpace, ranking: &Ranking) -> Self {
+        Self::sharded(ds, space, ranking, 1)
+    }
+
+    /// [`RankedIndex::build`] with the membership maps cut into `shards`
+    /// contiguous row blocks whose sizes differ by at most one row;
+    /// `shards` may exceed the row count, leaving trailing blocks empty.
+    /// Counts are the same as with one block.
+    ///
+    /// # Panics
+    /// Panics if `shards == 0`, the ranking length differs from the
+    /// dataset, or codes exceed the space’s cardinalities.
+    pub fn sharded(ds: &Dataset, space: &PatternSpace, ranking: &Ranking, shards: usize) -> Self {
         assert_eq!(
             ranking.len(),
             ds.n_rows(),
             "ranking must cover every dataset row"
         );
-        RankedIndex {
-            data: MembershipMaps::build(ds, space, 0..ds.n_rows()),
-            rank: RankBlocks::shared(space, ranking),
-        }
+        Self::with_rank_side(ds, space, RankBlocks::shared(space, ranking), shards)
     }
 
     /// Builds the index over a raw rank order: the tuple at `order[pos]`
     /// occupies rank position `pos`. Builds the membership maps from each
-    /// column's codes and copies the order, which the index then owns (a
-    /// monitor builds its index this way and edits it); no rank block is
-    /// built until a count reads it.
+    /// column's codes, in one row block, and copies the order, which the
+    /// index then owns (a monitor builds its index this way and edits it);
+    /// no rank block is built until a count reads it.
     ///
     /// # Panics
     /// Panics if `order` does not rank every row of `ds` (its length
@@ -738,9 +784,39 @@ impl RankedIndex {
             ds.n_rows(),
             "order must rank every dataset row"
         );
+        Self::with_rank_side(ds, space, RankBlocks::owned(space, order), 1)
+    }
+
+    /// The membership maps of `ds`'s rows in `shards` row blocks, next to
+    /// `rank`.
+    fn with_rank_side(ds: &Dataset, space: &PatternSpace, rank: RankBlocks, shards: usize) -> Self {
+        assert!(shards > 0, "at least one shard");
+        let n = rank.n();
+        let bounds = shard_boundaries(n, shards);
+        let spans: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+        let fan_out = shards > 1 && std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
+        let data: Vec<MembershipMaps> = if fan_out && n >= Self::PARALLEL_MIN_ROWS {
+            let mut slots: Vec<Option<MembershipMaps>> = (0..shards).map(|_| None).collect();
+            std::thread::scope(|scope| {
+                for (slot, span) in slots.iter_mut().zip(&spans) {
+                    scope.spawn(move || {
+                        *slot = Some(MembershipMaps::build(ds, space, span.clone()))
+                    });
+                }
+            });
+            // lint:allow(panic-reachability) -- thread::scope joins every worker before returning, so each slot was written; a panicked worker re-raises inside scope() first
+            slots.into_iter().map(|s| s.expect("block built")).collect()
+        } else {
+            spans
+                .into_iter()
+                .map(|span| MembershipMaps::build(ds, space, span))
+                .collect()
+        };
         RankedIndex {
-            data: MembershipMaps::build(ds, space, 0..ds.n_rows()),
-            rank: RankBlocks::owned(space, order),
+            bounds,
+            data,
+            rank,
+            parallel: fan_out && n / shards >= Self::PARALLEL_MIN_ROWS,
         }
     }
 
@@ -749,9 +825,27 @@ impl RankedIndex {
         self.rank.n()
     }
 
-    /// A row's codes from the membership maps, for building rank blocks.
+    /// Number of row blocks (shards), including empty ones; `1` unless
+    /// built by [`RankedIndex::sharded`].
+    pub fn shard_count(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Rows per row block.
+    pub fn shard_sizes(&self) -> Vec<usize> {
+        self.bounds.windows(2).map(|w| w[1] - w[0]).collect()
+    }
+
+    /// A row's codes from the membership maps of the row block holding
+    /// it, for building rank blocks.
     fn row_codes(&self) -> impl Fn(usize, &mut [ValueCode]) + '_ {
-        |row, out| self.data.codes_of(row, out)
+        |row, out| {
+            // First boundary strictly above `row`, minus one, is the
+            // owning block; repeated boundaries (empty blocks) resolve
+            // past them.
+            let s = self.bounds.partition_point(|&b| b <= row) - 1;
+            self.data[s].codes_of(row - self.bounds[s], out);
+        }
     }
 
     /// `(s_D(p), s_Rk(p))` of one pattern: a membership-map count and a
@@ -763,9 +857,19 @@ impl RankedIndex {
         (self.size_in_data(p), self.prefix_count(p, k))
     }
 
-    /// `s_D(p)` alone, from the membership maps.
+    /// `s_D(p)` alone, from the membership maps, summed over the row
+    /// blocks; large blocks count on scoped threads, one per block.
     pub fn size_in_data(&self, p: &Pattern) -> usize {
-        self.data.size(p)
+        if !self.parallel {
+            return self.data.iter().map(|maps| maps.size(p)).sum();
+        }
+        let mut partials = vec![0; self.data.len()];
+        std::thread::scope(|scope| {
+            for (maps, slot) in self.data.iter().zip(partials.iter_mut()) {
+                scope.spawn(move || *slot = maps.size(p));
+            }
+        });
+        partials.into_iter().sum()
     }
 
     /// `s_Rk(p)` alone, from the rank blocks below `k` — the engines'
@@ -780,11 +884,11 @@ impl RankedIndex {
     }
 
     /// Appends the row just pushed onto `ds` (row id [`RankedIndex::n`])
-    /// at a new last rank position: one bit per attribute in the
-    /// membership maps, and its codes in the last rank block if that is
-    /// built. The index stays valid; a live insertion then moves the row
-    /// to its rank with [`RankedIndex::rewrite_span`], which covers every
-    /// position from the insertion point to the end.
+    /// at a new last rank position: one bit per attribute in the last row
+    /// block's membership maps, and its codes in the last rank block if
+    /// that is built. The index stays valid; a live insertion then moves
+    /// the row to its rank with [`RankedIndex::rewrite_span`], which covers
+    /// every position from the insertion point to the end.
     ///
     /// # Panics
     /// Panics if `ds` has no row `n`.
@@ -792,7 +896,9 @@ impl RankedIndex {
         let row = self.n();
         let mut codes = vec![0; space.n_attrs()];
         dataset_codes(ds, space)(row, &mut codes);
-        self.data.push(&codes);
+        let last = self.data.len() - 1;
+        self.data[last].push(&codes);
+        self.bounds[last + 1] += 1;
         self.rank
             .push(TupleId::try_from(row).expect("row ids fit TupleId"), &codes);
     }
@@ -861,7 +967,10 @@ impl CountsProvider for RankedIndex {
 
     /// `s_D` of every child from the membership maps (one parent AND, one
     /// two-operand pass per child, each attribute's last child by
-    /// subtraction), then `s_Rk` from the rank blocks below `k`.
+    /// subtraction), merged additively over the row blocks — each block
+    /// counts the whole expansion on its rows, so large blocks fan out
+    /// over threads once per expansion, not once per child — then `s_Rk`
+    /// from the rank blocks below `k`.
     fn child_counts(
         &self,
         parent: &Pattern,
@@ -870,7 +979,30 @@ impl CountsProvider for RankedIndex {
         out: &mut Vec<(usize, usize)>,
     ) {
         let base = out.len();
-        self.data.child_sizes(parent, start, out);
+        if let [maps] = &self.data[..] {
+            maps.child_sizes(parent, start, out);
+        } else {
+            let mut partials: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.data.len()];
+            if self.parallel {
+                std::thread::scope(|scope| {
+                    for (maps, slot) in self.data.iter().zip(partials.iter_mut()) {
+                        scope.spawn(move || maps.child_sizes(parent, start, slot));
+                    }
+                });
+            } else {
+                for (maps, slot) in self.data.iter().zip(partials.iter_mut()) {
+                    maps.child_sizes(parent, start, slot);
+                }
+            }
+            // Every block reports every child, so the first partial fixes
+            // the child count.
+            out.resize(base + partials[0].len(), (0, 0));
+            for part in &partials {
+                for (o, &(size, _)) in out[base..].iter_mut().zip(part) {
+                    o.0 += size;
+                }
+            }
+        }
         self.rank
             .add_child_prefix(parent, start, k, &mut out[base..], &self.row_codes());
     }
@@ -1308,12 +1440,17 @@ mod tests {
                 for row in 0..rows {
                     want[usize::from(col.code(row))].set(row);
                 }
-                assert_eq!(index.data.maps[usize::from(a)], want, "rows={rows} a={a}");
+                assert_eq!(
+                    index.data[0].maps[usize::from(a)],
+                    want,
+                    "rows={rows} a={a}"
+                );
             }
             // Shards of row blocks, more shards than rows leaving trailing
             // blocks empty.
+            let ranking = Ranking::from_order(order.clone()).unwrap();
             for shards in [1, 2, 3, 7, rows + 3] {
-                let sharded = crate::ShardedIndex::build_from_order(&ds, &space, &order, shards);
+                let sharded = RankedIndex::sharded(&ds, &space, &ranking, shards);
                 assert_eq!(sharded.shard_sizes().iter().sum::<usize>(), rows);
                 assert_index_matches(&sharded, &index, &space, &ks);
             }
@@ -1367,39 +1504,190 @@ mod tests {
     #[test]
     fn grow_then_rewrite_covers_an_insertion() {
         use rankfair_data::RowValue;
-        let (mut ds, space, mut index) = fig1();
-        // Append a 17th student and slot them in at rank position 5.
-        ds.push_row(&[
-            RowValue::Label("F".into()),
-            RowValue::Label("GP".into()),
-            RowValue::Label("R".into()),
-            RowValue::Label("1".into()),
-            RowValue::Number(9.0),
-        ])
-        .unwrap();
-        let mut order = fig1_rank_order();
-        order.insert(5, 16);
-        // Build the one rank block, so that both edits patch it.
-        index.code_at(0, 0);
-        index.grow(&ds, &space);
-        index.rewrite_span(&ds, &space, &order, 5, 16);
-        let fresh = RankedIndex::build(&ds, &space, &Ranking::from_order(order).unwrap());
-        assert_eq!(index.n(), 17);
-        for a in 0..space.n_attrs() as u16 {
-            for v in 0..space.card(a) as u16 {
-                let p = Pattern::single(a, v);
-                // Every prefix: equal prefix counts at all k pins the
-                // block's words bit-for-bit (a position never written
-                // holds code 0 with no bit, so writing value 0 there must
-                // still set its bit).
-                for k in 0..=17 {
+        // One row block and three; the rank block built before the edits,
+        // so that both patch it, or after them, so that it reads the grown
+        // row from the last row block.
+        for (shards, built_first) in [(1, true), (1, false), (3, true), (3, false)] {
+            let (mut ds, space, _) = fig1();
+            let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
+            let mut index = RankedIndex::sharded(&ds, &space, &ranking, shards);
+            // Append a 17th student and slot them in at rank position 5.
+            ds.push_row(&[
+                RowValue::Label("F".into()),
+                RowValue::Label("GP".into()),
+                RowValue::Label("R".into()),
+                RowValue::Label("1".into()),
+                RowValue::Number(9.0),
+            ])
+            .unwrap();
+            let mut order = fig1_rank_order();
+            order.insert(5, 16);
+            if built_first {
+                index.code_at(0, 0);
+            }
+            index.grow(&ds, &space);
+            index.rewrite_span(&ds, &space, &order, 5, 16);
+            let fresh = RankedIndex::build(&ds, &space, &Ranking::from_order(order).unwrap());
+            assert_eq!(index.n(), 17);
+            assert_eq!(index.shard_sizes().iter().sum::<usize>(), 17);
+            for a in 0..space.n_attrs() as u16 {
+                for v in 0..space.card(a) as u16 {
+                    let p = Pattern::single(a, v);
+                    // Every prefix: equal prefix counts at all k pins the
+                    // block's words bit-for-bit (a position never written
+                    // holds code 0 with no bit, so writing value 0 there
+                    // must still set its bit).
+                    for k in 0..=17 {
+                        assert_eq!(
+                            index.counts(&p, k),
+                            fresh.counts(&p, k),
+                            "shards={shards} built_first={built_first} a={a} v={v} k={k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The fig. 1 instance's space, its one-block index and an index of
+    /// `shards` row blocks.
+    fn fig1_sharded(shards: usize) -> (PatternSpace, RankedIndex, RankedIndex) {
+        let ds = students_fig1();
+        let space = PatternSpace::from_dataset(&ds).unwrap();
+        let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
+        let single = RankedIndex::build(&ds, &space, &ranking);
+        let sharded = RankedIndex::sharded(&ds, &space, &ranking, shards);
+        (space, single, sharded)
+    }
+
+    #[test]
+    fn boundaries_cover_and_balance() {
+        assert_eq!(shard_boundaries(16, 1), vec![0, 16]);
+        assert_eq!(shard_boundaries(16, 3), vec![0, 6, 11, 16]);
+        assert_eq!(shard_boundaries(2, 4), vec![0, 1, 2, 2, 2]);
+        assert_eq!(shard_boundaries(0, 3), vec![0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn merged_counts_equal_single_index_all_patterns_all_k() {
+        for shards in [1, 2, 3, 5, 16, 20] {
+            let (space, single, sharded) = fig1_sharded(shards);
+            assert_eq!(sharded.n(), 16);
+            assert_eq!(sharded.shard_count(), shards);
+            for a in 0..space.n_attrs() as AttrId {
+                for v in 0..space.card(a) as u16 {
+                    let p = Pattern::single(a, v);
+                    for k in 0..=16 {
+                        assert_eq!(
+                            sharded.counts(&p, k),
+                            single.counts(&p, k),
+                            "shards={shards} a={a} v={v} k={k}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(
+                sharded.counts(&Pattern::empty(), 5),
+                single.counts(&Pattern::empty(), 5)
+            );
+        }
+    }
+
+    #[test]
+    fn prefix_count_matches_fused_merge_all_shard_counts() {
+        for shards in [1, 2, 3, 5, 16, 25] {
+            let (space, single, sharded) = fig1_sharded(shards);
+            for a in 0..space.n_attrs() as AttrId {
+                for v in 0..space.card(a) as u16 {
+                    let p = Pattern::single(a, v);
+                    for k in 0..=16 {
+                        assert_eq!(
+                            sharded.prefix_count(&p, k),
+                            single.counts(&p, k).1,
+                            "shards={shards} a={a} v={v} k={k}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(sharded.prefix_count(&Pattern::empty(), 5), 5);
+        }
+    }
+
+    #[test]
+    fn child_counts_merge_equals_per_child_counts() {
+        // 25 shards over 16 rows leaves 9 of them empty.
+        let ks: Vec<usize> = (0..=18).collect();
+        for shards in [1, 2, 3, 7, 25] {
+            let (space, single, sharded) = fig1_sharded(shards);
+            assert_child_counts_match(&sharded, &single, &space, &ks);
+        }
+        // A card-1 attribute, whose only child each shard derives from its
+        // parent alone; 50 shards over 40 rows leaves 10 of them empty.
+        let (ds, space, order) = partition_instance(40);
+        let single = RankedIndex::build_from_order(&ds, &space, &order);
+        let ranking = Ranking::from_order(order).unwrap();
+        let ks: Vec<usize> = (0..=42).collect();
+        for shards in [3, 50] {
+            let sharded = RankedIndex::sharded(&ds, &space, &ranking, shards);
+            assert_child_counts_match(&sharded, &single, &space, &ks);
+        }
+    }
+
+    #[test]
+    fn child_counts_fan_out_matches_unsharded() {
+        // At PARALLEL_MIN_ROWS rows per shard the shards count on scoped
+        // threads (on a multi-core host); the merge must not care which
+        // path ran.
+        let rows = 3 * RankedIndex::PARALLEL_MIN_ROWS + 5;
+        let spec = rankfair_synth::RandomSpec {
+            rows,
+            attrs: 3,
+            max_card: 3,
+        };
+        let ds = rankfair_synth::random_dataset(5, spec);
+        let space = PatternSpace::from_dataset(&ds).unwrap();
+        let ranking = Ranking::from_order(rankfair_synth::random_ranking(5, rows)).unwrap();
+        let single = RankedIndex::build(&ds, &space, &ranking);
+        let sharded = RankedIndex::sharded(&ds, &space, &ranking, 3);
+        let many_cores = std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
+        assert_eq!(sharded.parallel, many_cores);
+        assert!(!RankedIndex::sharded(&ds, &space, &ranking, 4).parallel);
+        let ks = [0, 1, 64, rows / 3 + 1, rows - 1, rows];
+        assert_child_counts_match(&sharded, &single, &space, &ks);
+    }
+
+    #[test]
+    fn code_at_resolves_across_shard_boundaries() {
+        for shards in [2, 3, 7, 16, 25] {
+            let (space, single, sharded) = fig1_sharded(shards);
+            for pos in 0..16 {
+                for a in 0..space.n_attrs() as AttrId {
                     assert_eq!(
-                        index.counts(&p, k),
-                        fresh.counts(&p, k),
-                        "a={a} v={v} k={k}"
+                        sharded.code_at(pos, a),
+                        single.code_at(pos, a),
+                        "shards={shards} pos={pos} a={a}"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn more_shards_than_rows_leaves_empty_shards() {
+        let (_space, single, sharded) = fig1_sharded(25);
+        assert_eq!(sharded.shard_sizes().iter().sum::<usize>(), 16);
+        assert_eq!(sharded.shard_sizes().iter().filter(|&&s| s == 0).count(), 9);
+        let p = Pattern::single(1, 0);
+        assert_eq!(sharded.counts(&p, 4), single.counts(&p, 4));
+    }
+
+    #[test]
+    fn k_smaller_than_first_shard_slice() {
+        // With 2 shards of 8 rows, k = 3 is below the first shard's size:
+        // the top-3 prefix still holds rows of both shards.
+        let (space, single, sharded) = fig1_sharded(2);
+        let p = space.pattern(&[("School", "GP")]).unwrap();
+        assert_eq!(sharded.counts(&p, 3), single.counts(&p, 3));
+        assert_eq!(sharded.counts(&p, 0), single.counts(&p, 0));
     }
 }

@@ -1,12 +1,13 @@
 //! Differential sweep for the sharded index: on randomized instances,
-//! an audit running over a [`ShardedIndex`] must produce per-`k` result
-//! sets identical to the unsharded audit — across shard counts, every
-//! task family, both engines, and [`Bounds::LinearFraction`] bounds.
+//! an audit whose `RankedIndex` cuts its membership maps into row blocks
+//! (`AuditBuilder::shards`) must produce per-`k` result sets identical
+//! to the unsharded audit — across shard counts, every task family, both
+//! engines, and [`Bounds::LinearFraction`] bounds.
 //!
 //! Shards are contiguous row-id blocks of membership maps with one
 //! global rank side. The additive-merge law (`s_D(p)` as a sum of
 //! per-shard counts, `s_Rk(p)` read once from the global rank blocks) is
-//! checked at the unit level in `core::shard`; this suite checks the law
+//! checked at the unit level in `space::tests`; this suite checks the law
 //! *through the engines*: the search order, dominance bookkeeping and
 //! bound schedules must be insensitive to how the index is partitioned.
 //! Edge cases ride along: empty shards (more shards than rows), a `k`

@@ -302,29 +302,6 @@ impl Ranking {
             .collect()
     }
 
-    /// 1-based ranks of the given rows, sorted ascending — handy when a
-    /// report wants to show where a detected group's members sit.
-    pub fn group_ranks(&self, rows: &[TupleId]) -> Vec<usize> {
-        let mut ranks: Vec<usize> = rows.iter().map(|&r| self.rank(r)).collect();
-        ranks.sort_unstable();
-        ranks
-    }
-
-    /// Mean 1-based rank of the given rows (`NaN`-free: returns `None` for
-    /// an empty group).
-    pub fn mean_rank(&self, rows: &[TupleId]) -> Option<f64> {
-        if rows.is_empty() {
-            return None;
-        }
-        Some(rows.iter().map(|&r| self.rank(r) as f64).sum::<f64>() / rows.len() as f64)
-    }
-
-    /// How many of the given rows appear in the top-`k` — `s_Rk` computed
-    /// directly from the ranking for callers without a bitmap index.
-    pub fn count_in_top_k(&self, rows: &[TupleId], k: usize) -> usize {
-        rows.iter().filter(|&&r| self.position(r) < k).count()
-    }
-
     /// Whether the full order has been sorted: at construction, or by a
     /// read that needed more than the head. For tests that check what an
     /// audit reads.
@@ -560,15 +537,12 @@ mod tests {
         assert_eq!(r.at(HEAD - 1), want[HEAD - 1]);
         assert!(!r.sort_finished_for_tests());
         type Read = fn(&Ranking) -> usize;
-        let reads: [(&str, Read); 9] = [
+        let reads: [(&str, Read); 6] = [
             ("top_k past the head", |r| r.top_k(HEAD + 1).len()),
             ("at past the head", |r| r.at(HEAD) as usize),
             ("order", |r| r.order().len()),
             ("position", |r| r.position(0)),
             ("rank_vector", |r| r.rank_vector().len()),
-            ("group_ranks", |r| r.group_ranks(&[0, 1]).len()),
-            ("mean_rank", |r| r.mean_rank(&[0]).map_or(0, |m| m as usize)),
-            ("count_in_top_k", |r| r.count_in_top_k(&[0], 5)),
             ("equality", |r| {
                 usize::from(*r == Ranking::from_order(vec![0]).unwrap())
             }),
@@ -585,15 +559,5 @@ mod tests {
     fn rank_vector_is_one_based() {
         let r = Ranking::from_order(vec![1, 0]).unwrap();
         assert_eq!(r.rank_vector(), vec![2.0, 1.0]);
-    }
-
-    #[test]
-    fn group_helpers() {
-        let r = Ranking::from_order(vec![2, 0, 3, 1]).unwrap();
-        assert_eq!(r.group_ranks(&[1, 2]), vec![1, 4]);
-        assert_eq!(r.mean_rank(&[1, 2]), Some(2.5));
-        assert_eq!(r.mean_rank(&[]), None);
-        assert_eq!(r.count_in_top_k(&[1, 2, 3], 2), 1); // only row 2 in top-2
-        assert_eq!(r.count_in_top_k(&[1, 2, 3], 3), 2);
     }
 }

@@ -328,10 +328,11 @@ pub struct MonitorUpdate {
 struct DatasetEntry {
     dataset: Arc<Dataset>,
     source: String,
-    /// Shard count for audits built on this dataset: `1` means one
-    /// monolithic [`rankfair_core::RankedIndex`]; `> 1` partitions the
-    /// rows across shard-local indexes merged additively at query time
-    /// (see [`rankfair_core::ShardedIndex`]).
+    /// Shard count for audits built on this dataset: `1` means a
+    /// [`rankfair_core::RankedIndex`] whose membership maps form one row
+    /// block; `> 1` cuts them into that many row blocks whose `s_D`
+    /// counts merge additively at query time (see
+    /// [`rankfair_core::RankedIndex::sharded`]).
     shards: usize,
 }
 
@@ -403,10 +404,10 @@ impl AuditService {
     }
 
     /// Registers (or replaces) an in-memory dataset under `name`, with
-    /// audits built on it partitioning rows across `shards` shard-local
-    /// indexes ([`rankfair_core::ShardedIndex`]) whose pattern counts
-    /// merge additively at query time. `shards <= 1` means the ordinary
-    /// monolithic index. Replacing a dataset — including re-registering
+    /// audits built on it partitioning rows across `shards` row blocks of
+    /// membership maps ([`rankfair_core::RankedIndex::sharded`]) whose
+    /// pattern counts merge additively at query time. `shards <= 1`
+    /// means one row block. Replacing a dataset — including re-registering
     /// it with a different shard count — invalidates its cached audits.
     pub fn register_dataset_sharded(&self, name: &str, dataset: Arc<Dataset>, shards: usize) {
         let mut datasets = self.datasets.write().expect("registry lock");

@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::session::{Executor, Gate, LineOutcome, Session};
+use crate::session::{Executor, Gate, LineOutcome, Session, NOT_UTF8};
 use crate::AuditService;
 use rankfair_json::Value;
 
@@ -598,7 +598,7 @@ fn read_loop(ctx: Ctx<'_>, conn: &mut Conn, session: &mut Session<'_>) -> ReadEn
                         return ReadEnd::Closed;
                     }
                     let Ok(text) = String::from_utf8(line) else {
-                        session.dispatch_error("request line is not valid UTF-8".to_string());
+                        session.dispatch_error(NOT_UTF8.to_string());
                         return ReadEnd::Closed;
                     };
                     if text.trim().is_empty() {

@@ -21,7 +21,9 @@
 //! front-end ([`crate::net`]), where the parallelism actually pays off
 //! across connections.
 //!
-//! An `{"op": "shutdown"}` line answers, stops reading, and drains.
+//! An `{"op": "shutdown"}` line answers, stops reading, and drains. A
+//! line that is not valid UTF-8 is answered in-band (kind `bad_request`)
+//! like any other malformed request, and reading goes on.
 //!
 //! Determinism: at `workers = 1` a session is fully deterministic apart
 //! from wall-clock fields, and with [`ServeOptions::strip_timing`] those
@@ -36,7 +38,7 @@ use std::io::{BufRead, Write};
 use std::sync::atomic::AtomicBool;
 use std::sync::{mpsc, Arc};
 
-use crate::session::{Executor, Gate, LineOutcome, Session};
+use crate::session::{Executor, Gate, LineOutcome, Session, NOT_UTF8};
 use crate::AuditService;
 
 /// Options for [`serve`].
@@ -78,12 +80,13 @@ fn pipeline_window(workers: usize) -> usize {
 /// `service` on a pool of [`ServeOptions::workers`] threads, and writes
 /// one JSONL response per request to `output`, in request order.
 ///
-/// Individual request failures are answered in-band (`"ok": false`) and
-/// never abort the session; the only `Err` here is an I/O failure on the
-/// streams themselves.
+/// Individual request failures, a line that is not valid UTF-8 among
+/// them, are answered in-band (`"ok": false`) and never abort the
+/// session; the only `Err` here is an I/O failure on the streams
+/// themselves.
 pub fn serve<R: BufRead, W: Write + Send>(
     service: &AuditService,
-    input: R,
+    mut input: R,
     output: W,
     opts: &ServeOptions,
 ) -> std::io::Result<ServeSummary> {
@@ -103,24 +106,38 @@ pub fn serve<R: BufRead, W: Write + Send>(
         let mut session =
             Session::new(&exec, service, res_tx, Arc::clone(&dead), Arc::clone(&gate));
         let mut read_error = None;
-        for line in input.lines() {
+        let mut line = Vec::new();
+        loop {
             // Responses stopped being deliverable (output I/O error):
             // reading further input would silently discard it. Stop now;
             // the writer's error is surfaced below.
             if session.dead() {
                 break;
             }
-            let line = match line {
-                Ok(l) => l,
+            line.clear();
+            match input.read_until(b'\n', &mut line) {
+                Ok(0) => break,
+                Ok(_) => {}
                 Err(e) => {
                     read_error = Some(e);
                     break;
                 }
+            }
+            // The newline and a `\r` before it, as `BufRead::lines` strips.
+            if line.last() == Some(&b'\n') {
+                line.pop();
+                if line.last() == Some(&b'\r') {
+                    line.pop();
+                }
+            }
+            let Ok(text) = std::str::from_utf8(&line) else {
+                session.dispatch_error(NOT_UTF8.to_string());
+                continue;
             };
-            if line.trim().is_empty() {
+            if text.trim().is_empty() {
                 continue;
             }
-            if session.dispatch_line(&line) == LineOutcome::Shutdown {
+            if session.dispatch_line(text) == LineOutcome::Shutdown {
                 break;
             }
         }
@@ -150,12 +167,12 @@ mod tests {
         service
     }
 
-    fn session(input: &str, workers: usize) -> (Vec<String>, ServeSummary) {
+    fn session(input: impl AsRef<[u8]>, workers: usize) -> (Vec<String>, ServeSummary) {
         let service = fig1_service();
         let mut out = Vec::new();
         let summary = serve(
             &service,
-            Cursor::new(input.to_string()),
+            Cursor::new(input.as_ref().to_vec()),
             &mut out,
             &ServeOptions {
                 workers,
@@ -225,6 +242,28 @@ mod tests {
         for line in &serial[1..] {
             assert!(line.contains(r#""cache":{"hit":true"#), "{line}");
         }
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_answered_in_band_and_reading_goes_on() {
+        let mut input = audit_line(0).into_bytes();
+        input.extend_from_slice(b"\n{\"id\": 1, \"op\": \"datasets\xff\"}\r\n");
+        input.extend_from_slice(audit_line(2).as_bytes());
+        input.push(b'\n');
+        let (lines, summary) = session(&input, 1);
+        assert_eq!(
+            summary,
+            ServeSummary {
+                requests: 3,
+                errors: 1
+            }
+        );
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].starts_with(r#"{"id":0,"ok":true"#), "{}", lines[0]);
+        assert!(lines[1].contains(r#""ok":false"#), "{}", lines[1]);
+        assert!(lines[1].contains(r#""kind":"bad_request""#), "{}", lines[1]);
+        assert!(lines[1].contains(NOT_UTF8), "{}", lines[1]);
+        assert!(lines[2].starts_with(r#"{"id":2,"ok":true"#), "{}", lines[2]);
     }
 
     #[test]

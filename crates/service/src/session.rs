@@ -383,6 +383,10 @@ impl Gate {
     }
 }
 
+/// The in-band error message for a request line that is not valid UTF-8,
+/// the same on stdio and on sockets.
+pub(crate) const NOT_UTF8: &str = "request line is not valid UTF-8";
+
 /// What dispatching one line decided about the rest of the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LineOutcome {
@@ -465,7 +469,7 @@ impl<'a> Session<'a> {
     }
 
     /// Dispatches a pre-rendered in-band error (framing violations the
-    /// parser never sees: broken UTF-8, an over-long line).
+    /// parser never sees: broken UTF-8 ([`NOT_UTF8`]), an over-long line).
     pub(crate) fn dispatch_error(&mut self, message: String) {
         self.gate.admit(self.seq, &self.dead);
         let line = wire::error_response(None, &crate::ServiceError::BadRequest(message)).render();

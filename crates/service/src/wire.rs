@@ -31,10 +31,10 @@
 //!   or `{"fraction": X}` (`⌈X·k⌉`).
 //! * `config` — `{"tau": N, "kmin": N, "kmax": N, "deadline_s": X?}`.
 //! * `register.shards` — optional positive integer (default 1). With
-//!   `shards > 1`, audits on the dataset partition its ranked rows into
-//!   that many contiguous blocks, index each block separately, and merge
-//!   per-shard pattern counts additively at query time; results are
-//!   identical to the monolithic index, and the audit-cache key records
+//!   `shards > 1`, audits on the dataset cut its rows into that many
+//!   contiguous blocks, build each block's membership maps separately,
+//!   and merge per-shard pattern counts additively at query time; results
+//!   are identical to one block, and the audit-cache key records
 //!   the shard count so re-registering with a different spec never serves
 //!   a stale layout.
 //!
@@ -104,8 +104,8 @@ pub enum Request {
         csv: String,
         /// Field separator.
         separator: char,
-        /// Shard count for audits on this dataset (`1` = monolithic
-        /// index; `> 1` = shard-local indexes merged additively).
+        /// Shard count for audits on this dataset (`1` = one row block;
+        /// `> 1` = row blocks whose counts merge additively).
         shards: usize,
     },
     /// List registered datasets.

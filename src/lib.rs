@@ -104,7 +104,7 @@ pub mod prelude {
     pub use crate::core::{
         Audit, AuditBuilder, AuditError, AuditIndex, AuditKResult, AuditOutcome, AuditTask,
         BiasMeasure, Bounds, CountsProvider, DeltaReport, DetectConfig, Engine, MonitorAudit,
-        OverRepScope, Pattern, PatternSpace, RankedIndex, RankingEdit, ShardedIndex,
+        OverRepScope, Pattern, PatternSpace, RankedIndex, RankingEdit,
     };
     pub use crate::data::{Column, ColumnData, Dataset};
     pub use crate::explain::{ExplainConfig, RankSurrogate};

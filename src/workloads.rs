@@ -63,9 +63,9 @@ impl Workload {
             .build()
     }
 
-    /// An [`Audit`] whose index partitions the ranked rows across
-    /// `shards` shard-local indexes merged additively at query time —
-    /// same answers as [`Workload::audit`], different index layout.
+    /// An [`Audit`] whose index cuts its membership maps into `shards`
+    /// row blocks whose counts merge additively at query time — same
+    /// answers as [`Workload::audit`], different index layout.
     pub fn audit_sharded(&self, shards: usize) -> Result<Audit, AuditError> {
         Audit::builder(Arc::clone(&self.detection))
             .ranking(self.ranking.clone())
