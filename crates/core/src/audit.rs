@@ -51,7 +51,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use rankfair_data::{Dataset, ValueCode};
+use rankfair_data::Dataset;
 use rankfair_rank::{Ranker, Ranking};
 
 use crate::bounds::{BiasMeasure, Bounds};
@@ -60,7 +60,7 @@ use crate::incremental::{self, ReorderSpec, Store, Stream};
 use crate::oracle;
 use crate::pattern::Pattern;
 use crate::report::{summarize_audit, KReport};
-use crate::space::{AttrId, CountsProvider, PatternSpace, RankedIndex, SpaceError};
+use crate::space::{PatternSpace, RankedIndex, SpaceError};
 use crate::stats::{
     DeadlineGuard, DetectConfig, DetectionOutput, KResult, ReplayCounters, SearchStats,
 };
@@ -244,9 +244,10 @@ impl AuditOutcome {
 /// The counting index an [`Audit`] executes against: a [`RankedIndex`],
 /// with one row block of membership maps or several
 /// ([`AuditBuilder::shards`]), whose `s_D` counts merge additively. It
-/// derefs to the [`RankedIndex`]; every task, engine and streaming mode
-/// runs on it unchanged, and the results are identical whatever the
-/// blocks — the differential suite sweeps that equality.
+/// derefs to the [`RankedIndex`], so it goes wherever a `&RankedIndex`
+/// is taken; every task, engine and streaming mode runs on it unchanged,
+/// and the results are identical whatever the blocks — the differential
+/// suite sweeps that equality.
 #[derive(Debug, Clone)]
 pub enum AuditIndex {
     /// A single row block over the whole dataset (the default).
@@ -263,36 +264,6 @@ impl std::ops::Deref for AuditIndex {
         match self {
             AuditIndex::Single(index) | AuditIndex::Sharded(index) => index,
         }
-    }
-}
-
-/// Lets an audit's index go where a `&impl CountsProvider` is taken (deref
-/// coercion does not reach a generic bound).
-impl CountsProvider for AuditIndex {
-    fn n(&self) -> usize {
-        RankedIndex::n(self)
-    }
-
-    fn counts(&self, p: &Pattern, k: usize) -> (usize, usize) {
-        RankedIndex::counts(self, p, k)
-    }
-
-    fn child_counts(
-        &self,
-        parent: &Pattern,
-        start: AttrId,
-        k: usize,
-        out: &mut Vec<(usize, usize)>,
-    ) {
-        RankedIndex::child_counts(self, parent, start, k, out)
-    }
-
-    fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
-        RankedIndex::code_at(self, pos, attr)
-    }
-
-    fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
-        RankedIndex::prefix_count(self, p, k)
     }
 }
 
@@ -508,7 +479,7 @@ impl Audit {
 
     /// Enriches an outcome into per-`k` display reports (both directions).
     pub fn report(&self, out: &AuditOutcome, task: &AuditTask) -> Vec<KReport> {
-        summarize_audit(out, &*self.index, &self.space, task)
+        summarize_audit(out, &self.index, &self.space, task)
     }
 
     fn validate(&self, cfg: &DetectConfig, task: &AuditTask) -> Result<(), AuditError> {
@@ -516,12 +487,12 @@ impl Audit {
     }
 
     /// The borrowed execution core shared with [`crate::MonitorAudit`].
-    fn parts(&self) -> AuditParts<'_, RankedIndex> {
+    fn parts(&self) -> AuditParts<'_> {
         AuditParts {
             dataset: &self.dataset,
             space: &self.space,
             ranking: &self.ranking,
-            index: &*self.index,
+            index: &self.index,
         }
     }
 
@@ -630,11 +601,11 @@ pub(crate) fn validate_task(
 /// set; [`crate::MonitorAudit`] owns an *evolving* set and re-runs tasks
 /// over sub-ranges of `k` after ranking edits — both drive exactly this
 /// code, so a delta re-audit can never drift from a full audit.
-pub(crate) struct AuditParts<'a, I: CountsProvider> {
+pub(crate) struct AuditParts<'a> {
     pub dataset: &'a Dataset,
     pub space: &'a PatternSpace,
     pub ranking: &'a Ranking,
-    pub index: &'a I,
+    pub index: &'a RankedIndex,
 }
 
 /// The persistent engine state a [`crate::MonitorAudit`] carries between
@@ -775,7 +746,7 @@ fn assemble(
     AuditOutcome { per_k, stats }
 }
 
-impl<I: CountsProvider> AuditParts<'_, I> {
+impl AuditParts<'_> {
     /// Sequential execution over one contiguous, already validated `k`
     /// sub-range.
     pub(crate) fn run_range(
@@ -967,8 +938,8 @@ impl Audit {
 
 /// Lazy per-`k` iterator returned by [`Audit::run_streaming`].
 pub struct AuditStream<'a> {
-    under: Option<Stream<LowerEngine<'a, RankedIndex>>>,
-    over: Option<Stream<UpperEngine<'a, RankedIndex>>>,
+    under: Option<Stream<LowerEngine<'a>>>,
+    over: Option<Stream<UpperEngine<'a>>>,
 }
 
 impl AuditStream<'_> {

@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use crate::bounds::BiasMeasure;
 use crate::incremental::{Core, Incremental, ROOT};
 use crate::pattern::Pattern;
-use crate::space::{CountsProvider, PatternSpace};
+use crate::space::{PatternSpace, RankedIndex};
 use crate::stats::{DeadlineGuard, DetectConfig, KResult};
 use crate::util::FxHashMap;
 
@@ -59,7 +59,7 @@ struct Bias {
 
 impl Bias {
     #[inline]
-    fn biased<I: CountsProvider>(&self, core: &Core<'_, I>, id: u32, k: usize) -> bool {
+    fn biased(&self, core: &Core<'_>, id: u32, k: usize) -> bool {
         match &self.measure {
             // Same predicate as `BiasMeasure::is_biased` (`count < L_k`,
             // an exact integer compare — no drift possible), with the
@@ -87,7 +87,7 @@ impl Bias {
 
     /// Pushes a `k̃` entry for a currently non-biased node (proportional
     /// measure only; no-op otherwise or when the flip falls past `k_max`).
-    fn push<I: CountsProvider>(&mut self, core: &Core<'_, I>, id: u32, k: usize) {
+    fn push(&mut self, core: &Core<'_>, id: u32, k: usize) {
         if self.schedule.is_empty() {
             return;
         }
@@ -106,12 +106,12 @@ impl Bias {
     /// Whether `id`'s bias verdict disagrees with its `Res`/`DRes`
     /// membership (`core.mark`).
     #[inline]
-    fn flipped<I: CountsProvider>(&self, core: &Core<'_, I>, id: u32, k: usize) -> bool {
+    fn flipped(&self, core: &Core<'_>, id: u32, k: usize) -> bool {
         self.biased(core, id, k) != core.mark[id as usize]
     }
 
     /// Schedules a node that just joined the run, if it is not biased.
-    fn admit<I: CountsProvider>(&mut self, core: &Core<'_, I>, id: u32, k: usize) {
+    fn admit(&mut self, core: &Core<'_>, id: u32, k: usize) {
         if !self.biased(core, id, k) {
             self.push(core, id, k);
         }
@@ -131,8 +131,8 @@ pub(crate) struct LowerFrontier {
 /// The under-representation engine. `core.mark` is the flat mirror of
 /// `res ∪ keys(dres)`: the walks and rescans test membership per touched
 /// node, so it must be an index read, not two hash probes.
-pub(crate) struct LowerEngine<'a, I: CountsProvider> {
-    core: Core<'a, I>,
+pub(crate) struct LowerEngine<'a> {
+    core: Core<'a>,
     bias: Bias,
     /// Handle a bound *increase* by a store rescan instead of Algorithm
     /// 2's rebuild.
@@ -157,13 +157,13 @@ pub(crate) struct LowerEngine<'a, I: CountsProvider> {
     stack: Vec<u32>,
 }
 
-impl<'a, I: CountsProvider> LowerEngine<'a, I> {
+impl<'a> LowerEngine<'a> {
     /// An engine for `measure` over `cfg`'s `τs` and `k` range.
     ///
     /// # Panics
     /// Panics if a proportional `α` is not positive.
     pub(crate) fn new(
-        index: &'a I,
+        index: &'a RankedIndex,
         space: &'a PatternSpace,
         cfg: &DetectConfig,
         measure: BiasMeasure,
@@ -467,15 +467,14 @@ impl<'a, I: CountsProvider> LowerEngine<'a, I> {
     }
 }
 
-impl<'a, I: CountsProvider> Incremental<'a> for LowerEngine<'a, I> {
-    type Index = I;
+impl<'a> Incremental<'a> for LowerEngine<'a> {
     type Frontier = LowerFrontier;
 
-    fn core(&self) -> &Core<'a, I> {
+    fn core(&self) -> &Core<'a> {
         &self.core
     }
 
-    fn core_mut(&mut self) -> &mut Core<'a, I> {
+    fn core_mut(&mut self) -> &mut Core<'a> {
         &mut self.core
     }
 
@@ -629,7 +628,6 @@ mod tests {
     use super::*;
     use crate::bounds::Bounds;
     use crate::incremental::{replay, Store, Stream};
-    use crate::space::RankedIndex;
     use crate::stats::{DetectionOutput, ReplayCounters};
     use crate::topdown::iter_td;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
@@ -905,7 +903,6 @@ mod stream_tests {
     use super::*;
     use crate::bounds::Bounds;
     use crate::incremental::Stream;
-    use crate::space::RankedIndex;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
     use rankfair_rank::Ranking;
 
@@ -923,7 +920,7 @@ mod stream_tests {
         cfg: &DetectConfig,
         measure: BiasMeasure,
         fast_steps: bool,
-    ) -> Stream<LowerEngine<'a, RankedIndex>> {
+    ) -> Stream<LowerEngine<'a>> {
         Stream::new(
             LowerEngine::new(index, space, cfg, measure, fast_steps),
             cfg,

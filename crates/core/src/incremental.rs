@@ -28,7 +28,7 @@
 //!   vectors plus the engine's small frontier payload — instead of a deep
 //!   clone of the node map; the arena is shared, not copied;
 //! * re-expanding a stored node re-activates its children with
-//!   **prefix-only recounts** ([`CountsProvider::prefix_count`], a
+//!   **prefix-only recounts** ([`RankedIndex::prefix_count`], a
 //!   truncated bitmap scan) — the stored `s_D` is reused, never
 //!   recomputed;
 //! * a rebuild (a lower-bound step, or a cold replay build) keeps the
@@ -55,7 +55,7 @@
 use rankfair_data::{TupleId, ValueCode};
 
 use crate::pattern::Pattern;
-use crate::space::{counted_children, AttrId, CountsProvider, PatternSpace};
+use crate::space::{counted_children, AttrId, PatternSpace, RankedIndex};
 use crate::stats::{
     DeadlineGuard, DetectConfig, DetectionOutput, KResult, ReplayCounters, SearchStats,
 };
@@ -179,8 +179,8 @@ impl<F> Store<F> {
 
 /// The arena plus one run's state over it, and the walk, expansion and
 /// reclassification machinery both engines share.
-pub(crate) struct Core<'a, I: CountsProvider> {
-    pub(crate) index: &'a I,
+pub(crate) struct Core<'a> {
+    pub(crate) index: &'a RankedIndex,
     pub(crate) space: &'a PatternSpace,
     tau_s: usize,
     pub(crate) arena: Arena,
@@ -211,9 +211,9 @@ pub(crate) struct Core<'a, I: CountsProvider> {
     scratch_slots: Vec<u32>,
 }
 
-impl<'a, I: CountsProvider> Core<'a, I> {
+impl<'a> Core<'a> {
     /// A core over an empty arena.
-    pub(crate) fn new(index: &'a I, space: &'a PatternSpace, tau_s: usize) -> Self {
+    pub(crate) fn new(index: &'a RankedIndex, space: &'a PatternSpace, tau_s: usize) -> Self {
         let mut card_prefix = Vec::with_capacity(space.n_attrs() + 1);
         let mut acc = 0u32;
         card_prefix.push(0);
@@ -545,14 +545,12 @@ impl<'a, I: CountsProvider> Core<'a, I> {
 /// the checkpointed replay all step an engine through exactly these
 /// methods, so no execution mode can drift from another.
 pub(crate) trait Incremental<'a> {
-    /// The counting index the engine reads.
-    type Index: CountsProvider + 'a;
     /// The engine's frontier, stored in every [`Checkpoint`] next to the
     /// counts.
     type Frontier;
 
-    fn core(&self) -> &Core<'a, Self::Index>;
-    fn core_mut(&mut self) -> &mut Core<'a, Self::Index>;
+    fn core(&self) -> &Core<'a>;
+    fn core_mut(&mut self) -> &mut Core<'a>;
     /// Full top-down build at `k` over cleared run state. Returns `false`
     /// on deadline expiry.
     fn build(&mut self, k: usize, guard: &mut DeadlineGuard) -> bool;
@@ -887,7 +885,6 @@ pub(crate) fn replay<'a, E: Incremental<'a>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::RankedIndex;
     use rankfair_rank::Ranking;
     use rankfair_synth::{random_dataset, random_ranking, RandomSpec};
 

@@ -94,7 +94,7 @@ pub use pattern::Pattern;
 pub use report::{
     render_report, render_report_csv, summarize_audit, BiasDirection, BiasedGroup, KReport,
 };
-pub use space::{AttrId, CountsProvider, PatternSpace, RankedIndex, SpaceError};
+pub use space::{AttrId, PatternSpace, RankedIndex, SpaceError};
 pub use stats::{DetectConfig, DetectionOutput, KResult, SearchStats};
 pub use suggest::suggest_tau;
 pub use topdown::lower_most_specific_single_k;

@@ -309,7 +309,6 @@ pub struct MonitorBuilder {
     ascending: bool,
     attrs: Option<Vec<String>>,
     checkpoint_every: usize,
-    segmented: bool,
 }
 
 impl MonitorBuilder {
@@ -328,15 +327,6 @@ impl MonitorBuilder {
     /// Smaller `C` = faster deltas, more memory.
     pub fn checkpoint_every(mut self, cadence: usize) -> Self {
         self.checkpoint_every = cadence.max(1);
-        self
-    }
-
-    /// Toggles segmented replay (default `true`): delta re-audits replay
-    /// only the union of per-row net movement intervals instead of the
-    /// whole edit hull `[lo+1, hi]`. `false` restores hull replay — the
-    /// differential sweeps compare both modes against a fresh audit.
-    pub fn segmented_replay(mut self, segmented: bool) -> Self {
-        self.segmented = segmented;
         self
     }
 
@@ -418,7 +408,6 @@ impl MonitorBuilder {
             task,
             engine,
             checkpoints,
-            segmented: self.segmented,
             results: out.per_k,
             stats: out.stats,
         })
@@ -439,8 +428,6 @@ pub struct MonitorAudit {
     engine: Engine,
     /// Persistent engine snapshots (`Some` iff `engine` is optimized).
     checkpoints: Option<EngineCheckpoints>,
-    /// Replay the exact changed-`k` segments (default) vs the edit hull.
-    segmented: bool,
     /// Current result sets for every `k` in `cfg`'s range, `k` ascending.
     results: Vec<AuditKResult>,
     /// Cumulative instrumentation: the initial build plus every re-audit.
@@ -457,7 +444,6 @@ impl MonitorAudit {
             ascending: false,
             attrs: None,
             checkpoint_every: Self::DEFAULT_CHECKPOINT_CADENCE,
-            segmented: true,
         }
     }
 
@@ -751,7 +737,7 @@ impl MonitorAudit {
         } else if let Some((lo, hi)) = span {
             let gap = self.checkpoints.as_ref().map_or(1, |ck| ck.cadence);
             match &old_order {
-                Some(old) if self.segmented => changed_k_segments(
+                Some(old) => changed_k_segments(
                     old,
                     |row| self.scored.position(row),
                     lo,
@@ -760,7 +746,7 @@ impl MonitorAudit {
                     self.cfg.k_max,
                     gap,
                 ),
-                _ => {
+                None => {
                     let k_lo = (lo + 1).max(self.cfg.k_min);
                     let k_hi = hi.min(self.cfg.k_max);
                     if k_lo <= k_hi {
@@ -974,17 +960,42 @@ mod tests {
             .unwrap()
     }
 
-    /// A fresh audit over the monitor's current dataset must agree with
-    /// the monitor's cached results exactly.
-    fn assert_matches_fresh(monitor: &MonitorAudit) {
+    /// A fresh audit's results over the monitor's current dataset.
+    fn fresh_results(monitor: &MonitorAudit) -> Vec<AuditKResult> {
         let audit = Audit::builder(Arc::new(monitor.dataset().clone()))
             .ranking(monitor.ranking())
             .build()
             .unwrap();
-        let fresh = audit
+        audit
             .run(monitor.config(), monitor.task(), Engine::Optimized)
-            .unwrap();
-        assert_eq!(monitor.results(), &fresh.per_k[..]);
+            .unwrap()
+            .per_k
+    }
+
+    /// A fresh audit over the monitor's current dataset must agree with
+    /// the monitor's cached results exactly.
+    fn assert_matches_fresh(monitor: &MonitorAudit) {
+        assert_eq!(monitor.results(), &fresh_results(monitor)[..]);
+    }
+
+    /// The changes between two fresh audits' results, per `k`: the groups
+    /// in one result set and not in the other, by membership test.
+    fn fresh_deltas(before: &[AuditKResult], after: &[AuditKResult]) -> Vec<KDelta> {
+        let minus = |a: &[Pattern], b: &[Pattern]| -> Vec<Pattern> {
+            a.iter().filter(|p| !b.contains(p)).cloned().collect()
+        };
+        before
+            .iter()
+            .zip(after)
+            .map(|(old, new)| KDelta {
+                k: new.k,
+                entered_under: minus(&new.under, &old.under),
+                left_under: minus(&old.under, &new.under),
+                entered_over: minus(&new.over, &old.over),
+                left_over: minus(&old.over, &new.over),
+            })
+            .filter(|d| !d.is_empty())
+            .collect()
     }
 
     #[test]
@@ -1370,49 +1381,45 @@ mod tests {
     }
 
     /// A batch of two tight swaps far apart replays two one-`k` segments
-    /// instead of the whole hull — same results, strictly less work.
+    /// instead of the whole hull: the results and the changes that fresh
+    /// audits before and after the batch give, in fewer replayed steps
+    /// than the hull spans.
     #[test]
     fn segmented_replay_skips_the_dead_middle() {
         let task = AuditTask::Combined {
             lower: Bounds::constant(2),
             upper: Bounds::constant(2),
         };
-        let run = |segmented: bool| {
-            let mut monitor = MonitorAudit::builder(students_fig1(), "Grade")
-                .checkpoint_every(1)
-                .segmented_replay(segmented)
-                .build(DetectConfig::new(2, 2, 16), task.clone(), Engine::Optimized)
-                .unwrap();
-            let steps0 = monitor.checkpoint_stats().unwrap().replayed_steps;
-            // Swap rank positions 2↔3 and 12↔13 in one batch.
-            let r_a = monitor.ranking().at(3);
-            let r_b = monitor.ranking().at(13);
-            let d = monitor
-                .apply(&[
-                    RankingEdit::ScoreUpdate {
-                        row: r_a,
-                        score: 15.5,
-                    },
-                    RankingEdit::ScoreUpdate {
-                        row: r_b,
-                        score: 6.5,
-                    },
-                ])
-                .unwrap();
-            assert_matches_fresh(&monitor);
-            let stats = monitor.checkpoint_stats().unwrap();
-            (d, stats.replayed_steps - steps0)
-        };
-        let (seg, seg_steps) = run(true);
-        let (hull, hull_steps) = run(false);
-        assert_eq!(seg.recomputed, Some((3, 13)));
-        assert_eq!(hull.recomputed, Some((3, 13)));
-        assert_eq!(seg.segments, vec![(3, 3), (13, 13)]);
-        assert_eq!(hull.segments, vec![(3, 13)]);
-        assert_eq!(seg.changed, hull.changed);
+        let mut monitor = MonitorAudit::builder(students_fig1(), "Grade")
+            .checkpoint_every(1)
+            .build(DetectConfig::new(2, 2, 16), task, Engine::Optimized)
+            .unwrap();
+        let before = fresh_results(&monitor);
+        let steps0 = monitor.checkpoint_stats().unwrap().replayed_steps;
+        // Swap rank positions 2↔3 and 12↔13 in one batch.
+        let r_a = monitor.ranking().at(3);
+        let r_b = monitor.ranking().at(13);
+        let d = monitor
+            .apply(&[
+                RankingEdit::ScoreUpdate {
+                    row: r_a,
+                    score: 15.5,
+                },
+                RankingEdit::ScoreUpdate {
+                    row: r_b,
+                    score: 6.5,
+                },
+            ])
+            .unwrap();
+        let after = fresh_results(&monitor);
+        assert_eq!(monitor.results(), &after[..]);
+        assert_eq!(d.recomputed, Some((3, 13)));
+        assert_eq!(d.segments, vec![(3, 3), (13, 13)]);
+        assert_eq!(d.changed, fresh_deltas(&before, &after));
+        let steps = monitor.checkpoint_stats().unwrap().replayed_steps - steps0;
         assert!(
-            seg_steps < hull_steps,
-            "segmented replayed {seg_steps} k steps vs hull {hull_steps}"
+            steps < 13 - 3,
+            "replayed {steps} k steps over the hull (3, 13)"
         );
     }
 

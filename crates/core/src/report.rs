@@ -6,7 +6,7 @@
 
 use crate::audit::{AuditOutcome, AuditTask};
 use crate::pattern::Pattern;
-use crate::space::{CountsProvider, PatternSpace};
+use crate::space::{PatternSpace, RankedIndex};
 use crate::util::FxHashMap;
 
 /// Which bound a reported group violates.
@@ -67,9 +67,9 @@ pub struct KReport {
 /// A group reported at many `k` values is counted in the data once: `s_D`
 /// does not depend on `k`, so it is memoized per distinct pattern, and
 /// each row pays only the truncated top-`k` prefix count.
-pub fn summarize_audit<'o, I: CountsProvider>(
+pub fn summarize_audit<'o>(
     out: &'o AuditOutcome,
-    index: &I,
+    index: &RankedIndex,
     space: &PatternSpace,
     task: &AuditTask,
 ) -> Vec<KReport> {

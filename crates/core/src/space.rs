@@ -38,70 +38,12 @@ impl fmt::Display for SpaceError {
 
 impl std::error::Error for SpaceError {}
 
-/// The count surface the detection engines consume.
-///
-/// Everything in the lower and upper engines reaches the data through
-/// four primitives — the universe size, the `(s_D, s_Rk)` pair of one
-/// pattern, the same pair for every child of an expanded node, and the
-/// value of an attribute at a rank position — so any provider
-/// implementing them runs the same algorithms unchanged. The library
-/// counts with [`RankedIndex`], unsharded or with its membership maps cut
-/// into row blocks; [`AuditIndex`](crate::AuditIndex) derefs and delegates
-/// to it. `s_D` does not depend on the ranking, and `s_Rk` and the codes
-/// at positions below `k` depend only on the top-`k` prefix; the index
-/// reads each from its own structure.
-pub trait CountsProvider: Sync {
-    /// Number of tuples.
-    fn n(&self) -> usize;
-
-    /// `(s_D(p), s_Rk(p))` — the pattern's size in the data and in the
-    /// top-`k` prefix of the ranking.
-    fn counts(&self, p: &Pattern, k: usize) -> (usize, usize);
-
-    /// Appends `counts(parent.child(a, v), k)` to `out` for every
-    /// search-tree child with `a ≥ start`, in `(a, v)` order (attributes
-    /// ascending, then value codes ascending) — the order in which both
-    /// engines intern a node's children. Providers share the parent's
-    /// intersection across the children instead of recounting it per
-    /// child; this is how every fresh expansion is evaluated.
-    fn child_counts(
-        &self,
-        parent: &Pattern,
-        start: AttrId,
-        k: usize,
-        out: &mut Vec<(usize, usize)>,
-    );
-
-    /// Value of `attr` for the tuple at rank position `pos` (0-based).
-    fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode;
-
-    /// `s_D(p)` alone.
-    fn size_in_data(&self, p: &Pattern) -> usize {
-        self.counts(p, 0).0
-    }
-
-    /// `s_Rk(p)` alone — the prefix half of [`CountsProvider::counts`].
-    ///
-    /// The engines call this when re-activating a stored node whose `s_D`
-    /// is already interned in the arena, so providers should read only the
-    /// top-`k` prefix when they can ([`RankedIndex`] reads its rank blocks
-    /// below `k`); the default computes the pair and discards `s_D`.
-    fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
-        self.counts(p, k).1
-    }
-
-    /// Whether the tuple at rank position `pos` satisfies `p`.
-    fn matches_at(&self, pos: usize, p: &Pattern) -> bool {
-        p.matches(|a| self.code_at(pos, a))
-    }
-}
-
 /// The search-tree children of `parent` (Definition 4.1) with their
 /// `(s_D, s_Rk)` at `k`, in `(a, v)` order, from one batched
-/// [`CountsProvider::child_counts`] call — how both engines evaluate a
+/// [`RankedIndex::child_counts`] call — how both engines evaluate a
 /// fresh expansion.
 pub(crate) fn counted_children<'s>(
-    index: &impl CountsProvider,
+    index: &RankedIndex,
     space: &'s PatternSpace,
     parent: &'s Pattern,
     k: usize,
@@ -205,7 +147,7 @@ impl PatternSpace {
 
     /// The `(a, v)` bindings of a search-tree node's children: every value
     /// of every attribute from `start` on, in the order
-    /// [`CountsProvider::child_counts`] reports their counts.
+    /// [`RankedIndex::child_counts`] reports their counts.
     pub(crate) fn child_bindings(
         &self,
         start: AttrId,
@@ -662,7 +604,9 @@ fn dataset_codes<'a>(
 }
 
 /// The counting index: membership maps for `s_D` and rank blocks for
-/// `s_Rk`, split along what each count depends on.
+/// `s_Rk`, split along what each count depends on. It is the one count
+/// surface the engines, the baseline and the report read; an
+/// [`AuditIndex`](crate::AuditIndex) derefs to it.
 ///
 /// * `s_D(pattern)` = popcount of the AND of the pattern's membership
 ///   maps, one bitmap per (attribute, value) over row ids in dataset
@@ -692,7 +636,7 @@ fn dataset_codes<'a>(
 ///
 /// Both counts come one pattern at a time ([`RankedIndex::counts`]) or
 /// for all children of a search node at once
-/// ([`CountsProvider::child_counts`]). Every row holds exactly one value
+/// ([`RankedIndex::child_counts`]). Every row holds exactly one value
 /// of every attribute, so an attribute's membership maps partition the
 /// rows, and `child_counts` derives each attribute's last `s_D` by
 /// subtraction. Every count is valid at every `k`, after every
@@ -850,11 +794,57 @@ impl RankedIndex {
 
     /// `(s_D(p), s_Rk(p))` of one pattern: a membership-map count and a
     /// read of the top-`k` rank blocks. The engines evaluate whole
-    /// expansions through [`CountsProvider::child_counts`]; this
+    /// expansions through [`RankedIndex::child_counts`]; this
     /// single-pattern count serves the report, the baseline, the oracle
     /// and tests.
     pub fn counts(&self, p: &Pattern, k: usize) -> (usize, usize) {
         (self.size_in_data(p), self.prefix_count(p, k))
+    }
+
+    /// Appends `counts(parent.child(a, v), k)` to `out` for every
+    /// search-tree child with `a ≥ start`, in `(a, v)` order (attributes
+    /// ascending, then value codes ascending) — the order in which both
+    /// engines intern a node's children; this is how every fresh
+    /// expansion is evaluated. `s_D` of every child comes from the
+    /// membership maps (one parent AND, one two-operand pass per child,
+    /// each attribute's last child by subtraction), merged additively over
+    /// the row blocks — each block counts the whole expansion on its rows,
+    /// so large blocks fan out over threads once per expansion, not once
+    /// per child — then `s_Rk` from the rank blocks below `k`.
+    pub fn child_counts(
+        &self,
+        parent: &Pattern,
+        start: AttrId,
+        k: usize,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        let base = out.len();
+        if let [maps] = &self.data[..] {
+            maps.child_sizes(parent, start, out);
+        } else {
+            let mut partials: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.data.len()];
+            if self.parallel {
+                std::thread::scope(|scope| {
+                    for (maps, slot) in self.data.iter().zip(partials.iter_mut()) {
+                        scope.spawn(move || maps.child_sizes(parent, start, slot));
+                    }
+                });
+            } else {
+                for (maps, slot) in self.data.iter().zip(partials.iter_mut()) {
+                    maps.child_sizes(parent, start, slot);
+                }
+            }
+            // Every block reports every child, so the first partial fixes
+            // the child count.
+            out.resize(base + partials[0].len(), (0, 0));
+            for part in &partials {
+                for (o, &(size, _)) in out[base..].iter_mut().zip(part) {
+                    o.0 += size;
+                }
+            }
+        }
+        self.rank
+            .add_child_prefix(parent, start, k, &mut out[base..], &self.row_codes());
     }
 
     /// `s_D(p)` alone, from the membership maps, summed over the row
@@ -956,66 +946,6 @@ impl RankedIndex {
     }
 }
 
-impl CountsProvider for RankedIndex {
-    fn n(&self) -> usize {
-        RankedIndex::n(self)
-    }
-
-    fn counts(&self, p: &Pattern, k: usize) -> (usize, usize) {
-        RankedIndex::counts(self, p, k)
-    }
-
-    /// `s_D` of every child from the membership maps (one parent AND, one
-    /// two-operand pass per child, each attribute's last child by
-    /// subtraction), merged additively over the row blocks — each block
-    /// counts the whole expansion on its rows, so large blocks fan out
-    /// over threads once per expansion, not once per child — then `s_Rk`
-    /// from the rank blocks below `k`.
-    fn child_counts(
-        &self,
-        parent: &Pattern,
-        start: AttrId,
-        k: usize,
-        out: &mut Vec<(usize, usize)>,
-    ) {
-        let base = out.len();
-        if let [maps] = &self.data[..] {
-            maps.child_sizes(parent, start, out);
-        } else {
-            let mut partials: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.data.len()];
-            if self.parallel {
-                std::thread::scope(|scope| {
-                    for (maps, slot) in self.data.iter().zip(partials.iter_mut()) {
-                        scope.spawn(move || maps.child_sizes(parent, start, slot));
-                    }
-                });
-            } else {
-                for (maps, slot) in self.data.iter().zip(partials.iter_mut()) {
-                    maps.child_sizes(parent, start, slot);
-                }
-            }
-            // Every block reports every child, so the first partial fixes
-            // the child count.
-            out.resize(base + partials[0].len(), (0, 0));
-            for part in &partials {
-                for (o, &(size, _)) in out[base..].iter_mut().zip(part) {
-                    o.0 += size;
-                }
-            }
-        }
-        self.rank
-            .add_child_prefix(parent, start, k, &mut out[base..], &self.row_codes());
-    }
-
-    fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
-        RankedIndex::code_at(self, pos, attr)
-    }
-
-    fn prefix_count(&self, p: &Pattern, k: usize) -> usize {
-        RankedIndex::prefix_count(self, p, k)
-    }
-}
-
 /// A seeded instance of `rows` rows over three random attributes and a
 /// constant one: a card-1 attribute, placed second so that parents can
 /// hold its one term and children follow it. Returns the dataset, the
@@ -1036,15 +966,15 @@ pub(crate) fn partition_instance(rows: usize) -> (Dataset, PatternSpace, Vec<Tup
     (ds, space, random_ranking(11, rows))
 }
 
-/// Checks `index.child_counts` against one `reference.counts` call per
-/// child, at every `k` in `ks`, for every `start` from `0` to `m` (the
+/// Checks `index.child_counts` against one `reference(pattern, k)` call
+/// per child, at every `k` in `ks`, for every `start` from `0` to `m` (the
 /// last has no children) and every parent of 0–3 terms over the
 /// attributes before `start`. The batch must append, leaving what `out`
 /// already held in place.
 #[cfg(test)]
 pub(crate) fn assert_child_counts_match(
-    index: &impl CountsProvider,
-    reference: &impl CountsProvider,
+    index: &RankedIndex,
+    reference: impl Fn(&Pattern, usize) -> (usize, usize),
     space: &PatternSpace,
     ks: &[usize],
 ) {
@@ -1067,7 +997,7 @@ pub(crate) fn assert_child_counts_match(
                     .chain(
                         space
                             .child_bindings(start)
-                            .map(|(a, v)| reference.counts(&parent.child(a, v), k)),
+                            .map(|(a, v)| reference(&parent.child(a, v), k)),
                     )
                     .collect();
                 assert_eq!(got, want, "parent={parent:?} start={start} k={k}");
@@ -1083,7 +1013,6 @@ pub(crate) fn assert_child_counts_match(
 pub(crate) struct RankOrderReference {
     /// `codes[pos][a]`: value of attribute `a` at rank position `pos`.
     codes: Vec<Vec<ValueCode>>,
-    space: PatternSpace,
 }
 
 #[cfg(test)]
@@ -1098,20 +1027,15 @@ impl RankOrderReference {
                     .collect()
             })
             .collect();
-        RankOrderReference {
-            codes,
-            space: space.clone(),
-        }
+        RankOrderReference { codes }
     }
-}
 
-#[cfg(test)]
-impl CountsProvider for RankOrderReference {
-    fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.codes.len()
     }
 
-    fn counts(&self, p: &Pattern, k: usize) -> (usize, usize) {
+    /// `(s_D(p), s_Rk(p))`, one loop over the positions.
+    pub(crate) fn counts(&self, p: &Pattern, k: usize) -> (usize, usize) {
         let (mut size, mut top) = (0, 0);
         for (pos, codes) in self.codes.iter().enumerate() {
             if p.matches(|a| codes[usize::from(a)]) {
@@ -1122,19 +1046,7 @@ impl CountsProvider for RankOrderReference {
         (size, top)
     }
 
-    fn child_counts(
-        &self,
-        parent: &Pattern,
-        start: AttrId,
-        k: usize,
-        out: &mut Vec<(usize, usize)>,
-    ) {
-        for (a, v) in self.space.child_bindings(start) {
-            out.push(self.counts(&parent.child(a, v), k));
-        }
-    }
-
-    fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
+    pub(crate) fn code_at(&self, pos: usize, attr: AttrId) -> ValueCode {
         self.codes[pos][usize::from(attr)]
     }
 }
@@ -1145,8 +1057,8 @@ impl CountsProvider for RankOrderReference {
 /// `child_counts` through [`assert_child_counts_match`].
 #[cfg(test)]
 pub(crate) fn assert_index_matches(
-    index: &impl CountsProvider,
-    reference: &impl CountsProvider,
+    index: &RankedIndex,
+    reference: &RankOrderReference,
     space: &PatternSpace,
     ks: &[usize],
 ) {
@@ -1174,7 +1086,7 @@ pub(crate) fn assert_index_matches(
             assert_eq!(index.prefix_count(p, k), want.1, "p={p:?} k={k}");
         }
     }
-    assert_child_counts_match(index, reference, space, ks);
+    assert_child_counts_match(index, |p, k| reference.counts(p, k), space, ks);
 }
 
 #[cfg(test)]
@@ -1302,7 +1214,7 @@ mod tests {
     fn child_counts_equal_per_child_counts() {
         let (_ds, space, index) = fig1();
         let ks: Vec<usize> = (0..=18).collect();
-        assert_child_counts_match(&index, &index, &space, &ks);
+        assert_child_counts_match(&index, |p, k| index.counts(p, k), &space, &ks);
     }
 
     /// The `k`s the layout tests read at: around the first two rank
@@ -1342,11 +1254,8 @@ mod tests {
             moved[lo..=hi].rotate_left(7);
             index.rewrite_span(&ds, &space, &moved, lo, hi);
             assert_eq!(index.built_rank_blocks(), built, "{what}");
-            let ks = block_edge_ks(rows);
-            let fresh = RankedIndex::build_from_order(&ds, &space, &moved);
-            assert_index_matches(&index, &fresh, &space, &ks);
             let reference = RankOrderReference::build(&ds, &space, &moved);
-            assert_index_matches(&index, &reference, &space, &ks);
+            assert_index_matches(&index, &reference, &space, &block_edge_ks(rows));
         }
 
         // An insertion: `grow` appends the new row at the last position,
@@ -1369,8 +1278,6 @@ mod tests {
             let row = order.pop().unwrap();
             order.insert(100, row);
             index.rewrite_span(&ds, &space, &order, 100, rows);
-            let fresh = RankedIndex::build_from_order(&ds, &space, &order);
-            assert_index_matches(&index, &fresh, &space, &ks);
             let reference = RankOrderReference::build(&ds, &space, &order);
             assert_index_matches(&index, &reference, &space, &ks);
         }
@@ -1452,7 +1359,7 @@ mod tests {
             for shards in [1, 2, 3, 7, rows + 3] {
                 let sharded = RankedIndex::sharded(&ds, &space, &ranking, shards);
                 assert_eq!(sharded.shard_sizes().iter().sum::<usize>(), rows);
-                assert_index_matches(&sharded, &index, &space, &ks);
+                assert_index_matches(&sharded, &reference, &space, &ks);
             }
         }
     }
@@ -1619,7 +1526,7 @@ mod tests {
         let ks: Vec<usize> = (0..=18).collect();
         for shards in [1, 2, 3, 7, 25] {
             let (space, single, sharded) = fig1_sharded(shards);
-            assert_child_counts_match(&sharded, &single, &space, &ks);
+            assert_child_counts_match(&sharded, |p, k| single.counts(p, k), &space, &ks);
         }
         // A card-1 attribute, whose only child each shard derives from its
         // parent alone; 50 shards over 40 rows leaves 10 of them empty.
@@ -1629,7 +1536,7 @@ mod tests {
         let ks: Vec<usize> = (0..=42).collect();
         for shards in [3, 50] {
             let sharded = RankedIndex::sharded(&ds, &space, &ranking, shards);
-            assert_child_counts_match(&sharded, &single, &space, &ks);
+            assert_child_counts_match(&sharded, |p, k| single.counts(p, k), &space, &ks);
         }
     }
 
@@ -1653,7 +1560,7 @@ mod tests {
         assert_eq!(sharded.parallel, many_cores);
         assert!(!RankedIndex::sharded(&ds, &space, &ranking, 4).parallel);
         let ks = [0, 1, 64, rows / 3 + 1, rows - 1, rows];
-        assert_child_counts_match(&sharded, &single, &space, &ks);
+        assert_child_counts_match(&sharded, |p, k| single.counts(p, k), &space, &ks);
     }
 
     #[test]

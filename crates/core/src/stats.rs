@@ -105,15 +105,14 @@ pub(crate) struct ReplayCounters {
     pub repairs: u64,
     /// Every `k` position the replay driver computed — cold builds,
     /// catch-up steps from a seek point to a segment start, and in-segment
-    /// advances. Hull-vs-segmented comparisons of this counter measure
-    /// exactly the `k` work segmentation saves.
+    /// advances. Set against the edit hull's `k` span, it measures the
+    /// `k` work segmentation saves.
     pub replayed_steps: u64,
     /// Node activations served by the stored `s_D` plus a truncated
     /// prefix-only recount instead of a full fused `counts(p, k)` scan.
     pub prefix_recounts: u64,
-    /// Replay segments driven (per engine direction). Hull replay is one
-    /// segment per delta; segmented replay drives one per merged run of
-    /// changed `k` values.
+    /// Replay segments driven (per engine direction): one per merged run
+    /// of changed `k` values.
     pub segments: u64,
 }
 

@@ -9,7 +9,7 @@
 //! the scale of the group-size distribution) and return the requested
 //! quantile of that distribution.
 
-use crate::space::{AttrId, CountsProvider, PatternSpace};
+use crate::space::{AttrId, PatternSpace, RankedIndex};
 use crate::Pattern;
 
 /// Suggests `τs` as the `quantile` (in `[0, 1]`) of the level-1 group-size
@@ -18,7 +18,7 @@ use crate::Pattern;
 ///
 /// # Panics
 /// Panics if `quantile` is outside `[0, 1]`.
-pub fn suggest_tau<I: CountsProvider>(index: &I, space: &PatternSpace, quantile: f64) -> usize {
+pub fn suggest_tau(index: &RankedIndex, space: &PatternSpace, quantile: f64) -> usize {
     assert!(
         (0.0..=1.0).contains(&quantile),
         "quantile must be within [0, 1]"

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use crate::bounds::BiasMeasure;
 use crate::pattern::Pattern;
-use crate::space::{AttrId, CountsProvider, PatternSpace};
+use crate::space::{AttrId, PatternSpace, RankedIndex};
 use crate::stats::{DeadlineGuard, DetectConfig, DetectionOutput, KResult, SearchStats};
 
 /// Outcome of one single-`k` top-down search.
@@ -33,8 +33,8 @@ pub(crate) struct SingleK {
 /// live on strictly smaller levels and are never size-pruned, since `s_D`
 /// is anti-monotone). The `update(Res, p)` of the paper therefore reduces
 /// to a subset probe against `res`.
-pub(crate) fn search_single_k<I: CountsProvider>(
-    index: &I,
+pub(crate) fn search_single_k(
+    index: &RankedIndex,
     space: &PatternSpace,
     tau_s: usize,
     k: usize,
@@ -91,8 +91,8 @@ pub(crate) fn search_single_k<I: CountsProvider>(
 }
 
 /// The `IterTD` baseline (§IV-A): one full top-down search per `k`.
-pub(crate) fn iter_td<I: CountsProvider>(
-    index: &I,
+pub(crate) fn iter_td(
+    index: &RankedIndex,
     space: &PatternSpace,
     cfg: &DetectConfig,
     measure: &BiasMeasure,
@@ -122,8 +122,8 @@ pub(crate) fn iter_td<I: CountsProvider>(
 /// under-representation is superset-closed (supersets have counts at most
 /// as large), so a biased substantial pattern is maximal exactly when
 /// every single-term extension falls below `τs`.
-pub fn lower_most_specific_single_k<I: CountsProvider>(
-    index: &I,
+pub fn lower_most_specific_single_k(
+    index: &RankedIndex,
     space: &PatternSpace,
     tau_s: usize,
     k: usize,

@@ -56,7 +56,7 @@ use crate::audit::OverRepScope;
 use crate::bounds::Bounds;
 use crate::incremental::{Core, Incremental, ROOT};
 use crate::pattern::Pattern;
-use crate::space::{AttrId, CountsProvider, PatternSpace};
+use crate::space::{AttrId, PatternSpace, RankedIndex};
 use crate::stats::{DeadlineGuard, DetectConfig, KResult};
 use crate::util::FxHashSet;
 
@@ -70,8 +70,8 @@ pub(crate) struct UpperFrontier {
 
 /// The over-representation engine. `core.mark` holds each node's
 /// qualification `s_D ≥ τs ∧ count > U_k` under the current `(k, U_k)`.
-pub(crate) struct UpperEngine<'a, I: CountsProvider> {
-    core: Core<'a, I>,
+pub(crate) struct UpperEngine<'a> {
+    core: Core<'a>,
     upper: Bounds,
     scope: OverRepScope,
     /// Node ids of the maximal frontier (most-specific qualifying
@@ -81,7 +81,7 @@ pub(crate) struct UpperEngine<'a, I: CountsProvider> {
 
 /// Classifies a node that just joined the run under the bound `u`,
 /// collecting it when it qualifies.
-fn admit<I: CountsProvider>(core: &mut Core<'_, I>, id: u32, u: usize, fresh: &mut Vec<u32>) {
+fn admit(core: &mut Core<'_>, id: u32, u: usize, fresh: &mut Vec<u32>) {
     let q = core.count(id) > u;
     core.mark[id as usize] = q;
     if q {
@@ -89,10 +89,10 @@ fn admit<I: CountsProvider>(core: &mut Core<'_, I>, id: u32, u: usize, fresh: &m
     }
 }
 
-impl<'a, I: CountsProvider> UpperEngine<'a, I> {
+impl<'a> UpperEngine<'a> {
     /// An engine for the bound `upper` over `cfg`'s `τs`.
     pub(crate) fn new(
-        index: &'a I,
+        index: &'a RankedIndex,
         space: &'a PatternSpace,
         cfg: &DetectConfig,
         upper: Bounds,
@@ -185,7 +185,7 @@ impl<'a, I: CountsProvider> UpperEngine<'a, I> {
     /// The subsets of
     /// a pattern that qualifies — or qualified before this step — are
     /// always live and reachable, hence the `expect`.
-    fn one_term_subset_ids<'c>(core: &'c Core<'a, I>, id: u32) -> impl Iterator<Item = u32> + 'c {
+    fn one_term_subset_ids<'c>(core: &'c Core<'a>, id: u32) -> impl Iterator<Item = u32> + 'c {
         let terms = core.pattern(id).terms();
         let subsets = if terms.len() < 2 { 0 } else { terms.len() };
         // Dropping `terms[i]` keeps the ancestor of `terms[..i]` and
@@ -302,15 +302,14 @@ impl<'a, I: CountsProvider> UpperEngine<'a, I> {
     }
 }
 
-impl<'a, I: CountsProvider> Incremental<'a> for UpperEngine<'a, I> {
-    type Index = I;
+impl<'a> Incremental<'a> for UpperEngine<'a> {
     type Frontier = UpperFrontier;
 
-    fn core(&self) -> &Core<'a, I> {
+    fn core(&self) -> &Core<'a> {
         &self.core
     }
 
-    fn core_mut(&mut self) -> &mut Core<'a, I> {
+    fn core_mut(&mut self) -> &mut Core<'a> {
         &mut self.core
     }
 
@@ -417,7 +416,6 @@ mod tests {
     use super::*;
     use crate::incremental::{replay, Store, Stream};
     use crate::oracle;
-    use crate::space::RankedIndex;
     use crate::stats::{DetectionOutput, ReplayCounters};
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
     use rankfair_data::Dataset;

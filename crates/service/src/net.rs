@@ -27,8 +27,9 @@
 //!   responses may be in flight (dispatched but unwritten); a client
 //!   that never reads its socket stalls only itself.
 //!
-//! Oversized request lines ([`NetOptions::max_line_bytes`]) and invalid
-//! UTF-8 are answered in-band and the connection is closed. A connection
+//! An oversized request line ([`NetOptions::max_line_bytes`]) is answered
+//! in-band and the connection is closed. A line that is not valid UTF-8
+//! is answered in-band and reading goes on, as on stdio. A connection
 //! idle longer than [`NetOptions::idle_timeout`] is closed; the same
 //! duration bounds blocked writes to a never-reading peer.
 //!
@@ -53,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::session::{Executor, Gate, LineOutcome, Session, NOT_UTF8};
+use crate::session::{Executor, Gate, LineOutcome, Session};
 use crate::AuditService;
 use rankfair_json::Value;
 
@@ -494,7 +495,7 @@ fn reject_overloaded(mut conn: Conn) {
 
 /// Why the read half of a connection stopped.
 enum ReadEnd {
-    /// EOF, error, timeout, fatal framing violation, or server shutdown.
+    /// EOF, error, timeout, an oversized line, or server shutdown.
     Closed,
     /// The peer sent the `shutdown` admin op.
     ShutdownRequested,
@@ -563,7 +564,7 @@ fn handle_connection<'scope>(
 }
 
 /// Reads and dispatches request lines until EOF, error, idle timeout,
-/// framing violation, server shutdown, or a `shutdown` op.
+/// an oversized line, server shutdown, or a `shutdown` op.
 ///
 /// Framing is manual (not `BufRead::lines`): reads time out at poll
 /// points, and a timeout mid-line must not discard the partial line the
@@ -587,9 +588,6 @@ fn read_loop(ctx: Ctx<'_>, conn: &mut Conn, session: &mut Session<'_>) -> ReadEn
                 while let Some(pos) = acc.iter().position(|&b| b == b'\n') {
                     let mut line: Vec<u8> = acc.drain(..=pos).collect();
                     line.pop(); // the newline
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
                     if line.len() > ctx.opts.max_line_bytes {
                         session.dispatch_error(format!(
                             "request line exceeds {} bytes",
@@ -597,14 +595,7 @@ fn read_loop(ctx: Ctx<'_>, conn: &mut Conn, session: &mut Session<'_>) -> ReadEn
                         ));
                         return ReadEnd::Closed;
                     }
-                    let Ok(text) = String::from_utf8(line) else {
-                        session.dispatch_error(NOT_UTF8.to_string());
-                        return ReadEnd::Closed;
-                    };
-                    if text.trim().is_empty() {
-                        continue;
-                    }
-                    if session.dispatch_line(&text) == LineOutcome::Shutdown {
+                    if session.dispatch_bytes(&line) == LineOutcome::Shutdown {
                         return ReadEnd::ShutdownRequested;
                     }
                     if ctx.shutdown.load(Ordering::Relaxed) || session.dead() {
@@ -667,8 +658,19 @@ mod tests {
         }
     }
 
+    /// Shuts the server down when dropped: a client that panics inside
+    /// the server's scope then fails its test instead of hanging it.
+    struct StopOnDrop(NetHandle);
+
+    impl Drop for StopOnDrop {
+        fn drop(&mut self) {
+            self.0.shutdown();
+        }
+    }
+
     /// Binds a loopback listener, runs `serve_net` on a scoped thread,
-    /// and hands the client half to `client`; returns the run summary.
+    /// and hands the client half to `client`; shuts the server down once
+    /// `client` returns or unwinds, and returns the run summary.
     fn with_server<T: Send>(
         opts: NetOptions,
         client: impl FnOnce(&str, NetHandle) -> T + Send,
@@ -678,10 +680,11 @@ mod tests {
         let addr = listeners.local_addrs().remove(0);
         let addr = addr.strip_prefix("tcp:").unwrap().to_string();
         let handle = listeners.handle();
+        let stop = StopOnDrop(handle.clone());
         std::thread::scope(|scope| {
             let server = scope.spawn(|| serve_net(&service, listeners, &opts));
-            let out = client(&addr, handle.clone());
-            handle.shutdown();
+            let out = client(&addr, handle);
+            drop(stop);
             (server.join().unwrap(), out)
         })
     }
@@ -762,6 +765,83 @@ mod tests {
         );
         assert_eq!(summary.rejected, 1);
         assert_eq!(summary.connections, 1);
+    }
+
+    #[test]
+    fn a_panicking_job_on_one_connection_leaves_the_others_served() {
+        // A monitor whose entry lock a panic poisoned: every job on it
+        // panics inside a worker. Connection A's update draws one
+        // `internal` error echoing its id and A's next audit is answered;
+        // connection B's pipelined audits are all answered; B's
+        // `shutdown` then drains the server on its own.
+        let service = fig1_service();
+        let listeners = NetListeners::bind(&["tcp:127.0.0.1:0".to_string()]).unwrap();
+        let addr = listeners.local_addrs().remove(0);
+        let addr = addr.strip_prefix("tcp:").unwrap().to_string();
+        let stop = StopOnDrop(listeners.handle());
+        let summary = std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_net(&service, listeners, &opts()));
+            // Read timeouts turn a wedged lane into a failure, not a hang.
+            let mut a = TcpStream::connect(&addr).unwrap();
+            a.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            let mut a_lines = BufReader::new(a.try_clone().unwrap()).lines();
+            let register = concat!(
+                r#"{"id":1,"op":"register_monitor","name":"m","dataset":"fig1","rank_by":"Grade","#,
+                r#""task":{"type":"under","measure":{"type":"global","lower":2}},"#,
+                r#""config":{"tau":4,"kmin":4,"kmax":5}}"#,
+                "\n"
+            );
+            a.write_all(register.as_bytes()).unwrap();
+            let line = a_lines.next().unwrap().unwrap();
+            assert!(line.starts_with(r#"{"id":1,"ok":true"#), "{line}");
+            let entry = service.monitor_entry("m").unwrap();
+            let poisoner = std::thread::spawn(move || {
+                let _held = entry.lock().unwrap();
+                panic!("apply unwound");
+            });
+            assert!(poisoner.join().is_err());
+
+            let update = r#"{"id":2,"op":"update","monitor":"m","edits":[{"edit":"score","row":5,"score":19.5}]}"#;
+            a.write_all(format!("{update}\n{}\n", audit_line(3)).as_bytes())
+                .unwrap();
+            let line = a_lines.next().unwrap().unwrap();
+            assert!(
+                line.starts_with(r#"{"id":2,"ok":false,"error":{"kind":"internal""#),
+                "{line}"
+            );
+            let line = a_lines.next().unwrap().unwrap();
+            assert!(line.starts_with(r#"{"id":3,"ok":true"#), "{line}");
+
+            let mut b = TcpStream::connect(&addr).unwrap();
+            b.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            let mut batch: String = (10..18).map(|i| audit_line(i) + "\n").collect();
+            batch.push_str("{\"id\": 18, \"op\": \"shutdown\"}\n");
+            b.write_all(batch.as_bytes()).unwrap();
+            let b_lines: Vec<String> = BufReader::new(b).lines().map(|l| l.unwrap()).collect();
+            assert_eq!(b_lines.len(), 9);
+            for (i, line) in (10..).zip(&b_lines[..8]) {
+                assert!(
+                    line.starts_with(&format!(r#"{{"id":{i},"ok":true"#)),
+                    "{line}"
+                );
+            }
+            assert_eq!(b_lines[8], r#"{"id":18,"ok":true,"op":"shutdown"}"#);
+
+            // The shutdown op alone must drain the server; `stop` only
+            // stops a server that failed to, so the test fails, not hangs.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !server.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            let drained = server.is_finished();
+            drop(stop);
+            let summary = server.join().unwrap();
+            assert!(drained, "the shutdown op drains every connection");
+            summary
+        });
+        assert_eq!(summary.connections, 2);
+        assert_eq!(summary.requests, 12);
+        assert_eq!(summary.errors, 1);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::io::{BufRead, Write};
 use std::sync::atomic::AtomicBool;
 use std::sync::{mpsc, Arc};
 
-use crate::session::{Executor, Gate, LineOutcome, Session, NOT_UTF8};
+use crate::session::{Executor, Gate, LineOutcome, Session};
 use crate::AuditService;
 
 /// Options for [`serve`].
@@ -123,21 +123,10 @@ pub fn serve<R: BufRead, W: Write + Send>(
                     break;
                 }
             }
-            // The newline and a `\r` before it, as `BufRead::lines` strips.
             if line.last() == Some(&b'\n') {
                 line.pop();
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
             }
-            let Ok(text) = std::str::from_utf8(&line) else {
-                session.dispatch_error(NOT_UTF8.to_string());
-                continue;
-            };
-            if text.trim().is_empty() {
-                continue;
-            }
-            if session.dispatch_line(text) == LineOutcome::Shutdown {
+            if session.dispatch_bytes(&line) == LineOutcome::Shutdown {
                 break;
             }
         }
@@ -262,7 +251,7 @@ mod tests {
         assert!(lines[0].starts_with(r#"{"id":0,"ok":true"#), "{}", lines[0]);
         assert!(lines[1].contains(r#""ok":false"#), "{}", lines[1]);
         assert!(lines[1].contains(r#""kind":"bad_request""#), "{}", lines[1]);
-        assert!(lines[1].contains(NOT_UTF8), "{}", lines[1]);
+        assert!(lines[1].contains("not valid UTF-8"), "{}", lines[1]);
         assert!(lines[2].starts_with(r#"{"id":2,"ok":true"#), "{}", lines[2]);
     }
 

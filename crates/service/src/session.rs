@@ -385,7 +385,7 @@ impl Gate {
 
 /// The in-band error message for a request line that is not valid UTF-8,
 /// the same on stdio and on sockets.
-pub(crate) const NOT_UTF8: &str = "request line is not valid UTF-8";
+const NOT_UTF8: &str = "request line is not valid UTF-8";
 
 /// What dispatching one line decided about the rest of the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -437,10 +437,25 @@ impl<'a> Session<'a> {
         self.dead.load(Ordering::Relaxed)
     }
 
-    /// Parses and dispatches one input line (empty lines are the
-    /// caller's to skip). Blocks on the pipeline window and on global
-    /// queue backpressure.
-    pub(crate) fn dispatch_line(&mut self, line: &str) -> LineOutcome {
+    /// Answers one input line, given as its bytes without the `\n`, the
+    /// same on every transport: strips a trailing `\r`, answers a line
+    /// that is not valid UTF-8 with one in-band `bad_request` and reads
+    /// on, skips a blank line, and dispatches the rest. Blocks on the
+    /// pipeline window and on global queue backpressure.
+    pub(crate) fn dispatch_bytes(&mut self, line: &[u8]) -> LineOutcome {
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        match std::str::from_utf8(line) {
+            Err(_) => {
+                self.dispatch_error(NOT_UTF8.to_string());
+                LineOutcome::Continue
+            }
+            Ok(text) if text.trim().is_empty() => LineOutcome::Continue,
+            Ok(text) => self.dispatch_line(text),
+        }
+    }
+
+    /// Parses and dispatches one non-blank input line.
+    fn dispatch_line(&mut self, line: &str) -> LineOutcome {
         self.gate.admit(self.seq, &self.dead);
         let (lanes, work, outcome) = match wire::parse_line(line) {
             Err((id, e)) => (

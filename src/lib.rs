@@ -103,8 +103,8 @@ pub mod workloads;
 pub mod prelude {
     pub use crate::core::{
         Audit, AuditBuilder, AuditError, AuditIndex, AuditKResult, AuditOutcome, AuditTask,
-        BiasMeasure, Bounds, CountsProvider, DeltaReport, DetectConfig, Engine, MonitorAudit,
-        OverRepScope, Pattern, PatternSpace, RankedIndex, RankingEdit,
+        BiasMeasure, Bounds, DeltaReport, DetectConfig, Engine, MonitorAudit, OverRepScope,
+        Pattern, PatternSpace, RankedIndex, RankingEdit,
     };
     pub use crate::data::{Column, ColumnData, Dataset};
     pub use crate::explain::{ExplainConfig, RankSurrogate};

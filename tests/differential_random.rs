@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use rankfair::core::{
-    oracle, Audit, AuditKResult, AuditTask, BiasMeasure, Bounds, DetectConfig, Engine,
+    oracle, Audit, AuditKResult, AuditTask, BiasMeasure, Bounds, DetectConfig, Engine, KDelta,
     MonitorAudit, OverRepScope, Pattern, PatternSpace, RankingEdit,
 };
 use rankfair::data::{Dataset, RowValue};
@@ -360,16 +360,37 @@ fn checkpointed_delta_reaudits_match_fresh_audits_at_every_cadence() {
     }
 }
 
-/// Segmented replay (the default) versus full-hull replay: at every
-/// cadence `C ∈ {1, 2, 3, 5, 9}` and on both engine sides (lower-only,
-/// upper-only, and combined tasks), a segmented monitor and a hull
-/// monitor fed identical batches must both equal a fresh `Audit::run`
-/// after every batch — and on a **sparse** batch (two tight adjacent
-/// swaps 55 rank positions apart inside a full-width `k` range) the
-/// segmented monitor must report exactly the two point segments and
-/// replay strictly fewer steps than the hull monitor.
+/// The changes between two fresh audits' results, per `k`: the groups in
+/// one result set and not in the other, by membership test.
+fn fresh_deltas(before: &[AuditKResult], after: &[AuditKResult]) -> Vec<KDelta> {
+    let minus = |a: &[Pattern], b: &[Pattern]| -> Vec<Pattern> {
+        a.iter().filter(|p| !b.contains(p)).cloned().collect()
+    };
+    before
+        .iter()
+        .zip(after)
+        .map(|(old, new)| KDelta {
+            k: new.k,
+            entered_under: minus(&new.under, &old.under),
+            left_under: minus(&old.under, &new.under),
+            entered_over: minus(&new.over, &old.over),
+            left_over: minus(&old.over, &new.over),
+        })
+        .filter(|d| !d.is_empty())
+        .collect()
+}
+
+/// Segmented replay against independent references: at every cadence
+/// `C ∈ {1, 2, 3, 5, 9}` and on both engine sides (lower-only,
+/// upper-only, and combined tasks), after every batch a monitor must
+/// equal a fresh `Audit::run` and report as `changed` exactly the diff of
+/// fresh audits before and after the batch. On a **sparse** batch (two
+/// tight adjacent swaps 55 rank positions apart inside a full-width `k`
+/// range) it must report exactly the two point segments inside the hull
+/// `(6, 61)`, and replay fewer steps, summed over its engine sides, than
+/// the hull's `k_hi − k_lo` that a hull replay pays per side.
 #[test]
-fn segmented_replay_matches_hull_replay_and_replays_fewer_steps() {
+fn segmented_replay_matches_fresh_audits_in_fewer_steps_than_the_hull() {
     let rows = 72usize;
     let tasks = [
         // Lower engine only.
@@ -412,82 +433,63 @@ fn segmented_replay_matches_hull_replay_and_replays_fewer_steps() {
             ds.push_column(rankfair::data::Column::numeric("score", scores))
                 .unwrap();
             let cfg = DetectConfig::new(2, 1, rows);
-            let build = |segmented: bool| {
-                MonitorAudit::builder(ds.clone(), "score")
-                    .checkpoint_every(cadence)
-                    .segmented_replay(segmented)
-                    .build(cfg.clone(), task.clone(), Engine::Optimized)
-                    .unwrap()
-            };
-            let mut seg = build(true);
-            let mut hull = build(false);
-            let mut prev_seg = seg.checkpoint_stats().unwrap().replayed_steps;
-            let mut prev_hull = hull.checkpoint_stats().unwrap().replayed_steps;
-            for batch_no in 0..3 {
-                let batch: Vec<RankingEdit> = match batch_no {
-                    // Sparse: two adjacent-swap clusters 55 positions apart.
-                    0 => vec![swap_at(&seg, 5), swap_at(&seg, 60)],
-                    // One deep swap: both modes replay the same point.
-                    1 => vec![swap_at(&seg, 40)],
-                    // Top strike: the hull swallows the whole grid and the
-                    // seek checkpoints need in-place repair in both modes.
-                    _ => vec![RankingEdit::ScoreUpdate {
-                        row: seg.ranking().at(0),
-                        score: -1.0,
-                    }],
-                };
-                let seg_report = seg.apply(&batch).unwrap();
-                let hull_report = hull.apply(&batch).unwrap();
-                assert_eq!(
-                    seg_report.changed, hull_report.changed,
-                    "cadence {cadence} task {t} batch {batch_no}: changed-k sets differ"
-                );
-                let fresh = Audit::builder(Arc::new(seg.dataset().clone()))
-                    .ranking(seg.ranking())
+            let mut monitor = MonitorAudit::builder(ds, "score")
+                .checkpoint_every(cadence)
+                .build(cfg.clone(), task.clone(), Engine::Optimized)
+                .unwrap();
+            let fresh = |m: &MonitorAudit| {
+                Audit::builder(Arc::new(m.dataset().clone()))
+                    .ranking(m.ranking())
                     .build()
                     .unwrap()
                     .run(&cfg, task, Engine::Optimized)
-                    .unwrap();
+                    .unwrap()
+                    .per_k
+            };
+            let mut before = fresh(&monitor);
+            let mut prev_steps = monitor.checkpoint_stats().unwrap().replayed_steps;
+            for batch_no in 0..3 {
+                let batch: Vec<RankingEdit> = match batch_no {
+                    // Sparse: two adjacent-swap clusters 55 positions apart.
+                    0 => vec![swap_at(&monitor, 5), swap_at(&monitor, 60)],
+                    // One deep swap.
+                    1 => vec![swap_at(&monitor, 40)],
+                    // Top strike: the hull swallows the whole grid and the
+                    // seek checkpoints need in-place repair.
+                    _ => vec![RankingEdit::ScoreUpdate {
+                        row: monitor.ranking().at(0),
+                        score: -1.0,
+                    }],
+                };
+                let report = monitor.apply(&batch).unwrap();
+                let after = fresh(&monitor);
                 assert_eq!(
-                    seg.results(),
-                    &fresh.per_k[..],
-                    "cadence {cadence} task {t} batch {batch_no}: segmented diverged"
+                    monitor.results(),
+                    &after[..],
+                    "cadence {cadence} task {t} batch {batch_no}: monitor diverged"
                 );
                 assert_eq!(
-                    hull.results(),
-                    &fresh.per_k[..],
-                    "cadence {cadence} task {t} batch {batch_no}: hull diverged"
+                    report.changed,
+                    fresh_deltas(&before, &after),
+                    "cadence {cadence} task {t} batch {batch_no}: changed-k sets differ"
                 );
-                let seg_steps = seg.checkpoint_stats().unwrap().replayed_steps;
-                let hull_steps = hull.checkpoint_stats().unwrap().replayed_steps;
+                let steps = monitor.checkpoint_stats().unwrap().replayed_steps;
                 if batch_no == 0 {
                     assert_eq!(
-                        seg_report.segments,
+                        report.segments,
                         vec![(6, 6), (61, 61)],
                         "cadence {cadence} task {t}: sparse batch segments"
                     );
-                    assert_eq!(
-                        hull_report.segments,
-                        vec![(6, 61)],
-                        "cadence {cadence} task {t}: hull batch segments"
-                    );
-                    assert_eq!(seg_report.recomputed, hull_report.recomputed);
+                    assert_eq!(report.recomputed, Some((6, 61)));
                     assert!(
-                        seg_steps - prev_seg < hull_steps - prev_hull,
-                        "cadence {cadence} task {t}: segmented replayed {} steps, hull {}",
-                        seg_steps - prev_seg,
-                        hull_steps - prev_hull
+                        steps - prev_steps < 61 - 6,
+                        "cadence {cadence} task {t}: replayed {} steps over the hull (6, 61)",
+                        steps - prev_steps
                     );
                 }
-                prev_seg = seg_steps;
-                prev_hull = hull_steps;
+                before = after;
+                prev_steps = steps;
             }
-            let seg_stats = seg.checkpoint_stats().unwrap();
-            let hull_stats = hull.checkpoint_stats().unwrap();
-            assert!(
-                seg_stats.segments > hull_stats.segments,
-                "cadence {cadence} task {t}: {seg_stats:?} vs {hull_stats:?}"
-            );
         }
     }
 }

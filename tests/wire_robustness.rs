@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rankfair::service::net::{serve_net, NetListeners, NetOptions, NetSummary};
+use rankfair::service::net::{serve_net, NetHandle, NetListeners, NetOptions, NetSummary};
 use rankfair::service::serve::{serve, ServeOptions};
 use rankfair::service::AuditService;
 
@@ -268,10 +268,20 @@ fn hostile_update_ops_answer_in_band() {
 // never panicking, never emitting a half-written line.
 // ---------------------------------------------------------------------------
 
+/// Shuts a server down when dropped.
+struct StopOnDrop(NetHandle);
+
+impl Drop for StopOnDrop {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
 /// Runs `serve_net` on a loopback TCP listener with `fig1` preloaded and
 /// hands the client closure the `host:port` address. Shuts the server
-/// down once the closure returns and reports the summary alongside the
-/// closure's result.
+/// down once the closure returns, or unwinds, so that a failed client
+/// assertion fails the test instead of hanging it, and reports the
+/// summary alongside the closure's result.
 fn with_net_server<T: Send>(
     opts: NetOptions,
     client: impl FnOnce(&str) -> T + Send,
@@ -281,11 +291,11 @@ fn with_net_server<T: Send>(
     let listeners = NetListeners::bind(&["tcp:127.0.0.1:0".to_string()]).unwrap();
     let addr = listeners.local_addrs().remove(0);
     let addr = addr.strip_prefix("tcp:").unwrap().to_string();
-    let handle = listeners.handle();
+    let stop = StopOnDrop(listeners.handle());
     std::thread::scope(|scope| {
         let server = scope.spawn(|| serve_net(&service, listeners, &opts));
         let out = client(&addr);
-        handle.shutdown();
+        drop(stop);
         (server.join().expect("server thread"), out)
     })
 }
@@ -293,50 +303,68 @@ fn with_net_server<T: Send>(
 /// Lines split across TCP segments: the request stream dribbled to the
 /// socket in tiny random chunks (1–6 bytes, i.e. every request arrives
 /// across many partial writes) must produce **byte-identical** responses
-/// to the stdio transport over the same bytes.
+/// to the stdio transport over the same bytes — for the fixture, and for
+/// the fixture with a line that is not valid UTF-8 after its second
+/// request, which both transports answer in-band and then read on.
 #[test]
 fn socket_lines_split_across_segments_match_stdio() {
     let base = requests();
-    let (_, stdio_lines) = run(base.clone(), 1).unwrap();
+    let second_eol = base
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .nth(1)
+        .unwrap()
+        .0;
+    let mut not_utf8 = base[..=second_eol].to_vec();
+    not_utf8.extend_from_slice(b"{\"id\": 99, \"op\": \"datasets\xff\"}\n");
+    not_utf8.extend_from_slice(&base[second_eol + 1..]);
     let mut rng = StdRng::seed_from_u64(0x5E61);
-    for case in 0..4 {
-        let opts = NetOptions {
-            workers: 1,
-            strip_timing: true,
-            ..NetOptions::default()
-        };
-        let (summary, lines) = with_net_server(opts, |addr| {
-            let mut conn = TcpStream::connect(addr).unwrap();
-            conn.set_nodelay(true).unwrap();
-            let mut pos = 0;
-            let mut chunks = 0usize;
-            while pos < base.len() {
-                let end = (pos + rng.random_range(1..=6usize)).min(base.len());
-                conn.write_all(&base[pos..end]).unwrap();
-                chunks += 1;
-                // An occasional stall between segments exercises the
-                // reader's timeout-and-retry path mid-line.
-                if chunks.is_multiple_of(64) {
-                    std::thread::sleep(Duration::from_millis(2));
+    for (input, stream) in [base, not_utf8].iter().enumerate() {
+        let (_, stdio_lines) = run(stream.clone(), 1).unwrap();
+        for case in 0..4 {
+            let opts = NetOptions {
+                workers: 1,
+                strip_timing: true,
+                ..NetOptions::default()
+            };
+            let (summary, lines) = with_net_server(opts, |addr| {
+                let mut conn = TcpStream::connect(addr).unwrap();
+                conn.set_nodelay(true).unwrap();
+                let mut pos = 0;
+                let mut chunks = 0usize;
+                while pos < stream.len() {
+                    let end = (pos + rng.random_range(1..=6usize)).min(stream.len());
+                    conn.write_all(&stream[pos..end]).unwrap();
+                    chunks += 1;
+                    // An occasional stall between segments exercises the
+                    // reader's timeout-and-retry path mid-line.
+                    if chunks.is_multiple_of(64) {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    pos = end;
                 }
-                pos = end;
-            }
-            let reader = BufReader::new(conn);
-            reader
-                .lines()
-                .take(stdio_lines.len())
-                .map(|l| l.unwrap())
-                .collect::<Vec<String>>()
-        });
-        assert_eq!(lines, stdio_lines, "case {case}");
-        assert_eq!(summary.requests, stdio_lines.len(), "case {case}");
-        // The fixture deliberately includes bad requests; the socket
-        // transport must count exactly the same in-band errors.
-        let expected_errors = stdio_lines
-            .iter()
-            .filter(|l| l.contains(r#""ok":false"#))
-            .count();
-        assert_eq!(summary.errors, expected_errors, "case {case}");
+                let reader = BufReader::new(conn);
+                reader
+                    .lines()
+                    .take(stdio_lines.len())
+                    .map(|l| l.unwrap())
+                    .collect::<Vec<String>>()
+            });
+            assert_eq!(lines, stdio_lines, "input {input} case {case}");
+            assert_eq!(
+                summary.requests,
+                stdio_lines.len(),
+                "input {input} case {case}"
+            );
+            // The fixture deliberately includes bad requests; the socket
+            // transport must count exactly the same in-band errors.
+            let expected_errors = stdio_lines
+                .iter()
+                .filter(|l| l.contains(r#""ok":false"#))
+                .count();
+            assert_eq!(summary.errors, expected_errors, "input {input} case {case}");
+        }
     }
 }
 
