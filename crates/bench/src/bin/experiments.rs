@@ -1,18 +1,19 @@
-//! Regenerates every table and figure of the paper's evaluation (§VI).
+//! Regenerates every table and figure of the paper's evaluation (§VI)
+//! and runs the benches whose floors CI gates.
 //!
 //! Usage:
 //!   experiments `<id>` [--timeout SECS] [--seed N] [--quick]
 //!
-//! ids: fig4 fig5 fig6 fig7 fig8 fig9 fig10 gain casestudy resultsize
-//!      worstcase faststeps scaling overrep serve monitor shard serve-net all
+//! The ids are the names in `EXPERIMENTS`, which the usage text lists;
+//! `all`, the default, runs every one of them in that order. An unknown
+//! flag or id, a missing or non-integer value, or a second id prints the
+//! usage and exits 2.
 //!
-//! An unknown flag or id, a missing or non-integer value, or a second id
-//! prints the usage and exits 2.
-//!
-//! `overrep`, `serve`, `monitor`, `shard` and `serve-net` additionally
-//! write their measurements to `BENCH_overrep.json` / `BENCH_service.json`
-//! / `BENCH_monitor.json` / `BENCH_shard.json` / `BENCH_net.json` in the
-//! working directory.
+//! `overrep`, `serve`, `monitor`, `shard` and `serve-net` are benches:
+//! each writes its measurements through a `rankfair_bench::Bench` to a
+//! `BENCH_*.json` file in the working directory and, with `--quick`,
+//! checks its gates. A failed gate does not stop the run: the process
+//! exits 1 after the last id.
 //!
 //! Absolute runtimes differ from the paper (Rust vs. the authors' Python
 //! testbed, synthetic vs. real data); the reproduced claims are the curve
@@ -28,33 +29,43 @@ use rankfair::core::{
 };
 use rankfair::explain::distribution::compare_distributions;
 use rankfair::explain::{ExplainConfig, RankSurrogate};
+use rankfair::json::{ToJson, Value};
 use rankfair::prelude::{compas_workload, german_workload, student_workload, Workload};
 use rankfair_bench::{
-    audit_with_attrs, fmt_gain, fmt_ms, paper_defaults, run_algo, Algo, Measurement, Table,
+    audit_with_attrs, fmt_gain, fmt_ms, host_cores, opt_name, paper_config, paper_measure, run,
+    timed, trimmed_ratio, Bench, Measurement, Opts, Table,
 };
 use rankfair_divergence::{display_items, divergent_subgroups, DivergenceConfig};
 
-#[derive(Debug, PartialEq)]
-struct Opts {
-    timeout: Duration,
-    seed: u64,
-    quick: bool,
-}
+/// Runs one experiment and returns the gates it failed.
+type Experiment = fn(&Opts) -> Vec<String>;
 
-/// Every experiment id, for the usage line.
-const IDS: &str = "fig4 fig5 fig6 fig7 fig8 fig9 fig10 gain casestudy resultsize worstcase faststeps scaling overrep serve monitor shard serve-net all";
-
-/// Host core count, recorded in every BENCH_*.json `config` so flat
-/// worker-scaling curves from 1-core CI containers are machine-readably
-/// distinguishable from real regressions.
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
-}
+/// Every experiment id and what it runs, in the order `all` runs them.
+const EXPERIMENTS: [(&str, Experiment); 18] = [
+    ("fig4", |opts| sweep(opts, By::Attrs, true)),
+    ("fig5", |opts| sweep(opts, By::Attrs, false)),
+    ("fig6", |opts| sweep(opts, By::Tau, true)),
+    ("fig7", |opts| sweep(opts, By::Tau, false)),
+    ("fig8", |opts| sweep(opts, By::KMax, true)),
+    ("fig9", |opts| sweep(opts, By::KMax, false)),
+    ("gain", gain),
+    ("fig10", fig10),
+    ("casestudy", casestudy),
+    ("resultsize", resultsize),
+    ("worstcase", worstcase),
+    ("faststeps", faststeps),
+    ("scaling", scaling),
+    ("overrep", overrep),
+    ("serve", serve_bench),
+    ("monitor", monitor_bench),
+    ("shard", shard_bench),
+    ("serve-net", serve_net_bench),
+];
 
 /// Parses the arguments after the program name: at most one experiment
-/// id (default `all`) and the flags. An unknown flag, a flag without an
-/// integer value, or a second id is an error, so a typo cannot run the
-/// wrong mode.
+/// id (default `all`) and the flags. An unknown flag or id, a flag
+/// without an integer value, or a second id is an error, so a typo
+/// cannot run the wrong mode.
 fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
     let mut cmd: Option<&str> = None;
     let mut opts = Opts {
@@ -76,6 +87,9 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
             "--quick" => opts.quick = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             id if cmd.is_some() => return Err(format!("a second experiment id `{id}`")),
+            id if id != "all" && !EXPERIMENTS.iter().any(|(known, _)| *known == id) => {
+                return Err(format!("unknown experiment `{id}`"))
+            }
             id => cmd = Some(id),
         }
     }
@@ -91,200 +105,119 @@ fn workloads(opts: &Opts) -> Vec<Workload> {
     ]
 }
 
-/// Attribute sweep for one workload (Figures 4–5): x = #attributes,
-/// y = runtime per algorithm.
-fn attr_sweep(w: &Workload, global: bool, opts: &Opts) {
-    let (cfg, bounds, alpha) = paper_defaults();
-    let cfg = DetectConfig {
-        deadline: Some(opts.timeout),
-        ..cfg
-    };
-    let max_attrs = w.attr_names().len();
-    let step = if opts.quick { 4 } else { 1 };
-    let (measure, opt_algo) = if global {
-        (BiasMeasure::GlobalLower(bounds), Algo::GlobalBounds)
-    } else {
-        (BiasMeasure::Proportional { alpha }, Algo::PropBounds)
-    };
-    let mut t = Table::new(&[
-        "attrs",
-        "IterTD_ms",
-        &format!("{}_ms", opt_algo.name()),
-        "base_patterns",
-        "opt_patterns",
-        "groups",
-    ]);
-    let mut base_dead = false;
-    for n_attrs in (3..=max_attrs).step_by(step) {
-        let audit = audit_with_attrs(w, n_attrs);
-        let base = if base_dead {
-            Measurement {
-                elapsed: opts.timeout,
-                patterns_examined: 0,
-                groups_reported: 0,
-                timed_out: true,
-            }
-        } else {
-            run_algo(&audit, &cfg, &measure, Algo::IterTd)
-        };
-        if base.timed_out {
-            base_dead = true; // the paper stops plotting after the timeout
-        }
-        let opt = run_algo(&audit, &cfg, &measure, opt_algo);
-        t.row(&[
-            n_attrs.to_string(),
-            fmt_ms(&base),
-            fmt_ms(&opt),
-            base.patterns_examined.to_string(),
-            opt.patterns_examined.to_string(),
-            opt.groups_reported.to_string(),
-        ]);
-        if opt.timed_out {
-            break;
-        }
-    }
-    print!("{}", t.render());
+/// The x-axis of a Figure 4–9 sweep.
+#[derive(Clone, Copy, PartialEq)]
+enum By {
+    /// Figures 4–5: the number of pattern attributes.
+    Attrs,
+    /// Figures 6–7: the size threshold τs.
+    Tau,
+    /// Figures 8–9: `k_max`, with `k_min = 10`.
+    KMax,
 }
 
-fn fig45(global: bool, opts: &Opts) {
-    let fig = if global { "Figure 4" } else { "Figure 5" };
-    let measure = if global {
-        "global bounds"
-    } else {
-        "proportional representation"
+/// Figures 4–9: runtime of IterTD and of the measure's optimized
+/// algorithm along one axis, per workload. Global bounds draw the even
+/// figures, proportional representation the odd ones.
+fn sweep(opts: &Opts, by: By, global: bool) -> Vec<String> {
+    let cfg = paper_config(opts.timeout);
+    let measure = paper_measure(global);
+    let fig = 4 + 2 * by as usize + usize::from(!global);
+    let attrs = if opts.quick { 8 } else { 11 };
+    let (x, axis) = match by {
+        By::Attrs => ("attrs", "#attributes"),
+        By::Tau => ("tau_s", "size threshold τs"),
+        By::KMax => ("k_max", "range of k (k_min = 10)"),
     };
+    let detail = match by {
+        By::Attrs if global => "global bounds".to_string(),
+        By::Attrs => "proportional representation".to_string(),
+        By::Tau | By::KMax => format!("{attrs} attributes"),
+    };
+    let opt_ms = format!("{}_ms", opt_name(&measure));
     for w in &workloads(opts) {
         println!(
-            "\n## {fig}: runtime vs #attributes — {} dataset ({measure})",
+            "\n## Figure {fig}: runtime vs {axis} — {} dataset ({detail})",
             w.name
         );
-        attr_sweep(w, global, opts);
-    }
-}
-
-/// τs sweep (Figures 6–7).
-fn fig67(global: bool, opts: &Opts) {
-    let fig = if global { "Figure 6" } else { "Figure 7" };
-    let (base_cfg, bounds, alpha) = paper_defaults();
-    let attrs = if opts.quick { 8 } else { 11 };
-    for w in &workloads(opts) {
-        println!(
-            "\n## {fig}: runtime vs size threshold τs — {} dataset ({} attributes)",
-            w.name, attrs
-        );
-        let audit = audit_with_attrs(w, attrs);
-        let (measure, opt_algo) = if global {
-            (BiasMeasure::GlobalLower(bounds.clone()), Algo::GlobalBounds)
-        } else {
-            (BiasMeasure::Proportional { alpha }, Algo::PropBounds)
+        let points: Vec<usize> = match by {
+            By::Attrs => (3..=w.attr_names().len())
+                .step_by(if opts.quick { 4 } else { 1 })
+                .collect(),
+            By::Tau if opts.quick => vec![10, 50, 100],
+            By::Tau => (10..=100).step_by(10).collect(),
+            // COMPAS sweeps k_max to 1000, the smaller datasets to 350 (§VI-B).
+            By::KMax => {
+                let cap = if w.name == "compas" { 1000 } else { 350 };
+                (50..=cap.min(w.detection.n_rows()))
+                    .step_by(if opts.quick { 150 } else { 50 })
+                    .collect()
+            }
         };
+        let fixed = (by != By::Attrs).then(|| audit_with_attrs(w, attrs));
         let mut t = Table::new(&[
-            "tau_s",
+            x,
             "IterTD_ms",
-            &format!("{}_ms", opt_algo.name()),
-            "groups",
-        ]);
-        let taus: Vec<usize> = if opts.quick {
-            vec![10, 50, 100]
-        } else {
-            (10..=100).step_by(10).collect()
-        };
-        for tau in taus {
-            let cfg = DetectConfig {
-                tau_s: tau,
-                deadline: Some(opts.timeout),
-                ..base_cfg.clone()
-            };
-            let base = run_algo(&audit, &cfg, &measure, Algo::IterTd);
-            let opt = run_algo(&audit, &cfg, &measure, opt_algo);
-            t.row(&[
-                tau.to_string(),
-                fmt_ms(&base),
-                fmt_ms(&opt),
-                opt.groups_reported.to_string(),
-            ]);
-        }
-        print!("{}", t.render());
-    }
-}
-
-/// k-range sweep (Figures 8–9).
-fn fig89(global: bool, opts: &Opts) {
-    let fig = if global { "Figure 8" } else { "Figure 9" };
-    let attrs = if opts.quick { 8 } else { 11 };
-    let (_, bounds, alpha) = paper_defaults();
-    for w in &workloads(opts) {
-        let n = w.detection.n_rows();
-        // COMPAS sweeps k_max to 1000, the smaller datasets to 350 (§VI-B).
-        let hard_cap = if w.name == "compas" { 1000 } else { 350 };
-        let cap = hard_cap.min(n);
-        println!(
-            "\n## {fig}: runtime vs range of k (k_min = 10) — {} dataset ({} attributes)",
-            w.name, attrs
-        );
-        let audit = audit_with_attrs(w, attrs);
-        let (measure, opt_algo) = if global {
-            (BiasMeasure::GlobalLower(bounds.clone()), Algo::GlobalBounds)
-        } else {
-            (BiasMeasure::Proportional { alpha }, Algo::PropBounds)
-        };
-        let mut t = Table::new(&[
-            "k_max",
-            "IterTD_ms",
-            &format!("{}_ms", opt_algo.name()),
+            &opt_ms,
             "base_patterns",
             "opt_patterns",
+            "groups",
         ]);
-        let step = if opts.quick { 150 } else { 50 };
-        let mut k_max = 50;
-        while k_max <= cap {
-            let cfg = DetectConfig::new(50, 10, k_max).with_deadline(opts.timeout);
-            let base = run_algo(&audit, &cfg, &measure, Algo::IterTd);
-            let opt = run_algo(&audit, &cfg, &measure, opt_algo);
+        let mut base_dead = false;
+        for point in points {
+            let per_point = fixed.is_none().then(|| audit_with_attrs(w, point));
+            let audit = fixed.as_ref().or(per_point.as_ref()).expect("one audit");
+            let mut cfg = cfg.clone();
+            match by {
+                By::Attrs => {}
+                By::Tau => cfg.tau_s = point,
+                By::KMax => cfg.k_max = point,
+            }
+            let base = if base_dead {
+                Measurement {
+                    timed_out: true,
+                    ..Measurement::default()
+                }
+            } else {
+                run(audit, &cfg, &measure, Engine::Baseline)
+            };
+            // Along the attribute axis the work only grows: the paper stops
+            // plotting IterTD after its first timeout, and the figure ends
+            // when the optimized run times out too.
+            base_dead = by == By::Attrs && base.timed_out;
+            let opt = run(audit, &cfg, &measure, Engine::Optimized);
             t.row(&[
-                k_max.to_string(),
+                point.to_string(),
                 fmt_ms(&base),
                 fmt_ms(&opt),
                 base.patterns_examined.to_string(),
                 opt.patterns_examined.to_string(),
+                opt.groups_reported.to_string(),
             ]);
-            k_max += step;
+            if by == By::Attrs && opt.timed_out {
+                break;
+            }
         }
         print!("{}", t.render());
     }
+    Vec::new()
 }
 
 /// §VI-B search-space gain table.
-fn gain(opts: &Opts) {
+fn gain(opts: &Opts) -> Vec<String> {
     println!("\n## §VI-B: search-space gain of the optimized algorithms (patterns examined)");
     let attrs = if opts.quick { 8 } else { 11 };
-    let (cfg, bounds, alpha) = paper_defaults();
-    let cfg = DetectConfig {
-        deadline: Some(opts.timeout),
-        ..cfg
-    };
+    let cfg = paper_config(opts.timeout);
     let mut t = Table::new(&["dataset", "problem", "IterTD", "optimized", "gain_%"]);
     for w in &workloads(opts) {
         let audit = audit_with_attrs(w, attrs);
-        for global in [true, false] {
-            let (measure, opt_algo, label) = if global {
-                (
-                    BiasMeasure::GlobalLower(bounds.clone()),
-                    Algo::GlobalBounds,
-                    "global",
-                )
-            } else {
-                (
-                    BiasMeasure::Proportional { alpha },
-                    Algo::PropBounds,
-                    "proportional",
-                )
-            };
-            let base = run_algo(&audit, &cfg, &measure, Algo::IterTd);
-            let opt = run_algo(&audit, &cfg, &measure, opt_algo);
+        for (global, problem) in [(true, "global"), (false, "proportional")] {
+            let measure = paper_measure(global);
+            let base = run(&audit, &cfg, &measure, Engine::Baseline);
+            let opt = run(&audit, &cfg, &measure, Engine::Optimized);
             t.row(&[
                 w.name.to_string(),
-                label.to_string(),
+                problem.to_string(),
                 base.patterns_examined.to_string(),
                 opt.patterns_examined.to_string(),
                 fmt_gain(&base, &opt),
@@ -295,10 +228,11 @@ fn gain(opts: &Opts) {
     println!(
         "(paper, on the real data: 39.35/56.87/29.27% global; 39.60/20.49/56.83% proportional)"
     );
+    Vec::new()
 }
 
 /// Figure 10: Shapley analysis of p1 (Student), p2 (COMPAS), p3 (German).
-fn fig10(opts: &Opts) {
+fn fig10(opts: &Opts) -> Vec<String> {
     println!("\n## Figure 10: result analysis with Shapley values (k = 49, L = 40)");
     let explain_cfg = if opts.quick {
         ExplainConfig::fast()
@@ -364,10 +298,11 @@ fn fig10(opts: &Opts) {
         print!("{}", cmp.render());
         println!("total variation distance: {:.3}", cmp.total_variation());
     }
+    Vec::new()
 }
 
 /// §VI-D case study vs. the divergence framework.
-fn casestudy(opts: &Opts) {
+fn casestudy(opts: &Opts) -> Vec<String> {
     println!("\n## §VI-D case study: detection vs. divergence (Student, 4 attributes, k = 10)");
     let w = student_workload(if opts.quick { 200 } else { 0 }, opts.seed);
     let attrs = ["school", "sex", "age", "address"];
@@ -437,10 +372,11 @@ fn casestudy(opts: &Opts) {
     println!(
         "(paper, real data: PropBounds 2 groups ⊂ GlobalBounds 5 groups ⊂ divergence 28 groups)"
     );
+    Vec::new()
 }
 
 /// §III: fraction of parameter settings reporting < 100 groups.
-fn resultsize(opts: &Opts) {
+fn resultsize(opts: &Opts) -> Vec<String> {
     println!("\n## §III: size of the reported result sets across a parameter grid");
     let mut total = 0usize;
     let mut small = 0usize;
@@ -449,8 +385,9 @@ fn resultsize(opts: &Opts) {
     for w in &workloads(opts) {
         let audit = audit_with_attrs(w, attrs);
         for tau in [30, 50, 80] {
-            for alpha in [0.6, 0.8, 1.0] {
-                let task = AuditTask::UnderRep(BiasMeasure::Proportional { alpha });
+            let proportional = [0.6, 0.8, 1.0].map(|alpha| BiasMeasure::Proportional { alpha });
+            for measure in proportional.into_iter().chain([paper_measure(true)]) {
+                let task = AuditTask::UnderRep(measure);
                 let out = audit
                     .run(&DetectConfig::new(tau, 10, 49), &task, Engine::Optimized)
                     .unwrap();
@@ -462,35 +399,22 @@ fn resultsize(opts: &Opts) {
                     }
                 }
             }
-            let task = AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::paper_default()));
-            let out = audit
-                .run(&DetectConfig::new(tau, 10, 49), &task, Engine::Optimized)
-                .unwrap();
-            for kr in &out.per_k {
-                total += 1;
-                max_seen = max_seen.max(kr.under.len());
-                if kr.under.len() < 100 {
-                    small += 1;
-                }
-            }
         }
     }
     println!(
         "{small}/{total} = {:.2}% of result sets have < 100 groups (max seen: {max_seen}); paper reports 97.58%",
         100.0 * small as f64 / total as f64
     );
+    Vec::new()
 }
 
 /// Ablation of the bound-step extension: Algorithm 2's rebuild-at-steps
 /// vs. the node-store rescan (the streaming path's bound-step handling).
-fn faststeps(opts: &Opts) {
+fn faststeps(opts: &Opts) -> Vec<String> {
     println!("\n## Ablation: bound-step handling in GlobalBounds (rebuild vs. rescan)");
     let attrs = if opts.quick { 8 } else { 11 };
-    let (cfg, bounds, _) = paper_defaults();
-    let cfg = DetectConfig {
-        deadline: Some(opts.timeout),
-        ..cfg
-    };
+    let cfg = paper_config(opts.timeout);
+    let task = AuditTask::UnderRep(paper_measure(true));
     let mut t = Table::new(&[
         "dataset",
         "rebuild_ms",
@@ -500,16 +424,14 @@ fn faststeps(opts: &Opts) {
     ]);
     for w in &workloads(opts) {
         let audit = audit_with_attrs(w, attrs);
-        let task = AuditTask::UnderRep(BiasMeasure::GlobalLower(bounds.clone()));
-        let t0 = std::time::Instant::now();
-        let rebuild = audit.run(&cfg, &task, Engine::Optimized).unwrap();
-        let rebuild_ms = t0.elapsed().as_secs_f64() * 1000.0;
+        let (rebuild, rebuild_ms) = timed(|| audit.run(&cfg, &task, Engine::Optimized).unwrap());
         // The streaming path applies the rescan extension at bound steps.
-        let t0 = std::time::Instant::now();
-        let mut stream = audit.run_streaming(&cfg, &task).unwrap();
-        let rescan_per_k: Vec<AuditKResult> = stream.by_ref().collect();
-        let rescan_evals = stream.stats().nodes_evaluated;
-        let rescan_ms = t0.elapsed().as_secs_f64() * 1000.0;
+        // The stream is returned so that its drop stays out of the timing.
+        let ((rescan_per_k, rescan_evals, _stream), rescan_ms) = timed(|| {
+            let mut stream = audit.run_streaming(&cfg, &task).unwrap();
+            let per_k: Vec<AuditKResult> = stream.by_ref().collect();
+            (per_k, stream.stats().nodes_evaluated, stream)
+        });
         assert_eq!(
             rebuild.per_k, rescan_per_k,
             "extension must be output-equivalent"
@@ -524,12 +446,13 @@ fn faststeps(opts: &Opts) {
     }
     print!("{}", t.render());
     println!("(identical outputs; the rescan never re-evaluates a pattern at a bound step)");
+    Vec::new()
 }
 
 /// Beyond the paper: runtime as the dataset grows (synthetic COMPAS rows
 /// scaled up; default parameters). Both algorithms scan the data only
 /// through the bitmap index, so growth should be near-linear in n.
-fn scaling(opts: &Opts) {
+fn scaling(opts: &Opts) -> Vec<String> {
     println!("\n## Extra: runtime vs dataset size (synthetic COMPAS, 11 attributes)");
     let mut t = Table::new(&[
         "rows",
@@ -543,32 +466,14 @@ fn scaling(opts: &Opts) {
     } else {
         &[2000, 5000, 10_000, 20_000, 50_000]
     };
-    let (cfg, bounds, alpha) = paper_defaults();
-    let cfg = DetectConfig {
-        deadline: Some(opts.timeout),
-        ..cfg
-    };
+    let cfg = paper_config(opts.timeout);
+    let (proportional, global) = (paper_measure(false), paper_measure(true));
     for &rows in sizes {
         let w = compas_workload(rows, opts.seed);
         let audit = audit_with_attrs(&w, 11);
-        let base = run_algo(
-            &audit,
-            &cfg,
-            &BiasMeasure::Proportional { alpha },
-            Algo::IterTd,
-        );
-        let prop = run_algo(
-            &audit,
-            &cfg,
-            &BiasMeasure::Proportional { alpha },
-            Algo::PropBounds,
-        );
-        let glob = run_algo(
-            &audit,
-            &cfg,
-            &BiasMeasure::GlobalLower(bounds.clone()),
-            Algo::GlobalBounds,
-        );
+        let base = run(&audit, &cfg, &proportional, Engine::Baseline);
+        let prop = run(&audit, &cfg, &proportional, Engine::Optimized);
+        let glob = run(&audit, &cfg, &global, Engine::Optimized);
         t.row(&[
             rows.to_string(),
             fmt_ms(&base),
@@ -578,42 +483,46 @@ fn scaling(opts: &Opts) {
         ]);
     }
     print!("{}", t.render());
+    Vec::new()
 }
 
 /// Over-representation engines: the incremental upper engine (one build,
 /// per-`k` subtree walks and frontier deltas) vs. the brute-force
 /// baseline. Prints a table and writes `BENCH_overrep.json`.
-fn overrep(opts: &Opts) {
+fn overrep(opts: &Opts) -> Vec<String> {
     println!("\n## Over-representation: incremental engine vs brute force");
     let attrs = if opts.quick { 6 } else { 9 };
     // Step upper bounds in the shape of the paper's lower-bound defaults:
     // the top-k may contain at most ~60% of its slots from one group.
     let upper = Bounds::steps(vec![(10, 6), (20, 12), (30, 18), (40, 24)]);
-    let mut t = Table::new(&[
-        "dataset",
-        "rows",
-        "incremental_ms",
-        "baseline_ms",
-        "inc_evals",
-        "groups",
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut bench = Bench::new(
+        "overrep",
+        "BENCH_overrep.json",
+        &[
+            "dataset",
+            "rows",
+            "incremental_ms",
+            "baseline_ms",
+            "inc_evals",
+            "groups",
+        ],
+    );
+    bench
+        .config("tau_s", 50usize)
+        .config("k_min", 10usize)
+        .config("k_max", 49usize)
+        .config("upper", "steps(10:6,20:12,30:18,40:24)");
     for w in &workloads(opts) {
-        let audit = audit_with_attrs(w, attrs.min(w.attr_names().len()));
+        let attrs = attrs.min(w.attr_names().len());
+        let audit = audit_with_attrs(w, attrs);
         let rows = w.detection.n_rows();
         let cfg = DetectConfig::new(50, 10, 49.min(rows)).with_deadline(opts.timeout);
         let task = AuditTask::OverRep {
             upper: upper.clone(),
             scope: OverRepScope::MostSpecific,
         };
-
-        let t0 = std::time::Instant::now();
-        let inc = audit.run(&cfg, &task, Engine::Optimized).unwrap();
-        let inc_ms = t0.elapsed().as_secs_f64() * 1000.0;
-
-        let t0 = std::time::Instant::now();
-        let base = audit.run(&cfg, &task, Engine::Baseline).unwrap();
-        let base_ms = t0.elapsed().as_secs_f64() * 1000.0;
+        let (inc, inc_ms) = timed(|| audit.run(&cfg, &task, Engine::Optimized).unwrap());
+        let (base, base_ms) = timed(|| audit.run(&cfg, &task, Engine::Baseline).unwrap());
 
         // Both engines must agree on every k both of them completed.
         for (a, b) in inc.per_k.iter().zip(&base.per_k) {
@@ -621,55 +530,40 @@ fn overrep(opts: &Opts) {
         }
 
         let groups = inc.total_groups();
-        t.row(&[
-            w.name.to_string(),
-            rows.to_string(),
-            format!("{inc_ms:.1}"),
-            format!(
-                "{base_ms:.1}{}",
-                if base.stats.timed_out { "*" } else { "" }
-            ),
-            inc.stats.nodes_evaluated.to_string(),
-            groups.to_string(),
-        ]);
-        json_rows.push(format!(
-            concat!(
-                "    {{\"dataset\": \"{}\", \"rows\": {}, \"attrs\": {}, ",
-                "\"incremental_ms\": {:.3}, \"baseline_ms\": {:.3}, \"incremental_evals\": {}, ",
-                "\"incremental_touched\": {}, \"groups\": {}, \"baseline_timed_out\": {}}}"
-            ),
-            w.name,
-            rows,
-            attrs.min(w.attr_names().len()),
-            inc_ms,
-            base_ms,
-            inc.stats.nodes_evaluated,
-            inc.stats.nodes_touched,
-            groups,
-            base.stats.timed_out,
-        ));
+        bench.row(
+            &[
+                w.name.to_string(),
+                rows.to_string(),
+                format!("{inc_ms:.1}"),
+                format!(
+                    "{base_ms:.1}{}",
+                    if base.stats.timed_out { "*" } else { "" }
+                ),
+                inc.stats.nodes_evaluated.to_string(),
+                groups.to_string(),
+            ],
+            Value::object([
+                ("dataset", Value::from(w.name)),
+                ("rows", Value::from(rows)),
+                ("attrs", Value::from(attrs)),
+                ("incremental_ms", Value::from(inc_ms)),
+                ("baseline_ms", Value::from(base_ms)),
+                ("incremental_evals", Value::from(inc.stats.nodes_evaluated)),
+                ("incremental_touched", Value::from(inc.stats.nodes_touched)),
+                ("groups", Value::from(groups)),
+                ("baseline_timed_out", Value::from(base.stats.timed_out)),
+            ]),
+        );
     }
-    print!("{}", t.render());
-    println!("(* = hit the timeout)");
-    let json = format!(
-        "{{\n  \"bench\": \"overrep\",\n  \"config\": {{\"tau_s\": 50, \"k_min\": 10, \"k_max\": 49, \"upper\": \"steps(10:6,20:12,30:18,40:24)\", \"quick\": {}, \"timeout_s\": {}, \"cores\": {}}},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        opts.quick,
-        opts.timeout.as_secs(),
-        host_cores(),
-        json_rows.join(",\n")
-    );
-    match std::fs::write("BENCH_overrep.json", &json) {
-        Ok(()) => println!("wrote BENCH_overrep.json"),
-        Err(e) => eprintln!("could not write BENCH_overrep.json: {e}"),
-    }
+    bench.note("(* = hit the timeout)");
+    bench.finish(opts)
 }
 
 /// Service throughput: cold queries (every request pays audit
 /// construction — space + ranked index) vs. cached queries (all requests
 /// share one cached audit) at 1/2/4/8 concurrent client workers against a
 /// single `AuditService`. Prints a table and writes `BENCH_service.json`.
-fn serve_bench(opts: &Opts) {
-    use rankfair::json::Value;
+fn serve_bench(opts: &Opts) -> Vec<String> {
     use rankfair::service::{AuditRequest, AuditService, RankingSpec};
 
     println!("\n## AuditService throughput: cold (build per request) vs cached");
@@ -709,16 +603,26 @@ fn serve_bench(opts: &Opts) {
         engine: Engine::Optimized,
     };
 
-    let mut t = Table::new(&[
-        "workers",
-        "requests",
-        "cold_ms",
-        "cold_qps",
-        "cached_ms",
-        "cached_qps",
-        "speedup",
-    ]);
-    let mut json_rows: Vec<Value> = Vec::new();
+    let mut bench = Bench::new(
+        "serve",
+        "BENCH_service.json",
+        &[
+            "workers",
+            "requests",
+            "cold_ms",
+            "cold_qps",
+            "cached_ms",
+            "cached_qps",
+            "speedup",
+        ],
+    );
+    bench
+        .config("dataset", "compas")
+        .config("rows", w.detection.n_rows())
+        .config("tau_s", 50usize)
+        .config("k_min", 20usize)
+        .config("k_max", 20usize)
+        .config("per_worker", per_worker);
     for workers in [1usize, 2, 4, 8] {
         let service = AuditService::new();
         let total = workers * per_worker;
@@ -728,20 +632,20 @@ fn serve_bench(opts: &Opts) {
         for i in 0..total {
             service.register_dataset(&format!("compas#{i}"), Arc::clone(&raw));
         }
-        let t0 = std::time::Instant::now();
-        std::thread::scope(|s| {
-            for worker in 0..workers {
-                let (service, request_for) = (&service, &request_for);
-                s.spawn(move || {
-                    for i in 0..per_worker {
-                        let req = request_for(format!("compas#{}", worker * per_worker + i));
-                        let resp = service.handle(&req).expect("bench request");
-                        assert!(!resp.cache.hit, "cold request must not hit");
-                    }
-                });
-            }
+        let ((), cold_ms) = timed(|| {
+            std::thread::scope(|s| {
+                for worker in 0..workers {
+                    let (service, request_for) = (&service, &request_for);
+                    s.spawn(move || {
+                        for i in 0..per_worker {
+                            let req = request_for(format!("compas#{}", worker * per_worker + i));
+                            let resp = service.handle(&req).expect("bench request");
+                            assert!(!resp.cache.hit, "cold request must not hit");
+                        }
+                    });
+                }
+            })
         });
-        let cold_s = t0.elapsed().as_secs_f64();
         assert_eq!(service.cache_stats(), (0, total as u64));
 
         // Cached path: one shared key, warmed once; every request after
@@ -750,69 +654,49 @@ fn serve_bench(opts: &Opts) {
         let warm_req = request_for("compas".to_string());
         let warm = service.handle(&warm_req).expect("warm-up");
         assert!(!warm.cache.hit);
-        let t0 = std::time::Instant::now();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let (service, warm_req) = (&service, &warm_req);
-                s.spawn(move || {
-                    for _ in 0..per_worker {
-                        let resp = service.handle(warm_req).expect("bench request");
-                        assert!(resp.cache.hit, "warmed request must hit");
-                    }
-                });
-            }
+        let ((), cached_ms) = timed(|| {
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    let (service, warm_req) = (&service, &warm_req);
+                    s.spawn(move || {
+                        for _ in 0..per_worker {
+                            let resp = service.handle(warm_req).expect("bench request");
+                            assert!(resp.cache.hit, "warmed request must hit");
+                        }
+                    });
+                }
+            })
         });
-        let cached_s = t0.elapsed().as_secs_f64();
 
-        let cold_qps = total as f64 / cold_s;
-        let cached_qps = total as f64 / cached_s;
-        t.row(&[
-            workers.to_string(),
-            total.to_string(),
-            format!("{:.1}", cold_s * 1000.0),
-            format!("{cold_qps:.0}"),
-            format!("{:.1}", cached_s * 1000.0),
-            format!("{cached_qps:.0}"),
-            format!("{:.1}x", cached_qps / cold_qps),
-        ]);
-        json_rows.push(Value::object([
-            ("workers", Value::from(workers)),
-            ("requests", Value::from(total)),
-            ("cold_ms", Value::from(cold_s * 1000.0)),
-            ("cold_qps", Value::from(cold_qps)),
-            ("cached_ms", Value::from(cached_s * 1000.0)),
-            ("cached_qps", Value::from(cached_qps)),
-        ]));
-    }
-    print!("{}", t.render());
-    println!("(cold = fresh cache key per request; cached = one warmed key shared by all)");
-    let json = Value::object([
-        ("bench", Value::from("serve")),
-        (
-            "config",
+        let cold_qps = total as f64 / (cold_ms / 1000.0);
+        let cached_qps = total as f64 / (cached_ms / 1000.0);
+        bench.row(
+            &[
+                workers.to_string(),
+                total.to_string(),
+                format!("{cold_ms:.1}"),
+                format!("{cold_qps:.0}"),
+                format!("{cached_ms:.1}"),
+                format!("{cached_qps:.0}"),
+                format!("{:.1}x", cached_qps / cold_qps),
+            ],
             Value::object([
-                ("dataset", Value::from("compas")),
-                ("rows", Value::from(w.detection.n_rows())),
-                ("tau_s", Value::from(50usize)),
-                ("k_min", Value::from(20usize)),
-                ("k_max", Value::from(20usize)),
-                ("per_worker", Value::from(per_worker)),
-                ("quick", Value::from(opts.quick)),
-                ("cores", Value::from(host_cores())),
+                ("workers", Value::from(workers)),
+                ("requests", Value::from(total)),
+                ("cold_ms", Value::from(cold_ms)),
+                ("cold_qps", Value::from(cold_qps)),
+                ("cached_ms", Value::from(cached_ms)),
+                ("cached_qps", Value::from(cached_qps)),
             ]),
-        ),
-        ("rows", Value::array(json_rows)),
-    ]);
-    match std::fs::write("BENCH_service.json", json.render() + "\n") {
-        Ok(()) => println!("wrote BENCH_service.json"),
-        Err(e) => eprintln!("could not write BENCH_service.json: {e}"),
+        );
     }
+    bench.note("(cold = fresh cache key per request; cached = one warmed key shared by all)");
+    bench.finish(opts)
 }
 
-/// Speedup floors the `--quick` monitor bench enforces (exit 1 on
-/// regression), guarding the persistent-engine-state win in CI. Quick
-/// mode runs COMPAS/4 with 8 batches on shared runners; the floors sit
-/// below the measured quick numbers to absorb timing noise while still
+/// Speedup floors of the `--quick` monitor bench, guarding the
+/// persistent-engine-state win in CI. Quick mode runs COMPAS/4 with 8
+/// batches on shared runners; the floors sit below the measured quick numbers to absorb timing noise while still
 /// catching a collapse back to pre-checkpoint behavior (delta ≈ rebuild
 /// at batch=1; delta ≈ 0.6× at batch=16 when the span seek is broken).
 /// With arena-backed stores, counts-only snapshots and segmented replay
@@ -824,11 +708,8 @@ fn serve_bench(opts: &Opts) {
 /// work) / per-`k` work ≈ 2.8× — the floor sits at 2.0× (was 1.2× under
 /// hull replay) to stay noise-proof, and the ≥ 4× segmented-replay
 /// guarantee is gated on the sparse workload, whose changed-`k` set is
-/// genuinely small. The floors compare against a *trimmed* ratio — each
-/// side's single slowest batch is dropped before summing (the untrimmed
-/// ratio is still reported): a single scheduler hiccup in a ~1.5ms batch
-/// series swings the total by 2×, while a real regression slows every
-/// batch and the survivors still show it.
+/// genuinely small. The floors compare against `trimmed_ratio` (the
+/// untrimmed ratio is still reported).
 const QUICK_FLOOR_BATCH_1: f64 = 6.0;
 const QUICK_FLOOR_BATCH_16: f64 = 2.0;
 const QUICK_FLOOR_BATCH_16_SPARSE: f64 = 4.0;
@@ -836,12 +717,11 @@ const QUICK_FLOOR_BATCH_16_SPARSE: f64 = 4.0;
 /// Live monitor: delta re-audit after small edit batches vs. a full audit
 /// rebuild (space + index construction + whole-`k`-range run) after every
 /// batch, on COMPAS. Prints a table and writes `BENCH_monitor.json`; with
-/// `--quick` it additionally enforces the speedup floors above.
-fn monitor_bench(opts: &Opts) {
+/// `--quick` it also checks the speedup floors above.
+fn monitor_bench(opts: &Opts) -> Vec<String> {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
     use rankfair::core::MonitorAudit;
-    use rankfair::json::Value;
 
     println!("\n## Live monitor: delta re-audit vs full rebuild per edit batch (COMPAS)");
     let attrs = if opts.quick { 6 } else { 9 };
@@ -868,19 +748,38 @@ fn monitor_bench(opts: &Opts) {
     };
 
     let batches: usize = if opts.quick { 8 } else { 40 };
-    let mut t = Table::new(&[
-        "batch_size",
-        "batches",
-        "delta_ms",
-        "rebuild_ms",
-        "speedup",
-        "recomputed_k",
-        "changes",
-        "seeks/repairs",
-    ]);
-    let mut json_rows: Vec<Value> = Vec::new();
-    let mut floor_failures: Vec<String> = Vec::new();
-    for (batch_size, sparse) in [(1usize, false), (4, false), (16, false), (16, true)] {
+    let mut bench = Bench::new(
+        "monitor",
+        "BENCH_monitor.json",
+        &[
+            "batch_size",
+            "batches",
+            "delta_ms",
+            "rebuild_ms",
+            "speedup",
+            "recomputed_k",
+            "changes",
+            "seeks/repairs",
+        ],
+    );
+    bench
+        .config("dataset", "compas")
+        .config("rows", n)
+        .config("attrs", attrs)
+        .config("tau_s", 50usize)
+        .config("k_min", 10usize)
+        .config("k_max", 49.min(n))
+        .config(
+            "task",
+            "combined(paper_default, steps(10:6,20:12,30:18,40:24))",
+        );
+    let cases = [
+        (1usize, false, Some(QUICK_FLOOR_BATCH_1)),
+        (4, false, None),
+        (16, false, Some(QUICK_FLOOR_BATCH_16)),
+        (16, true, Some(QUICK_FLOOR_BATCH_16_SPARSE)),
+    ];
+    for (batch_size, sparse, floor) in cases {
         let mut monitor = MonitorAudit::builder(ds.clone(), "__score")
             .attributes(attr_names.iter().cloned())
             .build(cfg.clone(), task.clone(), Engine::Optimized)
@@ -923,9 +822,8 @@ fn monitor_bench(opts: &Opts) {
                     rankfair::core::RankingEdit::ScoreUpdate { row, score }
                 })
                 .collect();
-            let t0 = std::time::Instant::now();
-            let delta = monitor.apply(&edits).expect("apply");
-            delta_times.push(t0.elapsed().as_secs_f64());
+            let (delta, delta_ms) = timed(|| monitor.apply(&edits).expect("apply"));
+            delta_times.push(delta_ms);
             // Sum the segments actually replayed, not the hull width — the
             // two differ exactly when segmented replay pays off.
             recomputed_k += delta
@@ -941,38 +839,29 @@ fn monitor_bench(opts: &Opts) {
             // range.
             let snapshot = Arc::new(monitor.dataset().clone());
             let ranker = rankfair::rank::AttributeRanker::by_desc("__score");
-            let t0 = std::time::Instant::now();
-            let audit = rankfair::core::Audit::builder(Arc::clone(&snapshot))
-                .ranker(&ranker)
-                .attributes(attr_names.iter().cloned())
-                .build()
-                .expect("audit build");
-            let full = audit
-                .run(&cfg, &task, Engine::Optimized)
-                .expect("audit run");
-            rebuild_times.push(t0.elapsed().as_secs_f64());
+            // The audit is returned so that its drop stays out of the timing.
+            let ((_audit, full), rebuild_ms) = timed(|| {
+                let audit = rankfair::core::Audit::builder(Arc::clone(&snapshot))
+                    .ranker(&ranker)
+                    .attributes(attr_names.iter().cloned())
+                    .build()
+                    .expect("audit build");
+                let full = audit
+                    .run(&cfg, &task, Engine::Optimized)
+                    .expect("audit run");
+                (audit, full)
+            });
+            rebuild_times.push(rebuild_ms);
             assert_eq!(
                 monitor.results(),
                 &full.per_k[..],
                 "delta re-audit diverged from full rebuild"
             );
         }
-        let delta_s: f64 = delta_times.iter().sum();
-        let rebuild_s: f64 = rebuild_times.iter().sum();
-        let speedup = rebuild_s / delta_s.max(1e-9);
-        // The floor gates on a *trimmed* ratio — each side's single
-        // slowest batch is dropped before summing. One scheduler hiccup in
-        // an 8-batch × ~1.5ms series moves the untrimmed total by 2×
-        // either way, and a flaky CI gate is worse than a slightly
-        // later-firing one; a real regression slows every batch and the
-        // seven survivors still show it. (A per-batch median would be
-        // blind at batch=1, where most single-edit batches recompute
-        // nothing and stay fast no matter how broken replay is.)
-        let trimmed = |times: &[f64]| -> f64 {
-            let max = times.iter().copied().fold(0.0f64, f64::max);
-            times.iter().sum::<f64>() - max
-        };
-        let speedup_trimmed = trimmed(&rebuild_times) / trimmed(&delta_times).max(1e-9);
+        let delta_ms: f64 = delta_times.iter().sum();
+        let rebuild_ms: f64 = rebuild_times.iter().sum();
+        let speedup = rebuild_ms / delta_ms.max(1e-9);
+        let speedup_trimmed = trimmed_ratio(&rebuild_times, &delta_times);
         let ck = monitor
             .checkpoint_stats()
             .expect("optimized monitor keeps engine state");
@@ -981,100 +870,50 @@ fn monitor_bench(opts: &Opts) {
         } else {
             batch_size.to_string()
         };
-        t.row(&[
-            label,
-            batches.to_string(),
-            format!("{:.2}", delta_s * 1000.0),
-            format!("{:.2}", rebuild_s * 1000.0),
-            format!("{speedup:.1}x"),
-            recomputed_k.to_string(),
-            changes.to_string(),
-            format!("{}/{}", ck.seeks, ck.repairs),
-        ]);
-        json_rows.push(Value::object([
-            ("batch_size", Value::from(batch_size)),
-            (
-                "workload",
-                Value::from(if sparse { "sparse" } else { "dense" }),
-            ),
-            ("batches", Value::from(batches)),
-            ("delta_ms", Value::from(delta_s * 1000.0)),
-            ("rebuild_ms", Value::from(rebuild_s * 1000.0)),
-            ("speedup", Value::from(speedup)),
-            ("speedup_trimmed", Value::from(speedup_trimmed)),
-            ("recomputed_k", Value::from(recomputed_k)),
-            ("changes", Value::from(changes)),
-            (
-                "checkpoints",
-                Value::object([
-                    ("cadence", Value::from(ck.cadence)),
-                    ("seeks", Value::from(ck.seeks as usize)),
-                    ("repairs", Value::from(ck.repairs as usize)),
-                    ("cold_builds", Value::from(ck.cold_builds as usize)),
-                    ("replayed_steps", Value::from(ck.replayed_steps as usize)),
-                    ("segments", Value::from(ck.segments as usize)),
-                    ("prefix_recounts", Value::from(ck.prefix_recounts as usize)),
-                    ("stored_nodes", Value::from(ck.stored_nodes)),
-                    ("arena_nodes", Value::from(ck.arena_nodes)),
-                ]),
-            ),
-        ]));
-        let floor = match (batch_size, sparse) {
-            (1, false) => Some(QUICK_FLOOR_BATCH_1),
-            (16, false) => Some(QUICK_FLOOR_BATCH_16),
-            (16, true) => Some(QUICK_FLOOR_BATCH_16_SPARSE),
-            _ => None,
-        };
-        if let Some(floor) = floor {
-            if opts.quick && speedup_trimmed < floor {
-                floor_failures.push(format!(
-                    "batch={batch_size}{}: trimmed delta-vs-rebuild speedup {speedup_trimmed:.2}x below the floor {floor}x",
-                    if sparse { " (sparse)" } else { "" }
-                ));
-            }
-        }
-    }
-    print!("{}", t.render());
-    println!("(every batch cross-checked: monitor results == fresh audit of the edited ranking)");
-    let json = Value::object([
-        ("bench", Value::from("monitor")),
-        (
-            "config",
+        bench.row(
+            &[
+                label.clone(),
+                batches.to_string(),
+                format!("{delta_ms:.2}"),
+                format!("{rebuild_ms:.2}"),
+                format!("{speedup:.1}x"),
+                recomputed_k.to_string(),
+                changes.to_string(),
+                format!("{}/{}", ck.seeks, ck.repairs),
+            ],
             Value::object([
-                ("dataset", Value::from("compas")),
-                ("rows", Value::from(n)),
-                ("attrs", Value::from(attrs)),
-                ("tau_s", Value::from(50usize)),
-                ("k_min", Value::from(10usize)),
-                ("k_max", Value::from(49.min(n))),
+                ("batch_size", Value::from(batch_size)),
                 (
-                    "task",
-                    Value::from("combined(paper_default, steps(10:6,20:12,30:18,40:24))"),
+                    "workload",
+                    Value::from(if sparse { "sparse" } else { "dense" }),
                 ),
-                ("seed", Value::from(opts.seed as usize)),
-                ("quick", Value::from(opts.quick)),
-                ("cores", Value::from(host_cores())),
+                ("batches", Value::from(batches)),
+                ("delta_ms", Value::from(delta_ms)),
+                ("rebuild_ms", Value::from(rebuild_ms)),
+                ("speedup", Value::from(speedup)),
+                ("speedup_trimmed", Value::from(speedup_trimmed)),
+                ("recomputed_k", Value::from(recomputed_k)),
+                ("changes", Value::from(changes)),
+                ("checkpoints", ck.to_json()),
             ]),
-        ),
-        ("rows", Value::array(json_rows)),
-    ]);
-    match std::fs::write("BENCH_monitor.json", json.render() + "\n") {
-        Ok(()) => println!("wrote BENCH_monitor.json"),
-        Err(e) => eprintln!("could not write BENCH_monitor.json: {e}"),
-    }
-    if !floor_failures.is_empty() {
-        for f in &floor_failures {
-            eprintln!("MONITOR BENCH REGRESSION: {f}");
+        );
+        if let Some(floor) = floor {
+            bench.floor(
+                &format!("batch={label} trimmed delta-vs-rebuild speedup"),
+                speedup_trimmed,
+                floor,
+            );
         }
-        std::process::exit(1);
     }
+    bench.note("(every batch cross-checked: monitor results == fresh audit of the edited ranking)");
+    bench.finish(opts)
 }
 
-/// Parallel-speedup floor the `--quick` shard bench enforces at 4 shards
-/// (exit 1 on regression). Per-shard counting only fans out when the host
-/// has cores to fan out to, so the floor is **core-count-aware**: hosts
-/// with fewer than 4 cores skip it (sharding degenerates to a sequential
-/// merge there — correctness is still fully checked) instead of failing.
+/// Parallel-speedup floor of the `--quick` shard bench at 4 shards.
+/// Per-shard counting only fans out when the host has cores to fan out
+/// to, so the floor is **core-count-aware**: hosts with fewer than 4
+/// cores skip it (sharding degenerates to a sequential merge there —
+/// correctness is still fully checked) instead of failing.
 const SHARD_QUICK_FLOOR_AT_4: f64 = 1.5;
 const SHARD_FLOOR_MIN_CORES: usize = 4;
 
@@ -1083,17 +922,16 @@ const SHARD_FLOOR_MIN_CORES: usize = 4;
 /// at several shard counts, every outcome cross-checked against the
 /// unsharded audit, plus a subsampled control re-audited both ways.
 /// Prints a table and writes `BENCH_shard.json` (scale + parallel-speedup
-/// numbers); with `--quick` it enforces the speedup floor above when the
+/// numbers); with `--quick` it checks the speedup floor above when the
 /// host has enough cores.
-fn shard_bench(opts: &Opts) {
+fn shard_bench(opts: &Opts) -> Vec<String> {
     use rankfair::core::Audit;
-    use rankfair::json::Value;
     use rankfair::rank::Ranking;
     use rankfair::synth::{
         random_dataset_block, random_dataset_streamed, random_ranking, RandomSpec,
     };
 
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let cores = host_cores();
     let rows: usize = if opts.quick { 200_000 } else { 10_000_000 };
     let shard_counts: &[usize] = if opts.quick {
         &[1, 2, 4, 8]
@@ -1110,14 +948,12 @@ fn shard_bench(opts: &Opts) {
     // Streaming generation: the whole table in one pass. The per-row
     // generator makes every block a pure function of (seed, row), checked
     // below at scale against an independently generated block.
-    let t0 = std::time::Instant::now();
-    let ds = Arc::new(random_dataset_streamed(opts.seed, spec));
-    let gen_s = t0.elapsed().as_secs_f64();
+    let (ds, gen_ms) = timed(|| Arc::new(random_dataset_streamed(opts.seed, spec)));
     println!(
         "generated {} rows x {} attrs in {:.1}s",
         ds.n_rows(),
         ds.n_cols(),
-        gen_s
+        gen_ms / 1000.0
     );
     // Split-invariance spot check at scale: a mid-table block generated
     // on its own must reproduce the streamed table bit-for-bit.
@@ -1139,70 +975,86 @@ fn shard_bench(opts: &Opts) {
     let cfg = DetectConfig::new(rows / 20, 10, 49);
     let task = AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(20)));
 
-    let mut t = Table::new(&[
-        "shards", "build_ms", "run_ms", "speedup", "groups", "patterns",
-    ]);
-    let mut json_rows: Vec<Value> = Vec::new();
+    let mut bench = Bench::new(
+        "shard",
+        "BENCH_shard.json",
+        &[
+            "shards", "build_ms", "run_ms", "speedup", "groups", "patterns",
+        ],
+    );
+    bench
+        .config("rows", rows)
+        .config("attrs", spec.attrs)
+        .config("max_card", spec.max_card)
+        .config("tau_s", rows / 20)
+        .config("k_min", 10usize)
+        .config("k_max", 49usize)
+        .config("task", "under(global_lower=20)")
+        .config("generate_ms", gen_ms);
     let mut unsharded: Option<(rankfair::core::AuditOutcome, f64)> = None;
-    let mut speedup_at_floor: Option<f64> = None;
     for &shards in shard_counts {
-        let t0 = std::time::Instant::now();
-        let audit = Audit::builder(Arc::clone(&ds))
-            .ranking(ranking.clone())
-            .shards(shards)
-            .build()
-            .expect("audit build");
-        let build_s = t0.elapsed().as_secs_f64();
+        let (audit, build_ms) = timed(|| {
+            Audit::builder(Arc::clone(&ds))
+                .ranking(ranking.clone())
+                .shards(shards)
+                .build()
+                .expect("audit build")
+        });
         assert_eq!(audit.index().shard_count(), shards);
-        let t0 = std::time::Instant::now();
-        let out = audit
-            .run(&cfg, &task, Engine::Optimized)
-            .expect("audit run");
-        let run_s = t0.elapsed().as_secs_f64();
+        let (out, run_ms) = timed(|| {
+            audit
+                .run(&cfg, &task, Engine::Optimized)
+                .expect("audit run")
+        });
         // Correctness gate: every sharded outcome must equal the
         // unsharded audit of the same task, k for k. The speedup is
         // end-to-end (index build + run): shard builds fan out over one
         // thread per shard, and per-shard counting fans out too once the
         // universe is large enough for scans to dominate spawn cost.
-        let total_s = build_s + run_s;
+        let total_ms = build_ms + run_ms;
         let speedup = match &unsharded {
             None => {
-                unsharded = Some((out.clone(), total_s));
+                unsharded = Some((out.clone(), total_ms));
                 1.0
             }
-            Some((base, base_s)) => {
+            Some((base, base_ms)) => {
                 assert_eq!(
                     base.per_k, out.per_k,
                     "sharded audit ({shards} shards) diverged from unsharded"
                 );
-                base_s / total_s.max(1e-9)
+                base_ms / total_ms.max(1e-9)
             }
         };
-        if shards == 4 {
-            speedup_at_floor = Some(speedup);
+        if shards == 4 && cores >= SHARD_FLOOR_MIN_CORES {
+            bench.floor(
+                "end-to-end speedup at 4 shards",
+                speedup,
+                SHARD_QUICK_FLOOR_AT_4,
+            );
         }
-        t.row(&[
-            shards.to_string(),
-            format!("{:.1}", build_s * 1000.0),
-            format!("{:.1}", run_s * 1000.0),
-            format!("{speedup:.2}x"),
-            out.total_groups().to_string(),
-            out.stats.patterns_examined().to_string(),
-        ]);
-        json_rows.push(Value::object([
-            ("shards", Value::from(shards)),
-            ("build_ms", Value::from(build_s * 1000.0)),
-            ("run_ms", Value::from(run_s * 1000.0)),
-            ("speedup_vs_unsharded", Value::from(speedup)),
-            ("groups", Value::from(out.total_groups())),
-            (
-                "patterns_examined",
-                Value::from(out.stats.patterns_examined()),
-            ),
-        ]));
+        bench.row(
+            &[
+                shards.to_string(),
+                format!("{build_ms:.1}"),
+                format!("{run_ms:.1}"),
+                format!("{speedup:.2}x"),
+                out.total_groups().to_string(),
+                out.stats.patterns_examined().to_string(),
+            ],
+            Value::object([
+                ("shards", Value::from(shards)),
+                ("build_ms", Value::from(build_ms)),
+                ("run_ms", Value::from(run_ms)),
+                ("speedup_vs_unsharded", Value::from(speedup)),
+                ("groups", Value::from(out.total_groups())),
+                (
+                    "patterns_examined",
+                    Value::from(out.stats.patterns_examined()),
+                ),
+            ]),
+        );
     }
-    print!("{}", t.render());
-    println!("(every shard count cross-checked: sharded per-k results == unsharded audit)");
+    bench.note("(every shard count cross-checked: sharded per-k results == unsharded audit)");
 
     // Subsampled control: a small prefix of the same streamed table (its
     // own dataset by split-invariance), audited sharded and unsharded.
@@ -1239,54 +1091,20 @@ fn shard_bench(opts: &Opts) {
             "subsampled control diverged at {shards} shards"
         );
     }
-    println!("(subsampled control: {control_rows} rows re-audited at 3 and 7 shards, equal)");
-
-    let json = Value::object([
-        ("bench", Value::from("shard")),
-        (
-            "config",
-            Value::object([
-                ("rows", Value::from(rows)),
-                ("attrs", Value::from(spec.attrs)),
-                ("max_card", Value::from(spec.max_card)),
-                ("tau_s", Value::from(rows / 20)),
-                ("k_min", Value::from(10usize)),
-                ("k_max", Value::from(49usize)),
-                ("task", Value::from("under(global_lower=20)")),
-                ("seed", Value::from(opts.seed as usize)),
-                ("quick", Value::from(opts.quick)),
-                ("cores", Value::from(cores)),
-                ("generate_ms", Value::from(gen_s * 1000.0)),
-                ("control_rows", Value::from(control_rows)),
-            ]),
-        ),
-        ("rows", Value::array(json_rows)),
-    ]);
-    match std::fs::write("BENCH_shard.json", json.render() + "\n") {
-        Ok(()) => println!("wrote BENCH_shard.json"),
-        Err(e) => eprintln!("could not write BENCH_shard.json: {e}"),
+    bench.note(format!(
+        "(subsampled control: {control_rows} rows re-audited at 3 and 7 shards, equal)"
+    ));
+    bench.config("control_rows", control_rows);
+    if opts.quick && cores < SHARD_FLOOR_MIN_CORES {
+        bench.note(format!(
+            "speedup floor skipped: {cores} core(s) < {SHARD_FLOOR_MIN_CORES} (per-shard \
+             counting stays sequential; correctness still checked above)"
+        ));
     }
-
-    if opts.quick {
-        let speedup = speedup_at_floor.expect("4 shards is in every sweep");
-        if cores < SHARD_FLOOR_MIN_CORES {
-            println!(
-                "speedup floor skipped: {cores} core(s) < {SHARD_FLOOR_MIN_CORES} (per-shard \
-                 counting stays sequential; correctness still checked above)"
-            );
-        } else if speedup < SHARD_QUICK_FLOOR_AT_4 {
-            eprintln!(
-                "SHARD BENCH REGRESSION: speedup {speedup:.2}x at 4 shards below the floor \
-                 {SHARD_QUICK_FLOOR_AT_4}x on a {cores}-core host"
-            );
-            std::process::exit(1);
-        } else {
-            println!("speedup floor met: {speedup:.2}x >= {SHARD_QUICK_FLOOR_AT_4}x at 4 shards");
-        }
-    }
+    bench.finish(opts)
 }
 
-/// Floors the `--quick` network bench enforces (exit 1 on regression).
+/// The qps floor and p99 ceiling of the `--quick` network bench.
 /// Deliberately loose — shared CI runners are slow and 1-core containers
 /// serialize everything — they catch order-of-magnitude regressions
 /// (an accidental global barrier, a lost flush), not few-percent drift.
@@ -1298,9 +1116,8 @@ const NET_QUICK_MAX_P99_MS: f64 = 2_000.0;
 /// (each with its own dataset registry entry, so the per-resource lanes
 /// can actually parallelize). Measures per-class round-trip latency
 /// (p50/p99) and total qps; writes `BENCH_net.json`; with `--quick`
-/// enforces the floors above.
-fn serve_net_bench(opts: &Opts) {
-    use rankfair::json::Value;
+/// checks the limits above.
+fn serve_net_bench(opts: &Opts) -> Vec<String> {
     use rankfair::service::net::{serve_net, NetListeners, NetOptions};
     use rankfair::service::AuditService;
     use std::io::{BufRead, BufReader, Write};
@@ -1372,68 +1189,79 @@ fn serve_net_bench(opts: &Opts) {
     let snapshot_line = |m: usize| format!(r#"{{"op": "snapshot", "monitor": "m{m}"}}"#);
 
     // (elapsed total, per-class latencies)
-    let (elapsed_s, per_class) = std::thread::scope(|scope| {
+    let (elapsed_ms, per_class) = std::thread::scope(|scope| {
         let server = scope.spawn(|| serve_net(&service, listeners, &net_opts));
-        let t0 = std::time::Instant::now();
-        let clients: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let addr = addr.clone();
-                let (audit_line, register_line, update_line, snapshot_line) =
-                    (&audit_line, &register_line, &update_line, &snapshot_line);
-                scope.spawn(move || {
-                    let conn = TcpStream::connect(&addr).expect("connect");
-                    conn.set_nodelay(true).expect("nodelay");
-                    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
-                    let mut conn = conn;
-                    let mut line = String::new();
-                    let mut roundtrip = |req: &str| -> f64 {
-                        let t = std::time::Instant::now();
-                        // One write per request: a trailing-newline write
-                        // of its own would sit in Nagle's buffer waiting
-                        // for the delayed ACK.
-                        conn.write_all(format!("{req}\n").as_bytes()).expect("send");
-                        line.clear();
-                        reader.read_line(&mut line).expect("recv");
-                        assert!(line.contains(r#""ok":true"#), "request failed: {line}");
-                        t.elapsed().as_secs_f64() * 1000.0
-                    };
-                    // This connection owns an eighth of the monitors.
-                    let mine: Vec<usize> = (0..MONITORS).filter(|m| m % CLIENTS == c).collect();
-                    for &m in &mine {
-                        roundtrip(&register_line(m));
-                    }
-                    let mut lat = [Vec::new(), Vec::new(), Vec::new()];
-                    for round in 0..rounds {
+        let (per_class, elapsed_ms) = timed(|| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let addr = addr.clone();
+                    let (audit_line, register_line, update_line, snapshot_line) =
+                        (&audit_line, &register_line, &update_line, &snapshot_line);
+                    scope.spawn(move || {
+                        let conn = TcpStream::connect(&addr).expect("connect");
+                        conn.set_nodelay(true).expect("nodelay");
+                        let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+                        let mut conn = conn;
+                        let mut line = String::new();
+                        let mut roundtrip = |req: &str| -> f64 {
+                            let ((), ms) = timed(|| {
+                                // One write per request: a trailing-newline write
+                                // of its own would sit in Nagle's buffer waiting
+                                // for the delayed ACK.
+                                conn.write_all(format!("{req}\n").as_bytes()).expect("send");
+                                line.clear();
+                                reader.read_line(&mut line).expect("recv");
+                                assert!(line.contains(r#""ok":true"#), "request failed: {line}");
+                            });
+                            ms
+                        };
+                        // This connection owns an eighth of the monitors.
+                        let mine: Vec<usize> = (0..MONITORS).filter(|m| m % CLIENTS == c).collect();
                         for &m in &mine {
-                            lat[0].push(roundtrip(&update_line(m, round)));
-                            lat[1].push(roundtrip(&snapshot_line(m)));
-                            lat[2].push(roundtrip(&audit_line(m)));
+                            roundtrip(&register_line(m));
                         }
-                    }
-                    lat
+                        let mut lat = [Vec::new(), Vec::new(), Vec::new()];
+                        for round in 0..rounds {
+                            for &m in &mine {
+                                lat[0].push(roundtrip(&update_line(m, round)));
+                                lat[1].push(roundtrip(&snapshot_line(m)));
+                                lat[2].push(roundtrip(&audit_line(m)));
+                            }
+                        }
+                        lat
+                    })
                 })
-            })
-            .collect();
-        let mut per_class = [Vec::new(), Vec::new(), Vec::new()];
-        for h in clients {
-            let lat = h.join().expect("client thread");
-            for (all, mine) in per_class.iter_mut().zip(lat) {
-                all.extend(mine);
+                .collect();
+            let mut per_class = [Vec::new(), Vec::new(), Vec::new()];
+            for h in clients {
+                let lat = h.join().expect("client thread");
+                for (all, mine) in per_class.iter_mut().zip(lat) {
+                    all.extend(mine);
+                }
             }
-        }
-        let elapsed_s = t0.elapsed().as_secs_f64();
+            per_class
+        });
         handle.shutdown();
         let summary = server.join().expect("server thread");
         assert_eq!(summary.errors, 0, "bench traffic must not error");
-        (elapsed_s, per_class)
+        (elapsed_ms, per_class)
     });
 
     let pct = |sorted: &[f64], p: f64| {
         let idx = ((sorted.len() as f64 * p) as usize).min(sorted.len().saturating_sub(1));
         sorted.get(idx).copied().unwrap_or(0.0)
     };
-    let mut t = Table::new(&["class", "count", "p50_ms", "p99_ms", "max_ms"]);
-    let mut json_rows: Vec<Value> = Vec::new();
+    let mut bench = Bench::new(
+        "serve_net",
+        "BENCH_net.json",
+        &["class", "count", "p50_ms", "p99_ms", "max_ms"],
+    );
+    bench
+        .config("rows", rows)
+        .config("monitors", MONITORS)
+        .config("clients", CLIENTS)
+        .config("workers", net_opts.workers)
+        .config("rounds", rounds);
     let mut total = 0usize;
     let mut worst_p99 = 0.0f64;
     for (class, mut lat) in ["update", "snapshot", "audit"].into_iter().zip(per_class) {
@@ -1442,77 +1270,35 @@ fn serve_net_bench(opts: &Opts) {
         let max = lat.last().copied().unwrap_or(0.0);
         total += lat.len();
         worst_p99 = worst_p99.max(p99);
-        t.row(&[
-            class.to_string(),
-            lat.len().to_string(),
-            format!("{p50:.2}"),
-            format!("{p99:.2}"),
-            format!("{max:.2}"),
-        ]);
-        json_rows.push(Value::object([
-            ("class", Value::from(class)),
-            ("count", Value::from(lat.len())),
-            ("p50_ms", Value::from(p50)),
-            ("p99_ms", Value::from(p99)),
-            ("max_ms", Value::from(max)),
-        ]));
-    }
-    let qps = total as f64 / elapsed_s;
-    print!("{}", t.render());
-    println!(
-        "({total} round-trip requests plus {MONITORS} registrations in {:.1} ms — {qps:.0} qps)",
-        elapsed_s * 1000.0
-    );
-
-    let json = Value::object([
-        ("bench", Value::from("serve_net")),
-        (
-            "config",
+        bench.row(
+            &[
+                class.to_string(),
+                lat.len().to_string(),
+                format!("{p50:.2}"),
+                format!("{p99:.2}"),
+                format!("{max:.2}"),
+            ],
             Value::object([
-                ("rows", Value::from(rows)),
-                ("monitors", Value::from(MONITORS)),
-                ("clients", Value::from(CLIENTS)),
-                ("workers", Value::from(net_opts.workers)),
-                ("rounds", Value::from(rounds)),
-                ("seed", Value::from(opts.seed as usize)),
-                ("quick", Value::from(opts.quick)),
-                ("cores", Value::from(cores)),
+                ("class", Value::from(class)),
+                ("count", Value::from(lat.len())),
+                ("p50_ms", Value::from(p50)),
+                ("p99_ms", Value::from(p99)),
+                ("max_ms", Value::from(max)),
             ]),
-        ),
-        ("qps", Value::from(qps)),
-        ("elapsed_ms", Value::from(elapsed_s * 1000.0)),
-        ("rows", Value::array(json_rows)),
-    ]);
-    match std::fs::write("BENCH_net.json", json.render() + "\n") {
-        Ok(()) => println!("wrote BENCH_net.json"),
-        Err(e) => eprintln!("could not write BENCH_net.json: {e}"),
+        );
     }
-
-    if opts.quick {
-        let mut failures = Vec::new();
-        if qps < NET_QUICK_MIN_QPS {
-            failures.push(format!("qps {qps:.1} below the floor {NET_QUICK_MIN_QPS}"));
-        }
-        if worst_p99 > NET_QUICK_MAX_P99_MS {
-            failures.push(format!(
-                "worst p99 {worst_p99:.1} ms above the ceiling {NET_QUICK_MAX_P99_MS} ms"
-            ));
-        }
-        if failures.is_empty() {
-            println!(
-                "net floors met: {qps:.0} qps >= {NET_QUICK_MIN_QPS}, worst p99 {worst_p99:.1} ms <= {NET_QUICK_MAX_P99_MS} ms"
-            );
-        } else {
-            for f in &failures {
-                eprintln!("NET BENCH REGRESSION: {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    let qps = total as f64 / (elapsed_ms / 1000.0);
+    bench.note(format!(
+        "({total} round-trip requests plus {MONITORS} registrations in {elapsed_ms:.1} ms — {qps:.0} qps)"
+    ));
+    bench.member("qps", qps).member("elapsed_ms", elapsed_ms);
+    bench.floor("qps", qps, NET_QUICK_MIN_QPS);
+    bench.ceiling("worst p99 ms", worst_p99, NET_QUICK_MAX_P99_MS);
+    bench.finish(opts)
 }
 
 /// Theorem 3.3: the adversarial instance is exponential.
-fn worstcase(opts: &Opts) {
+fn worstcase(opts: &Opts) -> Vec<String> {
     println!("\n## Theorem 3.3: worst-case instance (n attributes, n+1 tuples, k = n)");
     let mut t = Table::new(&[
         "n",
@@ -1532,14 +1318,10 @@ fn worstcase(opts: &Opts) {
             .unwrap();
         let cfg = DetectConfig::new(1, n, n).with_deadline(opts.timeout);
         let g_task = AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(n / 2 + 1)));
-        let t0 = std::time::Instant::now();
-        let g = audit.run(&cfg, &g_task, Engine::Optimized).unwrap();
-        let g_ms = t0.elapsed().as_secs_f64() * 1000.0;
+        let (g, g_ms) = timed(|| audit.run(&cfg, &g_task, Engine::Optimized).unwrap());
         let alpha = (n as f64 + 3.0) / (n as f64 + 4.0);
         let p_task = AuditTask::UnderRep(BiasMeasure::Proportional { alpha });
-        let t0 = std::time::Instant::now();
-        let p = audit.run(&cfg, &p_task, Engine::Optimized).unwrap();
-        let p_ms = t0.elapsed().as_secs_f64() * 1000.0;
+        let (p, p_ms) = timed(|| audit.run(&cfg, &p_task, Engine::Optimized).unwrap());
         let cell = |out: &rankfair::core::AuditOutcome, ms: f64| match out.per_k.first() {
             Some(kr) if !out.stats.timed_out => (kr.under.len().to_string(), format!("{ms:.1}")),
             _ => ("-".to_string(), "TIMEOUT".to_string()),
@@ -1560,13 +1342,16 @@ fn worstcase(opts: &Opts) {
     }
     print!("{}", t.render());
     println!("(result counts grow as C(n, n/2) — exponential, matching the theorem)");
+    Vec::new()
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, opts) = parse_args(&args).unwrap_or_else(|e| {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
         eprintln!(
-            "error: {e}\nusage: experiments <id> [--timeout SECS] [--seed N] [--quick]\nids: {IDS}"
+            "error: {e}\nusage: experiments <id> [--timeout SECS] [--seed N] [--quick]\nids: {} all",
+            ids.join(" ")
         );
         std::process::exit(2);
     });
@@ -1576,49 +1361,16 @@ fn main() {
         opts.timeout,
         if opts.quick { ", quick mode" } else { "" }
     );
-    match cmd.as_str() {
-        "fig4" => fig45(true, &opts),
-        "fig5" => fig45(false, &opts),
-        "fig6" => fig67(true, &opts),
-        "fig7" => fig67(false, &opts),
-        "fig8" => fig89(true, &opts),
-        "fig9" => fig89(false, &opts),
-        "fig10" => fig10(&opts),
-        "gain" => gain(&opts),
-        "casestudy" => casestudy(&opts),
-        "resultsize" => resultsize(&opts),
-        "worstcase" => worstcase(&opts),
-        "faststeps" => faststeps(&opts),
-        "scaling" => scaling(&opts),
-        "overrep" => overrep(&opts),
-        "serve" => serve_bench(&opts),
-        "monitor" => monitor_bench(&opts),
-        "shard" => shard_bench(&opts),
-        "serve-net" => serve_net_bench(&opts),
-        "all" => {
-            fig45(true, &opts);
-            fig45(false, &opts);
-            fig67(true, &opts);
-            fig67(false, &opts);
-            fig89(true, &opts);
-            fig89(false, &opts);
-            gain(&opts);
-            fig10(&opts);
-            casestudy(&opts);
-            resultsize(&opts);
-            worstcase(&opts);
-            faststeps(&opts);
-            scaling(&opts);
-            overrep(&opts);
-            serve_bench(&opts);
-            monitor_bench(&opts);
-            shard_bench(&opts);
-            serve_net_bench(&opts);
-        }
-        other => {
-            eprintln!("unknown experiment `{other}`; expected one of: {IDS}");
-            std::process::exit(2);
-        }
+    let failed: Vec<String> = EXPERIMENTS
+        .iter()
+        .filter(|(id, _)| cmd == "all" || cmd == *id)
+        .flat_map(|(_, experiment)| experiment(&opts))
+        .collect();
+    for gate in &failed {
+        eprintln!("GATE FAILED: {gate}");
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
     }
 }
 
@@ -1660,6 +1412,7 @@ mod tests {
             &["monitor", "--seed"],
             &["--seed", "--quick", "monitor"],
             &["monitor", "shard"],
+            &["monitr"],
         ] {
             assert!(parse(args).is_err(), "{args:?}");
         }

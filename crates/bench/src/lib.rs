@@ -1,5 +1,6 @@
-//! Shared machinery for the benchmark harness: experiment configuration,
-//! timing, and the table writer the `experiments` binary builds on.
+//! Shared machinery for the benchmark harness: run options, timing,
+//! measured runs, the table writer and the [`Bench`] every
+//! `BENCH_*.json` file is written through.
 //!
 //! Every table and figure of the paper’s evaluation (§VI) has a
 //! regenerating `experiments` command; the README section “Reproducing
@@ -10,35 +11,53 @@
 
 use std::time::{Duration, Instant};
 
+use rankfair::json::Value;
 use rankfair::prelude::*;
 
-/// Which algorithm a measurement row refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algo {
-    /// The `IterTD` baseline.
-    IterTd,
-    /// `GlobalBounds` (Algorithm 2).
-    GlobalBounds,
-    /// `PropBounds` (Algorithm 3).
-    PropBounds,
+/// The options every experiment reads.
+#[derive(Debug, PartialEq)]
+pub struct Opts {
+    /// Deadline of each timed search.
+    pub timeout: Duration,
+    /// Seed of every synthetic workload and edit stream.
+    pub seed: u64,
+    /// Smaller workloads, and the [`Bench`] gates count.
+    pub quick: bool,
 }
 
-impl Algo {
-    /// Display name matching the paper.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algo::IterTd => "IterTD",
-            Algo::GlobalBounds => "GlobalBounds",
-            Algo::PropBounds => "PropBounds",
-        }
-    }
+/// Host core count, recorded in every BENCH file's run header so flat
+/// worker-scaling curves from 1-core hosts are machine-readably
+/// distinguishable from real regressions.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// Runs `f` and returns its result with its wall-clock time in
+/// milliseconds.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64() * 1000.0)
+}
+
+/// `rebuild / delta` over per-batch times, with each side's single
+/// slowest batch dropped before summing. One scheduler hiccup in a
+/// short series of ~1.5 ms batches moves an untrimmed total by 2× either
+/// way, while a real regression slows every batch and the survivors
+/// still show it. (A per-batch median would be blind at batch=1, where
+/// most single-edit batches recompute nothing and stay fast however
+/// broken replay is.)
+pub fn trimmed_ratio(rebuild: &[f64], delta: &[f64]) -> f64 {
+    let trimmed =
+        |times: &[f64]| times.iter().sum::<f64>() - times.iter().copied().fold(0.0, f64::max);
+    trimmed(rebuild) / trimmed(delta).max(1e-9)
 }
 
 /// One timed detection run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Measurement {
-    /// Wall-clock time.
-    pub elapsed: Duration,
+    /// Wall-clock time in milliseconds.
+    pub ms: f64,
     /// Patterns examined (the paper’s search-space metric).
     pub patterns_examined: u64,
     /// Total (k, group) pairs reported.
@@ -47,24 +66,32 @@ pub struct Measurement {
     pub timed_out: bool,
 }
 
-/// Runs one algorithm on a prepared audit and measures it.
-pub fn run_algo(
+/// The paper's name for the optimized algorithm of a measure:
+/// `GlobalBounds` (Algorithm 2) or `PropBounds` (Algorithm 3).
+pub fn opt_name(measure: &BiasMeasure) -> &'static str {
+    match measure {
+        BiasMeasure::GlobalLower(_) => "GlobalBounds",
+        BiasMeasure::Proportional { .. } => "PropBounds",
+    }
+}
+
+/// Runs an under-representation audit and measures it.
+/// `Engine::Baseline` is the paper's `IterTD`; `Engine::Optimized` is
+/// the measure's [`opt_name`].
+pub fn run(
     audit: &Audit,
     cfg: &DetectConfig,
     measure: &BiasMeasure,
-    algo: Algo,
+    engine: Engine,
 ) -> Measurement {
-    let engine = match algo {
-        Algo::IterTd => Engine::Baseline,
-        Algo::GlobalBounds | Algo::PropBounds => Engine::Optimized,
-    };
     let task = AuditTask::UnderRep(measure.clone());
-    let start = Instant::now();
-    let out = audit
-        .run(cfg, &task, engine)
-        .expect("benchmark parameters are valid");
+    let (out, ms) = timed(|| {
+        audit
+            .run(cfg, &task, engine)
+            .expect("benchmark parameters are valid")
+    });
     Measurement {
-        elapsed: start.elapsed(),
+        ms,
         patterns_examined: out.stats.patterns_examined(),
         groups_reported: out.total_groups(),
         timed_out: out.stats.timed_out,
@@ -78,10 +105,21 @@ pub fn audit_with_attrs(w: &Workload, n_attrs: usize) -> Audit {
         .expect("workload attributes are categorical")
 }
 
-/// The paper’s default parameters (§VI-A): τs = 50, k ∈ [10, 49], step
-/// bounds 10/20/30/40, α = 0.8.
-pub fn paper_defaults() -> (DetectConfig, Bounds, f64) {
-    (DetectConfig::new(50, 10, 49), Bounds::paper_default(), 0.8)
+/// The paper’s default search (§VI-A), τs = 50 and k ∈ [10, 49], with
+/// a deadline.
+pub fn paper_config(deadline: Duration) -> DetectConfig {
+    DetectConfig::new(50, 10, 49).with_deadline(deadline)
+}
+
+/// The paper's under-representation measure with its §VI-A defaults:
+/// global bounds stepping at 10/20/30/40, or proportional
+/// representation with α = 0.8.
+pub fn paper_measure(global: bool) -> BiasMeasure {
+    if global {
+        BiasMeasure::GlobalLower(Bounds::paper_default())
+    } else {
+        BiasMeasure::Proportional { alpha: 0.8 }
+    }
 }
 
 /// A minimal aligned-column table writer for experiment output (TSV-ish,
@@ -136,12 +174,141 @@ impl Table {
     }
 }
 
-/// Formats a duration in milliseconds with 1 decimal, or `TIMEOUT`.
+/// One bench: its printed table, its `BENCH_*.json` file and its gates.
+///
+/// [`Bench::row`] adds a table row and a JSON row in one call, and
+/// [`Bench::finish`] prints the table and the notes, writes the file
+/// and returns the gates that failed. The file is one JSON object:
+/// `bench`, then `config` (the bench's own settings followed by the run
+/// header `seed`, `quick`, `timeout_s`, `cores` and `arch`, so every
+/// file states its mode and its host), then the bench's top-level
+/// members, then `rows`.
+#[derive(Debug)]
+pub struct Bench {
+    bench: &'static str,
+    file: &'static str,
+    table: Table,
+    config: Vec<(String, Value)>,
+    members: Vec<(String, Value)>,
+    rows: Vec<Value>,
+    notes: Vec<String>,
+    /// Each gate's verdict line and whether its value crossed the limit.
+    gates: Vec<(String, bool)>,
+}
+
+impl Bench {
+    /// A bench named `bench` that writes `file` and prints a table with
+    /// the columns `header`.
+    pub fn new(bench: &'static str, file: &'static str, header: &[&str]) -> Self {
+        Bench {
+            bench,
+            file,
+            table: Table::new(header),
+            config: Vec::new(),
+            members: Vec::new(),
+            rows: Vec::new(),
+            notes: Vec::new(),
+            gates: Vec::new(),
+        }
+    }
+
+    /// Records a setting in the file's `config`, before the run header.
+    pub fn config(&mut self, key: &str, value: impl Into<Value>) -> &mut Self {
+        self.config.push((key.to_string(), value.into()));
+        self
+    }
+
+    /// Records a top-level member of the file, between `config` and
+    /// `rows`.
+    pub fn member(&mut self, key: &str, value: impl Into<Value>) -> &mut Self {
+        self.members.push((key.to_string(), value.into()));
+        self
+    }
+
+    /// Appends a table row and the matching JSON row.
+    pub fn row(&mut self, cells: &[String], json: Value) {
+        self.table.row(cells);
+        self.rows.push(json);
+    }
+
+    /// A line printed after the table.
+    pub fn note(&mut self, line: impl Into<String>) {
+        self.notes.push(line.into());
+    }
+
+    /// Requires `value >= min` in `--quick` runs.
+    pub fn floor(&mut self, what: &str, value: f64, min: f64) {
+        let line = format!("{}: {what} {value:.2} (floor {min})", self.bench);
+        self.gates.push((line, value < min));
+    }
+
+    /// Requires `value <= max` in `--quick` runs.
+    pub fn ceiling(&mut self, what: &str, value: f64, max: f64) {
+        let line = format!("{}: {what} {value:.2} (ceiling {max})", self.bench);
+        self.gates.push((line, value > max));
+    }
+
+    /// The gates this run failed: none in a full run, since full runs
+    /// measure workloads the limits were not set for.
+    fn failed(&self, opts: &Opts) -> Vec<String> {
+        self.gates
+            .iter()
+            .filter(|(_, crossed)| opts.quick && *crossed)
+            .map(|(line, _)| line.clone())
+            .collect()
+    }
+
+    /// The file's contents.
+    fn json(&self, opts: &Opts) -> Value {
+        let header = [
+            ("seed", Value::from(opts.seed)),
+            ("quick", Value::from(opts.quick)),
+            ("timeout_s", Value::from(opts.timeout.as_secs())),
+            ("cores", Value::from(host_cores())),
+            ("arch", Value::from(std::env::consts::ARCH)),
+        ];
+        let config = self
+            .config
+            .iter()
+            .cloned()
+            .chain(header.map(|(key, value)| (key.to_string(), value)));
+        let mut top = vec![
+            ("bench".to_string(), Value::from(self.bench)),
+            ("config".to_string(), Value::object(config)),
+        ];
+        top.extend(self.members.iter().cloned());
+        top.push(("rows".to_string(), Value::array(self.rows.clone())));
+        Value::object(top)
+    }
+
+    /// Prints the table and the notes, writes the file, prints the gates
+    /// that held and returns those that failed.
+    pub fn finish(self, opts: &Opts) -> Vec<String> {
+        print!("{}", self.table.render());
+        for note in &self.notes {
+            println!("{note}");
+        }
+        match std::fs::write(self.file, self.json(opts).render() + "\n") {
+            Ok(()) => println!("wrote {}", self.file),
+            Err(e) => eprintln!("could not write {}: {e}", self.file),
+        }
+        for (line, _) in self
+            .gates
+            .iter()
+            .filter(|(_, crossed)| opts.quick && !crossed)
+        {
+            println!("gate met: {line}");
+        }
+        self.failed(opts)
+    }
+}
+
+/// Formats a run's time in milliseconds with 1 decimal, or `TIMEOUT`.
 pub fn fmt_ms(m: &Measurement) -> String {
     if m.timed_out {
         "TIMEOUT".to_string()
     } else {
-        format!("{:.1}", m.elapsed.as_secs_f64() * 1000.0)
+        format!("{:.1}", m.ms)
     }
 }
 
@@ -161,10 +328,18 @@ pub fn fmt_gain(base: &Measurement, opt: &Measurement) -> String {
 mod tests {
     use super::*;
 
+    fn opts(quick: bool) -> Opts {
+        Opts {
+            timeout: Duration::from_secs(5),
+            seed: 7,
+            quick,
+        }
+    }
+
     #[test]
     fn fmt_gain_reads_timeout_when_either_run_was_cut_short() {
         let run = |patterns_examined, timed_out| Measurement {
-            elapsed: Duration::ZERO,
+            ms: 0.0,
             patterns_examined,
             groups_reported: 0,
             timed_out,
@@ -193,17 +368,21 @@ mod tests {
     }
 
     #[test]
-    fn run_algo_measures_and_agrees() {
+    fn run_measures_and_agrees() {
         let w = student_workload(100, 3);
         let audit = audit_with_attrs(&w, 5);
         let cfg = DetectConfig::new(10, 5, 20);
-        let bounds = Bounds::constant(3);
-        let m = BiasMeasure::GlobalLower(bounds);
-        let base = run_algo(&audit, &cfg, &m, Algo::IterTd);
-        let opt = run_algo(&audit, &cfg, &m, Algo::GlobalBounds);
+        let m = BiasMeasure::GlobalLower(Bounds::constant(3));
+        let base = run(&audit, &cfg, &m, Engine::Baseline);
+        let opt = run(&audit, &cfg, &m, Engine::Optimized);
         assert!(!base.timed_out && !opt.timed_out);
         assert!(opt.patterns_examined < base.patterns_examined);
         assert_eq!(base.groups_reported, opt.groups_reported);
+        assert_eq!(opt_name(&m), "GlobalBounds");
+        assert_eq!(
+            opt_name(&BiasMeasure::Proportional { alpha: 0.8 }),
+            "PropBounds"
+        );
     }
 
     #[test]
@@ -213,5 +392,50 @@ mod tests {
         assert_eq!(audit.space().n_attrs(), 4);
         let audit_all = audit_with_attrs(&w, 999);
         assert_eq!(audit_all.space().n_attrs(), 33);
+    }
+
+    #[test]
+    fn trimmed_ratio_drops_each_sides_slowest_batch() {
+        assert_eq!(trimmed_ratio(&[4.0, 4.0, 40.0], &[1.0, 1.0, 9.0]), 4.0);
+    }
+
+    #[test]
+    fn gates_fail_only_in_quick_runs_and_only_when_crossed() {
+        let mut b = Bench::new("t", "BENCH_t.json", &["x"]);
+        b.floor("met floor", 6.0, 6.0);
+        b.ceiling("met ceiling", 2.0, 2.0);
+        assert!(b.failed(&opts(true)).is_empty());
+        b.floor("low", 5.9, 6.0);
+        b.ceiling("high", 2.1, 2.0);
+        assert_eq!(
+            b.failed(&opts(true)),
+            ["t: low 5.90 (floor 6)", "t: high 2.10 (ceiling 2)"]
+        );
+        assert!(b.failed(&opts(false)).is_empty());
+    }
+
+    #[test]
+    fn bench_json_is_bench_config_members_rows() {
+        let mut b = Bench::new("t", "BENCH_t.json", &["x"]);
+        b.config("rows", 10usize).member("qps", 2.5);
+        b.row(&["1".into()], Value::object([("x", Value::from(1usize))]));
+        let json = b.json(&opts(true));
+        let keys = |v: &Value| -> Vec<String> {
+            v.as_obj().unwrap().iter().map(|(k, _)| k.clone()).collect()
+        };
+        assert_eq!(keys(&json), ["bench", "config", "qps", "rows"]);
+        assert_eq!(json.get("bench").and_then(Value::as_str), Some("t"));
+        let config = json.get("config").unwrap();
+        assert_eq!(
+            keys(config),
+            ["rows", "seed", "quick", "timeout_s", "cores", "arch"]
+        );
+        assert_eq!(config.get("seed").and_then(Value::as_usize), Some(7));
+        assert_eq!(config.get("quick").and_then(Value::as_bool), Some(true));
+        assert_eq!(config.get("timeout_s").and_then(Value::as_usize), Some(5));
+        assert_eq!(
+            json.get("rows").and_then(Value::as_arr).map(<[_]>::len),
+            Some(1)
+        );
     }
 }

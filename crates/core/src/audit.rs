@@ -224,8 +224,7 @@ impl AuditOutcome {
             .sum()
     }
 
-    /// The under-representation side as a classic [`DetectionOutput`]
-    /// (what the deprecated `Detector` methods returned).
+    /// The under-representation side as a classic [`DetectionOutput`].
     pub fn detection_output(&self) -> DetectionOutput {
         DetectionOutput {
             per_k: self
@@ -909,8 +908,7 @@ impl AuditParts<'_> {
 
 impl Audit {
     /// Lazily yields the [`AuditKResult`] for each `k` on demand,
-    /// maintaining the incremental engines between pulls — the owned
-    /// successor of the deprecated `DetectionStream`.
+    /// maintaining the incremental engines between pulls.
     ///
     /// Later `k` values cost nothing unless pulled; **both** directions
     /// run their optimized incremental engine (the under side via

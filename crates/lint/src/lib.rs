@@ -29,11 +29,14 @@
 //!
 //! A finding is suppressed by a `// lint:allow(<rule>) -- <reason>`
 //! comment — trailing on the offending line, or on its own line
-//! directly above it. The reason is mandatory; malformed or unused
-//! allows are themselves findings (`allow-missing-reason`,
-//! `allow-unknown-rule`, `allow-unused`), and every live allow must be
-//! ledgered in `LINT_ALLOWS.md` (`allow-ledger`) so suppressions cannot
-//! accrete silently.
+//! directly above it. An own-line allow also covers the method-chain
+//! continuations right below that line (lines that begin with `.` or
+//! `?`), so a formatter splitting the chain keeps it in force. The
+//! reason is mandatory; malformed or unused allows are themselves
+//! findings (`allow-missing-reason`, `allow-unknown-rule`,
+//! `allow-unused`), and every live allow must be ledgered in
+//! `LINT_ALLOWS.md` (`allow-ledger`) so suppressions cannot accrete
+//! silently.
 
 pub mod callgraph;
 pub mod lexer;
@@ -163,7 +166,8 @@ pub struct Analysis {
 
 struct AllowSite {
     line: u32,
-    target_line: u32,
+    /// The lines the allow covers, `first..=last`.
+    target_lines: (u32, u32),
     rule: String,
     reason: String,
     used: bool,
@@ -251,7 +255,7 @@ pub fn analyze_workspace(
             f.excerpt = excerpt(&lines, f.line);
             let mut suppressed = false;
             for s in sites.iter_mut() {
-                if s.rule == f.rule && s.target_line == f.line {
+                if s.rule == f.rule && (s.target_lines.0..=s.target_lines.1).contains(&f.line) {
                     s.used = true;
                     suppressed = true;
                 }
@@ -308,8 +312,9 @@ pub fn analyze_source(file: &str, src: &str, cfg: &Config) -> Analysis {
 
 /// Parses `lint:allow(rule) -- reason` comments into suppression
 /// sites, emitting meta-findings for malformed ones. An own-line
-/// comment targets the next token-bearing line; a trailing comment
-/// targets its own line.
+/// comment targets the next token-bearing line and each token-bearing
+/// line after it whose first token is `.` or `?` (a chain
+/// continuation); a trailing comment targets its own line.
 fn collect_allow_sites(
     file: &str,
     lexed: &lexer::Lexed,
@@ -356,19 +361,27 @@ fn collect_allow_sites(
             });
             continue;
         }
-        let target_line = if c.own_line {
-            lexed
-                .toks
-                .iter()
-                .map(|t| t.line)
-                .find(|&l| l > c.line)
-                .unwrap_or(c.line)
-        } else {
-            c.line
-        };
+        let mut target_lines = (c.line, c.line);
+        if c.own_line {
+            let mut after = lexed.toks.iter().filter(|t| t.line > c.line);
+            if let Some(first) = after.next() {
+                target_lines = (first.line, first.line);
+                // The first token of each later line, while it continues
+                // the chain.
+                for t in after {
+                    if t.line == target_lines.1 {
+                        continue;
+                    }
+                    if !(t.is_punct('.') || t.is_punct('?')) {
+                        break;
+                    }
+                    target_lines.1 = t.line;
+                }
+            }
+        }
         sites.push(AllowSite {
             line: c.line,
-            target_line,
+            target_lines,
             rule,
             reason,
             used: false,

@@ -240,6 +240,43 @@ fn handle(req: &[u8]) -> u8 {
     assert_eq!(a.allows[1].line, 3);
 }
 
+/// rustfmt splits a long method chain one call per line, moving the
+/// flagged call below the line an own-line allow sits above.
+#[test]
+fn own_line_allow_covers_the_chain_rustfmt_split() {
+    let src = "\
+fn handle(slots: Vec<Option<u8>>) -> Vec<u8> {
+    // lint:allow(panic-path) -- fixture: the split chain's expect
+    slots
+        .into_iter()
+        .map(|s| s.expect(\"slot written\"))
+        .collect()
+}
+";
+    let a = lint(SERVING, src);
+    assert_clean(&a);
+    assert_eq!(a.allows.len(), 1);
+    assert_eq!(a.allows[0].line, 2);
+}
+
+#[test]
+fn own_line_allow_ends_with_the_chain() {
+    let src = "\
+fn handle(slots: Vec<Option<u8>>, req: &[u8]) -> u8 {
+    // lint:allow(panic-path) -- fixture: covers the chain only
+    let n = slots
+        .into_iter()
+        .map(|s| s.expect(\"slot written\"))
+        .count();
+    req[n]
+}
+";
+    let a = lint(SERVING, src);
+    assert_eq!(rule_lines(&a, "panic-path"), vec![7]);
+    assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
+    assert_eq!(a.allows.len(), 1);
+}
+
 // ---- lossy-cast -------------------------------------------------------
 
 /// The exact PR 5 shape: a length collapsed to `u32` with no bounds

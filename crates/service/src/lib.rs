@@ -657,12 +657,16 @@ impl AuditService {
 
     /// `(name, dataset, rows)` of every registered monitor, sorted by
     /// name.
+    ///
+    /// Like [`AuditService::monitor_dataset`], this reads a monitor whose
+    /// `apply` panicked through its poisoned entry lock, so one failed
+    /// monitor does not make the listing panic for all of them.
     pub fn monitors(&self) -> Vec<(String, String, usize)> {
         let monitors = self.monitors.read().expect("monitor lock");
         let mut out: Vec<_> = monitors
             .iter()
             .map(|(name, e)| {
-                let e = e.lock().expect("monitor entry lock");
+                let e = e.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 (name.clone(), e.dataset.clone(), e.monitor.n_rows())
             })
             .collect();

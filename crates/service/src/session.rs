@@ -1050,8 +1050,13 @@ mod tests {
             assert!(!ok && got.starts_with(&want), "{got}");
         }
         // The session's lane lookup reads the dataset name through the
-        // poison: it runs outside the workers' unwind boundary.
+        // poison: it runs outside the workers' unwind boundary. So does
+        // the listing, or one poisoned monitor would make it panic.
         assert_eq!(service.monitor_dataset("m").as_deref(), Some("fig1"));
+        assert_eq!(
+            service.monitors(),
+            [("m".to_string(), "fig1".to_string(), 16)]
+        );
     }
 
     #[test]
