@@ -910,10 +910,9 @@ fn monitor_bench(opts: &Opts) -> Vec<String> {
 }
 
 /// Parallel-speedup floor of the `--quick` shard bench at 4 shards.
-/// Per-shard counting only fans out when the host has cores to fan out
-/// to, so the floor is **core-count-aware**: hosts with fewer than 4
-/// cores skip it (sharding degenerates to a sequential merge there —
-/// correctness is still fully checked) instead of failing.
+/// Shard builds only fan out when the host has cores to fan out to, so
+/// the floor is **core-count-aware**: hosts with fewer than 4 cores skip
+/// it (correctness is still fully checked) instead of failing.
 const SHARD_QUICK_FLOOR_AT_4: f64 = 1.5;
 const SHARD_FLOOR_MIN_CORES: usize = 4;
 
@@ -1009,8 +1008,8 @@ fn shard_bench(opts: &Opts) -> Vec<String> {
         // Correctness gate: every sharded outcome must equal the
         // unsharded audit of the same task, k for k. The speedup is
         // end-to-end (index build + run): shard builds fan out over one
-        // thread per shard, and per-shard counting fans out too once the
-        // universe is large enough for scans to dominate spawn cost.
+        // thread per shard, and counting reads the shards one after
+        // another.
         let total_ms = build_ms + run_ms;
         let speedup = match &unsharded {
             None => {
@@ -1097,8 +1096,8 @@ fn shard_bench(opts: &Opts) -> Vec<String> {
     bench.config("control_rows", control_rows);
     if opts.quick && cores < SHARD_FLOOR_MIN_CORES {
         bench.note(format!(
-            "speedup floor skipped: {cores} core(s) < {SHARD_FLOOR_MIN_CORES} (per-shard \
-             counting stays sequential; correctness still checked above)"
+            "speedup floor skipped: {cores} core(s) < {SHARD_FLOOR_MIN_CORES} (correctness \
+             still checked above)"
         ));
     }
     bench.finish(opts)

@@ -641,8 +641,9 @@ impl EngineCheckpoints {
     }
 
     /// Drops every checkpoint *and* both arenas — an insertion moved `n`
-    /// and `s_D`, which every interned node's pruned verdict and every
-    /// checkpoint's classification depend on.
+    /// and `s_D`, which decide which patterns are substantial (the arenas
+    /// hold substantial nodes only) and every checkpoint's
+    /// classification.
     pub(crate) fn invalidate_all(&mut self) {
         self.invalidated += (self.lower.snaps.len() + self.upper.snaps.len()) as u64;
         self.lower.clear();
@@ -1546,14 +1547,28 @@ mod tests {
                 s.full_searches,
             )
         };
+        // The children an engine decided pruned from a pruned sibling,
+        // with no count, over the whole range.
+        fn sibling_skips<'a>(
+            engine: impl incremental::Incremental<'a>,
+            cfg: &DetectConfig,
+        ) -> usize {
+            let mut stream = Stream::new(engine, cfg);
+            assert_eq!(stream.by_ref().count(), cfg.range_len());
+            stream.engine().core().sibling_skips
+        }
         // (evaluated, touched, schedule pops, full searches) of the batch
-        // run and of the stream. They differ only where the batch
-        // GlobalBounds rebuilds at a bound step and the stream rescans.
-        for (task, batch, streamed) in [
+        // run and of the stream, then the batch engine's sibling skips.
+        // The tuples differ only where the batch GlobalBounds rebuilds at
+        // a bound step and the stream rescans. The upper bound 0.3·k
+        // qualifies no pattern whose expansion meets a pruned sibling, and
+        // 0.1·k does.
+        for (task, batch, streamed, skips) in [
             (
                 AuditTask::UnderRep(BiasMeasure::Proportional { alpha: 0.8 }),
                 (607, 1140, 509, 1),
                 (607, 1140, 509, 1),
+                133,
             ),
             (
                 AuditTask::OverRep {
@@ -1562,11 +1577,22 @@ mod tests {
                 },
                 (121, 2608, 0, 1),
                 (121, 2608, 0, 1),
+                0,
+            ),
+            (
+                AuditTask::OverRep {
+                    upper: Bounds::LinearFraction(0.1),
+                    scope: OverRepScope::MostSpecific,
+                },
+                (353, 3248, 0, 1),
+                (353, 3248, 0, 1),
+                28,
             ),
             (
                 AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::LinearFraction(0.2))),
                 (1638, 682, 0, 11),
                 (283, 2865, 0, 1),
+                18,
             ),
         ] {
             let out = audit.run(&cfg, &task, Engine::Optimized).unwrap();
@@ -1574,6 +1600,19 @@ mod tests {
             assert_eq!(stream.by_ref().count(), cfg.range_len());
             assert_eq!(counters(&out.stats), batch, "{task:?}");
             assert_eq!(counters(&stream.stats()), streamed, "{task:?}");
+            let (index, space) = (audit.index(), audit.space());
+            let skipped = match &task {
+                AuditTask::UnderRep(measure) => sibling_skips(
+                    LowerEngine::new(index, space, &cfg, measure.clone(), false),
+                    &cfg,
+                ),
+                AuditTask::OverRep { upper, scope } => sibling_skips(
+                    UpperEngine::new(index, space, &cfg, upper.clone(), *scope),
+                    &cfg,
+                ),
+                AuditTask::Combined { .. } => unreachable!("the table holds one-sided tasks"),
+            };
+            assert_eq!(skipped, skips, "{task:?}");
         }
         // The monitor's replay path over the same instance: a score column
         // that reproduces the ranking above, then one reorder batch.
@@ -1595,8 +1634,8 @@ mod tests {
             cadence: 8,
             lower_checkpoints: 7,
             upper_checkpoints: 7,
-            stored_nodes: 2621,
-            arena_nodes: 404,
+            stored_nodes: 2044,
+            arena_nodes: 317,
             seeks: 0,
             cold_builds: 2,
             repairs: 0,
@@ -1618,7 +1657,7 @@ mod tests {
         let reordered = crate::CheckpointStats {
             lower_checkpoints: 6,
             upper_checkpoints: 6,
-            stored_nodes: 2282,
+            stored_nodes: 1781,
             seeks: 2,
             repairs: 2,
             replayed_steps: 148,

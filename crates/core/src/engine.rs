@@ -37,7 +37,7 @@ use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use crate::bounds::BiasMeasure;
-use crate::incremental::{Core, Incremental, ROOT};
+use crate::incremental::{Core, Incremental, PRUNED, ROOT};
 use crate::pattern::Pattern;
 use crate::space::{PatternSpace, RankedIndex};
 use crate::stats::{DeadlineGuard, DetectConfig, KResult};
@@ -372,7 +372,7 @@ impl<'a> LowerEngine<'a> {
             self.expand(nid, k);
             for i in 0..self.core.children(nid).len() {
                 let c = self.core.children(nid)[i];
-                if self.core.arena.pruned[c as usize] {
+                if c == PRUNED {
                     continue;
                 }
                 if self.is_biased(c, k) {
@@ -453,13 +453,10 @@ impl<'a> LowerEngine<'a> {
             if before && !after {
                 self.remove_stopped(id, k);
                 self.bias.push(&self.core, id, k);
-                if !self.core.arena.pruned[id as usize]
-                    && self.tree_minimal(id, k)
-                    && !self.resume_subtree(id, k, guard)
-                {
+                if self.tree_minimal(id, k) && !self.resume_subtree(id, k, guard) {
                     return false;
                 }
-            } else if !before && after && !self.core.arena.pruned[id as usize] {
+            } else if !before && after {
                 self.add_stopped(id);
             }
         }
@@ -491,7 +488,7 @@ impl<'a> Incremental<'a> for LowerEngine<'a> {
             if guard.expired() {
                 return false;
             }
-            if self.core.arena.pruned[id as usize] {
+            if id == PRUNED {
                 continue;
             }
             if self.is_biased(id, k) {
@@ -576,7 +573,7 @@ impl<'a> Incremental<'a> for LowerEngine<'a> {
         // its flip moved earlier, so the pre-repair entry alone could be
         // popped too late.
         for id in touched_down {
-            if !self.core.arena.pruned[id as usize] && !self.in_stopped(id) {
+            if !self.in_stopped(id) {
                 self.bias.push(&self.core, id, k);
             }
         }

@@ -16,9 +16,14 @@
 //! ## Arena store and run state
 //!
 //! The node store is split in two. An [`Arena`] holds everything that is
-//! a function of the **pattern alone** — the interned pattern, its tree
-//! parent, `s_D`, the pruned (`s_D < τs`) verdict and the generated
-//! children — in flat vectors addressed by `u32` ids. Per-run state lives
+//! a function of the **pattern alone**, for substantial nodes only
+//! (`s_D ≥ τs`): the interned pattern, its tree parent, `s_D` and the
+//! generated children, in flat vectors addressed by `u32` ids. A child
+//! that is not substantial is decided once, when its parent is first
+//! expanded, and stored as one [`PRUNED`] slot in its parent's child row,
+//! never as a node; a child whose sibling `p' ∧ (a = v)` (`p'` its
+//! parent's tree parent) is pruned is decided without a count, since
+//! `s_D` only shrinks as a pattern gains terms. Per-run state lives
 //! beside it in the [`Core`]: `counts[id]` is the node's `s_Rk` (sentinel
 //! [`NOT_LIVE`] until the node joins the current run), `open[id]` is the
 //! run-level expansion frontier the walks descend through, and `mark[id]`
@@ -37,9 +42,9 @@
 //! The arena is append-only (structure is independent of `k` and of the
 //! bound), so a checkpoint taken at any time stays consistent with every
 //! later arena: restoring extends `counts`/`open` with `NOT_LIVE`/`false`
-//! for nodes created after the snapshot. Insertions change `s_D` and the
-//! pruned verdicts, so they clear the arena along with the checkpoint
-//! store.
+//! for nodes created after the snapshot. Insertions change `s_D` and so
+//! which children are substantial, so they clear the arena along with the
+//! checkpoint store.
 //!
 //! ## Checkpoints and replay
 //!
@@ -55,7 +60,7 @@
 use rankfair_data::{TupleId, ValueCode};
 
 use crate::pattern::Pattern;
-use crate::space::{counted_children, AttrId, PatternSpace, RankedIndex};
+use crate::space::{AttrId, PatternSpace, RankedIndex};
 use crate::stats::{
     DeadlineGuard, DetectConfig, DetectionOutput, KResult, ReplayCounters, SearchStats,
 };
@@ -67,6 +72,11 @@ pub(crate) const ROOT: u32 = u32::MAX;
 /// Sentinel in `counts` marking a node that is not live in the current
 /// run. Real counts are bounded by `n`, which fits `TupleId` (u32).
 const NOT_LIVE: u32 = u32::MAX;
+
+/// Sentinel child slot in [`Arena::children`] and [`Arena::root_children`]
+/// for a child that is not substantial (`s_D < τs`): it has no node, and
+/// no walk, rescan or checkpoint ever sees it.
+pub(crate) const PRUNED: u32 = u32::MAX - 1;
 
 /// Sentinel in [`Arena::first_child`] for a node with no stored children.
 const NOT_EXPANDED: u32 = u32::MAX;
@@ -80,16 +90,13 @@ pub(crate) struct Node {
     pub(crate) sd: u32,
 }
 
-/// The index-addressed node arena: flat `Vec` of [`Node`]s plus the
-/// level-1 child index. Append-only, owned by a [`Store`] between runs and
-/// moved — not cloned — into the engine for the duration of a replay.
+/// The index-addressed node arena: flat `Vec` of substantial [`Node`]s
+/// plus the level-1 child index. Append-only, owned by a [`Store`]
+/// between runs and moved — not cloned — into the engine for the
+/// duration of a replay.
 #[derive(Debug, Default)]
 pub(crate) struct Arena {
     pub(crate) nodes: Vec<Node>,
-    /// `s_D < τs` verdict per node, kept out of [`Node`] so the hot walks
-    /// resolve the prune-skip from one flat byte array — a closed node's
-    /// visit never has to pull its full `Node` cache line.
-    pub(crate) pruned: Vec<bool>,
     /// One bit per term of each node's pattern, bit
     /// `(card_prefix[a] + v) mod 64` for the term `a = v`. `q ⊆ p` implies
     /// `mask(q) & !mask(p) == 0`, so a dominance scan rejects almost every
@@ -106,17 +113,18 @@ pub(crate) struct Arena {
     first_child: Vec<u32>,
     /// Every expanded node's children, back to back, each node's in
     /// `(a, v)` order: node `id`'s child binding `a = v` sits at
-    /// `first_child[id] + card_prefix[a] − card_prefix[child_attr[id]] + v`.
-    /// The walks resolve a child from these flat vectors alone, never
-    /// pulling the node's [`Node`] cache line.
+    /// `first_child[id] + card_prefix[a] − card_prefix[child_attr[id]] + v`,
+    /// as a node id or [`PRUNED`]. The walks resolve a child from these
+    /// flat vectors alone, never pulling the node's [`Node`] cache line.
     children: Vec<u32>,
-    /// Level-1 nodes laid out by `card_prefix[attr] + value` — the walk's
-    /// entry points.
+    /// Level-1 slots laid out by `card_prefix[attr] + value`, node ids or
+    /// [`PRUNED`] — the walk's entry points.
     pub(crate) root_children: Vec<u32>,
 }
 
 impl Arena {
-    /// Number of interned nodes — the steady-state memory driver.
+    /// Number of interned nodes, all substantial — what steady-state
+    /// memory grows with.
     pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -164,7 +172,8 @@ impl<F> Default for Store<F> {
 
 impl<F> Store<F> {
     /// Drops every checkpoint and the arena (insertions change `s_D` and
-    /// the pruned verdicts, so the arena is rebuilt from scratch).
+    /// so which patterns are substantial, so the arena is rebuilt from
+    /// scratch).
     pub(crate) fn clear(&mut self) {
         self.snaps.clear();
         self.arena = Arena::default();
@@ -204,11 +213,18 @@ pub(crate) struct Core<'a> {
     /// Activations served by a stored `s_D` plus a truncated prefix scan
     /// instead of a full fused evaluation.
     prefix_recounts: u64,
+    /// Children decided pruned from a pruned sibling, with no count.
+    #[cfg(test)]
+    pub(crate) sibling_skips: usize,
     /// Reused walk buffers: the DFS stack and the entering tuple's child
     /// slots. Taken/returned by the walk so a replay's per-step walks
     /// never hit the allocator.
     scratch_stack: Vec<u32>,
     scratch_slots: Vec<u32>,
+    /// Reused expansion buffers: the skip mask and the counts of a fresh
+    /// expansion ([`Core::fresh_children`]).
+    scratch_skip: Vec<bool>,
+    scratch_counts: Vec<(usize, usize)>,
 }
 
 impl<'a> Core<'a> {
@@ -232,8 +248,12 @@ impl<'a> Core<'a> {
             card_prefix,
             stats: SearchStats::default(),
             prefix_recounts: 0,
+            #[cfg(test)]
+            sibling_skips: 0,
             scratch_stack: Vec::new(),
             scratch_slots: Vec::new(),
+            scratch_skip: Vec::new(),
+            scratch_counts: Vec::new(),
         }
     }
 
@@ -258,11 +278,11 @@ impl<'a> Core<'a> {
         self.arena.masks[a as usize] & !self.arena.masks[b as usize] == 0
     }
 
-    /// Whether node `id` is in the current run with a count to classify:
-    /// live and not pruned.
+    /// Whether child slot `id` holds a node that is in the current run,
+    /// with a count to classify.
     #[inline]
     pub(crate) fn is_live(&self, id: u32) -> bool {
-        !self.arena.pruned[id as usize] && self.counts[id as usize] != NOT_LIVE
+        id != PRUNED && self.counts[id as usize] != NOT_LIVE
     }
 
     /// Clears the run state. The arena is kept: the follow-up build
@@ -293,10 +313,11 @@ impl<'a> Core<'a> {
         self.mark.resize(n, false);
     }
 
-    /// Interns a freshly evaluated pattern with its `(s_D, s_Rk)`.
+    /// Interns a freshly counted substantial pattern with its
+    /// `(s_D, s_Rk)`.
     fn intern(&mut self, pattern: Pattern, parent: u32, (sd, count): (usize, usize)) -> u32 {
-        self.stats.nodes_evaluated += 1;
         let id = u32::try_from(self.arena.nodes.len()).expect("node ids fit u32");
+        debug_assert!(id < PRUNED, "node ids stay below the sentinels");
         // A child extends its parent by one term, its last.
         let parent_mask = if parent == ROOT {
             0
@@ -317,7 +338,6 @@ impl<'a> Core<'a> {
             // Row counts are bounded by n, which fits TupleId (u32).
             sd: u32::try_from(sd).expect("row counts fit TupleId"),
         });
-        self.arena.pruned.push(sd < self.tau_s);
         self.counts
             .push(u32::try_from(count).expect("row counts fit TupleId"));
         self.open.push(false);
@@ -325,45 +345,95 @@ impl<'a> Core<'a> {
         id
     }
 
-    /// Evaluates every search-tree child of node `parent` (or of the
-    /// empty pattern for [`ROOT`]) in one batched count and interns them
-    /// in `(a, v)` order, handing each unpruned one to `on_live`.
-    fn fresh_children(
-        &mut self,
-        parent: u32,
-        k: usize,
-        on_live: &mut impl FnMut(&mut Self, u32),
-    ) -> Vec<u32> {
-        let pattern = if parent == ROOT {
-            Pattern::empty()
-        } else {
-            self.pattern(parent).clone()
-        };
-        let (index, space) = (self.index, self.space);
-        counted_children(index, space, &pattern, k)
-            .map(|(child, counts)| {
-                let id = self.intern(child, parent, counts);
-                if !self.arena.pruned[id as usize] {
-                    on_live(self, id);
-                }
-                id
-            })
-            .collect()
+    /// Number of child slots binding an attribute `≥ start`: the row
+    /// length of a node whose children start at `start`.
+    fn row_len(&self, start: usize) -> usize {
+        (self.card_prefix[self.card_prefix.len() - 1] - self.card_prefix[start]) as usize
     }
 
-    /// Brings a stored node into the current run: the stored `s_D` and
-    /// pruned verdict are reused and only the top-`k` prefix is recounted
-    /// (a truncated scan that never touches blocks past `k`). Returns
-    /// whether the node joined the run with a count to classify — `false`
-    /// when it was already live or is pruned.
+    /// The child slots of `parent`'s tree parent `p'` that bind an
+    /// attribute `≥ start`: slot `i` decides `p' ∧ (a = v)`, a one-term
+    /// subset of `parent`'s `i`-th child `parent ∧ (a = v)`. `None` for
+    /// the root, whose children have no siblings.
+    fn sibling_row(&self, parent: u32, start: AttrId) -> Option<&[u32]> {
+        if parent == ROOT {
+            return None;
+        }
+        let gp = self.arena.nodes[parent as usize].parent;
+        let start = usize::from(start);
+        let off = self.card_prefix[start] as usize;
+        if gp == ROOT {
+            return Some(&self.arena.root_children[off..]);
+        }
+        let first = self.arena.first_child[gp as usize];
+        // `parent` is a child of `gp`, so `gp` was expanded first.
+        assert_ne!(first, NOT_EXPANDED, "a node's tree parent is expanded");
+        let base = self.card_prefix[usize::from(self.arena.child_attr[gp as usize])] as usize;
+        let at = first as usize + off - base;
+        Some(&self.arena.children[at..at + self.row_len(start)])
+    }
+
+    /// Decides every search-tree child of node `parent` (or of the empty
+    /// pattern for [`ROOT`]) and appends its child row in `(a, v)` order:
+    /// a node id for a substantial child, handed to `on_live`, and
+    /// [`PRUNED`] for the rest. A child whose sibling slot
+    /// ([`Core::sibling_row`]) is pruned is pruned without a count; the
+    /// others are counted in one batched pass.
+    fn fresh_children(&mut self, parent: u32, k: usize, on_live: &mut impl FnMut(&mut Self, u32)) {
+        let (pattern, start) = if parent == ROOT {
+            (Pattern::empty(), 0)
+        } else {
+            let i = parent as usize;
+            self.arena.first_child[i] =
+                u32::try_from(self.arena.children.len()).expect("node ids fit u32");
+            (self.pattern(parent).clone(), self.arena.child_attr[i])
+        };
+        let mut skip = std::mem::take(&mut self.scratch_skip);
+        skip.clear();
+        match self.sibling_row(parent, start) {
+            Some(row) => skip.extend(row.iter().map(|&s| s == PRUNED)),
+            None => skip.resize(self.row_len(0), false),
+        }
+        #[cfg(test)]
+        {
+            self.sibling_skips += skip.iter().filter(|&&s| s).count();
+        }
+        let mut counts = std::mem::take(&mut self.scratch_counts);
+        counts.clear();
+        self.index
+            .child_counts(&pattern, start, k, &skip, &mut counts);
+        // Every child is decided here, counted or not.
+        self.stats.nodes_evaluated += skip.len() as u64;
+        let space = self.space;
+        for (((a, v), &skipped), &c) in space.child_bindings(start).zip(&skip).zip(&counts) {
+            let slot = if skipped || c.0 < self.tau_s {
+                PRUNED
+            } else {
+                let id = self.intern(pattern.child(a, v), parent, c);
+                on_live(self, id);
+                id
+            };
+            if parent == ROOT {
+                self.arena.root_children.push(slot);
+            } else {
+                self.arena.children.push(slot);
+            }
+        }
+        self.scratch_skip = skip;
+        self.scratch_counts = counts;
+    }
+
+    /// Brings a stored child slot into the current run: a node's stored
+    /// `s_D` is reused and only the top-`k` prefix is recounted (a
+    /// truncated scan that never touches blocks past `k`). Returns whether
+    /// a node joined the run with a count to classify — `false` when it
+    /// was already live or the slot is [`PRUNED`].
     fn activate(&mut self, id: u32, k: usize) -> bool {
-        let i = id as usize;
-        if self.counts[i] != NOT_LIVE {
+        if id == PRUNED {
             return false;
         }
-        if self.arena.pruned[i] {
-            // Live marker only; counts of pruned nodes are never read.
-            self.counts[i] = 0;
+        let i = id as usize;
+        if self.counts[i] != NOT_LIVE {
             return false;
         }
         let count = self.index.prefix_count(&self.arena.nodes[i].pattern, k);
@@ -375,10 +445,10 @@ impl<'a> Core<'a> {
 
     /// Brings the level-1 nodes into the current run — fresh evaluations
     /// only on a virgin arena, prefix recounts otherwise. `on_live` sees
-    /// every unpruned node that joined the run.
+    /// every substantial node that joined the run.
     pub(crate) fn open_root(&mut self, k: usize, mut on_live: impl FnMut(&mut Self, u32)) {
         if self.arena.root_children.is_empty() {
-            self.arena.root_children = self.fresh_children(ROOT, k, &mut on_live);
+            self.fresh_children(ROOT, k, &mut on_live);
         } else {
             for i in 0..self.arena.root_children.len() {
                 let id = self.arena.root_children[i];
@@ -391,19 +461,16 @@ impl<'a> Core<'a> {
 
     /// Opens `id`'s search-tree children (Definition 4.1) in the current
     /// run: stored children are re-activated with prefix recounts, a node
-    /// never expanded before generates them fresh and counts them all in
-    /// one batched pass over its own intersection. `on_live` sees every
-    /// unpruned child that joined the run. Idempotent per run.
+    /// never expanded before decides them fresh ([`Core::fresh_children`]).
+    /// `on_live` sees every substantial child that joined the run.
+    /// Idempotent per run.
     pub(crate) fn expand(&mut self, id: u32, k: usize, mut on_live: impl FnMut(&mut Self, u32)) {
         let i = id as usize;
         if self.open[i] {
             return;
         }
         if self.arena.first_child[i] == NOT_EXPANDED {
-            let children = self.fresh_children(id, k, &mut on_live);
-            self.arena.first_child[i] =
-                u32::try_from(self.arena.children.len()).expect("node ids fit u32");
-            self.arena.children.extend(children);
+            self.fresh_children(id, k, &mut on_live);
         } else {
             for ci in 0..self.children(id).len() {
                 let c = self.children(id)[ci];
@@ -415,17 +482,16 @@ impl<'a> Core<'a> {
         self.open[i] = true;
     }
 
-    /// Node `id`'s stored children in `(a, v)` order; empty until the node
-    /// is first expanded.
+    /// Node `id`'s stored child slots in `(a, v)` order, node ids or
+    /// [`PRUNED`]; empty until the node is first expanded.
     pub(crate) fn children(&self, id: u32) -> &[u32] {
         let i = id as usize;
         match self.arena.first_child[i] {
             NOT_EXPANDED => &[],
             first => {
                 let first = first as usize;
-                let start = usize::from(self.arena.child_attr[i]);
-                let len = self.card_prefix[self.card_prefix.len() - 1] - self.card_prefix[start];
-                &self.arena.children[first..first + len as usize]
+                let len = self.row_len(usize::from(self.arena.child_attr[i]));
+                &self.arena.children[first..first + len]
             }
         }
     }
@@ -453,15 +519,14 @@ impl<'a> Core<'a> {
                 self.card_prefix[usize::from(a)] + u32::from(self.index.code_at(t_pos, a))
             }),
         );
-        // Pruned nodes are never stacked: their counts are never read.
-        let pruned = &self.arena.pruned;
+        // Pruned slots hold no node to bump.
         let mut stack = std::mem::take(&mut self.scratch_stack);
         stack.clear();
         stack.extend(
             slots
                 .iter()
                 .map(|&s| self.arena.root_children[s as usize])
-                .filter(|&c| !pruned[c as usize]),
+                .filter(|&c| c != PRUNED),
         );
         while let Some(id) = stack.pop() {
             let i = id as usize;
@@ -481,7 +546,7 @@ impl<'a> Core<'a> {
                     slots[start..]
                         .iter()
                         .map(|&s| arena.children[first + (s - base) as usize])
-                        .filter(|&c| !arena.pruned[c as usize]),
+                        .filter(|&c| c != PRUNED),
                 );
             }
         }
@@ -489,7 +554,7 @@ impl<'a> Core<'a> {
         self.scratch_stack = stack;
     }
 
-    /// Hands every live, unpruned node to `hook` — the store-wide
+    /// Hands every live node to `hook` — the store-wide
     /// reclassification after counts or the bound moved in bulk — with
     /// zero fresh evaluations.
     pub(crate) fn rescan(&mut self, mut hook: impl FnMut(&mut Self, u32)) {
@@ -501,9 +566,10 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// The children of `id` ([`ROOT`] for the level-1 nodes) that bind
-    /// attribute `a`, indexed by value code; `None` unless `id` is open
-    /// (the root always is). `a` must come after `id`'s last attribute.
+    /// The child slots of `id` ([`ROOT`] for the level-1 slots) that bind
+    /// attribute `a`, indexed by value code; `None` unless `id` is an
+    /// open node (the root always is). `a` must come after `id`'s last
+    /// attribute.
     pub(crate) fn children_binding(&self, id: u32, a: AttrId) -> Option<&[u32]> {
         let a = usize::from(a);
         let (lo, hi) = (
@@ -513,18 +579,19 @@ impl<'a> Core<'a> {
         if id == ROOT {
             return Some(&self.arena.root_children[lo..hi]);
         }
-        let i = id as usize;
-        if !self.open[i] {
+        if id == PRUNED || !self.open[id as usize] {
             return None;
         }
+        let i = id as usize;
         let first = self.arena.first_child[i] as usize;
         let base = self.card_prefix[usize::from(self.arena.child_attr[i])] as usize;
         Some(&self.arena.children[first + lo - base..first + hi - base])
     }
 
-    /// Finds the live node for `from`'s pattern plus the sorted `terms`,
+    /// Finds the child slot for `from`'s pattern plus the sorted `terms`,
     /// which all bind attributes past `from`'s last, by walking the child
-    /// arithmetic down from `from` ([`ROOT`] for the empty pattern).
+    /// arithmetic down from `from` ([`ROOT`] for the empty pattern): a
+    /// live node, or [`PRUNED`] when the path ends on a pruned child.
     /// `None` if the path leaves the open frontier or names no node.
     /// Starting below the root saves the hops a caller already knows: a
     /// live node's ancestors are all open.
@@ -559,7 +626,7 @@ pub(crate) trait Incremental<'a> {
     /// Repairs state positioned at `k` after a pure reorder changed its
     /// top-`k` **set**: subtracts the `leaving` tuples, adds the
     /// `entering` ones (positions in the patched index) and reclassifies.
-    /// Sound for reorders only: `s_D`, `n` and the pruned flags are
+    /// Sound for reorders only: `s_D`, `n` and the pruned slots are
     /// untouched (an insertion voids the store instead).
     fn repair(
         &mut self,
@@ -637,6 +704,12 @@ impl<'a, E: Incremental<'a>> Stream<E> {
         stats.elapsed = self.guard.elapsed();
         stats.timed_out = self.failed;
         stats
+    }
+
+    /// The engine the stream drives.
+    #[cfg(test)]
+    pub(crate) fn engine(&self) -> &E {
+        &self.engine
     }
 
     /// Whether the stream stopped early on the deadline.
@@ -888,12 +961,14 @@ mod tests {
     use rankfair_rank::Ranking;
     use rankfair_synth::{random_dataset, random_ranking, RandomSpec};
 
-    /// The flat child layout, the ancestor-started lookups, the term masks
-    /// and the walk, each checked node by node against the patterns
-    /// themselves on an arena expanded three levels deep.
+    /// The flat child layout, the pruned slots, the ancestor-started
+    /// lookups, the term masks and the walk, each checked node by node
+    /// against the patterns themselves on an arena expanded three levels
+    /// deep. At `τs = 40` some level-1 patterns are pruned too, so level-1
+    /// expansions skip children.
     #[test]
     fn arena_layout_lookups_and_walk_match_the_patterns() {
-        for seed in 1..=3 {
+        for (seed, tau_s) in (1..=3).flat_map(|seed| [(seed, 5), (seed, 40)]) {
             let rows = 300;
             let spec = RandomSpec {
                 rows,
@@ -905,36 +980,48 @@ mod tests {
             let ranking = Ranking::from_order(random_ranking(seed, rows)).unwrap();
             let index = RankedIndex::build(&ds, &space, &ranking);
             let k = 40;
-            let mut core = Core::new(&index, &space, 5);
+            let mut core = Core::new(&index, &space, tau_s);
             core.open_root(k, |_, _| {});
             let mut queue: std::collections::VecDeque<u32> =
                 core.arena.root_children.iter().copied().collect();
             while let Some(id) = queue.pop_front() {
-                if !core.arena.pruned[id as usize] && core.pattern(id).len() < 3 {
+                if id != PRUNED && core.pattern(id).len() < 3 {
                     core.expand(id, k, |_, _| {});
                     queue.extend(core.children(id).to_vec());
                 }
             }
+            assert!(core.sibling_skips > 0, "seed {seed} skips no child");
+            // A slot is `PRUNED` exactly when its pattern is not
+            // substantial, and otherwise holds the pattern's node.
+            let check_slot = |core: &Core<'_>, slot: u32, want: &Pattern| {
+                if index.size_in_data(want) < tau_s {
+                    assert_eq!(slot, PRUNED, "{want:?}");
+                } else {
+                    assert_eq!(core.pattern(slot), want);
+                }
+            };
+            for (&slot, (a, v)) in core.arena.root_children.iter().zip(space.child_bindings(0)) {
+                check_slot(&core, slot, &Pattern::single(a, v));
+                assert_eq!(core.descend(ROOT, [(a, v)]), Some(slot));
+            }
             let ids = 0..u32::try_from(core.arena.len()).unwrap();
             for id in ids.clone() {
                 let p = core.pattern(id).clone();
-                // The children, in (a, v) order, extend `p` by one term.
+                // Every stored node is substantial, with its own `s_D`.
+                let sd = index.size_in_data(&p);
+                assert!(sd >= tau_s, "{p:?}");
+                assert_eq!(core.arena.nodes[id as usize].sd as usize, sd, "{p:?}");
+                // The child slots, in (a, v) order, extend `p` by one term.
                 let start = p.max_attr().map_or(0, |a| a + 1);
-                let want: Vec<Pattern> = (start..space.n_attrs() as AttrId)
-                    .flat_map(|a| space.value_codes(a).map(move |v| (a, v)))
-                    .map(|(a, v)| p.child(a, v))
-                    .collect();
-                let got: Vec<Pattern> = core
-                    .children(id)
-                    .iter()
-                    .map(|&c| core.pattern(c).clone())
-                    .collect();
+                let bindings: Vec<(AttrId, ValueCode)> = space.child_bindings(start).collect();
+                let got = core.children(id);
                 if core.open[id as usize] {
-                    assert_eq!(got, want, "children of {p:?}");
-                    for a in start..space.n_attrs() as AttrId {
-                        for (v, &c) in core.children_binding(id, a).unwrap().iter().enumerate() {
-                            assert_eq!(core.pattern(c), &p.child(a, v as ValueCode));
-                        }
+                    assert_eq!(got.len(), bindings.len(), "children of {p:?}");
+                    for (&slot, &(a, v)) in got.iter().zip(&bindings) {
+                        check_slot(&core, slot, &p.child(a, v));
+                        let row = core.children_binding(id, a).unwrap();
+                        assert_eq!(row[usize::from(v)], slot);
+                        assert_eq!(core.descend(id, [(a, v)]), Some(slot));
                     }
                 } else {
                     assert!(got.is_empty(), "children of unexpanded {p:?}");

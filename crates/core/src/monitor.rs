@@ -46,9 +46,10 @@
 //!
 //! With [`Engine::Optimized`] the monitor keeps the engines' search
 //! state **across** edit batches. The pattern-tree *structure* (interned
-//! patterns, parent/child links, `s_D`, pruned verdicts) is `k`- and
-//! bound-independent, so each engine interns it once in a flat
-//! index-addressed **arena** that persists for the monitor's lifetime;
+//! patterns, parent/child links, `s_D`) is `k`- and bound-independent, so
+//! each engine interns it once, for substantial nodes only, in a flat
+//! index-addressed **arena** that persists for the monitor's lifetime (a
+//! child with `s_D < τs` is one pruned slot in its parent's child row);
 //! every `C` values of `k` ([`MonitorBuilder::checkpoint_every`]) the
 //! engine snapshots only its *run state* — per-node counts, frontier
 //! bits and result sets, a few flat-vector memcpys — never the arena.
@@ -273,11 +274,14 @@ pub struct CheckpointStats {
     /// Live upper-engine checkpoints.
     pub upper_checkpoints: usize,
     /// Node *slots* held across every snapshot (each slot one `u32`
-    /// count plus frontier bits) — the memory the speed/memory trade-off
-    /// spends (smaller `C` ⇒ shorter replays, more stored slots).
+    /// count plus frontier bits), substantial nodes only — the memory the
+    /// speed/memory trade-off spends (smaller `C` ⇒ shorter replays, more
+    /// stored slots).
     pub stored_nodes: usize,
-    /// Pattern nodes interned across both engines' persistent arenas —
-    /// structure stored once, shared by every snapshot.
+    /// Pattern nodes interned across both engines' persistent arenas,
+    /// substantial nodes only (`s_D ≥ τs`; a pruned child is a slot in
+    /// its parent's child row, not a node) — structure stored once, shared
+    /// by every snapshot.
     pub arena_nodes: usize,
     /// Delta runs (per direction) that resumed from a checkpoint.
     pub seeks: u64,
@@ -712,7 +716,7 @@ impl MonitorAudit {
         }
         // Checkpoint maintenance. An insertion moves `n` and the `s_D`
         // of every pattern the new tuple matches — every snapshot's
-        // counts (and pruned flags) are stale, so the store is voided
+        // counts (and the arena's pruned slots) are stale, so the store is voided
         // and reseeded by the full-range recompute below. A pure reorder
         // of positions `[lo, hi]` only changes the top-k *sets* for
         // `k ∈ (lo, hi]`: snapshots at `k ≤ lo` and `k > hi` stay exact;

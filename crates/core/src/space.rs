@@ -38,26 +38,6 @@ impl fmt::Display for SpaceError {
 
 impl std::error::Error for SpaceError {}
 
-/// The search-tree children of `parent` (Definition 4.1) with their
-/// `(s_D, s_Rk)` at `k`, in `(a, v)` order, from one batched
-/// [`RankedIndex::child_counts`] call — how both engines evaluate a
-/// fresh expansion.
-pub(crate) fn counted_children<'s>(
-    index: &RankedIndex,
-    space: &'s PatternSpace,
-    parent: &'s Pattern,
-    k: usize,
-) -> impl Iterator<Item = (Pattern, (usize, usize))> + 's {
-    let start = parent.max_attr().map_or(0, |a| a + 1);
-    let mut counts = Vec::new();
-    index.child_counts(parent, start, k, &mut counts);
-    debug_assert_eq!(counts.len(), space.child_bindings(start).count());
-    space
-        .child_bindings(start)
-        .zip(counts)
-        .map(move |((a, v), c)| (parent.child(a, v), c))
-}
-
 #[derive(Debug, Clone)]
 struct AttrInfo {
     name: String,
@@ -272,29 +252,49 @@ impl MembershipMaps {
     }
 
     /// Appends `(s_D(child), 0)` over these rows for every child of
-    /// `parent` with `a ≥ start`, in `(a, v)` order. ANDs the parent's
-    /// maps once and counts the parent from that buffer, then counts each
-    /// child but the last of every attribute with one two-operand pass
-    /// over the buffer and the child's own map; the last child's size is
-    /// the parent's minus its siblings'.
-    fn child_sizes(&self, parent: &Pattern, start: AttrId, out: &mut Vec<(usize, usize)>) {
-        let attrs = &self.maps[usize::from(start)..];
-        if attrs.is_empty() {
-            return;
-        }
+    /// `parent` with `a ≥ start`, in `(a, v)` order; `skip` holds one flag
+    /// per child, and a skipped child gets a `(0, 0)` placeholder and no
+    /// AND pass. ANDs the parent's maps once and counts the parent from
+    /// that buffer, then counts each unskipped child with one two-operand
+    /// pass over the buffer and the child's own map. An attribute's last
+    /// child is the parent's size minus its siblings' when every sibling
+    /// was counted, and is counted directly otherwise.
+    fn child_sizes(
+        &self,
+        parent: &Pattern,
+        start: AttrId,
+        skip: &[bool],
+        out: &mut Vec<(usize, usize)>,
+    ) {
         let mut words = Vec::new();
         let parent_size = intersect_into(self.term_maps(parent), self.rows, &mut words);
-        for maps in attrs {
-            let Some((_last, rest)) = maps.split_last() else {
+        let mut flags = skip;
+        for maps in &self.maps[usize::from(start)..] {
+            let (attr_skip, rest) = flags.split_at(maps.len());
+            flags = rest;
+            let (Some((last, maps)), Some((&skip_last, attr_skip))) =
+                (maps.split_last(), attr_skip.split_last())
+            else {
                 continue;
             };
-            let mut last = parent_size;
-            for m in rest {
-                let size = and_counts(&words, m);
-                last -= size;
-                out.push((size, 0));
+            // The parent's size less every sibling counted so far; `None`
+            // once a sibling was skipped.
+            let mut remainder = Some(parent_size);
+            for (m, &skipped) in maps.iter().zip(attr_skip) {
+                if skipped {
+                    remainder = None;
+                    out.push((0, 0));
+                } else {
+                    let size = and_counts(&words, m);
+                    remainder = remainder.map(|r| r - size);
+                    out.push((size, 0));
+                }
             }
-            out.push((last, 0));
+            out.push(if skip_last {
+                (0, 0)
+            } else {
+                (remainder.unwrap_or_else(|| and_counts(&words, last)), 0)
+            });
         }
     }
 
@@ -457,6 +457,11 @@ impl RankBlocks {
         self.value_base.len() - 1
     }
 
+    /// Number of search-tree children binding an attribute `≥ start`.
+    fn children_from(&self, start: AttrId) -> usize {
+        self.value_base[self.n_attrs()] - self.value_base[usize::from(start)]
+    }
+
     /// Block `b`, built on first read: `codes_of(row, out)` writes a
     /// row's codes, one per attribute.
     fn block(&self, b: usize, codes_of: &impl Fn(usize, &mut [ValueCode])) -> &RankBlock {
@@ -531,9 +536,6 @@ impl RankBlocks {
         codes_of: &impl Fn(usize, &mut [ValueCode]),
     ) {
         let first = self.value_base[usize::from(start)];
-        if first == self.value_base[self.n_attrs()] {
-            return;
-        }
         for (block, mask) in self.prefix(k, codes_of) {
             let parent_word = block.matches(&self.value_base, parent) & mask;
             for (o, &w) in out.iter_mut().zip(&block.words[first..]) {
@@ -631,8 +633,9 @@ fn dataset_codes<'a>(
 /// ```
 ///
 /// where `s_D,s` counts `p` in block `s`'s maps. The rank side is one
-/// global set of rank blocks whatever the row blocks. Large blocks count
-/// on scoped threads, one per block.
+/// global set of rank blocks whatever the row blocks. A large sharded
+/// build builds its blocks on scoped threads, one per block; counts read
+/// the blocks one after another on the calling thread.
 ///
 /// Both counts come one pattern at a time ([`RankedIndex::counts`]) or
 /// for all children of a search node at once
@@ -650,10 +653,6 @@ pub struct RankedIndex {
     /// One set of membership maps per row block.
     data: Vec<MembershipMaps>,
     rank: RankBlocks,
-    /// Count `s_D` on scoped threads, one per row block: decided once at
-    /// build time — more than one block, enough rows per block that its
-    /// scan dominates thread spawn cost, and more than one core.
-    parallel: bool,
 }
 
 /// Split `n` row ids into `blocks` contiguous blocks whose sizes differ by
@@ -673,9 +672,8 @@ fn shard_boundaries(n: usize, blocks: usize) -> Vec<usize> {
 }
 
 impl RankedIndex {
-    /// Rows per row block below which counting stays sequential: a
-    /// sub-64Ki-row scan finishes in the time a thread spawn costs. The
-    /// build fans out once the whole table reaches it.
+    /// Rows from which a sharded build builds its row blocks on scoped
+    /// threads, one per block.
     pub const PARALLEL_MIN_ROWS: usize = 1 << 16;
 
     /// Builds the index for `ds` under `ranking`, over the attributes of
@@ -756,12 +754,7 @@ impl RankedIndex {
                 .map(|span| MembershipMaps::build(ds, space, span))
                 .collect()
         };
-        RankedIndex {
-            bounds,
-            data,
-            rank,
-            parallel: fan_out && n / shards >= Self::PARALLEL_MIN_ROWS,
-        }
+        RankedIndex { bounds, data, rank }
     }
 
     /// Number of tuples.
@@ -804,41 +797,47 @@ impl RankedIndex {
     /// Appends `counts(parent.child(a, v), k)` to `out` for every
     /// search-tree child with `a ≥ start`, in `(a, v)` order (attributes
     /// ascending, then value codes ascending) — the order in which both
-    /// engines intern a node's children; this is how every fresh
-    /// expansion is evaluated. `s_D` of every child comes from the
+    /// engines store a node's children; this is how every fresh expansion
+    /// is evaluated. `skip` holds one flag per child in that order: a
+    /// skipped child gets no count, and its entry is a placeholder the
+    /// caller must not read. `s_D` of every unskipped child comes from the
     /// membership maps (one parent AND, one two-operand pass per child,
-    /// each attribute's last child by subtraction), merged additively over
-    /// the row blocks — each block counts the whole expansion on its rows,
-    /// so large blocks fan out over threads once per expansion, not once
-    /// per child — then `s_Rk` from the rank blocks below `k`.
+    /// each attribute's last child by subtraction when none of its
+    /// siblings was skipped), summed over the row blocks, each of which
+    /// counts the whole expansion on its rows; then `s_Rk` from the rank
+    /// blocks below `k`. With every child skipped nothing is counted, not
+    /// even the parent.
+    ///
+    /// # Panics
+    /// Panics unless `skip` holds one flag per child.
     pub fn child_counts(
         &self,
         parent: &Pattern,
         start: AttrId,
         k: usize,
+        skip: &[bool],
         out: &mut Vec<(usize, usize)>,
     ) {
         let base = out.len();
+        assert_eq!(
+            skip.len(),
+            self.rank.children_from(start),
+            "one skip flag per child"
+        );
+        if !skip.contains(&false) {
+            out.resize(base + skip.len(), (0, 0));
+            return;
+        }
         if let [maps] = &self.data[..] {
-            maps.child_sizes(parent, start, out);
+            maps.child_sizes(parent, start, skip, out);
         } else {
-            let mut partials: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.data.len()];
-            if self.parallel {
-                std::thread::scope(|scope| {
-                    for (maps, slot) in self.data.iter().zip(partials.iter_mut()) {
-                        scope.spawn(move || maps.child_sizes(parent, start, slot));
-                    }
-                });
-            } else {
-                for (maps, slot) in self.data.iter().zip(partials.iter_mut()) {
-                    maps.child_sizes(parent, start, slot);
-                }
-            }
-            // Every block reports every child, so the first partial fixes
-            // the child count.
-            out.resize(base + partials[0].len(), (0, 0));
-            for part in &partials {
-                for (o, &(size, _)) in out[base..].iter_mut().zip(part) {
+            // Every block reports every child.
+            out.resize(base + skip.len(), (0, 0));
+            let mut part = Vec::with_capacity(skip.len());
+            for maps in &self.data {
+                part.clear();
+                maps.child_sizes(parent, start, skip, &mut part);
+                for (o, &(size, _)) in out[base..].iter_mut().zip(&part) {
                     o.0 += size;
                 }
             }
@@ -848,18 +847,9 @@ impl RankedIndex {
     }
 
     /// `s_D(p)` alone, from the membership maps, summed over the row
-    /// blocks; large blocks count on scoped threads, one per block.
+    /// blocks.
     pub fn size_in_data(&self, p: &Pattern) -> usize {
-        if !self.parallel {
-            return self.data.iter().map(|maps| maps.size(p)).sum();
-        }
-        let mut partials = vec![0; self.data.len()];
-        std::thread::scope(|scope| {
-            for (maps, slot) in self.data.iter().zip(partials.iter_mut()) {
-                scope.spawn(move || *slot = maps.size(p));
-            }
-        });
-        partials.into_iter().sum()
+        self.data.iter().map(|maps| maps.size(p)).sum()
     }
 
     /// `s_Rk(p)` alone, from the rank blocks below `k` — the engines'
@@ -966,11 +956,31 @@ pub(crate) fn partition_instance(rows: usize) -> (Dataset, PatternSpace, Vec<Tup
     (ds, space, random_ranking(11, rows))
 }
 
+/// The skip masks [`assert_child_counts_match`] tries on the children
+/// binding attributes from `start`: none, every other child, only each
+/// attribute's last child, all but each attribute's last child, and every
+/// child.
+#[cfg(test)]
+pub(crate) fn skip_masks(space: &PatternSpace, start: AttrId) -> [Vec<bool>; 5] {
+    let last: Vec<bool> = space
+        .child_bindings(start)
+        .map(|(a, v)| usize::from(v) + 1 == space.card(a))
+        .collect();
+    [
+        vec![false; last.len()],
+        (0..last.len()).map(|i| i % 2 == 1).collect(),
+        last.clone(),
+        last.iter().map(|&l| !l).collect(),
+        vec![true; last.len()],
+    ]
+}
+
 /// Checks `index.child_counts` against one `reference(pattern, k)` call
 /// per child, at every `k` in `ks`, for every `start` from `0` to `m` (the
-/// last has no children) and every parent of 0–3 terms over the
-/// attributes before `start`. The batch must append, leaving what `out`
-/// already held in place.
+/// last has no children), every parent of 0–3 terms over the attributes
+/// before `start` and every mask of [`skip_masks`]: each unskipped entry
+/// must equal its reference. The batch must append one entry per child,
+/// leaving what `out` already held in place.
 #[cfg(test)]
 pub(crate) fn assert_child_counts_match(
     index: &RankedIndex,
@@ -980,6 +990,7 @@ pub(crate) fn assert_child_counts_match(
 ) {
     const SENTINEL: (usize, usize) = (usize::MAX, 0);
     for start in 0..=space.attr_ids().end {
+        let masks = skip_masks(space, start);
         let mut parents = vec![Pattern::empty()];
         for a in 0..start {
             let grown: Vec<Pattern> = parents
@@ -991,16 +1002,22 @@ pub(crate) fn assert_child_counts_match(
         }
         for parent in &parents {
             for &k in ks {
-                let mut got = vec![SENTINEL];
-                index.child_counts(parent, start, k, &mut got);
-                let want: Vec<(usize, usize)> = std::iter::once(SENTINEL)
-                    .chain(
-                        space
-                            .child_bindings(start)
-                            .map(|(a, v)| reference(&parent.child(a, v), k)),
-                    )
+                let want: Vec<(usize, usize)> = space
+                    .child_bindings(start)
+                    .map(|(a, v)| reference(&parent.child(a, v), k))
                     .collect();
-                assert_eq!(got, want, "parent={parent:?} start={start} k={k}");
+                for skip in &masks {
+                    let mut got = vec![SENTINEL];
+                    index.child_counts(parent, start, k, skip, &mut got);
+                    let at = format!("parent={parent:?} start={start} k={k} skip={skip:?}");
+                    assert_eq!(got.len(), 1 + want.len(), "{at}");
+                    assert_eq!(got[0], SENTINEL, "{at}");
+                    for (i, (&g, &w)) in got[1..].iter().zip(&want).enumerate() {
+                        if !skip[i] {
+                            assert_eq!(g, w, "child {i} of {at}");
+                        }
+                    }
+                }
             }
         }
     }
@@ -1215,6 +1232,32 @@ mod tests {
         let (_ds, space, index) = fig1();
         let ks: Vec<usize> = (0..=18).collect();
         assert_child_counts_match(&index, |p, k| index.counts(p, k), &space, &ks);
+    }
+
+    #[test]
+    fn child_counts_with_every_child_skipped_counts_nothing() {
+        // A skipped child gets a placeholder and no count: with every
+        // child skipped not even the parent is counted, so an index no
+        // count has read yet still holds no rank block. A parent with no
+        // children appends nothing.
+        let (ds, space, order) = partition_instance(200);
+        let index = RankedIndex::build_from_order(&ds, &space, &order);
+        for start in space.attr_ids().chain([space.attr_ids().end]) {
+            let [none, .., all] = skip_masks(&space, start);
+            let mut out = vec![(7, 7)];
+            index.child_counts(&Pattern::empty(), start, 150, &all, &mut out);
+            assert_eq!(out.len(), 1 + none.len(), "start={start}");
+            assert_eq!(out[0], (7, 7));
+        }
+        assert_eq!(index.built_rank_blocks(), 0);
+        // One counted child reads the rank blocks of the top 150.
+        let [none, ..] = skip_masks(&space, 1);
+        let mut one = vec![true; none.len()];
+        one[0] = false;
+        let mut out = Vec::new();
+        index.child_counts(&Pattern::empty(), 1, 150, &one, &mut out);
+        assert_eq!(out[0], index.counts(&Pattern::single(1, 0), 150));
+        assert_eq!(index.built_rank_blocks(), 3);
     }
 
     /// The `k`s the layout tests read at: around the first two rank
@@ -1542,9 +1585,9 @@ mod tests {
 
     #[test]
     fn child_counts_fan_out_matches_unsharded() {
-        // At PARALLEL_MIN_ROWS rows per shard the shards count on scoped
-        // threads (on a multi-core host); the merge must not care which
-        // path ran.
+        // From PARALLEL_MIN_ROWS rows a sharded build builds its row
+        // blocks on scoped threads (on a multi-core host); counts over
+        // those blocks must not care which path built them.
         let rows = 3 * RankedIndex::PARALLEL_MIN_ROWS + 5;
         let spec = rankfair_synth::RandomSpec {
             rows,
@@ -1556,9 +1599,6 @@ mod tests {
         let ranking = Ranking::from_order(rankfair_synth::random_ranking(5, rows)).unwrap();
         let single = RankedIndex::build(&ds, &space, &ranking);
         let sharded = RankedIndex::sharded(&ds, &space, &ranking, 3);
-        let many_cores = std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
-        assert_eq!(sharded.parallel, many_cores);
-        assert!(!RankedIndex::sharded(&ds, &space, &ranking, 4).parallel);
         let ks = [0, 1, 64, rows / 3 + 1, rows - 1, rows];
         assert_child_counts_match(&sharded, |p, k| single.counts(p, k), &space, &ks);
     }

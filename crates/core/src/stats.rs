@@ -52,7 +52,10 @@ impl DetectConfig {
 /// number of patterns examined during the search”).
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
-    /// Fresh pattern evaluations (one bitmap-intersection scan each).
+    /// Pattern evaluations: every search-tree child decided when its
+    /// parent is first expanded (counted in a batched pass, or pruned
+    /// without a count because a one-term subset is pruned), plus every
+    /// stored node brought back into a run by a prefix recount.
     pub nodes_evaluated: u64,
     /// O(1) count updates performed by the incremental walk.
     pub nodes_touched: u64,

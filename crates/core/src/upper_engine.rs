@@ -54,7 +54,7 @@
 
 use crate::audit::OverRepScope;
 use crate::bounds::Bounds;
-use crate::incremental::{Core, Incremental, ROOT};
+use crate::incremental::{Core, Incremental, PRUNED, ROOT};
 use crate::pattern::Pattern;
 use crate::space::{AttrId, PatternSpace, RankedIndex};
 use crate::stats::{DeadlineGuard, DetectConfig, KResult};
@@ -167,7 +167,7 @@ impl<'a> UpperEngine<'a> {
                     });
                     if let Some(eid) = ext {
                         touched += 1;
-                        if !core.arena.pruned[eid as usize] && core.count(eid) > u {
+                        if eid != PRUNED && core.count(eid) > u {
                             break 'probe Some(false);
                         }
                     }
@@ -382,7 +382,7 @@ impl<'a> Incremental<'a> for UpperEngine<'a> {
                 .arena
                 .root_children
                 .iter()
-                .filter(|&&id| core.mark[id as usize])
+                .filter(|&&id| id != PRUNED && core.mark[id as usize])
                 .map(|&id| core.pattern(id).clone())
                 .collect(),
         };
