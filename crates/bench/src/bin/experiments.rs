@@ -24,9 +24,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rankfair::core::{
-    AuditKResult, AuditTask, BiasMeasure, Bounds, DetectConfig, Engine, OverRepScope,
-};
+use rankfair::core::{AuditTask, BiasMeasure, Bounds, DetectConfig, Engine, OverRepScope};
 use rankfair::explain::distribution::compare_distributions;
 use rankfair::explain::{ExplainConfig, RankSurrogate};
 use rankfair::json::{ToJson, Value};
@@ -41,7 +39,7 @@ use rankfair_divergence::{display_items, divergent_subgroups, DivergenceConfig};
 type Experiment = fn(&Opts) -> Vec<String>;
 
 /// Every experiment id and what it runs, in the order `all` runs them.
-const EXPERIMENTS: [(&str, Experiment); 18] = [
+const EXPERIMENTS: [(&str, Experiment); 17] = [
     ("fig4", |opts| sweep(opts, By::Attrs, true)),
     ("fig5", |opts| sweep(opts, By::Attrs, false)),
     ("fig6", |opts| sweep(opts, By::Tau, true)),
@@ -53,7 +51,6 @@ const EXPERIMENTS: [(&str, Experiment); 18] = [
     ("casestudy", casestudy),
     ("resultsize", resultsize),
     ("worstcase", worstcase),
-    ("faststeps", faststeps),
     ("scaling", scaling),
     ("overrep", overrep),
     ("serve", serve_bench),
@@ -405,47 +402,6 @@ fn resultsize(opts: &Opts) -> Vec<String> {
         "{small}/{total} = {:.2}% of result sets have < 100 groups (max seen: {max_seen}); paper reports 97.58%",
         100.0 * small as f64 / total as f64
     );
-    Vec::new()
-}
-
-/// Ablation of the bound-step extension: Algorithm 2's rebuild-at-steps
-/// vs. the node-store rescan (the streaming path's bound-step handling).
-fn faststeps(opts: &Opts) -> Vec<String> {
-    println!("\n## Ablation: bound-step handling in GlobalBounds (rebuild vs. rescan)");
-    let attrs = if opts.quick { 8 } else { 11 };
-    let cfg = paper_config(opts.timeout);
-    let task = AuditTask::UnderRep(paper_measure(true));
-    let mut t = Table::new(&[
-        "dataset",
-        "rebuild_ms",
-        "rescan_ms",
-        "rebuild_evals",
-        "rescan_evals",
-    ]);
-    for w in &workloads(opts) {
-        let audit = audit_with_attrs(w, attrs);
-        let (rebuild, rebuild_ms) = timed(|| audit.run(&cfg, &task, Engine::Optimized).unwrap());
-        // The streaming path applies the rescan extension at bound steps.
-        // The stream is returned so that its drop stays out of the timing.
-        let ((rescan_per_k, rescan_evals, _stream), rescan_ms) = timed(|| {
-            let mut stream = audit.run_streaming(&cfg, &task).unwrap();
-            let per_k: Vec<AuditKResult> = stream.by_ref().collect();
-            (per_k, stream.stats().nodes_evaluated, stream)
-        });
-        assert_eq!(
-            rebuild.per_k, rescan_per_k,
-            "extension must be output-equivalent"
-        );
-        t.row(&[
-            w.name.to_string(),
-            format!("{rebuild_ms:.1}"),
-            format!("{rescan_ms:.1}"),
-            rebuild.stats.nodes_evaluated.to_string(),
-            rescan_evals.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-    println!("(identical outputs; the rescan never re-evaluates a pattern at a bound step)");
     Vec::new()
 }
 

@@ -438,11 +438,6 @@ impl Audit {
         &self.dataset
     }
 
-    /// A clone of the shared dataset handle.
-    pub fn dataset_arc(&self) -> Arc<Dataset> {
-        Arc::clone(&self.dataset)
-    }
-
     /// The pattern space (attribute order, cardinalities, labels).
     pub fn space(&self) -> &PatternSpace {
         &self.space
@@ -793,7 +788,7 @@ impl AuditParts<'_> {
         } = ckpts;
         assemble(cfg, task, |side, cfg| match side {
             Side::Under(measure) => {
-                let engine = LowerEngine::new(self.index, self.space, cfg, measure.clone(), true);
+                let engine = LowerEngine::new(self.index, self.space, cfg, measure.clone());
                 incremental::replay(engine, lower, cfg.k_min, spans, reorder, *cadence, counters)
             }
             Side::Over(upper, scope) => {
@@ -820,7 +815,7 @@ impl AuditParts<'_> {
         match engine_sel {
             Engine::Baseline => topdown::iter_td(self.index, self.space, cfg, measure),
             Engine::Optimized => Stream::new(
-                LowerEngine::new(self.index, self.space, cfg, measure.clone(), false),
+                LowerEngine::new(self.index, self.space, cfg, measure.clone()),
                 cfg,
             )
             .into_output(),
@@ -856,7 +851,16 @@ impl AuditParts<'_> {
         stats.nodes_evaluated += substantial.len() as u64;
         for k in cfg.k_min..=cfg.k_max {
             stats.full_searches += 1;
-            match self.oracle_over(&substantial, k, upper.at(k), scope, &mut guard) {
+            match oracle::oracle_over(
+                self.dataset,
+                self.space,
+                self.ranking,
+                &substantial,
+                k,
+                upper.at(k),
+                scope,
+                &mut guard,
+            ) {
                 Some(patterns) => per_k.push(KResult { k, patterns }),
                 None => {
                     stats.timed_out = true;
@@ -866,44 +870,6 @@ impl AuditParts<'_> {
         }
         stats.elapsed = guard.elapsed();
         DetectionOutput { per_k, stats }
-    }
-
-    /// Brute-force over-representation baseline on a different code path
-    /// from the optimized searches: naive row-scan counting over the
-    /// pre-enumerated substantial patterns, then a quadratic
-    /// maximality/minimality filter. Returns `None` on deadline expiry.
-    fn oracle_over(
-        &self,
-        substantial: &[Pattern],
-        k: usize,
-        u: usize,
-        scope: OverRepScope,
-        guard: &mut DeadlineGuard,
-    ) -> Option<Vec<Pattern>> {
-        let mut qualifying: Vec<&Pattern> = Vec::new();
-        for p in substantial {
-            if guard.expired() {
-                return None;
-            }
-            if oracle::naive_counts(self.dataset, self.space, self.ranking, p, k).1 > u {
-                qualifying.push(p);
-            }
-        }
-        let mut out: Vec<Pattern> = Vec::new();
-        for p in &qualifying {
-            if guard.expired() {
-                return None;
-            }
-            let dominated = match scope {
-                OverRepScope::MostSpecific => qualifying.iter().any(|q| p.is_proper_subset_of(q)),
-                OverRepScope::MostGeneral => qualifying.iter().any(|q| q.is_proper_subset_of(p)),
-            };
-            if !dominated {
-                out.push((*p).clone());
-            }
-        }
-        out.sort_unstable();
-        Some(out)
     }
 }
 
@@ -923,8 +889,8 @@ impl Audit {
         self.validate(cfg, task)?;
         let (index, space) = (&*self.index, &self.space);
         let (under, over) = sides(task);
-        let under = under
-            .map(|measure| Stream::new(LowerEngine::new(index, space, cfg, measure, true), cfg));
+        let under =
+            under.map(|measure| Stream::new(LowerEngine::new(index, space, cfg, measure), cfg));
         let over = over.map(|(upper, scope)| {
             Stream::new(
                 UpperEngine::new(index, space, cfg, upper.clone(), scope),
@@ -1558,15 +1524,12 @@ mod tests {
             stream.engine().core().sibling_skips
         }
         // (evaluated, touched, schedule pops, full searches) of the batch
-        // run and of the stream, then the batch engine's sibling skips.
-        // The tuples differ only where the batch GlobalBounds rebuilds at
-        // a bound step and the stream rescans. The upper bound 0.3·k
-        // qualifies no pattern whose expansion meets a pruned sibling, and
-        // 0.1·k does.
-        for (task, batch, streamed, skips) in [
+        // run, which the stream must read too, then the engine's sibling
+        // skips. The upper bound 0.3·k qualifies no pattern whose
+        // expansion meets a pruned sibling, and 0.1·k does.
+        for (task, counted, skips) in [
             (
                 AuditTask::UnderRep(BiasMeasure::Proportional { alpha: 0.8 }),
-                (607, 1140, 509, 1),
                 (607, 1140, 509, 1),
                 133,
             ),
@@ -1576,7 +1539,6 @@ mod tests {
                     scope: OverRepScope::MostSpecific,
                 },
                 (121, 2608, 0, 1),
-                (121, 2608, 0, 1),
                 0,
             ),
             (
@@ -1585,12 +1547,10 @@ mod tests {
                     scope: OverRepScope::MostSpecific,
                 },
                 (353, 3248, 0, 1),
-                (353, 3248, 0, 1),
                 28,
             ),
             (
                 AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::LinearFraction(0.2))),
-                (1638, 682, 0, 11),
                 (283, 2865, 0, 1),
                 18,
             ),
@@ -1598,14 +1558,13 @@ mod tests {
             let out = audit.run(&cfg, &task, Engine::Optimized).unwrap();
             let mut stream = audit.run_streaming(&cfg, &task).unwrap();
             assert_eq!(stream.by_ref().count(), cfg.range_len());
-            assert_eq!(counters(&out.stats), batch, "{task:?}");
-            assert_eq!(counters(&stream.stats()), streamed, "{task:?}");
+            assert_eq!(counters(&out.stats), counted, "{task:?}");
+            assert_eq!(counters(&stream.stats()), counted, "{task:?}");
             let (index, space) = (audit.index(), audit.space());
             let skipped = match &task {
-                AuditTask::UnderRep(measure) => sibling_skips(
-                    LowerEngine::new(index, space, &cfg, measure.clone(), false),
-                    &cfg,
-                ),
+                AuditTask::UnderRep(measure) => {
+                    sibling_skips(LowerEngine::new(index, space, &cfg, measure.clone()), &cfg)
+                }
                 AuditTask::OverRep { upper, scope } => sibling_skips(
                     UpperEngine::new(index, space, &cfg, upper.clone(), *scope),
                     &cfg,

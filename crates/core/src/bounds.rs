@@ -4,10 +4,9 @@
 /// The paper’s default experimental setting is a step function (“10 for
 /// 10 ≤ k < 20, 20 for 20 ≤ k < 30, …”); [`Bounds::steps`] builds exactly
 /// that shape. Bounds are assumed non-decreasing in `k` (footnote 3 of the
-/// paper), but any shape stays exact: the `GlobalBounds` engine runs a
-/// fresh search at every decrease, and at an increase either a fresh
-/// search (the batch run) or a rescan of its node store (the stream and a
-/// monitor's replay).
+/// paper), but any shape stays exact: at every change of the bound, up or
+/// down, the `GlobalBounds` engine reclassifies its node store, in the
+/// batch run, the stream and a monitor's replay alike.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Bounds {
     /// The same bound for every `k`.

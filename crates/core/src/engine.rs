@@ -22,18 +22,17 @@
 //!
 //! For the global measure the bound is constant between bound steps and
 //! counts only grow, so nodes can only *leave* the biased state — no
-//! schedule is needed. When `L_k` changes, the batch run rebuilds from
-//! scratch exactly as Algorithm 2 does (lines 4–5); streaming and replay
-//! (`fast_steps`) apply the bound-step extension instead: a store-wide
-//! reclassification pass with zero fresh evaluations. Rebuilds keep the
-//! arena, so they run on prefix recounts.
+//! schedule is needed. Algorithm 2 reruns the search whenever `L_k`
+//! changes (lines 4–5). This engine reclassifies its stored nodes
+//! instead ([`Incremental::repair`] with the entering tuple), in every
+//! driver — the batch run, the stream and a monitor's replay — and in
+//! either direction, with identical results.
 //!
 //! The §III upper-bound side is the other engine on the same core
 //! (`upper_engine`), maintaining the *most specific* frontier of the
 //! subset-closed over-represented set.
 
 use std::cell::Cell;
-use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use crate::bounds::BiasMeasure;
@@ -134,9 +133,6 @@ pub(crate) struct LowerFrontier {
 pub(crate) struct LowerEngine<'a> {
     core: Core<'a>,
     bias: Bias,
-    /// Handle a bound *increase* by a store rescan instead of Algorithm
-    /// 2's rebuild.
-    fast_steps: bool,
     /// `Res`, in canonical pattern order: a snapshot copies it as is, and
     /// membership is a binary search ([`LowerEngine::res_slot`]).
     res: Vec<u32>,
@@ -167,7 +163,6 @@ impl<'a> LowerEngine<'a> {
         space: &'a PatternSpace,
         cfg: &DetectConfig,
         measure: BiasMeasure,
-        fast_steps: bool,
     ) -> Self {
         if let BiasMeasure::Proportional { alpha } = measure {
             assert!(alpha > 0.0, "alpha must be positive");
@@ -186,7 +181,6 @@ impl<'a> LowerEngine<'a> {
                 lk_memo: Cell::new((usize::MAX, 0)),
                 schedule,
             },
-            fast_steps,
             res: Vec::new(),
             dres: FxHashMap::default(),
             dominates: FxHashMap::default(),
@@ -398,21 +392,6 @@ impl<'a> LowerEngine<'a> {
         });
     }
 
-    /// Extension beyond the paper: a store-wide reclassification with zero
-    /// fresh evaluations. After a bound *increase* nodes can only *enter*
-    /// the biased state, and every most general biased pattern under the
-    /// new bound is already stored (its tree ancestors are non-biased
-    /// under the new bound, hence were non-biased — and therefore expanded
-    /// — under every earlier, smaller bound).
-    fn rescan_all(&mut self, k: usize, cands: &mut Vec<u32>) {
-        let bias = &self.bias;
-        self.core.rescan(|core, id| {
-            if bias.flipped(core, id, k) {
-                cands.push(id);
-            }
-        });
-    }
-
     /// Phase 2 (proportional only): drain the `k̃` bucket for `k`. Stale
     /// entries (count grew since scheduling) are re-inserted at their
     /// recomputed `k̃`; genuine flips join the transition candidates.
@@ -437,9 +416,9 @@ impl<'a> LowerEngine<'a> {
     }
 
     /// Phase 3: apply bias transitions, most-general patterns first. The
-    /// phases above may list a node twice (a walked node the schedule or
-    /// the rescan also flags); its second listing finds its membership
-    /// already matching its verdict and changes nothing.
+    /// phases above may list a node twice (a walked node the schedule
+    /// also flags); its second listing finds its membership already
+    /// matching its verdict and changes nothing.
     fn apply_transitions(
         &mut self,
         k: usize,
@@ -501,46 +480,39 @@ impl<'a> Incremental<'a> for LowerEngine<'a> {
         true
     }
 
-    /// Walk the entering tuple, handle bound steps (store rescan with
-    /// `fast_steps`, Algorithm 2's rebuild without), drain the `k̃`
-    /// schedule, apply transitions.
+    /// One step `k−1 → k` under a fixed bound: walk the entering tuple,
+    /// drain the `k̃` schedule, apply the transitions. Where Algorithm 2
+    /// reruns the search at a change of `L_k` (lines 4–5), this hands the
+    /// step to [`Incremental::repair`] with the entering tuple, in either
+    /// direction; the results are the same.
     fn advance(&mut self, k: usize, guard: &mut DeadlineGuard) -> bool {
-        let step = match &self.bias.measure {
-            BiasMeasure::GlobalLower(b) => b.at(k).cmp(&b.at(k - 1)),
-            BiasMeasure::Proportional { .. } => Ordering::Equal,
-        };
+        if let BiasMeasure::GlobalLower(b) = &self.bias.measure {
+            if b.at(k) != b.at(k - 1) {
+                return self.repair(k, &[k - 1], &[], guard);
+            }
+        }
         let mut cands = std::mem::take(&mut self.cands);
         cands.clear();
-        let finished = match step {
-            // A bound *increase* with the extension enabled: walk the new
-            // tuple, then reclassify the whole store.
-            Ordering::Greater if self.fast_steps => {
-                self.bump_entering(k, &mut cands);
-                self.rescan_all(k, &mut cands);
-                self.apply_transitions(k, &mut cands, guard)
-            }
-            // Algorithm 2, lines 4–5: a bound change invalidates the
-            // incremental frontier — run a fresh search. (Also the
-            // fallback for decreasing bounds, where the rescan argument
-            // does not apply.) The arena survives the reset, so the
-            // rebuild runs on prefix recounts.
-            Ordering::Greater | Ordering::Less => {
-                self.reset();
-                self.build(k, guard)
-            }
-            Ordering::Equal => {
-                self.bump_entering(k, &mut cands);
-                self.pop_schedule(k, &mut cands);
-                self.apply_transitions(k, &mut cands, guard)
-            }
-        };
+        self.bump_entering(k, &mut cands);
+        self.pop_schedule(k, &mut cands);
+        let finished = self.apply_transitions(k, &mut cands, guard);
         self.cands = cands;
         finished
     }
 
-    /// Reclassifies the whole store after the ±count walks and applies
-    /// the transitions — the same both-directions machinery the bound-step
-    /// rescan uses, so counts may move either way.
+    /// The ±count walks, then a reclassification of every live node
+    /// (zero fresh evaluations) and the transitions, so counts and the
+    /// bound may move either way.
+    ///
+    /// Correctness rests on an invariant the transitions keep in either
+    /// direction: every live node that is not biased, and whose tree
+    /// ancestors are all not biased, is open, so its children are live.
+    /// A bulk change to counts or to the bound can bias some nodes, which
+    /// needs no expansion. It can also unbias some, and `apply_transitions`
+    /// resumes the search below each unbiased node that is tree-minimal,
+    /// most general first. So every most general biased pattern — its
+    /// tree ancestors are subsets, not biased and tree-minimal, hence open
+    /// — is live after any change, up or down.
     fn repair(
         &mut self,
         k: usize,
@@ -565,7 +537,12 @@ impl<'a> Incremental<'a> for LowerEngine<'a> {
             self.core.walk(pos, true, |_, _| {});
         }
         let mut cands = Vec::new();
-        self.rescan_all(k, &mut cands);
+        let bias = &self.bias;
+        self.core.rescan(|core, id| {
+            if bias.flipped(core, id, k) {
+                cands.push(id);
+            }
+        });
         if !self.apply_transitions(k, &mut cands, guard) {
             return false;
         }
@@ -608,16 +585,6 @@ impl<'a> Incremental<'a> for LowerEngine<'a> {
             self.core.mark[id as usize] = true;
         }
     }
-
-    fn reset(&mut self) {
-        self.core.reset();
-        self.res.clear();
-        self.dres.clear();
-        self.dominates.clear();
-        for bucket in &mut self.bias.schedule {
-            bucket.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -642,14 +609,24 @@ mod tests {
         pats.iter().map(|p| space.display(p)).collect()
     }
 
-    /// The batch run: Algorithm 2's rebuild at bound steps.
+    /// The lazy stream over the whole `k` range.
+    fn stream<'a>(
+        index: &'a RankedIndex,
+        space: &'a PatternSpace,
+        cfg: &DetectConfig,
+        measure: BiasMeasure,
+    ) -> Stream<LowerEngine<'a>> {
+        Stream::new(LowerEngine::new(index, space, cfg, measure), cfg)
+    }
+
+    /// The batch run over the whole `k` range.
     fn batch(
         index: &RankedIndex,
         space: &PatternSpace,
         cfg: &DetectConfig,
         measure: BiasMeasure,
     ) -> DetectionOutput {
-        Stream::new(LowerEngine::new(index, space, cfg, measure, false), cfg).into_output()
+        stream(index, space, cfg, measure).into_output()
     }
 
     fn global(
@@ -682,7 +659,7 @@ mod tests {
         cadence: usize,
         counters: &mut ReplayCounters,
     ) -> DetectionOutput {
-        let engine = LowerEngine::new(index, space, cfg, measure.clone(), true);
+        let engine = LowerEngine::new(index, space, cfg, measure.clone());
         replay(engine, store, cfg.k_min, spans, None, cadence, counters)
     }
 
@@ -748,8 +725,9 @@ mod tests {
         let base = iter_td(&index, &space, &cfg, &measure);
         let opt = global(&index, &space, &cfg, &bounds);
         assert_eq!(base.per_k, opt.per_k);
-        // One initial build plus one rebuild per bound step inside (2,16].
-        assert_eq!(opt.stats.full_searches, 3);
+        // One initial build; the bound steps inside (2, 16] reclassify
+        // the stored nodes instead.
+        assert_eq!(opt.stats.full_searches, 1);
     }
 
     #[test]
@@ -893,36 +871,6 @@ mod tests {
         let cfg = DetectConfig::new(2, 2, 5);
         prop(&index, &space, &cfg, 0.0);
     }
-}
-
-#[cfg(test)]
-mod stream_tests {
-    use super::*;
-    use crate::bounds::Bounds;
-    use crate::incremental::Stream;
-    use rankfair_data::examples::{fig1_rank_order, students_fig1};
-    use rankfair_rank::Ranking;
-
-    fn fig1() -> (PatternSpace, RankedIndex) {
-        let ds = students_fig1();
-        let space = PatternSpace::from_dataset(&ds).unwrap();
-        let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
-        let index = RankedIndex::build(&ds, &space, &ranking);
-        (space, index)
-    }
-
-    fn stream<'a>(
-        index: &'a RankedIndex,
-        space: &'a PatternSpace,
-        cfg: &DetectConfig,
-        measure: BiasMeasure,
-        fast_steps: bool,
-    ) -> Stream<LowerEngine<'a>> {
-        Stream::new(
-            LowerEngine::new(index, space, cfg, measure, fast_steps),
-            cfg,
-        )
-    }
 
     #[test]
     fn stream_collect_equals_batch_global() {
@@ -930,9 +878,10 @@ mod stream_tests {
         let cfg = DetectConfig::new(2, 2, 16);
         let bounds = Bounds::steps(vec![(2, 1), (6, 2), (10, 3)]);
         let measure = BiasMeasure::GlobalLower(bounds);
-        let batch = stream(&index, &space, &cfg, measure.clone(), false).into_output();
-        let streamed: Vec<KResult> = stream(&index, &space, &cfg, measure, true).collect();
+        let batch = batch(&index, &space, &cfg, measure.clone());
+        let streamed: Vec<KResult> = stream(&index, &space, &cfg, measure.clone()).collect();
         assert_eq!(batch.per_k, streamed);
+        assert_eq!(streamed, iter_td(&index, &space, &cfg, &measure).per_k);
     }
 
     #[test]
@@ -940,8 +889,8 @@ mod stream_tests {
         let (space, index) = fig1();
         let cfg = DetectConfig::new(2, 3, 16);
         let measure = BiasMeasure::Proportional { alpha: 0.8 };
-        let batch = stream(&index, &space, &cfg, measure.clone(), false).into_output();
-        let streamed: Vec<KResult> = stream(&index, &space, &cfg, measure, true).collect();
+        let batch = batch(&index, &space, &cfg, measure.clone());
+        let streamed: Vec<KResult> = stream(&index, &space, &cfg, measure).collect();
         assert_eq!(batch.per_k, streamed);
     }
 
@@ -950,7 +899,7 @@ mod stream_tests {
         let (space, index) = fig1();
         let cfg = DetectConfig::new(2, 2, 16);
         let measure = BiasMeasure::Proportional { alpha: 0.8 };
-        let mut stream = stream(&index, &space, &cfg, measure, true);
+        let mut stream = stream(&index, &space, &cfg, measure);
         let first = stream.next().unwrap();
         assert_eq!(first.k, 2);
         let after_one = stream.stats().nodes_evaluated;
@@ -964,7 +913,7 @@ mod stream_tests {
         let (space, index) = fig1();
         let cfg = DetectConfig::new(2, 2, 16);
         let measure = BiasMeasure::GlobalLower(Bounds::constant(2));
-        let ks: Vec<usize> = stream(&index, &space, &cfg, measure, true)
+        let ks: Vec<usize> = stream(&index, &space, &cfg, measure)
             .take(3)
             .map(|kr| kr.k)
             .collect();

@@ -36,8 +36,8 @@
 //!   **prefix-only recounts** ([`RankedIndex::prefix_count`], a
 //!   truncated bitmap scan) — the stored `s_D` is reused, never
 //!   recomputed;
-//! * a rebuild (a lower-bound step, or a cold replay build) keeps the
-//!   arena and only clears run state, so it also runs on prefix recounts.
+//! * a cold replay build over a stored arena only clears run state, so it
+//!   also runs on prefix recounts.
 //!
 //! The arena is append-only (structure is independent of `k` and of the
 //! bound), so a checkpoint taken at any time stays consistent with every
@@ -623,11 +623,13 @@ pub(crate) trait Incremental<'a> {
     fn build(&mut self, k: usize, guard: &mut DeadlineGuard) -> bool;
     /// One incremental step `k−1 → k`.
     fn advance(&mut self, k: usize, guard: &mut DeadlineGuard) -> bool;
-    /// Repairs state positioned at `k` after a pure reorder changed its
-    /// top-`k` **set**: subtracts the `leaving` tuples, adds the
-    /// `entering` ones (positions in the patched index) and reclassifies.
-    /// Sound for reorders only: `s_D`, `n` and the pruned slots are
-    /// untouched (an insertion voids the store instead).
+    /// Reclassifies state positioned at `k` after counts moved in bulk:
+    /// subtracts the `leaving` tuples, adds the `entering` ones (rank
+    /// positions in the current index), reclassifies every live node
+    /// under the bound at `k` and applies the transitions. That covers a
+    /// reorder's top-`k` set diff, and a bound change at `k` with
+    /// `entering = [k − 1]`. `s_D`, `n` and the pruned slots are
+    /// untouched in both cases (an insertion voids the store instead).
     fn repair(
         &mut self,
         k: usize,
@@ -642,8 +644,6 @@ pub(crate) trait Incremental<'a> {
     /// Overwrites the frontier from a checkpoint (after [`Core::restore`]
     /// cleared `mark`).
     fn set_frontier(&mut self, frontier: &Self::Frontier);
-    /// Clears the run state for a fresh build.
-    fn reset(&mut self);
 }
 
 fn checkpoint<'a, E: Incremental<'a>>(engine: &E, k: usize) -> Checkpoint<E::Frontier> {
@@ -916,7 +916,6 @@ pub(crate) fn replay<'a, E: Incremental<'a>>(
             _ => {
                 counters.cold_builds += 1;
                 counters.replayed_steps += 1;
-                engine.reset();
                 engine.build(k_min, &mut guard);
                 if grid_checkpoint(&mut store.snaps, &engine, k_min, k_min, cadence, None) {
                     healed.insert(k_min);

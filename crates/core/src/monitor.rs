@@ -63,10 +63,7 @@
 //! the top-`k` *set* alone); a seek checkpoint an edit did swallow is
 //! **repaired in place** from the old-vs-new top-`k` set diff — ±count
 //! walks for the tuples that crossed, plus one store reclassify — so no
-//! pure reorder ever triggers a fresh engine build. (One carve out: a
-//! *decreasing* lower step bound still rebuilds at its step during
-//! replay, exactly as Algorithm 2 does — the store-rescan shortcut only
-//! covers increases.)
+//! pure reorder ever triggers a fresh engine build.
 //! [`MonitorAudit::checkpoint_stats`] exposes the live-checkpoint,
 //! arena/memory and seek/repair/segment counters (also on the wire
 //! `snapshot` op).

@@ -10,10 +10,11 @@
 use rankfair_data::Dataset;
 use rankfair_rank::Ranking;
 
+use crate::audit::OverRepScope;
 use crate::bounds::BiasMeasure;
 use crate::pattern::Pattern;
 use crate::space::{AttrId, PatternSpace};
-use crate::stats::KResult;
+use crate::stats::{DeadlineGuard, KResult};
 
 /// Counts `(s_D(p), s_Rk(p))` by scanning rows (no bitmaps).
 pub fn naive_counts(
@@ -93,6 +94,48 @@ pub fn detect(
         per_k.push(KResult { k, patterns });
     }
     per_k
+}
+
+/// Reference over-representation at one `k`: the patterns of
+/// `substantial` whose naive top-`k` count exceeds `u`, keeping those with
+/// no qualifying proper superset (most specific) or no qualifying proper
+/// subset (most general), sorted. The `Engine::Baseline` over-side of an
+/// audit. Polls `guard` per pattern and returns `None` once it expires.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn oracle_over(
+    ds: &Dataset,
+    space: &PatternSpace,
+    ranking: &Ranking,
+    substantial: &[Pattern],
+    k: usize,
+    u: usize,
+    scope: OverRepScope,
+    guard: &mut DeadlineGuard,
+) -> Option<Vec<Pattern>> {
+    let mut qualifying: Vec<&Pattern> = Vec::new();
+    for p in substantial {
+        if guard.expired() {
+            return None;
+        }
+        if naive_counts(ds, space, ranking, p, k).1 > u {
+            qualifying.push(p);
+        }
+    }
+    let mut out: Vec<Pattern> = Vec::new();
+    for p in &qualifying {
+        if guard.expired() {
+            return None;
+        }
+        let dominated = match scope {
+            OverRepScope::MostSpecific => qualifying.iter().any(|q| p.is_proper_subset_of(q)),
+            OverRepScope::MostGeneral => qualifying.iter().any(|q| q.is_proper_subset_of(p)),
+        };
+        if !dominated {
+            out.push((*p).clone());
+        }
+    }
+    out.sort_unstable();
+    Some(out)
 }
 
 #[cfg(test)]

@@ -673,7 +673,8 @@ fn shard_boundaries(n: usize, blocks: usize) -> Vec<usize> {
 
 impl RankedIndex {
     /// Rows from which a sharded build builds its row blocks on scoped
-    /// threads, one per block.
+    /// threads: at most one per available core, each building a
+    /// contiguous run of blocks.
     pub const PARALLEL_MIN_ROWS: usize = 1 << 16;
 
     /// Builds the index for `ds` under `ranking`, over the attributes of
@@ -736,13 +737,18 @@ impl RankedIndex {
         let n = rank.n();
         let bounds = shard_boundaries(n, shards);
         let spans: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
-        let fan_out = shards > 1 && std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
-        let data: Vec<MembershipMaps> = if fan_out && n >= Self::PARALLEL_MIN_ROWS {
+        let threads = std::thread::available_parallelism().map_or(1, |p| p.get().min(shards));
+        let data: Vec<MembershipMaps> = if threads > 1 && n >= Self::PARALLEL_MIN_ROWS {
             let mut slots: Vec<Option<MembershipMaps>> = (0..shards).map(|_| None).collect();
+            // One thread per run of `per` consecutive blocks, so a count
+            // of blocks past the core count starts no more threads.
+            let per = shards.div_ceil(threads);
             std::thread::scope(|scope| {
-                for (slot, span) in slots.iter_mut().zip(&spans) {
+                for (run, spans) in slots.chunks_mut(per).zip(spans.chunks(per)) {
                     scope.spawn(move || {
-                        *slot = Some(MembershipMaps::build(ds, space, span.clone()))
+                        for (slot, span) in run.iter_mut().zip(spans) {
+                            *slot = Some(MembershipMaps::build(ds, space, span.clone()));
+                        }
                     });
                 }
             });
@@ -1586,7 +1592,8 @@ mod tests {
     #[test]
     fn child_counts_fan_out_matches_unsharded() {
         // From PARALLEL_MIN_ROWS rows a sharded build builds its row
-        // blocks on scoped threads (on a multi-core host); counts over
+        // blocks on scoped threads (on a multi-core host), each thread a
+        // run of blocks once the 7 blocks outnumber the cores; counts over
         // those blocks must not care which path built them.
         let rows = 3 * RankedIndex::PARALLEL_MIN_ROWS + 5;
         let spec = rankfair_synth::RandomSpec {
@@ -1598,8 +1605,9 @@ mod tests {
         let space = PatternSpace::from_dataset(&ds).unwrap();
         let ranking = Ranking::from_order(rankfair_synth::random_ranking(5, rows)).unwrap();
         let single = RankedIndex::build(&ds, &space, &ranking);
-        let sharded = RankedIndex::sharded(&ds, &space, &ranking, 3);
-        let ks = [0, 1, 64, rows / 3 + 1, rows - 1, rows];
+        let sharded = RankedIndex::sharded(&ds, &space, &ranking, 7);
+        assert_eq!(sharded.shard_count(), 7);
+        let ks = [0, 1, 64, rows / 7 + 1, rows / 3 + 1, rows - 1, rows];
         assert_child_counts_match(&sharded, |p, k| single.counts(p, k), &space, &ks);
     }
 

@@ -61,8 +61,10 @@ pub struct SearchStats {
     pub nodes_touched: u64,
     /// `k̃`-schedule entries popped and validated (proportional only).
     pub schedule_pops: u64,
-    /// Full top-down rebuilds (1 for the initial search; +1 per bound step
-    /// for the global measure).
+    /// Full top-down searches: one per optimized engine run (its build at
+    /// `k_min`; a bound step reclassifies the stored nodes instead), none
+    /// for a monitor replay that seeks a checkpoint, and one per `k` for
+    /// the baseline.
     pub full_searches: u64,
     /// Wall-clock time of the run.
     pub elapsed: Duration,

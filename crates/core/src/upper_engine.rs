@@ -35,12 +35,14 @@
 //!   a fresh pattern evaluation.
 //!
 //! On an upper-bound step (`U_k ≠ U_{k-1}`) nodes can flip in both
-//! directions, so the engine reclassifies the whole live store in one pass
-//! — a store rescan with zero fresh evaluations, not a from-scratch
-//! rebuild — expands any newly qualifying region, and applies the same
-//! frontier delta with the *lost* nodes folded in: a lost node leaves the
-//! frontier, and its still-qualifying one-term subsets (for which it may
-//! have been the last qualifying blocker) join the probe candidates.
+//! directions, so the step goes to `repair` with the entering tuple, the
+//! same pass a monitor runs on a checkpoint an edit swallowed: it
+//! reclassifies the whole live store — a store rescan with zero fresh
+//! evaluations, not a from-scratch rebuild — expands any newly qualifying
+//! region, and applies the same frontier delta with the *lost* nodes
+//! folded in: a lost node leaves the frontier, and its still-qualifying
+//! one-term subsets (for which it may have been the last qualifying
+//! blocker) join the probe candidates.
 //! Probes stay confined to the flipped region, so bounds that change at
 //! every `k` (e.g. [`Bounds::LinearFraction`]) remain incremental;
 //! decreasing bounds are covered too, since the growing qualifying set is
@@ -277,29 +279,6 @@ impl<'a> UpperEngine<'a> {
         }
         self.cascade(&mut fresh, k, u, guard) && self.apply_frontier_delta(&fresh, lost, u, guard)
     }
-
-    /// Reclassifies every live node under `(k, u)` after counts moved in
-    /// bulk (a bound step, or a checkpoint repair), repairs the closure
-    /// where the qualifying set grew, and applies the frontier delta with
-    /// both gains and losses. Handles increasing *and* decreasing bounds;
-    /// frontier probes stay confined to the flipped region, so even a
-    /// bound that changes at every `k` keeps the engine incremental.
-    fn reclassify_all(&mut self, k: usize, u: usize, guard: &mut DeadlineGuard) -> bool {
-        let mut fresh = Vec::new();
-        let mut lost = Vec::new();
-        self.core.rescan(|core, id| {
-            let q = core.count(id) > u;
-            if q != core.mark[id as usize] {
-                core.mark[id as usize] = q;
-                if q {
-                    fresh.push(id);
-                } else {
-                    lost.push(id);
-                }
-            }
-        });
-        self.settle(fresh, &lost, k, u, guard)
-    }
 }
 
 impl<'a> Incremental<'a> for UpperEngine<'a> {
@@ -331,16 +310,15 @@ impl<'a> Incremental<'a> for UpperEngine<'a> {
     /// One incremental step `k−1 → k`. With `U` fixed, counts only grow,
     /// so no node can stop qualifying: walk the new tuple's subtree
     /// flagging nodes that start qualifying, repair the closure, and apply
-    /// the frontier delta. When the bound moved, bump counts, then
-    /// reclassify the whole store.
+    /// the frontier delta. A step where the bound moved goes to
+    /// [`Incremental::repair`] with the entering tuple.
     fn advance(&mut self, k: usize, guard: &mut DeadlineGuard) -> bool {
         if guard.expired() {
             return false;
         }
         let u = self.upper.at(k);
         if u != self.upper.at(k - 1) {
-            self.core.walk(k - 1, true, |_, _| {});
-            return self.reclassify_all(k, u, guard);
+            return self.repair(k, &[k - 1], &[], guard);
         }
         let mut fresh = Vec::new();
         self.core.walk(k - 1, true, |core, id| {
@@ -352,8 +330,12 @@ impl<'a> Incremental<'a> for UpperEngine<'a> {
         self.settle(fresh, &[], k, u, guard)
     }
 
-    /// The ±count walks, then the bound-step reclassification, which
-    /// already handles flips in both directions.
+    /// The ±count walks, then a reclassification of every live node under
+    /// `(k, U_k)` with zero fresh evaluations: repairs the closure where
+    /// the qualifying set grew and applies the frontier delta with both
+    /// gains and losses. Handles counts and bounds that move either way;
+    /// frontier probes stay confined to the flipped region, so even a
+    /// bound that changes at every `k` keeps the engine incremental.
     fn repair(
         &mut self,
         k: usize,
@@ -367,7 +349,21 @@ impl<'a> Incremental<'a> for UpperEngine<'a> {
         for &pos in entering {
             self.core.walk(pos, true, |_, _| {});
         }
-        self.reclassify_all(k, self.upper.at(k), guard)
+        let u = self.upper.at(k);
+        let mut fresh = Vec::new();
+        let mut lost = Vec::new();
+        self.core.rescan(|core, id| {
+            let q = core.count(id) > u;
+            if q != core.mark[id as usize] {
+                core.mark[id as usize] = q;
+                if q {
+                    fresh.push(id);
+                } else {
+                    lost.push(id);
+                }
+            }
+        });
+        self.settle(fresh, &lost, k, u, guard)
     }
 
     fn snapshot(&self, k: usize) -> KResult {
@@ -404,11 +400,6 @@ impl<'a> Incremental<'a> for UpperEngine<'a> {
         self.core.mark.resize(n, false);
         self.maximal.clone_from(&frontier.maximal);
     }
-
-    fn reset(&mut self) {
-        self.core.reset();
-        self.maximal.clear();
-    }
 }
 
 #[cfg(test)]
@@ -418,7 +409,6 @@ mod tests {
     use crate::oracle;
     use crate::stats::{DetectionOutput, ReplayCounters};
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
-    use rankfair_data::Dataset;
     use rankfair_rank::Ranking;
 
     fn fig1() -> (PatternSpace, RankedIndex) {
@@ -427,37 +417,6 @@ mod tests {
         let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
         let index = RankedIndex::build(&ds, &space, &ranking);
         (space, index)
-    }
-
-    /// Brute-force reference at one `k`: the substantial patterns with
-    /// `s_Rk(p) > u`, keeping those with no qualifying proper superset
-    /// (most specific) or no qualifying proper subset (most general).
-    fn oracle_upper(
-        ds: &Dataset,
-        space: &PatternSpace,
-        ranking: &Ranking,
-        tau: usize,
-        k: usize,
-        u: usize,
-        scope: OverRepScope,
-    ) -> Vec<Pattern> {
-        let all = oracle::enumerate_substantial(ds, space, ranking, tau);
-        let qualifying: Vec<&Pattern> = all
-            .iter()
-            .filter(|p| oracle::naive_counts(ds, space, ranking, p, k).1 > u)
-            .collect();
-        let mut want: Vec<Pattern> = qualifying
-            .iter()
-            .filter(|p| {
-                !qualifying.iter().any(|q| match scope {
-                    OverRepScope::MostSpecific => p.is_proper_subset_of(q),
-                    OverRepScope::MostGeneral => q.is_proper_subset_of(p),
-                })
-            })
-            .map(|p| (*p).clone())
-            .collect();
-        want.sort_unstable();
-        want
     }
 
     /// The batch run over the whole `k` range.
@@ -533,14 +492,30 @@ mod tests {
         let ds = students_fig1();
         let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
         for tau in [1, 2, 4] {
+            let substantial = oracle::enumerate_substantial(&ds, &space, &ranking, tau);
             for u in [0, 1, 2, 4] {
                 for scope in [OverRepScope::MostSpecific, OverRepScope::MostGeneral] {
                     let cfg = DetectConfig::new(tau, 2, 16);
                     let per_k = batch(&index, &space, &cfg, &Bounds::constant(u), scope).per_k;
                     assert_eq!(per_k.len(), 15);
                     for kr in &per_k {
-                        let want = oracle_upper(&ds, &space, &ranking, tau, kr.k, u, scope);
-                        assert_eq!(kr.patterns, want, "tau={tau} u={u} k={} {scope:?}", kr.k);
+                        let mut guard = DeadlineGuard::new(None);
+                        let want = oracle::oracle_over(
+                            &ds,
+                            &space,
+                            &ranking,
+                            &substantial,
+                            kr.k,
+                            u,
+                            scope,
+                            &mut guard,
+                        );
+                        assert_eq!(
+                            Some(&kr.patterns),
+                            want.as_ref(),
+                            "tau={tau} u={u} k={} {scope:?}",
+                            kr.k
+                        );
                     }
                 }
             }
@@ -556,12 +531,23 @@ mod tests {
         // store-rescan path in both directions.
         let bounds = Bounds::steps(vec![(0, 1), (6, 3), (11, 2)]);
         let cfg = DetectConfig::new(2, 2, 16);
+        let substantial = oracle::enumerate_substantial(&ds, &space, &ranking, 2);
         for scope in [OverRepScope::MostSpecific, OverRepScope::MostGeneral] {
             let per_k = batch(&index, &space, &cfg, &bounds, scope).per_k;
             assert_eq!(per_k.len(), 15);
             for kr in &per_k {
-                let want = oracle_upper(&ds, &space, &ranking, 2, kr.k, bounds.at(kr.k), scope);
-                assert_eq!(kr.patterns, want, "k={} {scope:?}", kr.k);
+                let mut guard = DeadlineGuard::new(None);
+                let want = oracle::oracle_over(
+                    &ds,
+                    &space,
+                    &ranking,
+                    &substantial,
+                    kr.k,
+                    bounds.at(kr.k),
+                    scope,
+                    &mut guard,
+                );
+                assert_eq!(Some(&kr.patterns), want.as_ref(), "k={} {scope:?}", kr.k);
             }
         }
     }

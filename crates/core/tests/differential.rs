@@ -107,8 +107,8 @@ fn global_bounds_with_step_bounds_agrees() {
         assert_eq!(base, opt, "seed={seed}");
         let want = oracle_results(&audit, &cfg, &measure);
         assert_eq!(opt, want, "seed={seed}");
-        // The streaming path uses the bound-step extension (reclassify
-        // instead of rebuild) — it must be output-equivalent too.
+        // The stream reclassifies its node store at each bound step, as
+        // the batch run does — it must be output-equivalent too.
         let streamed: Vec<KResult> = audit
             .run_streaming(&cfg, &AuditTask::UnderRep(measure.clone()))
             .unwrap()

@@ -1,8 +1,7 @@
 //! Edge-case integration tests for the detection engine: degenerate
 //! datasets, extreme parameters, and bound shapes the paper's assumptions
-//! do not cover (the engine must stay correct, falling back to a fresh
-//! search or a rescan of its node store where the incremental step does
-//! not apply).
+//! do not cover (the engine must stay correct, reclassifying its node
+//! store where the one-tuple step does not apply).
 
 use std::sync::Arc;
 
@@ -110,89 +109,95 @@ fn cardinality_one_attribute() {
 
 #[test]
 fn decreasing_bounds_still_exact() {
-    // Footnote 3 assumes non-decreasing L_k. At a decreasing step every
-    // execution mode runs a fresh search: the batch run does so at any
-    // bound change, while the stream and a monitor's replay rescan their
-    // node store at an increase only. A decreasing specification must
-    // still be exact (if unusual) in each mode.
+    // Footnote 3 assumes non-decreasing L_k. Every execution mode — the
+    // batch run, the stream and a monitor's replay — reclassifies its node
+    // store at a bound change in either direction, with one build at
+    // k_min. A bound that falls, and one that falls and then rises again,
+    // must still be exact (if unusual) in each mode.
     let audit = build(11, 50, 4);
-    let bounds = Bounds::steps(vec![(0, 6), (10, 4), (20, 2)]);
     let cfg = DetectConfig::new(2, 2, 40);
-    let measure = BiasMeasure::GlobalLower(bounds.clone());
-    let base = under(&audit, &cfg, &measure, Engine::Baseline);
-    let opt = under(&audit, &cfg, &measure, Engine::Optimized);
-    assert_eq!(base, opt);
-    let want = oracle::detect(
-        audit.dataset(),
-        audit.space(),
-        audit.ranking(),
-        2,
-        2,
-        40,
-        &measure,
-    );
-    assert_eq!(opt, want);
+    for bounds in [
+        Bounds::steps(vec![(0, 6), (10, 4), (20, 2)]),
+        Bounds::steps(vec![(0, 6), (10, 4), (20, 2), (30, 5)]),
+    ] {
+        let measure = BiasMeasure::GlobalLower(bounds.clone());
+        let base = under(&audit, &cfg, &measure, Engine::Baseline);
+        let opt = under(&audit, &cfg, &measure, Engine::Optimized);
+        assert_eq!(base, opt, "{bounds:?}");
+        let want = oracle::detect(
+            audit.dataset(),
+            audit.space(),
+            audit.ranking(),
+            2,
+            2,
+            40,
+            &measure,
+        );
+        assert_eq!(opt, want, "{bounds:?}");
 
-    // The stream equals the batch run. Both rebuild at k_min and at the
-    // two decreasing steps.
-    let task = AuditTask::UnderRep(measure);
-    let batch = audit.run(&cfg, &task, Engine::Optimized).unwrap();
-    let mut stream = audit.run_streaming(&cfg, &task).unwrap();
-    let streamed: Vec<_> = stream.by_ref().collect();
-    assert_eq!(streamed, batch.per_k);
-    assert_eq!(batch.stats.full_searches, 3);
-    assert_eq!(stream.stats().full_searches, 3);
+        // The stream equals the batch run, and neither searches again
+        // after the build at k_min.
+        let task = AuditTask::UnderRep(measure);
+        let batch = audit.run(&cfg, &task, Engine::Optimized).unwrap();
+        let mut stream = audit.run_streaming(&cfg, &task).unwrap();
+        let streamed: Vec<_> = stream.by_ref().collect();
+        assert_eq!(streamed, batch.per_k, "{bounds:?}");
+        assert_eq!(batch.stats.full_searches, 1, "{bounds:?}");
+        assert_eq!(stream.stats().full_searches, 1, "{bounds:?}");
 
-    // A monitor's checkpointed replay: scores that reproduce the audit's
-    // ranking, then reorder batches whose changed-k spans cross both
-    // steps (k = 10 and k = 20).
-    let mut ds = audit.dataset().clone();
-    let mut scores = vec![0.0; ds.n_rows()];
-    for (pos, &row) in audit.ranking().order().iter().enumerate() {
-        scores[row as usize] = (ds.n_rows() - pos) as f64;
-    }
-    ds.push_column(Column::numeric("score", scores)).unwrap();
-    let combined = AuditTask::Combined {
-        lower: bounds,
-        upper: Bounds::LinearFraction(0.4),
-    };
-    // Each batch moves the row at `from` to just above the row at `to`,
-    // both positions read before the batch.
-    let batches: [&[(usize, usize)]; 4] =
-        [&[(3, 25)], &[(35, 0)], &[(6, 14), (28, 18)], &[(0, 45)]];
-    for task in [task, combined] {
-        for cadence in [1, 3, 8] {
-            let mut monitor = MonitorAudit::builder(ds.clone(), "score")
-                .checkpoint_every(cadence)
-                .build(cfg.clone(), task.clone(), Engine::Optimized)
-                .unwrap();
-            for (b, moves) in batches.iter().enumerate() {
-                let ranking = monitor.ranking();
-                let score = monitor.dataset().column_by_name("score").unwrap();
-                let at = |pos: usize| score.value(ranking.at(pos) as usize);
-                let edits: Vec<RankingEdit> = moves
-                    .iter()
-                    .map(|&(from, to)| RankingEdit::ScoreUpdate {
-                        row: ranking.at(from),
-                        score: if to == 0 {
-                            at(0) + 1.0
-                        } else {
-                            (at(to - 1) + at(to)) / 2.0
-                        },
-                    })
-                    .collect();
-                monitor.apply(&edits).unwrap();
-                let fresh = Audit::builder(Arc::new(monitor.dataset().clone()))
-                    .ranking(monitor.ranking())
-                    .build()
-                    .unwrap()
-                    .run(&cfg, &task, Engine::Optimized)
+        // A monitor's checkpointed replay: scores that reproduce the
+        // audit's ranking, then reorder batches whose changed-k spans
+        // cross every step (k = 10, 20 and 30).
+        let mut ds = audit.dataset().clone();
+        let mut scores = vec![0.0; ds.n_rows()];
+        for (pos, &row) in audit.ranking().order().iter().enumerate() {
+            scores[row as usize] = (ds.n_rows() - pos) as f64;
+        }
+        ds.push_column(Column::numeric("score", scores)).unwrap();
+        let combined = AuditTask::Combined {
+            lower: bounds.clone(),
+            upper: Bounds::LinearFraction(0.4),
+        };
+        // Each batch moves the row at `from` to just above the row at
+        // `to`, both positions read before the batch.
+        let batches: [&[(usize, usize)]; 4] =
+            [&[(3, 25)], &[(35, 0)], &[(6, 14), (28, 18)], &[(0, 45)]];
+        for task in [task, combined] {
+            for cadence in [1, 3, 8] {
+                let mut monitor = MonitorAudit::builder(ds.clone(), "score")
+                    .checkpoint_every(cadence)
+                    .build(cfg.clone(), task.clone(), Engine::Optimized)
                     .unwrap();
-                assert_eq!(
-                    monitor.results(),
-                    &fresh.per_k[..],
-                    "{task:?} cadence {cadence} batch {b}"
-                );
+                for (b, moves) in batches.iter().enumerate() {
+                    let ranking = monitor.ranking();
+                    let score = monitor.dataset().column_by_name("score").unwrap();
+                    let at = |pos: usize| score.value(ranking.at(pos) as usize);
+                    let edits: Vec<RankingEdit> = moves
+                        .iter()
+                        .map(|&(from, to)| RankingEdit::ScoreUpdate {
+                            row: ranking.at(from),
+                            score: if to == 0 {
+                                at(0) + 1.0
+                            } else {
+                                (at(to - 1) + at(to)) / 2.0
+                            },
+                        })
+                        .collect();
+                    monitor.apply(&edits).unwrap();
+                    // The baseline engines share no step code with the
+                    // replay.
+                    let fresh = Audit::builder(Arc::new(monitor.dataset().clone()))
+                        .ranking(monitor.ranking())
+                        .build()
+                        .unwrap()
+                        .run(&cfg, &task, Engine::Baseline)
+                        .unwrap();
+                    assert_eq!(
+                        monitor.results(),
+                        &fresh.per_k[..],
+                        "{bounds:?} {task:?} cadence {cadence} batch {b}"
+                    );
+                }
             }
         }
     }
@@ -309,14 +314,14 @@ fn stats_monotonicity_between_algorithms() {
     let opt = audit.run(&cfg, &g, Engine::Optimized).unwrap();
     assert_eq!(base.per_k, opt.per_k);
     assert!(opt.stats.patterns_examined() < base.stats.patterns_examined());
-    assert_eq!(opt.stats.full_searches, 3); // initial + steps at 50 and 90
+    assert_eq!(opt.stats.full_searches, 1); // the steps at 50 and 90 reclassify
 
     let p = AuditTask::UnderRep(BiasMeasure::Proportional { alpha: 0.7 });
     let base = audit.run(&cfg, &p, Engine::Baseline).unwrap();
     let opt = audit.run(&cfg, &p, Engine::Optimized).unwrap();
     assert_eq!(base.per_k, opt.per_k);
     assert!(opt.stats.patterns_examined() < base.stats.patterns_examined());
-    assert_eq!(opt.stats.full_searches, 1); // PropBounds never rebuilds
+    assert_eq!(opt.stats.full_searches, 1); // PropBounds builds once too
 }
 
 /// Upper-bound edge cases through the audit API: impossible bounds and

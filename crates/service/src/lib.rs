@@ -435,6 +435,12 @@ impl AuditService {
 
     /// Loads a CSV and registers it under `name` with a shard spec (see
     /// [`AuditService::register_dataset_sharded`]). Returns `(rows, cols)`.
+    ///
+    /// # Errors
+    /// [`ServiceError::Csv`] if the file does not load, and
+    /// [`ServiceError::BadRequest`] if `shards` exceeds the CSV's row
+    /// count (or 1 for an empty CSV), so one request cannot make an audit
+    /// allocate block boundaries or start build threads past the rows.
     pub fn register_csv_sharded(
         &self,
         name: &str,
@@ -448,6 +454,12 @@ impl AuditService {
         };
         let ds = read_csv(path, &opts).map_err(|e| ServiceError::Csv(format!("{path}: {e}")))?;
         let shape = (ds.n_rows(), ds.n_cols());
+        if shards > shape.0.max(1) {
+            return Err(ServiceError::BadRequest(format!(
+                "`shards` ({shards}) exceeds the {} rows of {path}",
+                shape.0
+            )));
+        }
         let mut datasets = self.datasets.write().expect("registry lock");
         datasets.insert(
             name.to_string(),

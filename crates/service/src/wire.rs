@@ -30,7 +30,8 @@
 //! * bounds `B` — a number (constant), `{"steps": [[k_from, bound], …]}`,
 //!   or `{"fraction": X}` (`⌈X·k⌉`).
 //! * `config` — `{"tau": N, "kmin": N, "kmax": N, "deadline_s": X?}`.
-//! * `register.shards` — optional positive integer (default 1). With
+//! * `register.shards` — optional positive integer (default 1), at most
+//!   the CSV's row count (a larger count is a `bad_request`). With
 //!   `shards > 1`, audits on the dataset cut its rows into that many
 //!   contiguous blocks, build each block's membership maps separately,
 //!   and merge per-shard pattern counts additively at query time; results

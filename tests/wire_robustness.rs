@@ -260,6 +260,69 @@ fn hostile_update_ops_answer_in_band() {
     }
 }
 
+/// `register.shards` may not exceed the CSV's row count: one request past
+/// it would make the first audit allocate a boundary per block (about
+/// 34 GB at `u32::MAX`), which no in-band error can catch, so it is
+/// answered in-band as `bad_request` and registers nothing. At the cap
+/// every row is its own block, and an audit equals the unsharded one.
+#[test]
+fn register_shards_past_the_row_count_is_a_bad_request() {
+    let dir = std::env::temp_dir().join(format!("rankfair_wire_shards_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("fig1.csv");
+    let fig1 = rankfair::data::examples::students_fig1();
+    assert_eq!(fig1.n_rows(), 16);
+    rankfair::data::csv::write_csv(&fig1, &csv, ',').unwrap();
+    let csv = csv.to_str().unwrap();
+    let register = |id: usize, name: &str, shards: usize| {
+        format!(
+            r#"{{"id": {id}, "op": "register", "name": "{name}", "csv": "{csv}", "shards": {shards}}}"#
+        )
+    };
+    let audit = |id: usize, dataset: &str| {
+        format!(
+            r#"{{"id": {id}, "dataset": "{dataset}", "ranking": {{"rank_by": "Grade"}}, "task": {{"type": "combined", "lower": 2, "upper": 3}}, "config": {{"tau": 2, "kmin": 2, "kmax": 16}}}}"#
+        )
+    };
+    let input = [
+        register(1, "too_many", 17),
+        register(2, "at_cap", 16),
+        register(3, "one", 1),
+        audit(4, "at_cap"),
+        audit(5, "one"),
+    ]
+    .map(|line| line + "\n")
+    .concat();
+    let (answered, lines) = run(input.into_bytes(), 1).expect("valid UTF-8 stream");
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(answered, 5);
+    assert_lines_well_formed(&lines);
+    let by_id = |id: usize| {
+        lines
+            .iter()
+            .map(|line| rankfair::json::parse(line).unwrap())
+            .find(|v| v.get("id").and_then(|i| i.as_usize()) == Some(id))
+            .unwrap_or_else(|| panic!("no response for id {id}"))
+    };
+    let rejected = by_id(1);
+    assert_eq!(rejected.get("ok").and_then(|b| b.as_bool()), Some(false));
+    let kind = rejected.get("error").and_then(|e| e.get("kind"));
+    assert_eq!(
+        kind.and_then(|k| k.as_str()),
+        Some("bad_request"),
+        "{rejected:?}"
+    );
+    for id in 2..=5 {
+        let v = by_id(id);
+        assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(true), "{v:?}");
+    }
+    assert_eq!(by_id(2).get("shards").and_then(|s| s.as_usize()), Some(16));
+    let (sharded, single) = (by_id(4), by_id(5));
+    assert!(!sharded.get("per_k").unwrap().as_arr().unwrap().is_empty());
+    assert_eq!(sharded.get("per_k"), single.get("per_k"));
+    assert_eq!(sharded.get("stats"), single.get("stats"));
+}
+
 // ---------------------------------------------------------------------------
 // Socket framing: the same robustness contract over the TCP front-end.
 // The socket reader reassembles lines from arbitrary segment boundaries,
