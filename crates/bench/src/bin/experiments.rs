@@ -655,7 +655,7 @@ fn serve_bench(opts: &Opts) -> Vec<String> {
 /// batches on shared runners; the floors sit below the measured quick numbers to absorb timing noise while still
 /// catching a collapse back to pre-checkpoint behavior (delta ≈ rebuild
 /// at batch=1; delta ≈ 0.6× at batch=16 when the span seek is broken).
-/// With arena-backed stores, counts-only snapshots and segmented replay
+/// With arena-backed stores, run-state snapshots and segmented replay
 /// the measured quick numbers are ~16-20× at batch=1, ~2.2-2.5× on the
 /// dense batch=16 workload, and ~10-13× on the sparse two-cluster
 /// batch=16 workload where segmented replay skips the dead middle of the

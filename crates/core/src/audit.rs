@@ -65,7 +65,8 @@ use crate::stats::{
     DeadlineGuard, DetectConfig, DetectionOutput, KResult, ReplayCounters, SearchStats,
 };
 use crate::topdown;
-use crate::upper_engine::{UpperEngine, UpperFrontier};
+use crate::upper_engine::UpperEngine;
+use crate::util::FxHashSet;
 
 /// Typed error for audit construction and execution, replacing the
 /// `SpaceError`-or-`String` mix of the old facade.
@@ -323,7 +324,9 @@ impl AuditBuilder {
     }
 
     /// Bucketizes a numeric column into `bins` equal-width bins before
-    /// detection (after ranking). May be called repeatedly.
+    /// detection (after ranking). May be called repeatedly. `bins` past
+    /// `u16::MAX`, the dictionary cap, fails the build with
+    /// [`AuditError::Prepare`].
     pub fn bucketize(mut self, column: &str, bins: usize) -> Self {
         self.bucketize.push((column.to_string(), bins));
         self
@@ -604,7 +607,7 @@ pub(crate) struct AuditParts<'a> {
 
 /// The persistent engine state a [`crate::MonitorAudit`] carries between
 /// delta re-audits: one [`Store`] per direction (the shared node arena
-/// plus counts-only engine checkpoints every `cadence` values of `k`, grid
+/// plus run-state engine checkpoints every `cadence` values of `k`, grid
 /// `k ≡ k_min (mod cadence)`) and the replay work counters. The monitor
 /// invalidates entries that an edit batch made stale — the changed-`k`
 /// segments for a pure reorder, everything (arena included) for an
@@ -617,7 +620,7 @@ pub(crate) struct EngineCheckpoints {
     /// Lower-engine store (UnderRep and the lower half of Combined).
     pub(crate) lower: Store<LowerFrontier>,
     /// Upper-engine store (OverRep and the upper half of Combined).
-    pub(crate) upper: Store<UpperFrontier>,
+    pub(crate) upper: Store<FxHashSet<u32>>,
     /// Seek/build/replay counters accumulated over the monitor's life.
     pub(crate) counters: ReplayCounters,
     /// Checkpoints dropped by edit invalidation so far.
@@ -656,7 +659,7 @@ impl EngineCheckpoints {
     }
 
     /// Nodes interned across both arenas (the steady-state memory
-    /// driver; checkpoints only add counts-vector slots on top).
+    /// driver; checkpoints only add run-state slots on top).
     pub(crate) fn arena_nodes(&self) -> usize {
         self.lower.arena.len() + self.upper.arena.len()
     }

@@ -36,13 +36,13 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::bounds::BiasMeasure;
-use crate::incremental::{Core, Incremental, PRUNED, ROOT};
+use crate::incremental::{Core, Incremental, FREE, MARKED, PRUNED, ROOT};
 use crate::pattern::Pattern;
 use crate::space::{PatternSpace, RankedIndex};
 use crate::stats::{DeadlineGuard, DetectConfig, KResult};
 use crate::util::FxHashMap;
 
-/// The bias predicate and the `k̃` schedule it drives.
+/// The bias predicate.
 struct Bias {
     measure: BiasMeasure,
     n: usize,
@@ -51,9 +51,6 @@ struct Bias {
     /// within one step shares `k`, so the bound lookup (a linear scan for
     /// [`crate::Bounds::Steps`]) is hoisted out of the per-node predicate.
     lk_memo: Cell<(usize, usize)>,
-    /// `k̃` buckets indexed by `k` (0..=k_max); entries may be stale and are
-    /// re-validated when popped. Empty for the global measure.
-    schedule: Vec<Vec<u32>>,
 }
 
 impl Bias {
@@ -84,68 +81,69 @@ impl Bias {
         }
     }
 
+    /// Whether `id`'s bias verdict disagrees with its `Res`/`DRes`
+    /// membership (its word in `core.mark`).
+    #[inline]
+    fn flipped(&self, core: &Core<'_>, id: u32, k: usize) -> bool {
+        self.biased(core, id, k) != core.marked(id)
+    }
+}
+
+/// The lower engine's own run state, cloned whole into a checkpoint.
+/// `DRes` membership is not here: a `DRes` member's word in `core.mark`
+/// is its **designated dominator**, one current `Res` member whose
+/// pattern is a proper subset. When a `Res` member un-biases, only the
+/// nodes designated to it can have lost their last dominator — so the
+/// promotion scan touches `O(|designees|)`, not `O(|DRes|)`.
+#[derive(Debug, Clone)]
+pub(crate) struct LowerFrontier {
+    /// `Res`, in canonical pattern order: a snapshot copies it as is, and
+    /// membership is a binary search ([`LowerEngine::res_slot`]).
+    res: Vec<u32>,
+    /// Reverse designation index: `Res` member → nodes designated to it.
+    /// Entries may be stale (the designee re-designated or removed); they
+    /// are validated against the designee's word when consumed.
+    dominates: FxHashMap<u32, Vec<u32>>,
+    /// `k̃` buckets indexed by `k` (0..=k_max), proportional measure only;
+    /// entries may be stale and are re-validated when popped.
+    schedule: Vec<Vec<u32>>,
+}
+
+impl LowerFrontier {
     /// Pushes a `k̃` entry for a currently non-biased node (proportional
     /// measure only; no-op otherwise or when the flip falls past `k_max`).
-    fn push(&mut self, core: &Core<'_>, id: u32, k: usize) {
+    fn push(&mut self, bias: &Bias, core: &Core<'_>, id: u32, k: usize) {
         if self.schedule.is_empty() {
             return;
         }
-        if let Some(kt) = self.measure.k_tilde(
+        if let Some(kt) = bias.measure.k_tilde(
             core.count(id),
             core.arena.nodes[id as usize].sd as usize,
             k,
-            self.n,
+            bias.n,
         ) {
-            if kt <= self.k_max {
+            if kt <= bias.k_max {
                 self.schedule[kt].push(id);
             }
         }
     }
 
-    /// Whether `id`'s bias verdict disagrees with its `Res`/`DRes`
-    /// membership (`core.mark`).
-    #[inline]
-    fn flipped(&self, core: &Core<'_>, id: u32, k: usize) -> bool {
-        self.biased(core, id, k) != core.mark[id as usize]
-    }
-
     /// Schedules a node that just joined the run, if it is not biased.
-    fn admit(&mut self, core: &Core<'_>, id: u32, k: usize) {
-        if !self.biased(core, id, k) {
-            self.push(core, id, k);
+    fn admit(&mut self, bias: &Bias, core: &Core<'_>, id: u32, k: usize) {
+        if !bias.biased(core, id, k) {
+            self.push(bias, core, id, k);
         }
     }
 }
 
-/// The lower engine's checkpointed frontier: `Res`, `DRes` with its
-/// designations, and the `k̃` schedule.
-#[derive(Debug)]
-pub(crate) struct LowerFrontier {
-    res: Vec<u32>,
-    dres: FxHashMap<u32, u32>,
-    dominates: FxHashMap<u32, Vec<u32>>,
-    schedule: Vec<Vec<u32>>,
-}
-
-/// The under-representation engine. `core.mark` is the flat mirror of
-/// `res ∪ keys(dres)`: the walks and rescans test membership per touched
-/// node, so it must be an index read, not two hash probes.
+/// The under-representation engine. Each node's `Res`/`DRes` membership
+/// is its word in `core.mark` ([`MARKED`] for `Res`, the designated
+/// dominator for `DRes`): the walks and rescans test membership per
+/// touched node with one index read.
 pub(crate) struct LowerEngine<'a> {
     core: Core<'a>,
     bias: Bias,
-    /// `Res`, in canonical pattern order: a snapshot copies it as is, and
-    /// membership is a binary search ([`LowerEngine::res_slot`]).
-    res: Vec<u32>,
-    /// The dominated biased nodes (`DRes`), each mapped to its
-    /// **designated dominator**: one current `res` member whose pattern
-    /// is a proper subset. When a `res` member un-biases, only the nodes
-    /// designated to it can have lost their last dominator — so the
-    /// promotion scan touches `O(|designees|)`, not `O(|DRes|)`.
-    dres: FxHashMap<u32, u32>,
-    /// Reverse index: `res` member → nodes designated to it. Entries may
-    /// be stale (the designee re-designated or removed); they are
-    /// validated against `dres` when consumed.
-    dominates: FxHashMap<u32, Vec<u32>>,
+    frontier: LowerFrontier,
     /// Buffers reused from step to step, so a steady-state step does not
     /// allocate: the transition candidates and the resumed search's
     /// stack.
@@ -179,11 +177,12 @@ impl<'a> LowerEngine<'a> {
                 n: index.n(),
                 k_max: cfg.k_max,
                 lk_memo: Cell::new((usize::MAX, 0)),
+            },
+            frontier: LowerFrontier {
+                res: Vec::new(),
+                dominates: FxHashMap::default(),
                 schedule,
             },
-            res: Vec::new(),
-            dres: FxHashMap::default(),
-            dominates: FxHashMap::default(),
             cands: Vec::new(),
             stack: Vec::new(),
         }
@@ -199,46 +198,43 @@ impl<'a> LowerEngine<'a> {
     /// on ids.
     fn res_slot(&self, id: u32) -> Result<usize, usize> {
         let p = self.core.pattern(id);
-        self.res.binary_search_by(|&r| self.core.pattern(r).cmp(p))
+        self.frontier
+            .res
+            .binary_search_by(|&r| self.core.pattern(r).cmp(p))
     }
 
     fn res_insert(&mut self, id: u32) {
         if let Err(i) = self.res_slot(id) {
-            self.res.insert(i, id);
+            self.frontier.res.insert(i, id);
         }
     }
 
-    /// Removes `id` from `res`; whether it was there.
-    fn res_remove(&mut self, id: u32) -> bool {
-        let slot = self.res_slot(id);
-        if let Ok(i) = slot {
-            self.res.remove(i);
+    fn res_remove(&mut self, id: u32) {
+        if let Ok(i) = self.res_slot(id) {
+            self.frontier.res.remove(i);
         }
-        slot.is_ok()
-    }
-
-    #[inline]
-    fn in_stopped(&self, id: u32) -> bool {
-        self.core.mark[id as usize]
     }
 
     fn expand(&mut self, id: u32, k: usize) {
-        let bias = &mut self.bias;
-        self.core.expand(id, k, |core, c| bias.admit(core, c, k));
+        let (bias, frontier) = (&self.bias, &mut self.frontier);
+        self.core
+            .expand(id, k, |core, c| frontier.admit(bias, core, c, k));
     }
 
-    /// Records `d`'s designation to `dom` in the reverse index. Lists are
+    /// Puts `d` in `DRes` designated to `dom`: its word becomes `dom`,
+    /// and it joins `dom`'s list in the reverse index. Lists are
     /// append-mostly with lazily validated (possibly duplicate) entries;
-    /// when one outgrows twice the whole dominated set it is compacted in
-    /// place — valid entries deduped, stale ones dropped — so a node
-    /// flip-flopping under a long-lived dominator cannot grow the list
-    /// (and every checkpoint clone of it) without bound.
-    fn push_designee(&mut self, dom: u32, d: u32) {
-        let dres = &self.dres;
-        let list = self.dominates.entry(dom).or_default();
+    /// one is compacted in place — valid entries deduped, stale ones
+    /// dropped — each time its length reaches a power of two from 16 on,
+    /// so a node flip-flopping under a long-lived dominator cannot grow
+    /// the list (and every checkpoint clone of it) without bound.
+    fn designate(&mut self, d: u32, dom: u32) {
+        self.core.mark[d as usize] = dom;
+        let mark = &self.core.mark;
+        let list = self.frontier.dominates.entry(dom).or_default();
         list.push(d);
-        if list.len() > 2 * dres.len() + 8 {
-            list.retain(|&x| dres.get(&x) == Some(&dom));
+        if list.len() >= 16 && list.len().is_power_of_two() {
+            list.retain(|&x| mark[x as usize] == dom);
             list.sort_unstable();
             list.dedup();
         }
@@ -247,7 +243,8 @@ impl<'a> LowerEngine<'a> {
     /// The first `res` member whose pattern is a subset of node `id`'s.
     fn dominator_of(&self, id: u32) -> Option<u32> {
         let p = self.core.pattern(id);
-        self.res
+        self.frontier
+            .res
             .iter()
             .copied()
             .find(|&r| self.core.may_be_subset(r, id) && self.core.pattern(r).is_subset_of(p))
@@ -256,18 +253,16 @@ impl<'a> LowerEngine<'a> {
     /// Inserts a newly biased node into `Res`/`DRes`, demoting any `Res`
     /// members it dominates. Idempotent.
     fn add_stopped(&mut self, id: u32) {
-        if self.in_stopped(id) {
+        if self.core.marked(id) {
             return;
         }
         if let Some(dom) = self.dominator_of(id) {
-            self.dres.insert(id, dom);
-            self.core.mark[id as usize] = true;
-            self.push_designee(dom, id);
+            self.designate(id, dom);
         } else {
             let core = &self.core;
             let p = core.pattern(id);
             let mut demote: Vec<u32> = Vec::new();
-            self.res.retain(|&r| {
+            self.frontier.res.retain(|&r| {
                 let dominated = core.may_be_subset(id, r) && p.is_proper_subset_of(core.pattern(r));
                 if dominated {
                     demote.push(r);
@@ -278,20 +273,20 @@ impl<'a> LowerEngine<'a> {
             for r in demote {
                 // Everything designated to `r` is also dominated by the
                 // strictly more general `id` — re-point in O(designees).
-                for d in self.dominates.remove(&r).unwrap_or_default() {
-                    if self.dres.get(&d) == Some(&r) {
-                        self.dres.insert(d, id);
+                for d in self.frontier.dominates.remove(&r).unwrap_or_default() {
+                    if self.core.mark[d as usize] == r {
+                        self.core.mark[d as usize] = id;
                         mine.push(d);
                     }
                 }
-                self.dres.insert(r, id);
+                self.core.mark[r as usize] = id;
                 mine.push(r);
             }
             if !mine.is_empty() {
-                self.dominates.entry(id).or_default().extend(mine);
+                self.frontier.dominates.entry(id).or_default().extend(mine);
             }
             self.res_insert(id);
-            self.core.mark[id as usize] = true;
+            self.core.mark[id as usize] = MARKED;
         }
     }
 
@@ -302,35 +297,33 @@ impl<'a> LowerEngine<'a> {
     /// last one. Candidates are processed most-general-first so a
     /// promoted pattern immediately dominates its own supersets.
     fn remove_stopped(&mut self, id: u32, k: usize) {
-        self.core.mark[id as usize] = false;
-        // A marked node sits in exactly one of `dres` and `res`: the hash
-        // probe settles the dominated case without a binary search.
-        if self.dres.remove(&id).is_some() || !self.res_remove(id) {
+        // A dominator id settles the `DRes` case without a binary search.
+        if std::mem::replace(&mut self.core.mark[id as usize], FREE) != MARKED {
             return;
         }
-        let mut cands = self.dominates.remove(&id).unwrap_or_default();
-        cands.retain(|&d| self.dres.get(&d) == Some(&id));
+        self.res_remove(id);
+        let mut cands = self.frontier.dominates.remove(&id).unwrap_or_default();
+        cands.retain(|&d| self.core.mark[d as usize] == id);
         cands.sort_by_key(|&d| (self.core.pattern(d).len(), d));
         for d in cands {
             // Designation lists can hold duplicates (a node designated
             // here, moved away, then designated here again): re-check so a
             // second occurrence of an already promoted or re-designated
             // node is skipped — processing it again would self-designate a
-            // fresh `res` member into `dres`.
-            if self.dres.get(&d) != Some(&id) {
+            // fresh `res` member into `DRes`.
+            if self.core.mark[d as usize] != id {
                 continue;
             }
             // A candidate that flipped non-biased in this same round is
             // left for its own pending transition event (its dangling
-            // designation dies with that event's `dres` removal).
+            // designation dies when that event frees its word).
             if !self.is_biased(d, k) {
                 continue;
             }
             if let Some(dom) = self.dominator_of(d) {
-                self.dres.insert(d, dom);
-                self.push_designee(dom, d);
+                self.designate(d, dom);
             } else {
-                self.dres.remove(&d);
+                self.core.mark[d as usize] = MARKED;
                 self.res_insert(d);
             }
         }
@@ -396,21 +389,21 @@ impl<'a> LowerEngine<'a> {
     /// entries (count grew since scheduling) are re-inserted at their
     /// recomputed `k̃`; genuine flips join the transition candidates.
     fn pop_schedule(&mut self, k: usize, cands: &mut Vec<u32>) {
-        if self.bias.schedule.is_empty() {
+        if self.frontier.schedule.is_empty() {
             return;
         }
-        let bucket = std::mem::take(&mut self.bias.schedule[k]);
+        let bucket = std::mem::take(&mut self.frontier.schedule[k]);
         for id in bucket {
             self.core.stats.schedule_pops += 1;
             if !self.core.is_live(id) {
                 continue;
             }
             let biased = self.is_biased(id, k);
-            if biased != self.in_stopped(id) {
+            if biased != self.core.marked(id) {
                 cands.push(id);
             }
             if !biased {
-                self.bias.push(&self.core, id, k);
+                self.frontier.push(&self.bias, &self.core, id, k);
             }
         }
     }
@@ -427,11 +420,11 @@ impl<'a> LowerEngine<'a> {
     ) -> bool {
         cands.sort_unstable_by_key(|&id| (self.core.pattern(id).len(), id));
         for &id in cands.iter() {
-            let before = self.in_stopped(id);
+            let before = self.core.marked(id);
             let after = self.is_biased(id, k);
             if before && !after {
                 self.remove_stopped(id, k);
-                self.bias.push(&self.core, id, k);
+                self.frontier.push(&self.bias, &self.core, id, k);
                 if self.tree_minimal(id, k) && !self.resume_subtree(id, k, guard) {
                     return false;
                 }
@@ -460,8 +453,9 @@ impl<'a> Incremental<'a> for LowerEngine<'a> {
     /// patterns.
     fn build(&mut self, k: usize, guard: &mut DeadlineGuard) -> bool {
         self.core.stats.full_searches += 1;
-        let bias = &mut self.bias;
-        self.core.open_root(k, |core, c| bias.admit(core, c, k));
+        let (bias, frontier) = (&self.bias, &mut self.frontier);
+        self.core
+            .open_root(k, |core, c| frontier.admit(bias, core, c, k));
         let mut queue: VecDeque<u32> = self.core.arena.root_children.iter().copied().collect();
         while let Some(id) = queue.pop_front() {
             if guard.expired() {
@@ -524,7 +518,7 @@ impl<'a> Incremental<'a> for LowerEngine<'a> {
         // count flips *earlier*, so a stale later entry would miss the
         // flip — the inverse of the growth-only staleness `pop_schedule`
         // tolerates.
-        let track = !self.bias.schedule.is_empty();
+        let track = !self.frontier.schedule.is_empty();
         let mut touched_down = Vec::new();
         for &pos in leaving {
             self.core.walk(pos, false, |_, id| {
@@ -550,8 +544,8 @@ impl<'a> Incremental<'a> for LowerEngine<'a> {
         // its flip moved earlier, so the pre-repair entry alone could be
         // popped too late.
         for id in touched_down {
-            if !self.in_stopped(id) {
-                self.bias.push(&self.core, id, k);
+            if !self.core.marked(id) {
+                self.frontier.push(&self.bias, &self.core, id, k);
             }
         }
         true
@@ -560,6 +554,7 @@ impl<'a> Incremental<'a> for LowerEngine<'a> {
     /// The current `Res` as sorted patterns.
     fn snapshot(&self, k: usize) -> KResult {
         let patterns: Vec<Pattern> = self
+            .frontier
             .res
             .iter()
             .map(|&id| self.core.pattern(id).clone())
@@ -567,23 +562,12 @@ impl<'a> Incremental<'a> for LowerEngine<'a> {
         KResult { k, patterns }
     }
 
-    fn frontier(&self) -> LowerFrontier {
-        LowerFrontier {
-            res: self.res.clone(),
-            dres: self.dres.clone(),
-            dominates: self.dominates.clone(),
-            schedule: self.bias.schedule.clone(),
-        }
+    fn frontier(&self) -> &LowerFrontier {
+        &self.frontier
     }
 
-    fn set_frontier(&mut self, frontier: &LowerFrontier) {
-        self.res.clone_from(&frontier.res);
-        self.dres.clone_from(&frontier.dres);
-        self.dominates.clone_from(&frontier.dominates);
-        self.bias.schedule.clone_from(&frontier.schedule);
-        for &id in self.res.iter().chain(self.dres.keys()) {
-            self.core.mark[id as usize] = true;
-        }
+    fn frontier_mut(&mut self) -> &mut LowerFrontier {
+        &mut self.frontier
     }
 }
 
@@ -591,8 +575,8 @@ impl<'a> Incremental<'a> for LowerEngine<'a> {
 mod tests {
     use super::*;
     use crate::bounds::Bounds;
-    use crate::incremental::{replay, Store, Stream};
-    use crate::stats::{DetectionOutput, ReplayCounters};
+    use crate::incremental::Stream;
+    use crate::stats::DetectionOutput;
     use crate::topdown::iter_td;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
     use rankfair_rank::Ranking;
@@ -645,22 +629,6 @@ mod tests {
         alpha: f64,
     ) -> DetectionOutput {
         batch(index, space, cfg, BiasMeasure::Proportional { alpha })
-    }
-
-    /// The monitor's checkpointed replay of the lower side.
-    #[allow(clippy::too_many_arguments)]
-    fn replayed(
-        index: &RankedIndex,
-        space: &PatternSpace,
-        measure: &BiasMeasure,
-        cfg: &DetectConfig,
-        spans: &[(usize, usize)],
-        store: &mut Store<LowerFrontier>,
-        cadence: usize,
-        counters: &mut ReplayCounters,
-    ) -> DetectionOutput {
-        let engine = LowerEngine::new(index, space, cfg, measure.clone());
-        replay(engine, store, cfg.k_min, spans, None, cadence, counters)
     }
 
     #[test]
@@ -758,102 +726,6 @@ mod tests {
             opt.stats.patterns_examined(),
             base.stats.patterns_examined()
         );
-    }
-
-    #[test]
-    fn lower_replay_matches_batch_and_seeks_checkpoints() {
-        let (space, index) = fig1();
-        let cfg = DetectConfig::new(2, 2, 16);
-        for measure in [
-            BiasMeasure::GlobalLower(Bounds::steps(vec![(2, 1), (6, 2), (10, 3)])),
-            BiasMeasure::GlobalLower(Bounds::LinearFraction(0.3)),
-            BiasMeasure::Proportional { alpha: 0.8 },
-        ] {
-            let want = match &measure {
-                BiasMeasure::GlobalLower(b) => global(&index, &space, &cfg, b).per_k,
-                BiasMeasure::Proportional { alpha } => prop(&index, &space, &cfg, *alpha).per_k,
-            };
-            for cadence in [1usize, 3, 8] {
-                let mut store = Store::default();
-                let mut counters = ReplayCounters::default();
-                let full = replayed(
-                    &index,
-                    &space,
-                    &measure,
-                    &cfg,
-                    &[(2, 16)],
-                    &mut store,
-                    cadence,
-                    &mut counters,
-                );
-                assert_eq!(full.per_k, want, "{measure:?} cadence {cadence}");
-                assert_eq!(counters.cold_builds, 1);
-                assert!(!store.snaps.is_empty());
-                assert!(store.snaps.windows(2).all(|w| w[0].k < w[1].k));
-                // A sub-span replay seeded from the stored checkpoints
-                // must reproduce the batch run's slice exactly, without a
-                // fresh build.
-                let mut counters = ReplayCounters::default();
-                let sub = replayed(
-                    &index,
-                    &space,
-                    &measure,
-                    &cfg,
-                    &[(9, 12)],
-                    &mut store,
-                    cadence,
-                    &mut counters,
-                );
-                assert_eq!(sub.per_k[..], want[7..=10], "{measure:?} cadence {cadence}");
-                assert_eq!(counters.seeks, 1);
-                assert_eq!(counters.cold_builds, 0);
-                // Every replay-driven position (catch-up + in-span) beats
-                // a full-range pass (1 build + 14 advances).
-                assert!(counters.replayed_steps < 14);
-            }
-        }
-    }
-
-    #[test]
-    fn lower_replay_segmented_spans_match_batch() {
-        let (space, index) = fig1();
-        let cfg = DetectConfig::new(2, 2, 16);
-        let measure = BiasMeasure::Proportional { alpha: 0.8 };
-        let want = prop(&index, &space, &cfg, 0.8).per_k;
-        for cadence in [1usize, 3, 8] {
-            let mut store = Store::default();
-            let mut counters = ReplayCounters::default();
-            replayed(
-                &index,
-                &space,
-                &measure,
-                &cfg,
-                &[(2, 16)],
-                &mut store,
-                cadence,
-                &mut counters,
-            );
-            // Two disjoint segments: each seeks independently; the gap ks
-            // are neither stepped nor emitted.
-            let mut counters = ReplayCounters::default();
-            let out = replayed(
-                &index,
-                &space,
-                &measure,
-                &cfg,
-                &[(4, 5), (12, 13)],
-                &mut store,
-                cadence,
-                &mut counters,
-            );
-            let got_ks: Vec<usize> = out.per_k.iter().map(|r| r.k).collect();
-            assert_eq!(got_ks, vec![4, 5, 12, 13], "cadence {cadence}");
-            assert_eq!(out.per_k[0..2], want[2..=3], "cadence {cadence}");
-            assert_eq!(out.per_k[2..4], want[10..=11], "cadence {cadence}");
-            assert_eq!(counters.segments, 2);
-            assert_eq!(counters.cold_builds, 0);
-            assert!(counters.seeks >= 1 && counters.seeks <= 2);
-        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! pattern it satisfies the pattern's tree parent, so the stored nodes
 //! `t` satisfies form a connected subtree of the search tree, and one root
 //! walk ([`Core::walk`]) bumps all their counts with no dataset scan. What
-//! differs between the engines — the lower engine's `Res`/`DRes` frontier
-//! and `k̃` schedule, the upper engine's qualification flags and maximal
-//! frontier — sits behind the [`Incremental`] trait; everything else is
-//! here, once.
+//! differs between the engines — what each writes in a node's word, and
+//! its own frontier (the lower engine's `Res`, designation index and `k̃`
+//! schedule, the upper engine's maximal set) — sits behind the
+//! [`Incremental`] trait; everything else is here, once.
 //!
 //! ## Arena store and run state
 //!
@@ -27,11 +27,13 @@
 //! beside it in the [`Core`]: `counts[id]` is the node's `s_Rk` (sentinel
 //! [`NOT_LIVE`] until the node joins the current run), `open[id]` is the
 //! run-level expansion frontier the walks descend through, and `mark[id]`
-//! is the engine's per-node bit. The split buys three things:
+//! is the engine's per-node word ([`FREE`], [`MARKED`], or a `DRes`
+//! member's designated dominator). The split buys three things:
 //!
-//! * a [`Checkpoint`] is a **counts-plus-frontier memcpy** — two flat
-//!   vectors plus the engine's small frontier payload — instead of a deep
-//!   clone of the node map; the arena is shared, not copied;
+//! * a [`Checkpoint`] is a **run-state memcpy** — three flat vectors plus
+//!   a clone of the engine's small frontier — instead of a deep clone of
+//!   the node map; the arena is shared, not copied, and restoring
+//!   rebuilds nothing;
 //! * re-expanding a stored node re-activates its children with
 //!   **prefix-only recounts** ([`RankedIndex::prefix_count`], a
 //!   truncated bitmap scan) — the stored `s_D` is reused, never
@@ -41,10 +43,10 @@
 //!
 //! The arena is append-only (structure is independent of `k` and of the
 //! bound), so a checkpoint taken at any time stays consistent with every
-//! later arena: restoring extends `counts`/`open` with `NOT_LIVE`/`false`
-//! for nodes created after the snapshot. Insertions change `s_D` and so
-//! which children are substantial, so they clear the arena along with the
-//! checkpoint store.
+//! later arena: restoring extends `counts`/`open`/`mark` with
+//! `NOT_LIVE`/`false`/[`FREE`] for nodes created after the snapshot.
+//! Insertions change `s_D` and so which children are substantial, so they
+//! clear the arena along with the checkpoint store.
 //!
 //! ## Checkpoints and replay
 //!
@@ -80,6 +82,14 @@ pub(crate) const PRUNED: u32 = u32::MAX - 1;
 
 /// Sentinel in [`Arena::first_child`] for a node with no stored children.
 const NOT_EXPANDED: u32 = u32::MAX;
+
+/// [`Core::mark`] word of a node the engine does not hold.
+pub(crate) const FREE: u32 = u32::MAX;
+
+/// [`Core::mark`] word of a node the engine holds with no dominator: a
+/// `Res` member, or a qualifying node of the upper engine. Node ids stay
+/// below [`PRUNED`], so neither word is ever a dominator id.
+pub(crate) const MARKED: u32 = u32::MAX - 1;
 
 /// Everything about a node that is a function of its pattern alone —
 /// shared across runs, checkpoints and replays without cloning.
@@ -131,9 +141,10 @@ impl Arena {
 }
 
 /// A resumable snapshot of an engine's **run state** — per-node counts,
-/// the open frontier and the engine's frontier payload `F` — anchored at
-/// a specific `k`. The node structure lives in the [`Arena`] shared by
-/// every snapshot, so taking one is a counts-plus-frontier memcpy.
+/// open flags and words, and the engine's frontier `F` — anchored at a
+/// specific `k`. The node structure lives in the [`Arena`] shared by
+/// every snapshot, so taking one copies the three vectors and clones the
+/// frontier, and restoring one rebuilds nothing.
 ///
 /// Validity under edits: every stored count is `|top-k ∩ p|`, a function
 /// of the top-`k` **set** alone, and the frontier is determined by those
@@ -149,6 +160,7 @@ pub(crate) struct Checkpoint<F> {
     pub(crate) k: usize,
     counts: Vec<u32>,
     open: Vec<bool>,
+    mark: Vec<u32>,
     frontier: F,
 }
 
@@ -179,8 +191,8 @@ impl<F> Store<F> {
         self.arena = Arena::default();
     }
 
-    /// Node slots held across every checkpoint (one `u32` count plus
-    /// frontier bits each — the arena is shared, not cloned).
+    /// Node slots held across every checkpoint (a count, an open flag and
+    /// a word each — the arena is shared, not cloned).
     pub(crate) fn stored_nodes(&self) -> usize {
         self.snaps.iter().map(|cp| cp.counts.len()).sum()
     }
@@ -198,10 +210,11 @@ pub(crate) struct Core<'a> {
     /// Run-level expansion frontier: walks descend through `open` nodes
     /// only. `open[id]` implies every stored child of `id` is live.
     open: Vec<bool>,
-    /// The engine's per-node bit (lower: in `Res ∪ DRes`; upper:
-    /// qualifies). Cleared by [`Core::reset`] and [`Core::restore`]; the
-    /// engine's frontier sets it.
-    pub(crate) mark: Vec<bool>,
+    /// The engine's per-node word: [`FREE`]; [`MARKED`] for a `Res`
+    /// member or a qualifying upper-engine node; or, for a `DRes` member,
+    /// its designated dominator's id. The one place a node's membership
+    /// is kept: a checkpoint copies it with the counts.
+    pub(crate) mark: Vec<u32>,
     /// `card_prefix[a] = Σ_{b<a} card(b)`. Children of an expanded node are
     /// generated in (attribute, value) order, so the child binding
     /// `(a, v)` sits `card_prefix[a] − card_prefix[ma+1] + v` past its
@@ -285,23 +298,23 @@ impl<'a> Core<'a> {
         id != PRUNED && self.counts[id as usize] != NOT_LIVE
     }
 
+    /// Whether the engine holds node `id`: its word is not [`FREE`].
+    #[inline]
+    pub(crate) fn marked(&self, id: u32) -> bool {
+        self.mark[id as usize] != FREE
+    }
+
     /// Clears the run state. The arena is kept: the follow-up build
     /// re-activates the stored structure with prefix recounts instead of
     /// re-evaluating it.
     pub(crate) fn reset(&mut self) {
-        let n = self.arena.nodes.len();
-        self.counts.clear();
-        self.counts.resize(n, NOT_LIVE);
-        self.open.clear();
-        self.open.resize(n, false);
-        self.mark.clear();
-        self.mark.resize(n, false);
+        self.restore(&[], &[], &[]);
     }
 
     /// Overwrites the run state from a checkpoint's vectors. Nodes
-    /// interned after the snapshot was taken restore as not-live; `mark`
-    /// is cleared for the engine's frontier to set.
-    fn restore(&mut self, counts: &[u32], open: &[bool]) {
+    /// interned after the snapshot was taken restore as not live, closed
+    /// and [`FREE`].
+    fn restore(&mut self, counts: &[u32], open: &[bool], mark: &[u32]) {
         let n = self.arena.nodes.len();
         self.counts.clear();
         self.counts.extend_from_slice(counts);
@@ -310,7 +323,8 @@ impl<'a> Core<'a> {
         self.open.extend_from_slice(open);
         self.open.resize(n, false);
         self.mark.clear();
-        self.mark.resize(n, false);
+        self.mark.extend_from_slice(mark);
+        self.mark.resize(n, FREE);
     }
 
     /// Interns a freshly counted substantial pattern with its
@@ -341,7 +355,7 @@ impl<'a> Core<'a> {
         self.counts
             .push(u32::try_from(count).expect("row counts fit TupleId"));
         self.open.push(false);
-        self.mark.push(false);
+        self.mark.push(FREE);
         id
     }
 
@@ -612,9 +626,9 @@ impl<'a> Core<'a> {
 /// the checkpointed replay all step an engine through exactly these
 /// methods, so no execution mode can drift from another.
 pub(crate) trait Incremental<'a> {
-    /// The engine's frontier, stored in every [`Checkpoint`] next to the
-    /// counts.
-    type Frontier;
+    /// The engine's own run state beside the core's per-node vectors,
+    /// cloned whole into every [`Checkpoint`].
+    type Frontier: Clone;
 
     fn core(&self) -> &Core<'a>;
     fn core_mut(&mut self) -> &mut Core<'a>;
@@ -639,11 +653,8 @@ pub(crate) trait Incremental<'a> {
     ) -> bool;
     /// The current result set for `k`, sorted canonically.
     fn snapshot(&self, k: usize) -> KResult;
-    /// A copy of the frontier for a checkpoint.
-    fn frontier(&self) -> Self::Frontier;
-    /// Overwrites the frontier from a checkpoint (after [`Core::restore`]
-    /// cleared `mark`).
-    fn set_frontier(&mut self, frontier: &Self::Frontier);
+    fn frontier(&self) -> &Self::Frontier;
+    fn frontier_mut(&mut self) -> &mut Self::Frontier;
 }
 
 fn checkpoint<'a, E: Incremental<'a>>(engine: &E, k: usize) -> Checkpoint<E::Frontier> {
@@ -652,15 +663,16 @@ fn checkpoint<'a, E: Incremental<'a>>(engine: &E, k: usize) -> Checkpoint<E::Fro
         k,
         counts: core.counts.clone(),
         open: core.open.clone(),
-        frontier: engine.frontier(),
+        mark: core.mark.clone(),
+        frontier: engine.frontier().clone(),
     }
 }
 
 /// Positions `engine` at `cp.k`; the next [`Incremental::advance`] call
 /// must be for `cp.k + 1`.
 fn restore<'a, E: Incremental<'a>>(engine: &mut E, cp: &Checkpoint<E::Frontier>) {
-    engine.core_mut().restore(&cp.counts, &cp.open);
-    engine.set_frontier(&cp.frontier);
+    engine.core_mut().restore(&cp.counts, &cp.open, &cp.mark);
+    engine.frontier_mut().clone_from(&cp.frontier);
 }
 
 /// A lazy, resumable detection run: yields the [`KResult`] for each `k`
@@ -957,8 +969,83 @@ pub(crate) fn replay<'a, E: Incremental<'a>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::OverRepScope;
+    use crate::bounds::{BiasMeasure, Bounds};
+    use crate::engine::LowerEngine;
+    use crate::upper_engine::UpperEngine;
+    use rankfair_data::examples::{fig1_rank_order, students_fig1};
     use rankfair_rank::Ranking;
     use rankfair_synth::{random_dataset, random_ranking, RandomSpec};
+
+    /// The replay contract, for one engine on `fig1` with `k ∈ [2, 16]`,
+    /// at every cadence: a full replay equals the batch stream, builds
+    /// once and lays a sorted grid; a replay of `[9, 12]` seeks once,
+    /// builds nothing and beats a full pass's 14 steps; and the segments
+    /// `[(4, 5), (12, 13)]` emit exactly those `k`, each equal to the
+    /// batch run's, with no build and one or two seeks.
+    fn check_replay<'a, E: Incremental<'a>>(
+        cfg: &DetectConfig,
+        what: &str,
+        engine: impl Fn() -> E,
+    ) {
+        let want = Stream::new(engine(), cfg).into_output().per_k;
+        // One replay with a fresh engine, as a monitor runs it.
+        let replayed = |store: &mut Store<E::Frontier>, spans: &[(usize, usize)], cadence| {
+            let mut c = ReplayCounters::default();
+            let out = replay(engine(), store, cfg.k_min, spans, None, cadence, &mut c);
+            (out.per_k, c)
+        };
+        for cadence in [1, 3, 4, 8] {
+            let what = format!("{what} cadence {cadence}");
+            let mut store = Store::default();
+            let (full, c) = replayed(&mut store, &[(2, 16)], cadence);
+            assert_eq!(full, want, "{what}");
+            assert_eq!(c.cold_builds, 1, "{what}");
+            assert!(!store.snaps.is_empty(), "{what}");
+            assert!(store.snaps.windows(2).all(|w| w[0].k < w[1].k), "{what}");
+            let (sub, c) = replayed(&mut store, &[(9, 12)], cadence);
+            assert_eq!(sub[..], want[7..=10], "{what}");
+            assert_eq!((c.seeks, c.cold_builds), (1, 0), "{what}");
+            assert!(c.replayed_steps < 14, "{what}: {} steps", c.replayed_steps);
+            let (seg, c) = replayed(&mut store, &[(4, 5), (12, 13)], cadence);
+            let ks: Vec<usize> = seg.iter().map(|r| r.k).collect();
+            assert_eq!(ks, [4, 5, 12, 13], "{what}");
+            assert_eq!(seg[..2], want[2..=3], "{what}");
+            assert_eq!(seg[2..], want[10..=11], "{what}");
+            assert_eq!((c.segments, c.cold_builds), (2, 0), "{what}");
+            assert!((1..=2).contains(&c.seeks), "{what}: {} seeks", c.seeks);
+        }
+    }
+
+    /// Both engines keep the replay contract: the three lower measures,
+    /// and the two upper bounds at both scopes.
+    #[test]
+    fn replay_matches_the_batch_stream_for_both_engines() {
+        let ds = students_fig1();
+        let space = PatternSpace::from_dataset(&ds).unwrap();
+        let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
+        let index = RankedIndex::build(&ds, &space, &ranking);
+        let cfg = DetectConfig::new(2, 2, 16);
+        for measure in [
+            BiasMeasure::GlobalLower(Bounds::steps(vec![(2, 1), (6, 2), (10, 3)])),
+            BiasMeasure::GlobalLower(Bounds::LinearFraction(0.3)),
+            BiasMeasure::Proportional { alpha: 0.8 },
+        ] {
+            check_replay(&cfg, &format!("{measure:?}"), || {
+                LowerEngine::new(&index, &space, &cfg, measure.clone())
+            });
+        }
+        for upper in [
+            Bounds::LinearFraction(0.4),
+            Bounds::steps(vec![(0, 1), (6, 3), (11, 2)]),
+        ] {
+            for scope in [OverRepScope::MostSpecific, OverRepScope::MostGeneral] {
+                check_replay(&cfg, &format!("{upper:?} {scope:?}"), || {
+                    UpperEngine::new(&index, &space, &cfg, upper.clone(), scope)
+                });
+            }
+        }
+    }
 
     /// The flat child layout, the pruned slots, the ancestor-started
     /// lookups, the term masks and the walk, each checked node by node

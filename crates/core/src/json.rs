@@ -48,18 +48,6 @@ impl ToJson for BiasedGroup {
     }
 }
 
-impl ToJson for KReport {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("k", Value::from(self.k)),
-            (
-                "groups",
-                Value::array(self.groups.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
 impl ToJson for SearchStats {
     fn to_json(&self) -> Value {
         Value::object([
@@ -153,9 +141,10 @@ impl ToJson for AuditError {
     }
 }
 
-/// Enriched per-`k` reports with structured pattern terms attached —
-/// [`KReport::to_json`] plus a `terms` member per group. The full-fidelity
-/// encoding the service responds with.
+/// Per-`k` reports as `{"k", "groups"}` objects, each group its
+/// [`BiasedGroup`] encoding with a `terms` member (the pattern's
+/// attribute → label pairs) inserted second. The full-fidelity encoding
+/// the service responds with.
 pub fn reports_json(reports: &[KReport], space: &PatternSpace) -> Value {
     Value::array(
         reports

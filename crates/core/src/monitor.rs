@@ -270,10 +270,10 @@ pub struct CheckpointStats {
     pub lower_checkpoints: usize,
     /// Live upper-engine checkpoints.
     pub upper_checkpoints: usize,
-    /// Node *slots* held across every snapshot (each slot one `u32`
-    /// count plus frontier bits), substantial nodes only — the memory the
-    /// speed/memory trade-off spends (smaller `C` ⇒ shorter replays, more
-    /// stored slots).
+    /// Node *slots* held across every snapshot (each slot a `u32` count,
+    /// an open flag and a `u32` membership word), substantial nodes only —
+    /// the memory the speed/memory trade-off spends (smaller `C` ⇒
+    /// shorter replays, more stored slots).
     pub stored_nodes: usize,
     /// Pattern nodes interned across both engines' persistent arenas,
     /// substantial nodes only (`s_D ≥ τs`; a pruned child is a slot in

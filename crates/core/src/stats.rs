@@ -146,11 +146,6 @@ impl DetectionOutput {
     pub fn at_k(&self, k: usize) -> Option<&KResult> {
         self.per_k.iter().find(|r| r.k == k)
     }
-
-    /// Total number of reported (k, pattern) pairs.
-    pub fn total_patterns(&self) -> usize {
-        self.per_k.iter().map(|r| r.patterns.len()).sum()
-    }
 }
 
 /// Cooperative deadline checker: polls the clock every `CHECK_EVERY` ticks
@@ -275,6 +270,5 @@ mod tests {
         };
         assert_eq!(out.at_k(4).unwrap().patterns.len(), 1);
         assert!(out.at_k(6).is_none());
-        assert_eq!(out.total_patterns(), 1);
     }
 }

@@ -56,22 +56,16 @@
 
 use crate::audit::OverRepScope;
 use crate::bounds::Bounds;
-use crate::incremental::{Core, Incremental, PRUNED, ROOT};
+use crate::incremental::{Core, Incremental, FREE, MARKED, PRUNED, ROOT};
 use crate::pattern::Pattern;
 use crate::space::{AttrId, PatternSpace, RankedIndex};
 use crate::stats::{DeadlineGuard, DetectConfig, KResult};
 use crate::util::FxHashSet;
 
-/// The upper engine's checkpointed frontier: the qualification flags and
-/// the maximal frontier.
-#[derive(Debug)]
-pub(crate) struct UpperFrontier {
-    qualified: Vec<bool>,
-    maximal: FxHashSet<u32>,
-}
-
-/// The over-representation engine. `core.mark` holds each node's
-/// qualification `s_D ≥ τs ∧ count > U_k` under the current `(k, U_k)`.
+/// The over-representation engine. A node's word in `core.mark` is its
+/// qualification `s_D ≥ τs ∧ count > U_k` under the current `(k, U_k)`:
+/// [`MARKED`] or [`FREE`]. Its frontier, cloned whole into a checkpoint,
+/// is the maximal set alone.
 pub(crate) struct UpperEngine<'a> {
     core: Core<'a>,
     upper: Bounds,
@@ -85,7 +79,7 @@ pub(crate) struct UpperEngine<'a> {
 /// collecting it when it qualifies.
 fn admit(core: &mut Core<'_>, id: u32, u: usize, fresh: &mut Vec<u32>) {
     let q = core.count(id) > u;
-    core.mark[id as usize] = q;
+    core.mark[id as usize] = if q { MARKED } else { FREE };
     if q {
         fresh.push(id);
     }
@@ -201,8 +195,8 @@ impl<'a> UpperEngine<'a> {
         })
     }
 
-    /// Applies the frontier delta once a step has finalized every
-    /// qualification flag and repaired the closure. `fresh` holds the
+    /// Applies the frontier delta once a step has finalized every node's
+    /// qualification word and repaired the closure. `fresh` holds the
     /// nodes that started qualifying, `lost` those that stopped (possible
     /// only on bound steps).
     ///
@@ -230,7 +224,7 @@ impl<'a> UpperEngine<'a> {
                 self.maximal.remove(&sid);
             }
         }
-        // Each candidate's probe reads only counts and flags, so the order
+        // Each candidate's probe reads only counts and words, so the order
         // they are probed in does not matter; a duplicate is probed once.
         let mut merged: Vec<u32> = Vec::new();
         let cands = if lost.is_empty() {
@@ -239,7 +233,7 @@ impl<'a> UpperEngine<'a> {
             merged.extend_from_slice(fresh);
             for &id in lost {
                 for sid in Self::one_term_subset_ids(&self.core, id) {
-                    if self.core.mark[sid as usize] {
+                    if self.core.marked(sid) {
                         merged.push(sid);
                     }
                 }
@@ -251,7 +245,7 @@ impl<'a> UpperEngine<'a> {
         for &id in cands {
             // A candidate already in the frontier kept its verdict: any
             // newly qualifying extension would have evicted it above.
-            if !self.core.mark[id as usize] || self.maximal.contains(&id) {
+            if !self.core.marked(id) || self.maximal.contains(&id) {
                 continue;
             }
             match self.probe_maximal(id, u, guard) {
@@ -282,7 +276,7 @@ impl<'a> UpperEngine<'a> {
 }
 
 impl<'a> Incremental<'a> for UpperEngine<'a> {
-    type Frontier = UpperFrontier;
+    type Frontier = FxHashSet<u32>;
 
     fn core(&self) -> &Core<'a> {
         &self.core
@@ -322,8 +316,8 @@ impl<'a> Incremental<'a> for UpperEngine<'a> {
         }
         let mut fresh = Vec::new();
         self.core.walk(k - 1, true, |core, id| {
-            if !core.mark[id as usize] && core.count(id) > u {
-                core.mark[id as usize] = true;
+            if !core.marked(id) && core.count(id) > u {
+                core.mark[id as usize] = MARKED;
                 fresh.push(id);
             }
         });
@@ -354,8 +348,8 @@ impl<'a> Incremental<'a> for UpperEngine<'a> {
         let mut lost = Vec::new();
         self.core.rescan(|core, id| {
             let q = core.count(id) > u;
-            if q != core.mark[id as usize] {
-                core.mark[id as usize] = q;
+            if q != core.marked(id) {
+                core.mark[id as usize] = if q { MARKED } else { FREE };
                 if q {
                     fresh.push(id);
                 } else {
@@ -378,7 +372,7 @@ impl<'a> Incremental<'a> for UpperEngine<'a> {
                 .arena
                 .root_children
                 .iter()
-                .filter(|&&id| id != PRUNED && core.mark[id as usize])
+                .filter(|&&id| id != PRUNED && core.marked(id))
                 .map(|&id| core.pattern(id).clone())
                 .collect(),
         };
@@ -386,28 +380,21 @@ impl<'a> Incremental<'a> for UpperEngine<'a> {
         KResult { k, patterns }
     }
 
-    fn frontier(&self) -> UpperFrontier {
-        UpperFrontier {
-            qualified: self.core.mark.clone(),
-            maximal: self.maximal.clone(),
-        }
+    fn frontier(&self) -> &FxHashSet<u32> {
+        &self.maximal
     }
 
-    fn set_frontier(&mut self, frontier: &UpperFrontier) {
-        let n = self.core.mark.len();
-        self.core.mark.clear();
-        self.core.mark.extend_from_slice(&frontier.qualified);
-        self.core.mark.resize(n, false);
-        self.maximal.clone_from(&frontier.maximal);
+    fn frontier_mut(&mut self) -> &mut FxHashSet<u32> {
+        &mut self.maximal
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::{replay, Store, Stream};
+    use crate::incremental::Stream;
     use crate::oracle;
-    use crate::stats::{DetectionOutput, ReplayCounters};
+    use crate::stats::DetectionOutput;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
     use rankfair_rank::Ranking;
 
@@ -434,23 +421,6 @@ mod tests {
         .into_output()
     }
 
-    /// The monitor's checkpointed replay of the upper side.
-    #[allow(clippy::too_many_arguments)]
-    fn replayed(
-        index: &RankedIndex,
-        space: &PatternSpace,
-        cfg: &DetectConfig,
-        upper: &Bounds,
-        scope: OverRepScope,
-        spans: &[(usize, usize)],
-        store: &mut Store<UpperFrontier>,
-        cadence: usize,
-        counters: &mut ReplayCounters,
-    ) -> Vec<KResult> {
-        let engine = UpperEngine::new(index, space, cfg, upper.clone(), scope);
-        replay(engine, store, cfg.k_min, spans, None, cadence, counters).per_k
-    }
-
     /// A one-term subset shared by several lost nodes is probed once:
     /// listing a lost node twice costs no extra probe work.
     #[test]
@@ -473,7 +443,7 @@ mod tests {
         // qualifying, none of them is maximal, so each probe runs in full.
         let engine = built();
         let lost = (0..u32::try_from(engine.core.arena.len()).unwrap())
-            .find(|&id| engine.core.mark[id as usize] && engine.core.pattern(id).len() == 2)
+            .find(|&id| engine.core.marked(id) && engine.core.pattern(id).len() == 2)
             .expect("fig1 has a qualifying two-term group");
         let touched = |lost: &[u32]| {
             let mut engine = built();
@@ -576,110 +546,6 @@ mod tests {
             "incremental {} >= fresh single-k runs {fresh_evals}",
             inc.stats.nodes_evaluated,
         );
-    }
-
-    #[test]
-    fn upper_replay_matches_batch_and_seeks_checkpoints() {
-        let (space, index) = fig1();
-        let cfg = DetectConfig::new(2, 2, 16);
-        // A per-k-changing bound and a stepped one, both scopes.
-        for upper in [
-            Bounds::LinearFraction(0.4),
-            Bounds::steps(vec![(0, 1), (6, 3), (11, 2)]),
-        ] {
-            for scope in [OverRepScope::MostSpecific, OverRepScope::MostGeneral] {
-                let want = batch(&index, &space, &cfg, &upper, scope).per_k;
-                for cadence in [1usize, 4, 8] {
-                    let mut store = Store::default();
-                    let mut counters = ReplayCounters::default();
-                    let full = replayed(
-                        &index,
-                        &space,
-                        &cfg,
-                        &upper,
-                        scope,
-                        &[(2, 16)],
-                        &mut store,
-                        cadence,
-                        &mut counters,
-                    );
-                    assert_eq!(full, want, "{upper:?} {scope:?} cadence {cadence}");
-                    assert_eq!(counters.cold_builds, 1);
-                    assert!(store.snaps.windows(2).all(|w| w[0].k < w[1].k));
-                    let mut counters = ReplayCounters::default();
-                    let sub = replayed(
-                        &index,
-                        &space,
-                        &cfg,
-                        &upper,
-                        scope,
-                        &[(10, 14)],
-                        &mut store,
-                        cadence,
-                        &mut counters,
-                    );
-                    assert_eq!(
-                        sub[..],
-                        want[8..=12],
-                        "{upper:?} {scope:?} cadence {cadence}"
-                    );
-                    assert_eq!(counters.seeks, 1);
-                    assert_eq!(counters.cold_builds, 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn upper_replay_segmented_spans_match_batch() {
-        let (space, index) = fig1();
-        let cfg = DetectConfig::new(2, 2, 16);
-        let upper = Bounds::LinearFraction(0.4);
-        for scope in [OverRepScope::MostSpecific, OverRepScope::MostGeneral] {
-            let want = batch(&index, &space, &cfg, &upper, scope).per_k;
-            for cadence in [1usize, 3, 8] {
-                let mut store = Store::default();
-                let mut counters = ReplayCounters::default();
-                let full = replayed(
-                    &index,
-                    &space,
-                    &cfg,
-                    &upper,
-                    scope,
-                    &[(2, 16)],
-                    &mut store,
-                    cadence,
-                    &mut counters,
-                );
-                assert_eq!(full, want);
-                // Two disjoint segments of the same range replay only the
-                // four spanned ks (plus catch-up), and match the batch run
-                // value-for-value.
-                let mut counters = ReplayCounters::default();
-                let got = replayed(
-                    &index,
-                    &space,
-                    &cfg,
-                    &upper,
-                    scope,
-                    &[(4, 5), (12, 13)],
-                    &mut store,
-                    cadence,
-                    &mut counters,
-                );
-                let got_ks: Vec<usize> = got.iter().map(|r| r.k).collect();
-                assert_eq!(got_ks, vec![4, 5, 12, 13], "{scope:?} cadence {cadence}");
-                assert_eq!(got[..2], want[2..=3], "{scope:?} cadence {cadence}");
-                assert_eq!(got[2..4], want[10..=11], "{scope:?} cadence {cadence}");
-                assert_eq!(counters.segments, 2);
-                assert_eq!(counters.cold_builds, 0);
-                assert!(
-                    (1..=2).contains(&counters.seeks),
-                    "{scope:?} cadence {cadence}: seeks {}",
-                    counters.seeks
-                );
-            }
-        }
     }
 
     #[test]

@@ -27,6 +27,9 @@ pub enum BinStrategy {
 
 /// Computes bin edges for `values` (length `bins + 1`, strictly increasing
 /// where possible).
+///
+/// `bins` must lie in `1..=u16::MAX`: a bin is a dictionary code, and the
+/// cap is checked before anything is allocated.
 pub fn bin_edges(
     values: &[f64],
     bins: usize,
@@ -34,6 +37,12 @@ pub fn bin_edges(
 ) -> Result<Vec<f64>, DataError> {
     if bins == 0 {
         return Err(DataError::Invalid("bins must be ≥ 1".into()));
+    }
+    if bins > usize::from(u16::MAX) {
+        return Err(DataError::Invalid(format!(
+            "bins must be ≤ {}, the dictionary cap",
+            u16::MAX
+        )));
     }
     if values.is_empty() {
         return Err(DataError::Invalid(
@@ -138,26 +147,6 @@ pub fn bucketize_in_place(
     ds.replace_column(idx, new_col)
 }
 
-/// Appends a bucketized categorical copy of numeric column `col` under
-/// `new_name`, keeping the raw column (so rankers can still use it).
-pub fn bucketize_keep_raw(
-    ds: &mut Dataset,
-    col: &str,
-    new_name: &str,
-    bins: usize,
-    strategy: BinStrategy,
-) -> Result<(), DataError> {
-    let idx = ds
-        .column_index(col)
-        .ok_or_else(|| DataError::UnknownColumn(col.to_string()))?;
-    let values = ds.column(idx).values().ok_or(DataError::KindMismatch {
-        column: col.to_string(),
-        expected: "numeric",
-    })?;
-    let new_col = bucketize_values(new_name, values, bins, strategy)?;
-    ds.push_column(new_col)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +201,22 @@ mod tests {
         assert!(bin_edges(&[1.0], 0, BinStrategy::EqualWidth).is_err());
     }
 
+    /// A bin is a dictionary code: `u16::MAX` bins are one code each,
+    /// the top value takes the last one, and one more bin is an error,
+    /// not a wrapped code.
+    #[test]
+    fn bins_are_capped_at_the_dictionary_cap() {
+        let cap = usize::from(u16::MAX);
+        let values = [0.0, 1.0, (cap - 1) as f64];
+        let col = bucketize_values("v", &values, cap, BinStrategy::EqualWidth).unwrap();
+        assert_eq!(col.cardinality(), Some(cap));
+        assert_eq!(col.codes().unwrap(), &[0, 1, u16::MAX - 1]);
+        for strategy in [BinStrategy::EqualWidth, BinStrategy::Quantile] {
+            let err = bucketize_values("v", &values, cap + 1, strategy).unwrap_err();
+            assert!(matches!(err, DataError::Invalid(_)), "{err:?}");
+        }
+    }
+
     #[test]
     fn nan_rejected() {
         assert!(bin_edges(&[1.0, f64::NAN], 2, BinStrategy::EqualWidth).is_err());
@@ -227,17 +232,6 @@ mod tests {
         let col = ds.column_by_name("age").unwrap();
         assert!(col.is_categorical());
         assert!(col.cardinality().unwrap() <= 3);
-    }
-
-    #[test]
-    fn keep_raw_appends_column() {
-        let mut ds = Dataset::builder()
-            .numeric("age", vec![15.0, 19.0, 22.0])
-            .build()
-            .unwrap();
-        bucketize_keep_raw(&mut ds, "age", "age_bin", 3, BinStrategy::EqualWidth).unwrap();
-        assert!(ds.column_by_name("age").unwrap().is_numeric());
-        assert!(ds.column_by_name("age_bin").unwrap().is_categorical());
     }
 
     #[test]

@@ -108,19 +108,6 @@ impl Dataset {
         self.columns[col].value(row)
     }
 
-    /// Returns a new dataset restricted to the first `k` columns *among
-    /// `cols`*, keeping every row.
-    ///
-    /// Used by the scalability experiments that vary the number of
-    /// attributes (Figures 4–5 of the paper).
-    pub fn select_columns(&self, cols: &[usize]) -> Dataset {
-        let columns = cols.iter().map(|&i| self.columns[i].clone()).collect();
-        Dataset {
-            columns,
-            n_rows: self.n_rows,
-        }
-    }
-
     /// Returns a new dataset containing only the given rows (in the given
     /// order).
     pub fn select_rows(&self, rows: &[usize]) -> Dataset {
@@ -339,15 +326,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, DataError::DuplicateColumn(_)));
-    }
-
-    #[test]
-    fn select_columns_projects() {
-        let ds = sample();
-        let proj = ds.select_columns(&[1, 2]);
-        assert_eq!(proj.n_cols(), 2);
-        assert_eq!(proj.column(0).name(), "b");
-        assert_eq!(proj.n_rows(), 4);
     }
 
     #[test]

@@ -161,21 +161,6 @@ impl Request {
             | Request::Shutdown { id } => id.as_ref(),
         }
     }
-
-    /// Whether executing this request mutates service state. The server
-    /// serializes these **per resource**: every previously dispatched
-    /// request on the same dataset/monitor lane finishes first (it must
-    /// see the pre-mutation state), and the mutation completes before any
-    /// later request on that lane runs — requests on other resources
-    /// proceed in parallel.
-    pub fn is_mutation(&self) -> bool {
-        matches!(
-            self,
-            Request::Register { .. }
-                | Request::RegisterMonitor { .. }
-                | Request::MonitorUpdate { .. }
-        )
-    }
 }
 
 fn bad(msg: impl Into<String>) -> ServiceError {

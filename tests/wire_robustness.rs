@@ -323,6 +323,40 @@ fn register_shards_past_the_row_count_is_a_bad_request() {
     assert_eq!(sharded.get("stats"), single.get("stats"));
 }
 
+/// A bucketize bin is a dictionary code, so `u16::MAX` bins is the most
+/// a column can take: one more is answered in-band as `prepare`, before
+/// anything is allocated for the bins, instead of wrapping codes past the
+/// cap and panicking the audit.
+#[test]
+fn bucketize_past_the_dictionary_cap_is_a_prepare_error() {
+    let audit = |id: usize, bins: usize| {
+        format!(
+            r#"{{"id": {id}, "dataset": "fig1", "ranking": {{"rank_by": "Grade"}}, "task": {{"type": "under", "measure": {{"type": "global", "lower": 2}}}}, "config": {{"tau": 4, "kmin": 4, "kmax": 5}}, "bucketize": {{"Grade": {bins}}}}}"#
+        )
+    };
+    let input = [audit(1, 65_536), audit(2, 65_535)]
+        .map(|line| line + "\n")
+        .concat();
+    let (answered, lines) = run(input.into_bytes(), 1).expect("valid UTF-8 stream");
+    assert_eq!(answered, 2);
+    assert_lines_well_formed(&lines);
+    let [rejected, capped] = [0, 1].map(|i| rankfair::json::parse(&lines[i]).unwrap());
+    assert_eq!(rejected.get("id").and_then(|i| i.as_usize()), Some(1));
+    assert_eq!(rejected.get("ok").and_then(|b| b.as_bool()), Some(false));
+    let kind = rejected.get("error").and_then(|e| e.get("kind"));
+    assert_eq!(
+        kind.and_then(|k| k.as_str()),
+        Some("prepare"),
+        "{rejected:?}"
+    );
+    assert_eq!(capped.get("id").and_then(|i| i.as_usize()), Some(2));
+    assert_eq!(
+        capped.get("ok").and_then(|b| b.as_bool()),
+        Some(true),
+        "{capped:?}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Socket framing: the same robustness contract over the TCP front-end.
 // The socket reader reassembles lines from arbitrary segment boundaries,
