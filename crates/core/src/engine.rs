@@ -575,7 +575,7 @@ impl<'a> Incremental<'a> for LowerEngine<'a> {
 mod tests {
     use super::*;
     use crate::bounds::Bounds;
-    use crate::incremental::Stream;
+    use crate::incremental::{replay_contract, Stream};
     use crate::stats::DetectionOutput;
     use crate::topdown::iter_td;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
@@ -726,6 +726,38 @@ mod tests {
             opt.stats.patterns_examined(),
             base.stats.patterns_examined()
         );
+    }
+
+    /// The lower measures the replay contract runs on: a stepped and a
+    /// per-`k`-changing global bound, and a proportional one.
+    fn replay_measures() -> [BiasMeasure; 3] {
+        [
+            BiasMeasure::GlobalLower(Bounds::steps(vec![(2, 1), (6, 2), (10, 3)])),
+            BiasMeasure::GlobalLower(Bounds::LinearFraction(0.3)),
+            BiasMeasure::Proportional { alpha: 0.8 },
+        ]
+    }
+
+    #[test]
+    fn lower_replay_matches_batch_and_seeks_checkpoints() {
+        let (space, index) = fig1();
+        let cfg = DetectConfig::new(2, 2, 16);
+        for measure in replay_measures() {
+            replay_contract::check_seeks(&cfg, &format!("{measure:?}"), || {
+                LowerEngine::new(&index, &space, &cfg, measure.clone())
+            });
+        }
+    }
+
+    #[test]
+    fn lower_replay_segmented_spans_match_batch() {
+        let (space, index) = fig1();
+        let cfg = DetectConfig::new(2, 2, 16);
+        for measure in replay_measures() {
+            replay_contract::check_segments(&cfg, &format!("{measure:?}"), || {
+                LowerEngine::new(&index, &space, &cfg, measure.clone())
+            });
+        }
     }
 
     #[test]

@@ -966,48 +966,77 @@ pub(crate) fn replay<'a, E: Incremental<'a>>(
     DetectionOutput { per_k, stats }
 }
 
+/// The replay contract both engines keep, checked by each engine's own
+/// tests on `fig1` with `k ∈ [2, 16]` at every cadence in [`CADENCES`].
 #[cfg(test)]
-mod tests {
+pub(crate) mod replay_contract {
     use super::*;
-    use crate::audit::OverRepScope;
-    use crate::bounds::{BiasMeasure, Bounds};
-    use crate::engine::LowerEngine;
-    use crate::upper_engine::UpperEngine;
-    use rankfair_data::examples::{fig1_rank_order, students_fig1};
-    use rankfair_rank::Ranking;
-    use rankfair_synth::{random_dataset, random_ranking, RandomSpec};
 
-    /// The replay contract, for one engine on `fig1` with `k ∈ [2, 16]`,
-    /// at every cadence: a full replay equals the batch stream, builds
-    /// once and lays a sorted grid; a replay of `[9, 12]` seeks once,
-    /// builds nothing and beats a full pass's 14 steps; and the segments
-    /// `[(4, 5), (12, 13)]` emit exactly those `k`, each equal to the
-    /// batch run's, with no build and one or two seeks.
-    fn check_replay<'a, E: Incremental<'a>>(
+    pub(crate) const CADENCES: [usize; 4] = [1, 3, 4, 8];
+
+    /// One replay with a fresh engine, as a monitor runs it.
+    fn replayed<'a, E: Incremental<'a>>(
+        engine: E,
+        cfg: &DetectConfig,
+        store: &mut Store<E::Frontier>,
+        spans: &[(usize, usize)],
+        cadence: usize,
+    ) -> (Vec<KResult>, ReplayCounters) {
+        let mut c = ReplayCounters::default();
+        let out = replay(engine, store, cfg.k_min, spans, None, cadence, &mut c);
+        (out.per_k, c)
+    }
+
+    /// A full replay equals the batch stream `want`, builds once and
+    /// lays a sorted grid; returns the grid.
+    fn full_replay<'a, E: Incremental<'a>>(
+        engine: E,
+        cfg: &DetectConfig,
+        want: &[KResult],
+        cadence: usize,
+        what: &str,
+    ) -> Store<E::Frontier> {
+        let mut store = Store::default();
+        let (full, c) = replayed(engine, cfg, &mut store, &[(2, 16)], cadence);
+        assert_eq!(full, want, "{what}");
+        assert_eq!(c.cold_builds, 1, "{what}");
+        assert!(!store.snaps.is_empty(), "{what}");
+        assert!(store.snaps.windows(2).all(|w| w[0].k < w[1].k), "{what}");
+        store
+    }
+
+    /// After a full replay, a replay of `[9, 12]` equals the batch run's
+    /// slice, seeks once, builds nothing and beats a full pass's 14 steps.
+    pub(crate) fn check_seeks<'a, E: Incremental<'a>>(
         cfg: &DetectConfig,
         what: &str,
         engine: impl Fn() -> E,
     ) {
         let want = Stream::new(engine(), cfg).into_output().per_k;
-        // One replay with a fresh engine, as a monitor runs it.
-        let replayed = |store: &mut Store<E::Frontier>, spans: &[(usize, usize)], cadence| {
-            let mut c = ReplayCounters::default();
-            let out = replay(engine(), store, cfg.k_min, spans, None, cadence, &mut c);
-            (out.per_k, c)
-        };
-        for cadence in [1, 3, 4, 8] {
+        for cadence in CADENCES {
             let what = format!("{what} cadence {cadence}");
-            let mut store = Store::default();
-            let (full, c) = replayed(&mut store, &[(2, 16)], cadence);
-            assert_eq!(full, want, "{what}");
-            assert_eq!(c.cold_builds, 1, "{what}");
-            assert!(!store.snaps.is_empty(), "{what}");
-            assert!(store.snaps.windows(2).all(|w| w[0].k < w[1].k), "{what}");
-            let (sub, c) = replayed(&mut store, &[(9, 12)], cadence);
+            let mut store = full_replay(engine(), cfg, &want, cadence, &what);
+            let (sub, c) = replayed(engine(), cfg, &mut store, &[(9, 12)], cadence);
             assert_eq!(sub[..], want[7..=10], "{what}");
             assert_eq!((c.seeks, c.cold_builds), (1, 0), "{what}");
             assert!(c.replayed_steps < 14, "{what}: {} steps", c.replayed_steps);
-            let (seg, c) = replayed(&mut store, &[(4, 5), (12, 13)], cadence);
+        }
+    }
+
+    /// After a full replay, the segments `[(4, 5), (12, 13)]` emit
+    /// exactly those `k`, each equal to the batch run's, with no build
+    /// and one or two seeks.
+    pub(crate) fn check_segments<'a, E: Incremental<'a>>(
+        cfg: &DetectConfig,
+        what: &str,
+        engine: impl Fn() -> E,
+    ) {
+        let want = Stream::new(engine(), cfg).into_output().per_k;
+        for cadence in CADENCES {
+            let what = format!("{what} cadence {cadence}");
+            let mut store = full_replay(engine(), cfg, &want, cadence, &what);
+            let spans = [(4, 5), (12, 13)];
+            let (seg, c) = replayed(engine(), cfg, &mut store, &spans, cadence);
             let ks: Vec<usize> = seg.iter().map(|r| r.k).collect();
             assert_eq!(ks, [4, 5, 12, 13], "{what}");
             assert_eq!(seg[..2], want[2..=3], "{what}");
@@ -1016,36 +1045,13 @@ mod tests {
             assert!((1..=2).contains(&c.seeks), "{what}: {} seeks", c.seeks);
         }
     }
+}
 
-    /// Both engines keep the replay contract: the three lower measures,
-    /// and the two upper bounds at both scopes.
-    #[test]
-    fn replay_matches_the_batch_stream_for_both_engines() {
-        let ds = students_fig1();
-        let space = PatternSpace::from_dataset(&ds).unwrap();
-        let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
-        let index = RankedIndex::build(&ds, &space, &ranking);
-        let cfg = DetectConfig::new(2, 2, 16);
-        for measure in [
-            BiasMeasure::GlobalLower(Bounds::steps(vec![(2, 1), (6, 2), (10, 3)])),
-            BiasMeasure::GlobalLower(Bounds::LinearFraction(0.3)),
-            BiasMeasure::Proportional { alpha: 0.8 },
-        ] {
-            check_replay(&cfg, &format!("{measure:?}"), || {
-                LowerEngine::new(&index, &space, &cfg, measure.clone())
-            });
-        }
-        for upper in [
-            Bounds::LinearFraction(0.4),
-            Bounds::steps(vec![(0, 1), (6, 3), (11, 2)]),
-        ] {
-            for scope in [OverRepScope::MostSpecific, OverRepScope::MostGeneral] {
-                check_replay(&cfg, &format!("{upper:?} {scope:?}"), || {
-                    UpperEngine::new(&index, &space, &cfg, upper.clone(), scope)
-                });
-            }
-        }
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rankfair_rank::Ranking;
+    use rankfair_synth::{random_dataset, random_ranking, RandomSpec};
 
     /// The flat child layout, the pruned slots, the ancestor-started
     /// lookups, the term masks and the walk, each checked node by node

@@ -392,7 +392,7 @@ impl<'a> Incremental<'a> for UpperEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::Stream;
+    use crate::incremental::{replay_contract, Stream};
     use crate::oracle;
     use crate::stats::DetectionOutput;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
@@ -546,6 +546,42 @@ mod tests {
             "incremental {} >= fresh single-k runs {fresh_evals}",
             inc.stats.nodes_evaluated,
         );
+    }
+
+    /// The upper bounds and scopes the replay contract runs on: a
+    /// per-`k`-changing and a stepped bound, each at both scopes.
+    fn replay_cases() -> Vec<(Bounds, OverRepScope)> {
+        let bounds = [
+            Bounds::LinearFraction(0.4),
+            Bounds::steps(vec![(0, 1), (6, 3), (11, 2)]),
+        ];
+        let scopes = [OverRepScope::MostSpecific, OverRepScope::MostGeneral];
+        bounds
+            .iter()
+            .flat_map(|b| scopes.map(|scope| (b.clone(), scope)))
+            .collect()
+    }
+
+    #[test]
+    fn upper_replay_matches_batch_and_seeks_checkpoints() {
+        let (space, index) = fig1();
+        let cfg = DetectConfig::new(2, 2, 16);
+        for (upper, scope) in replay_cases() {
+            replay_contract::check_seeks(&cfg, &format!("{upper:?} {scope:?}"), || {
+                UpperEngine::new(&index, &space, &cfg, upper.clone(), scope)
+            });
+        }
+    }
+
+    #[test]
+    fn upper_replay_segmented_spans_match_batch() {
+        let (space, index) = fig1();
+        let cfg = DetectConfig::new(2, 2, 16);
+        for (upper, scope) in replay_cases() {
+            replay_contract::check_segments(&cfg, &format!("{upper:?} {scope:?}"), || {
+                UpperEngine::new(&index, &space, &cfg, upper.clone(), scope)
+            });
+        }
     }
 
     #[test]
