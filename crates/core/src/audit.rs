@@ -476,7 +476,7 @@ impl Audit {
 
     /// Enriches an outcome into per-`k` display reports (both directions).
     pub fn report(&self, out: &AuditOutcome, task: &AuditTask) -> Vec<KReport> {
-        summarize_audit(out, &self.index, &self.space, task)
+        summarize_audit(&out.per_k, &self.index, &self.space, task)
     }
 
     fn validate(&self, cfg: &DetectConfig, task: &AuditTask) -> Result<(), AuditError> {

@@ -108,7 +108,6 @@ use crate::pattern::Pattern;
 use crate::report::KReport;
 use crate::space::{PatternSpace, RankedIndex};
 use crate::stats::{DetectConfig, SearchStats};
-use crate::AuditOutcome;
 
 /// One edit to a live ranking.
 #[derive(Debug, Clone, PartialEq)]
@@ -526,11 +525,7 @@ impl MonitorAudit {
     ///
     /// [`Audit::report`]: crate::Audit::report
     pub fn reports(&self) -> Vec<KReport> {
-        let out = AuditOutcome {
-            per_k: self.results.clone(),
-            stats: self.stats.clone(),
-        };
-        crate::report::summarize_audit(&out, &self.index, &self.space, &self.task)
+        crate::report::summarize_audit(&self.results, &self.index, &self.space, &self.task)
     }
 
     /// Renders a pattern with attribute names and value labels.

@@ -4,7 +4,9 @@
 //! rank the groups by their overall size in the data or by the bias in
 //! their representation”).
 
-use crate::audit::{AuditOutcome, AuditTask};
+use rankfair_data::csv::quote_field;
+
+use crate::audit::{AuditKResult, AuditTask};
 use crate::pattern::Pattern;
 use crate::space::{PatternSpace, RankedIndex};
 use crate::util::FxHashMap;
@@ -60,15 +62,19 @@ pub struct KReport {
     pub groups: Vec<BiasedGroup>,
 }
 
-/// Enriches an [`AuditOutcome`] into per-`k` reports covering **both**
+/// Enriches per-`k` audit results (an [`AuditOutcome`]'s `per_k`, or a
+/// live monitor's current sets) into per-`k` reports covering **both**
 /// directions: under-represented groups first (largest deficit first),
 /// then over-represented ones (largest excess first).
 ///
-/// A group reported at many `k` values is counted in the data once: `s_D`
-/// does not depend on `k`, so it is memoized per distinct pattern, and
-/// each row pays only the truncated top-`k` prefix count.
+/// A group reported at many `k` values is counted in the data and
+/// formatted once: `s_D` and the display string do not depend on `k`, so
+/// both are memoized per distinct pattern, and each row pays only the
+/// truncated top-`k` prefix count.
+///
+/// [`AuditOutcome`]: crate::AuditOutcome
 pub fn summarize_audit<'o>(
-    out: &'o AuditOutcome,
+    per_k: &'o [AuditKResult],
     index: &RankedIndex,
     space: &PatternSpace,
     task: &AuditTask,
@@ -88,14 +94,15 @@ pub fn summarize_audit<'o>(
             AuditTask::UnderRep(_) => 0.0, // no over side
         }
     };
-    let mut size_in_data: FxHashMap<&'o Pattern, usize> = FxHashMap::default();
-    out.per_k
+    let mut per_pattern: FxHashMap<&'o Pattern, (usize, String)> = FxHashMap::default();
+    per_k
         .iter()
         .map(|kr| {
             let mut enrich = |p: &'o Pattern, direction: BiasDirection| {
-                let sd = *size_in_data
+                let (sd, display) = per_pattern
                     .entry(p)
-                    .or_insert_with(|| index.size_in_data(p));
+                    .or_insert_with(|| (index.size_in_data(p), space.display(p)));
+                let sd = *sd;
                 let count = index.prefix_count(p, kr.k);
                 let required = match direction {
                     BiasDirection::Under => under_required(sd, kr.k),
@@ -107,7 +114,7 @@ pub fn summarize_audit<'o>(
                 };
                 BiasedGroup {
                     pattern: p.clone(),
-                    display: space.display(p),
+                    display: display.clone(),
                     direction,
                     size_in_data: sd,
                     size_in_topk: count,
@@ -184,7 +191,7 @@ pub fn render_report(reports: &[KReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::{AuditParts, Engine};
+    use crate::audit::{AuditOutcome, AuditParts, Engine};
     use crate::bounds::{BiasMeasure, Bounds};
     use crate::space::RankedIndex;
     use crate::stats::DetectConfig;
@@ -213,7 +220,7 @@ mod tests {
     #[test]
     fn summary_contains_sizes_and_gaps() {
         let (space, index, out, task) = setup();
-        let reports = summarize_audit(&out, &index, &space, &task);
+        let reports = summarize_audit(&out.per_k, &index, &space, &task);
         assert_eq!(reports.len(), 2);
         let k4 = &reports[0];
         assert_eq!(k4.k, 4);
@@ -231,7 +238,7 @@ mod tests {
     #[test]
     fn groups_sorted_by_gap_desc() {
         let (space, index, out, task) = setup();
-        let reports = summarize_audit(&out, &index, &space, &task);
+        let reports = summarize_audit(&out.per_k, &index, &space, &task);
         for r in &reports {
             for w in r.groups.windows(2) {
                 assert!(w[0].bias_gap >= w[1].bias_gap);
@@ -242,7 +249,7 @@ mod tests {
     #[test]
     fn render_is_nonempty_and_mentions_k() {
         let (space, index, out, task) = setup();
-        let text = render_report(&summarize_audit(&out, &index, &space, &task));
+        let text = render_report(&summarize_audit(&out.per_k, &index, &space, &task));
         assert!(text.contains("k = 4"));
         assert!(text.contains("{School=GP}"));
         assert!(text.contains("required"));
@@ -265,16 +272,11 @@ pub fn render_report_csv(reports: &[KReport]) -> String {
     let mut out = String::from("k,direction,group,size_in_data,size_in_topk,required,gap\n");
     for r in reports {
         for g in &r.groups {
-            let quoted = if g.display.contains(',') || g.display.contains('"') {
-                format!("\"{}\"", g.display.replace('"', "\"\""))
-            } else {
-                g.display.clone()
-            };
             out.push_str(&format!(
                 "{},{},{},{},{},{:.4},{:.4}\n",
                 r.k,
                 g.direction.as_str(),
-                quoted,
+                quote_field(&g.display, ','),
                 g.size_in_data,
                 g.size_in_topk,
                 g.required,
@@ -292,7 +294,7 @@ mod csv_tests {
     #[test]
     fn csv_has_header_and_quoted_groups() {
         let (space, index, out, task) = tests::setup();
-        let reports = summarize_audit(&out, &index, &space, &task);
+        let reports = summarize_audit(&out.per_k, &index, &space, &task);
         let csv = render_report_csv(&reports);
         let mut lines = csv.lines();
         assert_eq!(
@@ -314,5 +316,41 @@ mod csv_tests {
             }
             assert_eq!(fields, 7, "line `{line}`");
         }
+    }
+
+    /// A quoted CSV field may hold a line break, so a label can: the
+    /// report must quote such a group, or one row reads back as two
+    /// records. Four `"a\nb"` rows rank last under `L = 1`, `τs = 2`,
+    /// `k = 4`, so that group is the one reported.
+    #[test]
+    fn csv_quotes_a_group_holding_a_line_break() {
+        use crate::audit::{AuditParts, Engine};
+        use crate::bounds::{BiasMeasure, Bounds};
+        use crate::stats::DetectConfig;
+        use rankfair_data::csv::{parse_records, read_csv_str, CsvOptions};
+        use rankfair_rank::Ranking;
+
+        let text =
+            "grp,score\nx,8\nx,7\nx,6\nx,5\n\"a\nb\",4\n\"a\nb\",3\n\"a\nb\",2\n\"a\nb\",1\n";
+        let ds = read_csv_str(text, &CsvOptions::default()).unwrap();
+        assert_eq!(ds.n_rows(), 8);
+        let space = PatternSpace::from_dataset(&ds).unwrap();
+        let ranking = Ranking::from_order((0..8).collect()).unwrap();
+        let index = RankedIndex::build(&ds, &space, &ranking);
+        let task = AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(1)));
+        let parts = AuditParts {
+            dataset: &ds,
+            space: &space,
+            ranking: &ranking,
+            index: &index,
+        };
+        let out = parts.run_range(&DetectConfig::new(2, 4, 4), &task, Engine::Optimized);
+        let reports = summarize_audit(&out.per_k, &index, &space, &task);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].groups.len(), 1);
+        let records = parse_records(&render_report_csv(&reports), ',').unwrap();
+        assert_eq!(records.len(), 2, "{records:?}");
+        assert_eq!(records[1].len(), 7, "{records:?}");
+        assert_eq!(records[1][2], "{grp=a\nb}");
     }
 }

@@ -163,7 +163,10 @@ pub fn read_csv(path: impl AsRef<Path>, opts: &CsvOptions) -> Result<Dataset, Da
     read_csv_str(&text, opts)
 }
 
-fn quote_field(s: &str, separator: char) -> String {
+/// `s` as one CSV field: quoted (inner quotes doubled) when it holds the
+/// separator, a quote or a line break, as is otherwise, so
+/// [`parse_records`] reads it back as the same single field.
+pub fn quote_field(s: &str, separator: char) -> String {
     if s.contains(separator) || s.contains('"') || s.contains('\n') || s.contains('\r') {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {

@@ -7,6 +7,14 @@
 //! (null, bool, number, string, array, object), [`Value::render`] to a
 //! compact string, and [`parse`] with typed, position-carrying errors.
 //!
+//! A large response need not be built as a tree. [`write_string`] and
+//! [`write_number`] are the two primitives `render` itself writes every
+//! string and number with, so a writer that emits JSON text through them
+//! produces exactly the bytes `render` would for the same data. Its text
+//! enters a tree as one [`Value::Raw`], which `render` copies verbatim:
+//! the report encoders of `rankfair_core` write each distinct pattern's
+//! fragment once this way instead of building one subtree per row.
+//!
 //! Design choices, all in service of a deterministic wire format:
 //!
 //! * Objects preserve **insertion order** (a `Vec` of pairs, not a hash
@@ -55,6 +63,12 @@ pub enum Value {
     /// deterministic; [`Value::get`] does a linear scan (wire objects are
     /// small).
     Obj(Vec<(String, Value)>),
+    /// Pre-rendered JSON text: exactly one JSON value, written through
+    /// [`write_string`] and [`write_number`]. [`Value::render`] copies it
+    /// verbatim, [`parse`] never produces it, and every accessor returns
+    /// `None` for it. It compares equal only to the same text, never to
+    /// the tree it encodes: compare rendered bytes instead.
+    Raw(String),
 }
 
 impl From<bool> for Value {
@@ -190,6 +204,7 @@ impl Value {
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) => write_number(*n, out),
             Value::Str(s) => write_string(s, out),
+            Value::Raw(text) => out.push_str(text),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -222,7 +237,11 @@ impl fmt::Display for Value {
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Appends the JSON text of the number `n`, exactly as
+/// [`Value::render`] writes a [`Value::Num`]: integral values below 2^53
+/// without a fractional part, others in Rust's shortest round-trip form,
+/// and a non-finite value as `null`.
+pub fn write_number(n: f64, out: &mut String) {
     use fmt::Write;
     if !n.is_finite() {
         // JSON has no NaN/Infinity; null is the conventional stand-in.
@@ -237,7 +256,11 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string, exactly as [`Value::render`]
+/// writes a [`Value::Str`] or an object key: `"` and `\` escaped, the
+/// named control escapes, `\u00XX` for other control characters, and
+/// everything else (non-ASCII included) as is.
+pub fn write_string(s: &str, out: &mut String) {
     use fmt::Write;
     out.push('"');
     for c in s.chars() {
@@ -686,6 +709,37 @@ mod tests {
         assert!(parse(r#"{"k":1,"k":2}"#).is_err());
         let d = Value::object([("k", Value::from(1usize)), ("k", Value::from(2usize))]);
         assert_eq!(d.get("k").unwrap().as_f64(), Some(1.0));
+    }
+
+    /// A writer built on `write_string` and `write_number` emits the
+    /// bytes `render` writes for the same tree, and `render` copies its
+    /// text verbatim inside an array and inside an object.
+    #[test]
+    fn raw_text_renders_verbatim_inside_arrays_and_objects() {
+        let tree = Value::object([
+            ("name", Value::from("a\"b\\c\n\u{1}ü")),
+            ("n", Value::from(0.1 + 0.2)),
+            ("k", Value::from(7usize)),
+        ]);
+        let mut text = String::from("{");
+        write_string("name", &mut text);
+        text.push(':');
+        write_string("a\"b\\c\n\u{1}ü", &mut text);
+        text.push_str(",\"n\":");
+        write_number(0.1 + 0.2, &mut text);
+        text.push_str(",\"k\":");
+        write_number(7.0, &mut text);
+        text.push('}');
+        assert_eq!(text, tree.render());
+        let raw = Value::Raw(text.clone());
+        let in_array = Value::array(vec![Value::Null, raw.clone(), Value::from(1usize)]);
+        assert_eq!(in_array.render(), format!("[null,{text},1]"));
+        let in_object = Value::object([("a", raw.clone()), ("b", Value::Bool(true))]);
+        assert_eq!(in_object.render(), format!("{{\"a\":{text},\"b\":true}}"));
+        // The text parses back to the tree it encodes; the raw value
+        // itself has no accessors.
+        assert_eq!(parse(&in_object.render()).unwrap().get("a"), Some(&tree));
+        assert!(raw.get("name").is_none() && raw.as_obj().is_none() && raw.as_str().is_none());
     }
 
     #[test]

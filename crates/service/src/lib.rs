@@ -56,12 +56,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
+use rankfair_core::json::reports_json;
 use rankfair_core::{
     Audit, AuditError, AuditOutcome, AuditTask, CheckpointStats, DeltaReport, DetectConfig, Engine,
     KReport, MonitorAudit, MonitorError, PatternSpace, RankingEdit,
 };
 use rankfair_data::csv::{read_csv, CsvOptions};
 use rankfair_data::Dataset;
+use rankfair_json::Value;
 use rankfair_rank::{AttributeRanker, Ranker, Ranking, SortKey};
 
 pub mod net;
@@ -296,16 +298,20 @@ pub struct MonitorSpec {
 }
 
 /// A point-in-time view of a monitor, rendered for the wire.
+///
+/// `per_k` is rendered while the monitor's entry lock is held, straight
+/// from its current sets to JSON text, so a view copies neither the
+/// monitor's results nor its pattern space.
 #[derive(Debug, Clone)]
 pub struct MonitorView {
     /// The dataset name the monitor was registered over.
     pub dataset: String,
     /// Rows currently ranked (edits included).
     pub rows: usize,
-    /// Enriched per-`k` reports of the current result sets.
-    pub reports: Vec<KReport>,
-    /// The monitor's pattern space (needed to render patterns).
-    pub space: PatternSpace,
+    /// The enriched per-`k` reports of the current result sets, as
+    /// [`rankfair_core::json::reports_json`] renders them (a pre-rendered
+    /// [`Value::Raw`]).
+    pub per_k: Value,
     /// Persistent-engine-state stats (live checkpoints, seek/build
     /// counters); `None` for baseline-engine monitors, which keep no
     /// incremental state.
@@ -562,8 +568,7 @@ impl AuditService {
         let view = MonitorView {
             dataset: spec.dataset.clone(),
             rows: monitor.n_rows(),
-            reports: monitor.reports(),
-            space: monitor.space().clone(),
+            per_k: reports_json(&monitor.reports(), monitor.space()),
             checkpoints: monitor.checkpoint_stats(),
         };
         self.monitors.write().expect("monitor lock").insert(
@@ -644,8 +649,7 @@ impl AuditService {
         Ok(MonitorView {
             dataset: entry.dataset.clone(),
             rows: entry.monitor.n_rows(),
-            reports: entry.monitor.reports(),
-            space: entry.monitor.space().clone(),
+            per_k: reports_json(&entry.monitor.reports(), entry.monitor.space()),
             checkpoints: entry.monitor.checkpoint_stats(),
         })
     }
@@ -1110,7 +1114,8 @@ mod tests {
         };
         let view = service.register_monitor("m1", &spec).unwrap();
         assert_eq!(view.rows, 16);
-        assert_eq!(view.reports.len(), 15);
+        let per_k = rankfair_json::parse(&view.per_k.render()).unwrap();
+        assert_eq!(per_k.as_arr().map(<[_]>::len), Some(15));
         // Optimized monitors surface their persistent engine state.
         let ck = view.checkpoints.as_ref().expect("optimized keeps state");
         assert!(ck.lower_checkpoints > 0 && ck.stored_nodes > 0);
@@ -1149,10 +1154,7 @@ mod tests {
         let ck = after.checkpoints.as_ref().unwrap();
         assert!(ck.seeks + ck.cold_builds >= 2);
         if update.delta.total_changes() > 0 {
-            assert_ne!(
-                rankfair_core::json::reports_json(&before.reports, &before.space).render(),
-                rankfair_core::json::reports_json(&after.reports, &after.space).render(),
-            );
+            assert_ne!(before.per_k.render(), after.per_k.render());
         }
         // Bad edits surface as typed monitor errors and change nothing.
         assert!(matches!(

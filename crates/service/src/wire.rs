@@ -777,10 +777,7 @@ pub fn execute(service: &AuditService, request: &Request, strip_timing: bool) ->
                     ("monitor".to_string(), Value::from(name.as_str())),
                     ("dataset".to_string(), Value::from(view.dataset)),
                     ("rows".to_string(), Value::from(view.rows)),
-                    (
-                        "per_k".to_string(),
-                        reports_json(&view.reports, &view.space),
-                    ),
+                    ("per_k".to_string(), view.per_k),
                 ],
             ),
             Err(e) => error_response(id.as_ref(), &e),
@@ -813,7 +810,7 @@ pub fn execute(service: &AuditService, request: &Request, strip_timing: bool) ->
             }
         }
         Request::MonitorSnapshot { id, monitor } => match service.monitor_snapshot(monitor) {
-            Ok(view) => monitor_view_response(id.as_ref(), monitor, &view),
+            Ok(view) => monitor_view_response(id.as_ref(), monitor, view),
             Err(e) => error_response(id.as_ref(), &e),
         },
         Request::Shutdown { id } => envelope(
@@ -824,16 +821,13 @@ pub fn execute(service: &AuditService, request: &Request, strip_timing: bool) ->
     }
 }
 
-fn monitor_view_response(id: Option<&Value>, monitor: &str, view: &MonitorView) -> Value {
+fn monitor_view_response(id: Option<&Value>, monitor: &str, view: MonitorView) -> Value {
     let mut rest = vec![
         ("op".to_string(), Value::from("snapshot")),
         ("monitor".to_string(), Value::from(monitor)),
-        ("dataset".to_string(), Value::from(view.dataset.as_str())),
+        ("dataset".to_string(), Value::from(view.dataset)),
         ("rows".to_string(), Value::from(view.rows)),
-        (
-            "per_k".to_string(),
-            reports_json(&view.reports, &view.space),
-        ),
+        ("per_k".to_string(), view.per_k),
     ];
     // Persistent-engine-state health: live checkpoints per direction,
     // their node footprint, and the seek/build/replay counters. All

@@ -207,8 +207,8 @@ fn sixty_four_monitors_update_concurrently_and_match_fresh_builds() {
             .expect("fresh build");
         assert_eq!(view.rows, fresh.n_rows(), "{name}: row count diverged");
         assert_eq!(
-            format!("{:?}", view.reports),
-            format!("{:?}", fresh.reports()),
+            view.per_k.render(),
+            rankfair::core::json::reports_json(&fresh.reports(), fresh.space()).render(),
             "{name}: monitor state diverged from a fresh audit"
         );
     }
