@@ -479,18 +479,50 @@ impl Audit {
         summarize_audit(&out.per_k, &self.index, &self.space, task)
     }
 
-    fn validate(&self, cfg: &DetectConfig, task: &AuditTask) -> Result<(), AuditError> {
-        validate_task(cfg, task, self.index.n())
+    /// Checks a `(config, task)` pair against the audit's ranked tuples.
+    pub(crate) fn validate(&self, cfg: &DetectConfig, task: &AuditTask) -> Result<(), AuditError> {
+        let n = self.index.n();
+        if cfg.k_min == 0 || cfg.k_min > cfg.k_max || cfg.k_max > n {
+            return Err(AuditError::InvalidKRange {
+                k_min: cfg.k_min,
+                k_max: cfg.k_max,
+                n,
+            });
+        }
+        // The finiteness check must come first: a bare `alpha <= 0.0` is
+        // false for NaN, which would sail through and mark nothing biased.
+        if let AuditTask::UnderRep(BiasMeasure::Proportional { alpha }) = task {
+            if !alpha.is_finite() || *alpha <= 0.0 {
+                return Err(AuditError::InvalidAlpha(*alpha));
+            }
+        }
+        let bounds_of = |task: &AuditTask| -> Vec<Bounds> {
+            match task {
+                AuditTask::UnderRep(BiasMeasure::GlobalLower(b)) => vec![b.clone()],
+                AuditTask::UnderRep(BiasMeasure::Proportional { .. }) => Vec::new(),
+                AuditTask::OverRep { upper, .. } => vec![upper.clone()],
+                AuditTask::Combined { lower, upper } => vec![lower.clone(), upper.clone()],
+            }
+        };
+        for b in bounds_of(task) {
+            b.validate().map_err(AuditError::InvalidBound)?;
+        }
+        Ok(())
     }
 
-    /// The borrowed execution core shared with [`crate::MonitorAudit`].
-    fn parts(&self) -> AuditParts<'_> {
-        AuditParts {
-            dataset: &self.dataset,
-            space: &self.space,
-            ranking: &self.ranking,
-            index: &self.index,
-        }
+    /// The dataset, pattern space, index and ranking, borrowed apart for
+    /// [`crate::MonitorAudit::apply`], the one writer: it edits the
+    /// dataset and the index in place and keeps the ranking equal to its
+    /// scored order. The dataset comes through [`Arc::make_mut`], which
+    /// copies nothing while the monitor holds the only handle.
+    pub(crate) fn edit(&mut self) -> (&mut Dataset, &PatternSpace, &mut RankedIndex, &mut Ranking) {
+        let (AuditIndex::Single(index) | AuditIndex::Sharded(index)) = &mut self.index;
+        (
+            Arc::make_mut(&mut self.dataset),
+            &self.space,
+            index,
+            &mut self.ranking,
+        )
     }
 
     /// Executes `task` over `cfg`'s `k` range.
@@ -551,67 +583,16 @@ impl Audit {
         }
         Ok(AuditOutcome { per_k, stats })
     }
-
-    /// Sequential execution over one contiguous sub-range (already
-    /// validated).
-    fn run_range(&self, cfg: &DetectConfig, task: &AuditTask, engine: Engine) -> AuditOutcome {
-        self.parts().run_range(cfg, task, engine)
-    }
 }
 
-/// Shared validation of a `(config, task)` pair against a universe of `n`
-/// ranked tuples — used by [`Audit`] and [`crate::MonitorAudit`].
-pub(crate) fn validate_task(
-    cfg: &DetectConfig,
-    task: &AuditTask,
-    n: usize,
-) -> Result<(), AuditError> {
-    if cfg.k_min == 0 || cfg.k_min > cfg.k_max || cfg.k_max > n {
-        return Err(AuditError::InvalidKRange {
-            k_min: cfg.k_min,
-            k_max: cfg.k_max,
-            n,
-        });
-    }
-    // The finiteness check must come first: a bare `alpha <= 0.0` is
-    // false for NaN, which would sail through and mark nothing biased.
-    if let AuditTask::UnderRep(BiasMeasure::Proportional { alpha }) = task {
-        if !alpha.is_finite() || *alpha <= 0.0 {
-            return Err(AuditError::InvalidAlpha(*alpha));
-        }
-    }
-    let bounds_of = |task: &AuditTask| -> Vec<Bounds> {
-        match task {
-            AuditTask::UnderRep(BiasMeasure::GlobalLower(b)) => vec![b.clone()],
-            AuditTask::UnderRep(BiasMeasure::Proportional { .. }) => Vec::new(),
-            AuditTask::OverRep { upper, .. } => vec![upper.clone()],
-            AuditTask::Combined { lower, upper } => vec![lower.clone(), upper.clone()],
-        }
-    };
-    for b in bounds_of(task) {
-        b.validate().map_err(AuditError::InvalidBound)?;
-    }
-    Ok(())
-}
-
-/// The borrowed pieces an audit task executes against. [`Audit`] owns one
-/// set; [`crate::MonitorAudit`] owns an *evolving* set and re-runs tasks
-/// over sub-ranges of `k` after ranking edits — both drive exactly this
-/// code, so a delta re-audit can never drift from a full audit.
-pub(crate) struct AuditParts<'a> {
-    pub dataset: &'a Dataset,
-    pub space: &'a PatternSpace,
-    pub ranking: &'a Ranking,
-    pub index: &'a RankedIndex,
-}
-
-/// The persistent engine state a [`crate::MonitorAudit`] carries between
-/// delta re-audits: one [`Store`] per direction (the shared node arena
-/// plus run-state engine checkpoints every `cadence` values of `k`, grid
+/// The persistent engine state an optimized [`crate::MonitorAudit`]
+/// carries between delta re-audits of the [`Audit`] it edits: one
+/// [`Store`] per direction (the shared node arena plus run-state engine
+/// checkpoints every `cadence` values of `k`, grid
 /// `k ≡ k_min (mod cadence)`) and the replay work counters. The monitor
-/// invalidates entries that an edit batch made stale — the changed-`k`
-/// segments for a pure reorder, everything (arena included) for an
-/// insertion — and [`AuditParts::run_range_checkpointed`] heals the holes
+/// invalidates entries that an edit batch made stale — everything (arena
+/// included) for an insertion; a pure reorder drops nothing — and
+/// [`Audit::run_range_checkpointed`] repairs and rewrites the stale ones
 /// while recomputing.
 #[derive(Debug)]
 pub(crate) struct EngineCheckpoints {
@@ -744,9 +725,10 @@ fn assemble(
     AuditOutcome { per_k, stats }
 }
 
-impl AuditParts<'_> {
+impl Audit {
     /// Sequential execution over one contiguous, already validated `k`
-    /// sub-range.
+    /// sub-range: each worker of [`Audit::run`], and a baseline
+    /// [`crate::MonitorAudit`]'s initial build and re-runs.
     pub(crate) fn run_range(
         &self,
         cfg: &DetectConfig,
@@ -760,10 +742,12 @@ impl AuditParts<'_> {
     }
 
     /// Checkpointed execution over the disjoint ascending `k` segments
-    /// `spans` (each `[lo, hi]` inclusive) —
-    /// [`crate::MonitorAudit`]'s delta path with `Engine::Optimized`.
+    /// `spans` (each `[lo, hi]` inclusive): an optimized
+    /// [`crate::MonitorAudit`]'s initial build and delta re-audits, run on
+    /// the audit the monitor edits, whose ranking is the post-batch order
+    /// a `reorder` repair diffs against.
     ///
-    /// Functionally identical to [`AuditParts::run_range`] over the same
+    /// Functionally identical to [`Audit::run_range`] over the same
     /// `k` values (both directions drive the same engine step code; the
     /// differential sweeps assert equality), but it seeks into `ckpts`'s
     /// stored checkpoints instead of building the engines from scratch at
@@ -791,11 +775,11 @@ impl AuditParts<'_> {
         } = ckpts;
         assemble(cfg, task, |side, cfg| match side {
             Side::Under(measure) => {
-                let engine = LowerEngine::new(self.index, self.space, cfg, measure.clone());
+                let engine = LowerEngine::new(&self.index, &self.space, cfg, measure.clone());
                 incremental::replay(engine, lower, cfg.k_min, spans, reorder, *cadence, counters)
             }
             Side::Over(upper, scope) => {
-                let engine = UpperEngine::new(self.index, self.space, cfg, upper.clone(), scope);
+                let engine = UpperEngine::new(&self.index, &self.space, cfg, upper.clone(), scope);
                 incremental::replay(
                     engine,
                     upper_store,
@@ -816,9 +800,9 @@ impl AuditParts<'_> {
         engine_sel: Engine,
     ) -> DetectionOutput {
         match engine_sel {
-            Engine::Baseline => topdown::iter_td(self.index, self.space, cfg, measure),
+            Engine::Baseline => topdown::iter_td(&self.index, &self.space, cfg, measure),
             Engine::Optimized => Stream::new(
-                LowerEngine::new(self.index, self.space, cfg, measure.clone()),
+                LowerEngine::new(&self.index, &self.space, cfg, measure.clone()),
                 cfg,
             )
             .into_output(),
@@ -836,7 +820,7 @@ impl AuditParts<'_> {
         // `k_min`, then per-`k` subtree walks and frontier deltas instead
         // of a fresh DFS plus full maximality sweep at every `k`.
         if engine_sel == Engine::Optimized {
-            let engine = UpperEngine::new(self.index, self.space, cfg, upper.clone(), scope);
+            let engine = UpperEngine::new(&self.index, &self.space, cfg, upper.clone(), scope);
             return Stream::new(engine, cfg).into_output();
         }
         // The guard starts before the substantial-set enumeration so that
@@ -850,14 +834,14 @@ impl AuditParts<'_> {
         // The substantial set depends only on τs, not on k: enumerate once
         // per run for the brute-force baseline.
         let substantial =
-            oracle::enumerate_substantial(self.dataset, self.space, self.ranking, cfg.tau_s);
+            oracle::enumerate_substantial(&self.dataset, &self.space, &self.ranking, cfg.tau_s);
         stats.nodes_evaluated += substantial.len() as u64;
         for k in cfg.k_min..=cfg.k_max {
             stats.full_searches += 1;
             match oracle::oracle_over(
-                self.dataset,
-                self.space,
-                self.ranking,
+                &self.dataset,
+                &self.space,
+                &self.ranking,
                 &substantial,
                 k,
                 upper.at(k),
@@ -874,9 +858,7 @@ impl AuditParts<'_> {
         stats.elapsed = guard.elapsed();
         DetectionOutput { per_k, stats }
     }
-}
 
-impl Audit {
     /// Lazily yields the [`AuditKResult`] for each `k` on demand,
     /// maintaining the incremental engines between pulls.
     ///

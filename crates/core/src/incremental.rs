@@ -60,6 +60,7 @@
 //! pure reorder.
 
 use rankfair_data::{TupleId, ValueCode};
+use rankfair_rank::Ranking;
 
 use crate::pattern::Pattern;
 use crate::space::{AttrId, PatternSpace, RankedIndex};
@@ -764,7 +765,7 @@ impl<'a, E: Incremental<'a>> Iterator for Stream<E> {
 
 /// How a pure-reorder edit batch moved the ranking: the hull start `lo`
 /// (smallest rank position whose occupant changed) and the pre-batch
-/// order. A checkpoint at `k ≤ lo` or `k > hi` is untouched by the
+/// ranking. A checkpoint at `k ≤ lo` or `k > hi` is untouched by the
 /// reorder; the one seek checkpoint that can land inside `(lo, hi]` is
 /// **repaired** from this spec instead of discarded — the top-`k` set
 /// diff is bounded by the number of moved tuples, never by the span, so
@@ -773,8 +774,8 @@ impl<'a, E: Incremental<'a>> Iterator for Stream<E> {
 pub(crate) struct ReorderSpec {
     /// Smallest rank position whose occupant changed.
     pub(crate) lo: usize,
-    /// The full pre-batch rank order.
-    pub(crate) old_order: Vec<TupleId>,
+    /// The pre-batch ranking (a handle the batch replaced, not a copy).
+    pub(crate) old: Ranking,
 }
 
 /// The top-`k` set transition of a reorder whose hull starts at `lo`:
@@ -914,7 +915,7 @@ pub(crate) fn replay<'a, E: Incremental<'a>>(
                 if let Some((spec, new_order)) = reorder {
                     if cp_k > spec.lo && !healed.contains(&cp_k) {
                         let (entering, leaving) =
-                            top_k_diff(cp_k, spec.lo, &spec.old_order, new_order);
+                            top_k_diff(cp_k, spec.lo, spec.old.order(), new_order);
                         if !(entering.is_empty() && leaving.is_empty()) {
                             engine.repair(cp_k, &entering, &leaving, &mut guard);
                             counters.repairs += 1;

@@ -9,9 +9,10 @@
 //! band of rank positions, and the per-`k` result sets outside that band
 //! are **provably unchanged**.
 //!
-//! [`MonitorAudit`] exploits exactly that. It owns an evolving
-//! [`Dataset`], a [`ScoredRanking`] (the updatable ranking layer), the
-//! fixed [`PatternSpace`] and a [`RankedIndex`] it patches in place, plus
+//! [`MonitorAudit`] exploits exactly that. It owns the [`Audit`] it
+//! edits (an evolving [`Dataset`], the fixed [`PatternSpace`], a
+//! [`RankedIndex`] it patches in place and a ranking), a [`ScoredRanking`]
+//! (the updatable ranking layer, which the audit's ranking follows), and
 //! the current per-`k` results. One [`MonitorAudit::apply`] call takes a
 //! batch of [`RankingEdit`]s and:
 //!
@@ -34,10 +35,11 @@
 //!    computes that union, merges segments closer than the checkpoint
 //!    cadence (a seek would replay the gap anyway), and replays only the
 //!    surviving segments — a batch of two tight edit clusters far apart
-//!    no longer re-audits the dead middle. The re-run drives the same
-//!    incremental engines (`engine.rs` / `upper_engine.rs`) through the
-//!    same [`crate::audit::AuditParts`] execution core as a fresh
-//!    [`Audit::run`], so a delta re-audit cannot drift from a full one;
+//!    no longer re-audits the dead middle. The re-run is the monitor's
+//!    own audit running its sub-range code, the code every
+//!    [`Audit::run`] runs, so a delta re-audit cannot drift from a full
+//!    one. Both engines take the same segments: the optimized ones replay
+//!    each, and a baseline monitor re-runs their hull in one pass;
 //! 4. splices the recomputed `k` results over the cached ones and diffs
 //!    old vs new into a typed [`DeltaReport`] — which groups entered and
 //!    left the biased set, per `k` and per direction.
@@ -100,13 +102,11 @@
 use rankfair_data::{Dataset, RowValue, TupleId};
 use rankfair_rank::{Ranking, ScoredRanking};
 
-use crate::audit::{
-    validate_task, AuditError, AuditKResult, AuditParts, AuditTask, Engine, EngineCheckpoints,
-};
+use crate::audit::{Audit, AuditError, AuditKResult, AuditTask, Engine, EngineCheckpoints};
 use crate::incremental::ReorderSpec;
 use crate::pattern::Pattern;
 use crate::report::KReport;
-use crate::space::{PatternSpace, RankedIndex};
+use crate::space::PatternSpace;
 use crate::stats::{DetectConfig, SearchStats};
 
 /// One edit to a live ranking.
@@ -230,9 +230,9 @@ pub struct DeltaReport {
     pub recomputed: Option<(usize, usize)>,
     /// The disjoint ascending `k` segments actually replayed — the union
     /// of per-row net movement intervals, merged across gaps shorter
-    /// than the checkpoint cadence and clamped to the configured range.
-    /// Empty iff `recomputed` is `None`; a single hull-wide segment for
-    /// insertions (and in hull-replay mode).
+    /// than the checkpoint cadence (adjacent ones for a baseline monitor)
+    /// and clamped to the configured range. Empty iff `recomputed` is
+    /// `None`; the whole range for insertions.
     pub segments: Vec<(usize, usize)>,
     /// The `k` values whose result sets changed, with the group-level
     /// diff. Only non-empty deltas appear; `k` ascending.
@@ -360,34 +360,22 @@ impl MonitorBuilder {
             ScoredRanking::new(scores.to_vec())
         }
         .map_err(|e| MonitorError::BadEdit(e.to_string()))?;
-        let space = match &self.attrs {
-            Some(attrs) => {
-                let refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-                PatternSpace::from_column_names(&self.dataset, &refs)
-            }
-            None => PatternSpace::from_dataset(&self.dataset),
+        let mut builder = Audit::builder(self.dataset).ranking(scored.to_ranking());
+        if let Some(attrs) = self.attrs {
+            builder = builder.attributes(attrs);
         }
-        .map_err(AuditError::Space)?;
+        let audit = builder.build()?;
         if cfg.deadline.is_some() {
             return Err(MonitorError::DeadlineUnsupported);
         }
-        validate_task(&cfg, &task, self.dataset.n_rows())?;
-        let ranking = scored.to_ranking();
-        // The index owns its order from the start: every batch rewrites it.
-        let index = RankedIndex::build_from_order(&self.dataset, &space, scored.order());
-        let parts = AuditParts {
-            dataset: &self.dataset,
-            space: &space,
-            ranking: &ranking,
-            index: &index,
-        };
+        audit.validate(&cfg, &task)?;
         // The optimized engines carry persistent, checkpointed state
         // between re-audits; the baseline rebuilds per k by design (it is
         // the differential anchor) and has nothing to checkpoint.
         let (out, checkpoints) = match engine {
             Engine::Optimized => {
                 let mut ckpts = EngineCheckpoints::new(self.checkpoint_every);
-                let out = parts.run_range_checkpointed(
+                let out = audit.run_range_checkpointed(
                     &cfg,
                     &[(cfg.k_min, cfg.k_max)],
                     &task,
@@ -396,17 +384,14 @@ impl MonitorBuilder {
                 );
                 (out, Some(ckpts))
             }
-            Engine::Baseline => (parts.run_range(&cfg, &task, engine), None),
+            Engine::Baseline => (audit.run_range(&cfg, &task, engine), None),
         };
         Ok(MonitorAudit {
-            dataset: self.dataset,
-            space,
+            audit,
             score_col,
             scored,
-            index,
             cfg,
             task,
-            engine,
             checkpoints,
             results: out.per_k,
             stats: out.stats,
@@ -418,15 +403,14 @@ impl MonitorBuilder {
 /// See the module docs for the recomputation contract.
 #[derive(Debug)]
 pub struct MonitorAudit {
-    dataset: Dataset,
-    space: PatternSpace,
+    /// The audit the monitor edits: its dataset, pattern space, counting
+    /// index and a ranking that equals `scored`'s order after every batch.
+    audit: Audit,
     score_col: usize,
     scored: ScoredRanking,
-    index: RankedIndex,
     cfg: DetectConfig,
     task: AuditTask,
-    engine: Engine,
-    /// Persistent engine snapshots (`Some` iff `engine` is optimized).
+    /// Persistent engine snapshots: `Some` exactly for optimized monitors.
     checkpoints: Option<EngineCheckpoints>,
     /// Current result sets for every `k` in `cfg`'s range, `k` ascending.
     results: Vec<AuditKResult>,
@@ -456,22 +440,24 @@ impl MonitorAudit {
 
     /// The evolving dataset (edits applied so far included).
     pub fn dataset(&self) -> &Dataset {
-        &self.dataset
+        self.audit.dataset()
     }
 
     /// The pattern space (fixed for the monitor's lifetime).
     pub fn space(&self) -> &PatternSpace {
-        &self.space
+        self.audit.space()
     }
 
-    /// The current ranking as a frozen snapshot (`O(n)`).
+    /// The current ranking: a handle on the ranking of the audit the
+    /// monitor edits, which every batch that moves the order replaces
+    /// with a snapshot of it (`O(1)`, no copy).
     pub fn ranking(&self) -> Ranking {
-        self.scored.to_ranking()
+        self.audit.ranking().clone()
     }
 
     /// Rows currently ranked.
     pub fn n_rows(&self) -> usize {
-        self.dataset.n_rows()
+        self.audit.dataset().n_rows()
     }
 
     /// The detection configuration the monitor audits under.
@@ -525,18 +511,20 @@ impl MonitorAudit {
     ///
     /// [`Audit::report`]: crate::Audit::report
     pub fn reports(&self) -> Vec<KReport> {
-        crate::report::summarize_audit(&self.results, &self.index, &self.space, &self.task)
+        let audit = &self.audit;
+        crate::report::summarize_audit(&self.results, audit.index(), audit.space(), &self.task)
     }
 
     /// Renders a pattern with attribute names and value labels.
     pub fn describe(&self, p: &Pattern) -> String {
-        self.space.display(p)
+        self.audit.describe(p)
     }
 
     /// Pre-validates a batch so a failure cannot leave the monitor
     /// half-updated. `n` tracks insertions earlier in the same batch.
     fn validate_edits(&self, edits: &[RankingEdit]) -> Result<(), MonitorError> {
-        let mut n = self.dataset.n_rows();
+        let (dataset, space) = (self.audit.dataset(), self.audit.space());
+        let mut n = dataset.n_rows();
         // Row ids are dense: every insert of the batch must fit the
         // TupleId space *before* any edit is applied, or `insert` could
         // fail mid-batch and break atomicity.
@@ -552,7 +540,7 @@ impl MonitorAudit {
         // New labels earlier inserts in this batch will add per column:
         // `push_row` must not be able to fail on dictionary overflow
         // after part of the batch has been applied.
-        let mut pending_labels: Vec<Vec<&str>> = vec![Vec::new(); self.dataset.n_cols()];
+        let mut pending_labels: Vec<Vec<&str>> = vec![Vec::new(); dataset.n_cols()];
         for edit in edits {
             match edit {
                 RankingEdit::ScoreUpdate { row, score } => {
@@ -566,15 +554,14 @@ impl MonitorAudit {
                     }
                 }
                 RankingEdit::Insert { cells } => {
-                    if cells.len() != self.dataset.n_cols() {
+                    if cells.len() != dataset.n_cols() {
                         return Err(MonitorError::BadEdit(format!(
                             "insert has {} cells but the dataset has {} columns",
                             cells.len(),
-                            self.dataset.n_cols()
+                            dataset.n_cols()
                         )));
                     }
-                    for ((col, cell), pending) in self
-                        .dataset
+                    for ((col, cell), pending) in dataset
                         .columns()
                         .iter()
                         .zip(cells)
@@ -623,9 +610,9 @@ impl MonitorAudit {
                     // Pattern attributes have fixed cardinalities: a label
                     // outside the dictionary cannot be represented in the
                     // index.
-                    for a in self.space.attr_ids() {
-                        let col_idx = self.space.dataset_col(a);
-                        let col = self.dataset.column(col_idx);
+                    for a in space.attr_ids() {
+                        let col_idx = space.dataset_col(a);
+                        let col = dataset.column(col_idx);
                         // Pattern columns are categorical by
                         // construction; reject in-band regardless.
                         let Some(RowValue::Label(label)) = cells.get(col_idx) else {
@@ -652,15 +639,15 @@ impl MonitorAudit {
     /// returning the typed diff. On error the monitor is unchanged.
     pub fn apply(&mut self, edits: &[RankingEdit]) -> Result<DeltaReport, MonitorError> {
         self.validate_edits(edits)?;
-        // The pre-batch order: a pure reorder's seek checkpoint may need
-        // repairing from the old-vs-new top-k set diff. Batches with an
-        // insert never repair (the whole store is invalidated), so skip
-        // the O(n) copy for them.
         let has_insert = edits
             .iter()
             .any(|e| matches!(e, RankingEdit::Insert { .. }));
-        let old_order =
-            (self.checkpoints.is_some() && !has_insert).then(|| self.scored.order().to_vec());
+        // The pre-batch ranking of a pure reorder, a handle the batch
+        // replaces: each moved row's old position bounds the `k` it
+        // changed, and a swallowed seek checkpoint is repaired from the
+        // old-vs-new top-k set diff. A batch with an insert recomputes
+        // the whole range instead.
+        let old = (!has_insert).then(|| self.audit.ranking().clone());
         let mut span: Option<(usize, usize)> = None;
         let merge = |d: Option<(usize, usize)>, span: &mut Option<(usize, usize)>| {
             if let Some((lo, hi)) = d {
@@ -670,7 +657,7 @@ impl MonitorAudit {
                 });
             }
         };
-        let mut inserted = false;
+        let (dataset, space, index, ranking) = self.audit.edit();
         for edit in edits {
             match edit {
                 RankingEdit::ScoreUpdate { row, score } => {
@@ -678,7 +665,7 @@ impl MonitorAudit {
                         .scored
                         .update_score(*row, *score)
                         .map_err(|e| MonitorError::BadEdit(e.to_string()))?;
-                    self.dataset
+                    dataset
                         .set_number(*row as usize, self.score_col, *score)
                         .map_err(|e| MonitorError::BadEdit(e.to_string()))?;
                     merge(d.changed, &mut span);
@@ -688,23 +675,23 @@ impl MonitorAudit {
                         Some(RowValue::Number(s)) => *s,
                         _ => unreachable!("validate_edits proved this cell numeric"), // lint:allow(panic-path) -- earlier batch edits are already applied here; an in-band error would break apply's all-or-nothing contract, and validate_edits pre-proved the cell
                     };
-                    self.dataset
+                    dataset
                         .push_row(cells)
                         .map_err(|e| MonitorError::BadEdit(e.to_string()))?;
                     let d = self
                         .scored
                         .insert(score)
                         .map_err(|e| MonitorError::BadEdit(e.to_string()))?;
-                    self.index.grow(&self.dataset, &self.space);
-                    inserted = true;
+                    index.grow(dataset, space);
                     merge(d.changed, &mut span);
                 }
             }
         }
-        // Patch the index over the hull of occupant-changed positions.
+        // Patch the index over the hull of occupant-changed positions, and
+        // keep the audit's ranking equal to the scored order.
         if let Some((lo, hi)) = span {
-            self.index
-                .rewrite_span(&self.dataset, &self.space, self.scored.order(), lo, hi);
+            index.rewrite_span(dataset, space, self.scored.order(), lo, hi);
+            *ranking = self.scored.to_ranking();
         }
         // Checkpoint maintenance. An insertion moves `n` and the `s_D`
         // of every pattern the new tuple matches — every snapshot's
@@ -719,41 +706,27 @@ impl MonitorAudit {
         // build. (Gap proof: grid ks are ≥ k_min and the seek k is the
         // largest grid k ≤ max(lo + 1, k_min), so every other stale grid
         // k lies inside the recomputed span.)
-        if inserted {
+        if has_insert {
             if let Some(ckpts) = &mut self.checkpoints {
                 ckpts.invalidate_all();
             }
         }
         // The k values whose top-k membership can have changed: the whole
         // range when the universe grew (n and s_D moved); else the union
-        // of per-row net movement intervals — exact, and a subset of the
-        // hull (lo, hi] that hull replay recomputes wholesale.
-        let segments: Vec<(usize, usize)> = if inserted {
-            vec![(self.cfg.k_min, self.cfg.k_max)]
-        } else if let Some((lo, hi)) = span {
-            let gap = self.checkpoints.as_ref().map_or(1, |ck| ck.cadence);
-            match &old_order {
-                Some(old) => changed_k_segments(
-                    old,
-                    |row| self.scored.position(row),
-                    lo,
-                    hi,
-                    self.cfg.k_min,
-                    self.cfg.k_max,
-                    gap,
-                ),
-                None => {
-                    let k_lo = (lo + 1).max(self.cfg.k_min);
-                    let k_hi = hi.min(self.cfg.k_max);
-                    if k_lo <= k_hi {
-                        vec![(k_lo, k_hi)]
-                    } else {
-                        Vec::new()
-                    }
-                }
-            }
-        } else {
-            Vec::new()
+        // of per-row net movement intervals, merged across gaps shorter
+        // than the checkpoint cadence (1 for a baseline monitor).
+        let segments: Vec<(usize, usize)> = match (&old, span) {
+            _ if has_insert => vec![(self.cfg.k_min, self.cfg.k_max)],
+            (Some(old), Some((lo, hi))) => changed_k_segments(
+                old.order(),
+                |row| self.scored.position(row),
+                lo,
+                hi,
+                self.cfg.k_min,
+                self.cfg.k_max,
+                self.checkpoints.as_ref().map_or(1, |ck| ck.cadence),
+            ),
+            _ => Vec::new(),
         };
         // Every segment empty (or clamped away): no top-k set in the
         // configured range changed, nothing to recompute — checkpoints in
@@ -767,35 +740,22 @@ impl MonitorAudit {
                 stats: SearchStats::default(),
             });
         };
-        let ranking = self.scored.to_ranking();
-        let parts = AuditParts {
-            dataset: &self.dataset,
-            space: &self.space,
-            ranking: &ranking,
-            index: &self.index,
-        };
         // The delta path: seek into the persistent engine snapshots
         // (repairing a seek point this batch's edits swallowed) and
         // replay each segment, instead of paying a from-scratch engine
-        // build at `k_lo`. Baseline monitors re-run the hull the old way
-        // (their segments are always the single clamped hull — the
-        // segmented union needs the pre-batch order, which only
-        // checkpointed monitors retain).
-        let reorder = if inserted {
-            None
-        } else {
-            old_order
-                .zip(span)
-                .map(|(old_order, (lo, _))| ReorderSpec { lo, old_order })
-        };
+        // build at `k_lo`. A baseline monitor keeps no engine state and
+        // re-runs `[k_lo, k_hi]` whole.
         let out = match &mut self.checkpoints {
-            Some(ckpts) => parts.run_range_checkpointed(
-                &self.cfg,
-                &segments,
-                &self.task,
-                ckpts,
-                reorder.as_ref(),
-            ),
+            Some(ckpts) => {
+                let reorder = old.zip(span).map(|(old, (lo, _))| ReorderSpec { lo, old });
+                self.audit.run_range_checkpointed(
+                    &self.cfg,
+                    &segments,
+                    &self.task,
+                    ckpts,
+                    reorder.as_ref(),
+                )
+            }
             None => {
                 let sub = DetectConfig {
                     tau_s: self.cfg.tau_s,
@@ -803,7 +763,7 @@ impl MonitorAudit {
                     k_max: k_hi,
                     deadline: None,
                 };
-                parts.run_range(&sub, &self.task, self.engine)
+                self.audit.run_range(&sub, &self.task, Engine::Baseline)
             }
         };
         // Re-audits run back to back with the initial build: their wall
@@ -848,7 +808,7 @@ impl MonitorAudit {
 /// separated by less than `gap` (the checkpoint cadence) are merged — a
 /// separate seek would replay the gap anyway — and the result is clamped
 /// to `[k_min, k_max]`. The union's outer bounds equal the hull's
-/// `[lo+1, hi]`, so hull replay is the one-segment special case.
+/// `[lo+1, hi]`.
 fn changed_k_segments(
     old_order: &[TupleId],
     new_position: impl Fn(TupleId) -> usize,
@@ -1237,6 +1197,14 @@ mod tests {
             assert_eq!(initial.lower_checkpoints, per_dir);
             assert_eq!(initial.upper_checkpoints, per_dir);
             assert!(initial.stored_nodes > 0);
+            // The audit's ranking follows the score column after every batch.
+            let assert_ranking_follows_scores = |monitor: &MonitorAudit| {
+                let col = monitor.dataset().column_index("Grade").unwrap();
+                let scores = monitor.dataset().column(col).values().unwrap();
+                let want = Ranking::from_scores_desc(scores);
+                assert_eq!(monitor.ranking().order(), want.order(), "cadence {cadence}");
+            };
+            assert_ranking_follows_scores(&monitor);
             // A mid-ranking swap: the delta seeks (repairing the seek
             // snapshot if the hull swallowed it) instead of rebuilding.
             let mid = monitor.ranking().at(9);
@@ -1258,6 +1226,7 @@ mod tests {
             assert!(after.lower_checkpoints >= 1 && after.lower_checkpoints <= per_dir);
             assert!(after.upper_checkpoints >= 1 && after.upper_checkpoints <= per_dir);
             assert_matches_fresh(&monitor);
+            assert_ranking_follows_scores(&monitor);
             // A strike at the very top of the ranking swallows every
             // checkpoint at or below the hull end — the seek snapshot is
             // repaired in place, still without any fresh build.
@@ -1277,6 +1246,7 @@ mod tests {
             );
             assert!(struck.lower_checkpoints >= 1);
             assert_matches_fresh(&monitor);
+            assert_ranking_follows_scores(&monitor);
             // An insertion moves n and s_D: every snapshot is dropped,
             // then the full-range recompute reseeds the grid.
             let before_insert = monitor.checkpoint_stats().unwrap();
@@ -1302,6 +1272,7 @@ mod tests {
             // The post-insert full-range rebuild relays the whole grid.
             assert_eq!(after_insert.lower_checkpoints, per_dir);
             assert_matches_fresh(&monitor);
+            assert_ranking_follows_scores(&monitor);
         }
         // The baseline engine has no incremental state to checkpoint.
         let baseline = MonitorAudit::builder(students_fig1(), "Grade")
@@ -1379,44 +1350,49 @@ mod tests {
     /// A batch of two tight swaps far apart replays two one-`k` segments
     /// instead of the whole hull: the results and the changes that fresh
     /// audits before and after the batch give, in fewer replayed steps
-    /// than the hull spans.
+    /// than the hull spans. A baseline monitor reports the same segments
+    /// and changes: one delta rule for both engines.
     #[test]
     fn segmented_replay_skips_the_dead_middle() {
         let task = AuditTask::Combined {
             lower: Bounds::constant(2),
             upper: Bounds::constant(2),
         };
-        let mut monitor = MonitorAudit::builder(students_fig1(), "Grade")
-            .checkpoint_every(1)
-            .build(DetectConfig::new(2, 2, 16), task, Engine::Optimized)
-            .unwrap();
-        let before = fresh_results(&monitor);
-        let steps0 = monitor.checkpoint_stats().unwrap().replayed_steps;
-        // Swap rank positions 2↔3 and 12↔13 in one batch.
-        let r_a = monitor.ranking().at(3);
-        let r_b = monitor.ranking().at(13);
-        let d = monitor
-            .apply(&[
-                RankingEdit::ScoreUpdate {
-                    row: r_a,
-                    score: 15.5,
-                },
-                RankingEdit::ScoreUpdate {
-                    row: r_b,
-                    score: 6.5,
-                },
-            ])
-            .unwrap();
-        let after = fresh_results(&monitor);
-        assert_eq!(monitor.results(), &after[..]);
-        assert_eq!(d.recomputed, Some((3, 13)));
-        assert_eq!(d.segments, vec![(3, 3), (13, 13)]);
-        assert_eq!(d.changed, fresh_deltas(&before, &after));
-        let steps = monitor.checkpoint_stats().unwrap().replayed_steps - steps0;
-        assert!(
-            steps < 13 - 3,
-            "replayed {steps} k steps over the hull (3, 13)"
-        );
+        for engine in [Engine::Optimized, Engine::Baseline] {
+            let mut monitor = MonitorAudit::builder(students_fig1(), "Grade")
+                .checkpoint_every(1)
+                .build(DetectConfig::new(2, 2, 16), task.clone(), engine)
+                .unwrap();
+            let before = fresh_results(&monitor);
+            let steps0 = monitor.checkpoint_stats().map(|ck| ck.replayed_steps);
+            // Swap rank positions 2↔3 and 12↔13 in one batch.
+            let r_a = monitor.ranking().at(3);
+            let r_b = monitor.ranking().at(13);
+            let d = monitor
+                .apply(&[
+                    RankingEdit::ScoreUpdate {
+                        row: r_a,
+                        score: 15.5,
+                    },
+                    RankingEdit::ScoreUpdate {
+                        row: r_b,
+                        score: 6.5,
+                    },
+                ])
+                .unwrap();
+            let after = fresh_results(&monitor);
+            assert_eq!(monitor.results(), &after[..], "{engine:?}");
+            assert_eq!(d.recomputed, Some((3, 13)), "{engine:?}");
+            assert_eq!(d.segments, vec![(3, 3), (13, 13)], "{engine:?}");
+            assert_eq!(d.changed, fresh_deltas(&before, &after), "{engine:?}");
+            if let Some(steps0) = steps0 {
+                let steps = monitor.checkpoint_stats().unwrap().replayed_steps - steps0;
+                assert!(
+                    steps < 13 - 3,
+                    "replayed {steps} k steps over the hull (3, 13)"
+                );
+            }
+        }
     }
 
     #[test]

@@ -191,36 +191,31 @@ pub fn render_report(reports: &[KReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::{AuditOutcome, AuditParts, Engine};
+    use crate::audit::{Audit, AuditOutcome, Engine};
     use crate::bounds::{BiasMeasure, Bounds};
-    use crate::space::RankedIndex;
     use crate::stats::DetectConfig;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
     use rankfair_rank::Ranking;
 
     /// Example 4.6's GlobalBounds run (`L = 2`, `τs = 4`, `k ∈ [4, 5]`) as
-    /// an under-representation outcome, with the task that produced it.
-    pub(super) fn setup() -> (PatternSpace, RankedIndex, AuditOutcome, AuditTask) {
-        let ds = students_fig1();
-        let space = PatternSpace::from_dataset(&ds).unwrap();
-        let ranking = Ranking::from_order(fig1_rank_order()).unwrap();
-        let index = RankedIndex::build(&ds, &space, &ranking);
-        let cfg = DetectConfig::new(4, 4, 5);
+    /// an under-representation outcome, with the audit and the task that
+    /// produced it.
+    pub(super) fn setup() -> (Audit, AuditOutcome, AuditTask) {
+        let audit = Audit::builder(students_fig1())
+            .ranking(Ranking::from_order(fig1_rank_order()).unwrap())
+            .build()
+            .unwrap();
         let task = AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(2)));
-        let parts = AuditParts {
-            dataset: &ds,
-            space: &space,
-            ranking: &ranking,
-            index: &index,
-        };
-        let outcome = parts.run_range(&cfg, &task, Engine::Optimized);
-        (space, index, outcome, task)
+        let outcome = audit
+            .run(&DetectConfig::new(4, 4, 5), &task, Engine::Optimized)
+            .unwrap();
+        (audit, outcome, task)
     }
 
     #[test]
     fn summary_contains_sizes_and_gaps() {
-        let (space, index, out, task) = setup();
-        let reports = summarize_audit(&out.per_k, &index, &space, &task);
+        let (audit, out, task) = setup();
+        let reports = audit.report(&out, &task);
         assert_eq!(reports.len(), 2);
         let k4 = &reports[0];
         assert_eq!(k4.k, 4);
@@ -237,8 +232,8 @@ mod tests {
 
     #[test]
     fn groups_sorted_by_gap_desc() {
-        let (space, index, out, task) = setup();
-        let reports = summarize_audit(&out.per_k, &index, &space, &task);
+        let (audit, out, task) = setup();
+        let reports = audit.report(&out, &task);
         for r in &reports {
             for w in r.groups.windows(2) {
                 assert!(w[0].bias_gap >= w[1].bias_gap);
@@ -248,8 +243,8 @@ mod tests {
 
     #[test]
     fn render_is_nonempty_and_mentions_k() {
-        let (space, index, out, task) = setup();
-        let text = render_report(&summarize_audit(&out.per_k, &index, &space, &task));
+        let (audit, out, task) = setup();
+        let text = render_report(&audit.report(&out, &task));
         assert!(text.contains("k = 4"));
         assert!(text.contains("{School=GP}"));
         assert!(text.contains("required"));
@@ -293,8 +288,8 @@ mod csv_tests {
 
     #[test]
     fn csv_has_header_and_quoted_groups() {
-        let (space, index, out, task) = tests::setup();
-        let reports = summarize_audit(&out.per_k, &index, &space, &task);
+        let (audit, out, task) = tests::setup();
+        let reports = audit.report(&out, &task);
         let csv = render_report_csv(&reports);
         let mut lines = csv.lines();
         assert_eq!(
@@ -324,7 +319,7 @@ mod csv_tests {
     /// `k = 4`, so that group is the one reported.
     #[test]
     fn csv_quotes_a_group_holding_a_line_break() {
-        use crate::audit::{AuditParts, Engine};
+        use crate::audit::{Audit, Engine};
         use crate::bounds::{BiasMeasure, Bounds};
         use crate::stats::DetectConfig;
         use rankfair_data::csv::{parse_records, read_csv_str, CsvOptions};
@@ -334,18 +329,15 @@ mod csv_tests {
             "grp,score\nx,8\nx,7\nx,6\nx,5\n\"a\nb\",4\n\"a\nb\",3\n\"a\nb\",2\n\"a\nb\",1\n";
         let ds = read_csv_str(text, &CsvOptions::default()).unwrap();
         assert_eq!(ds.n_rows(), 8);
-        let space = PatternSpace::from_dataset(&ds).unwrap();
-        let ranking = Ranking::from_order((0..8).collect()).unwrap();
-        let index = RankedIndex::build(&ds, &space, &ranking);
+        let audit = Audit::builder(ds)
+            .ranking(Ranking::from_order((0..8).collect()).unwrap())
+            .build()
+            .unwrap();
         let task = AuditTask::UnderRep(BiasMeasure::GlobalLower(Bounds::constant(1)));
-        let parts = AuditParts {
-            dataset: &ds,
-            space: &space,
-            ranking: &ranking,
-            index: &index,
-        };
-        let out = parts.run_range(&DetectConfig::new(2, 4, 4), &task, Engine::Optimized);
-        let reports = summarize_audit(&out.per_k, &index, &space, &task);
+        let out = audit
+            .run(&DetectConfig::new(2, 4, 4), &task, Engine::Optimized)
+            .unwrap();
+        let reports = audit.report(&out, &task);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].groups.len(), 1);
         let records = parse_records(&render_report_csv(&reports), ',').unwrap();

@@ -422,15 +422,6 @@ impl RankBlocks {
         Self::new(space, ranking.len(), rows)
     }
 
-    /// Rank blocks over a copy of `order`.
-    fn owned(space: &PatternSpace, order: &[TupleId]) -> Self {
-        let rows = RankRows {
-            shared: None,
-            owned: order.to_vec(),
-        };
-        Self::new(space, order.len(), rows)
-    }
-
     fn new(space: &PatternSpace, n: usize, rows: RankRows) -> Self {
         let value_base = std::iter::once(0)
             .chain(space.attr_ids().scan(0, |end, a| {
@@ -712,24 +703,6 @@ impl RankedIndex {
         Self::with_rank_side(ds, space, RankBlocks::shared(space, ranking), shards)
     }
 
-    /// Builds the index over a raw rank order: the tuple at `order[pos]`
-    /// occupies rank position `pos`. Builds the membership maps from each
-    /// column's codes, in one row block, and copies the order, which the
-    /// index then owns (a monitor builds its index this way and edits it);
-    /// no rank block is built until a count reads it.
-    ///
-    /// # Panics
-    /// Panics if `order` does not rank every row of `ds` (its length
-    /// differs), or codes exceed the space's cardinalities.
-    pub fn build_from_order(ds: &Dataset, space: &PatternSpace, order: &[TupleId]) -> Self {
-        assert_eq!(
-            order.len(),
-            ds.n_rows(),
-            "order must rank every dataset row"
-        );
-        Self::with_rank_side(ds, space, RankBlocks::owned(space, order), 1)
-    }
-
     /// The membership maps of `ds`'s rows in `shards` row blocks, next to
     /// `rank`.
     fn with_rank_side(ds: &Dataset, space: &PatternSpace, rank: RankBlocks, shards: usize) -> Self {
@@ -895,8 +868,7 @@ impl RankedIndex {
     /// `ds`. Blocks not yet built are built from the new order when read,
     /// and the membership maps do not depend on the order. `O(hi−lo+1)`
     /// plus `O(m)` per built position, instead of a rebuild — the index
-    /// half of the monitor's delta re-audit. On an index that
-    /// [`RankedIndex::build`] made, the first edit (this or
+    /// half of the monitor's delta re-audit. The first edit (this or
     /// [`RankedIndex::grow`]) first copies the shared ranking's order,
     /// finishing its sort.
     ///
@@ -1117,6 +1089,12 @@ mod tests {
     use super::*;
     use rankfair_data::examples::{fig1_rank_order, students_fig1};
 
+    /// [`RankedIndex::build`] over a raw rank order: the tuple at
+    /// `order[pos]` occupies rank position `pos`.
+    fn build_over(ds: &Dataset, space: &PatternSpace, order: &[TupleId]) -> RankedIndex {
+        RankedIndex::build(ds, space, &Ranking::from_order(order.to_vec()).unwrap())
+    }
+
     fn fig1() -> (Dataset, PatternSpace, RankedIndex) {
         let ds = students_fig1();
         let space = PatternSpace::from_dataset(&ds).unwrap();
@@ -1247,7 +1225,7 @@ mod tests {
         // count has read yet still holds no rank block. A parent with no
         // children appends nothing.
         let (ds, space, order) = partition_instance(200);
-        let index = RankedIndex::build_from_order(&ds, &space, &order);
+        let index = build_over(&ds, &space, &order);
         for start in space.attr_ids().chain([space.attr_ids().end]) {
             let [none, .., all] = skip_masks(&space, start);
             let mut out = vec![(7, 7)];
@@ -1280,7 +1258,7 @@ mod tests {
         // holding one position.
         let rows = 4_161;
         let (ds, space, order) = partition_instance(rows);
-        let fresh = RankedIndex::build_from_order(&ds, &space, &order);
+        let fresh = build_over(&ds, &space, &order);
         assert_eq!(fresh.built_rank_blocks(), 0);
         let reference = RankOrderReference::build(&ds, &space, &order);
         assert_index_matches(&fresh, &reference, &space, &block_edge_ks(rows));
@@ -1294,7 +1272,7 @@ mod tests {
             ("a block edge", 2_000, 2_100, &[2_047]),
         ];
         for (what, lo, hi, read) in reorders {
-            let mut index = RankedIndex::build_from_order(&ds, &space, &order);
+            let mut index = build_over(&ds, &space, &order);
             for &pos in read {
                 index.code_at(pos, 0);
             }
@@ -1314,7 +1292,7 @@ mod tests {
         let label = |l: &str| RowValue::Label(l.into());
         for rows in [4_161, 128] {
             let (mut ds, space, mut order) = partition_instance(rows);
-            let mut index = RankedIndex::build_from_order(&ds, &space, &order);
+            let mut index = build_over(&ds, &space, &order);
             index.code_at(rows - 1, 0);
             index.code_at(0, 0);
             ds.push_row(&[label("v1"), label("v0"), label("v1"), label("c")])
@@ -1382,11 +1360,11 @@ mod tests {
     }
 
     #[test]
-    fn build_from_order_matches_a_per_bit_build() {
+    fn build_over_an_order_matches_a_per_bit_build() {
         for rows in [1, 63, 64, 65, 517, 4_161] {
             let (ds, space, order) = partition_instance(rows);
             let ks = block_edge_ks(rows);
-            let index = RankedIndex::build_from_order(&ds, &space, &order);
+            let index = build_over(&ds, &space, &order);
             let reference = RankOrderReference::build(&ds, &space, &order);
             assert_index_matches(&index, &reference, &space, &ks);
             // The membership maps: bit `row` of the map of each row's value.
@@ -1429,7 +1407,7 @@ mod tests {
         ])
         .unwrap();
         let order: Vec<TupleId> = (0..17).collect();
-        RankedIndex::build_from_order(&ds, &space, &order);
+        build_over(&ds, &space, &order);
     }
 
     #[test]
@@ -1580,8 +1558,8 @@ mod tests {
         // A card-1 attribute, whose only child each shard derives from its
         // parent alone; 50 shards over 40 rows leaves 10 of them empty.
         let (ds, space, order) = partition_instance(40);
-        let single = RankedIndex::build_from_order(&ds, &space, &order);
         let ranking = Ranking::from_order(order).unwrap();
+        let single = RankedIndex::build(&ds, &space, &ranking);
         let ks: Vec<usize> = (0..=42).collect();
         for shards in [3, 50] {
             let sharded = RankedIndex::sharded(&ds, &space, &ranking, shards);

@@ -7,7 +7,7 @@ use rankfair_rank::Ranking;
 
 use crate::features::FeatureMatrix;
 use crate::forest::{Forest, ForestParams};
-use crate::shapley::{shapley_for_row, Regressor};
+use crate::shapley::shapley_for_row;
 use crate::tree::TreeParams;
 
 /// Knobs for the explanation pipeline.
@@ -175,11 +175,6 @@ impl RankSurrogate {
             values: sums,
             tuples_explained: rows.len(),
         }
-    }
-
-    /// Predicted rank for a tuple (diagnostics).
-    pub fn predict_rank(&self, row: u32) -> f64 {
-        self.forest.predict_row(self.features.row(row as usize))
     }
 }
 

@@ -229,6 +229,10 @@ pub enum ServiceError {
     Audit(AuditError),
     /// Monitor construction or an edit batch failed.
     Monitor(MonitorError),
+    /// The named monitor's entry lock is poisoned: an earlier edit batch
+    /// panicked part-way, so its all-or-nothing contract no longer holds.
+    /// It answers this error until it is registered again.
+    MonitorPoisoned(String),
     /// The request's execution panicked. The worker caught the panic at
     /// the job boundary and answered the line with this error; the lanes
     /// the job claimed are released and the worker keeps serving.
@@ -248,6 +252,11 @@ impl fmt::Display for ServiceError {
             ServiceError::BadRequest(e) => write!(f, "bad request: {e}"),
             ServiceError::Audit(e) => write!(f, "audit: {e}"),
             ServiceError::Monitor(e) => write!(f, "monitor: {e}"),
+            ServiceError::MonitorPoisoned(name) => write!(
+                f,
+                "monitor `{name}` is poisoned by an edit batch that panicked part-way \
+                 (register_monitor it again)"
+            ),
             ServiceError::Internal(e) => write!(f, "internal error: {e}"),
         }
     }
@@ -265,6 +274,11 @@ impl From<MonitorError> for ServiceError {
     fn from(e: MonitorError) -> Self {
         ServiceError::Monitor(e)
     }
+}
+
+/// The error a monitor with a poisoned entry lock answers.
+fn poisoned(name: &str) -> ServiceError {
+    ServiceError::MonitorPoisoned(name.to_string())
 }
 
 /// How to build a [`MonitorAudit`] over a registered dataset.
@@ -581,6 +595,8 @@ impl AuditService {
         Ok(view)
     }
 
+    /// A monitor's entry. Its lock is poisoned once an `apply` panicked;
+    /// callers map that to [`ServiceError::MonitorPoisoned`].
     fn monitor_entry(&self, name: &str) -> Result<Arc<Mutex<MonitorEntry>>, ServiceError> {
         self.monitors
             .read()
@@ -600,7 +616,7 @@ impl AuditService {
         edits: &[RankingEdit],
     ) -> Result<MonitorUpdate, ServiceError> {
         let entry = self.monitor_entry(name)?;
-        let mut entry = entry.lock().expect("monitor entry lock");
+        let mut entry = entry.lock().map_err(|_| poisoned(name))?;
         let delta = entry.monitor.apply(edits)?;
         let update = MonitorUpdate {
             dataset: entry.dataset.clone(),
@@ -638,14 +654,14 @@ impl AuditService {
         f: impl FnOnce(&Dataset) -> T,
     ) -> Result<T, ServiceError> {
         let entry = self.monitor_entry(name)?;
-        let entry = entry.lock().expect("monitor entry lock");
+        let entry = entry.lock().map_err(|_| poisoned(name))?;
         Ok(f(entry.monitor.dataset()))
     }
 
     /// The current state of a monitor (rows, per-`k` reports).
     pub fn monitor_snapshot(&self, name: &str) -> Result<MonitorView, ServiceError> {
         let entry = self.monitor_entry(name)?;
-        let entry = entry.lock().expect("monitor entry lock");
+        let entry = entry.lock().map_err(|_| poisoned(name))?;
         Ok(MonitorView {
             dataset: entry.dataset.clone(),
             rows: entry.monitor.n_rows(),
@@ -659,9 +675,9 @@ impl AuditService {
     /// ordering lane for an `update` without locking the monitor itself.
     ///
     /// A monitor whose `apply` panicked has a poisoned entry lock; its
-    /// requests then answer `internal`. Its dataset name never changes
-    /// after registration, so this reads it through the poison: the
-    /// caller runs outside the workers' unwind boundary.
+    /// requests then answer [`ServiceError::MonitorPoisoned`]. Its dataset
+    /// name never changes after registration, so this reads it through
+    /// the poison: the caller runs outside the workers' unwind boundary.
     pub fn monitor_dataset(&self, name: &str) -> Option<String> {
         let monitors = self.monitors.read().expect("monitor lock");
         let entry = monitors.get(name)?;

@@ -769,11 +769,11 @@ mod tests {
 
     #[test]
     fn a_panicking_job_on_one_connection_leaves_the_others_served() {
-        // A monitor whose entry lock a panic poisoned: every job on it
-        // panics inside a worker. Connection A's update draws one
-        // `internal` error echoing its id and A's next audit is answered;
-        // connection B's pipelined audits are all answered; B's
-        // `shutdown` then drains the server on its own.
+        // A monitor whose entry lock a panic poisoned, as an `apply` that
+        // unwound on connection A leaves it. A's next update on it draws
+        // one `monitor_poisoned` error echoing its id and A's next audit
+        // is answered; connection B's pipelined audits are all answered;
+        // B's `shutdown` then drains the server on its own.
         let service = fig1_service();
         let listeners = NetListeners::bind(&["tcp:127.0.0.1:0".to_string()]).unwrap();
         let addr = listeners.local_addrs().remove(0);
@@ -806,7 +806,7 @@ mod tests {
                 .unwrap();
             let line = a_lines.next().unwrap().unwrap();
             assert!(
-                line.starts_with(r#"{"id":2,"ok":false,"error":{"kind":"internal""#),
+                line.starts_with(r#"{"id":2,"ok":false,"error":{"kind":"monitor_poisoned""#),
                 "{line}"
             );
             let line = a_lines.next().unwrap().unwrap();

@@ -45,7 +45,8 @@
 //! worker keeps serving. A lane claim completes when it drops, so the
 //! job's lanes are released on every path and later jobs on them run.
 //! A monitor whose `apply` panicked part-way keeps its poisoned entry
-//! lock: every later request on it answers `internal`, none hangs.
+//! lock: every later request on it answers `monitor_poisoned`, none hangs,
+//! until `register_monitor` builds it again.
 //!
 //! # Sessions
 //!
@@ -1016,21 +1017,23 @@ mod tests {
     }
 
     #[test]
-    fn a_monitor_poisoned_by_a_panic_answers_internal_with_the_id() {
+    fn a_monitor_poisoned_by_a_panic_answers_monitor_poisoned_with_the_id() {
         // A monitor whose `apply` unwound leaves its entry lock poisoned.
-        // Each later request on it panics on that lock; the worker answers
-        // `internal`, echoing the line's id, instead of hanging or dying.
+        // Each later request on it answers the typed `monitor_poisoned`
+        // error, echoing the line's id and naming the remedy, until the
+        // name is registered again.
         let service = AuditService::new();
         service.register_dataset("fig1", Arc::new(rankfair_data::examples::students_fig1()));
         let run = |line: &str| {
             let request = wire::parse_line(line).expect("a valid line");
             run_work(&service, true, Work::Request(Box::new(request)))
         };
-        let (line, ok) = run(concat!(
+        let register = concat!(
             r#"{"id":1,"op":"register_monitor","name":"m","dataset":"fig1","rank_by":"Grade","#,
             r#""task":{"type":"under","measure":{"type":"global","lower":2}},"#,
             r#""config":{"tau":4,"kmin":4,"kmax":5}}"#
-        ));
+        );
+        let (line, ok) = run(register);
         assert!(ok, "{line}");
         let entry = service.monitor_entry("m").expect("registered");
         let poisoner = std::thread::spawn(move || {
@@ -1038,16 +1041,18 @@ mod tests {
             panic!("apply unwound");
         });
         assert!(poisoner.join().is_err());
+        let snapshot = r#"{"id":7,"op":"snapshot","monitor":"m"}"#;
         for (id, line) in [
-            (7, r#"{"id":7,"op":"snapshot","monitor":"m"}"#),
+            (7, snapshot),
             (
                 8,
                 r#"{"id":8,"op":"update","monitor":"m","edits":[{"edit":"score","row":5,"score":19.5}]}"#,
             ),
         ] {
             let (got, ok) = run(line);
-            let want = format!(r#"{{"id":{id},"ok":false,"error":{{"kind":"internal""#);
+            let want = format!(r#"{{"id":{id},"ok":false,"error":{{"kind":"monitor_poisoned""#);
             assert!(!ok && got.starts_with(&want), "{got}");
+            assert!(got.contains("register_monitor"), "{got}");
         }
         // The session's lane lookup reads the dataset name through the
         // poison: it runs outside the workers' unwind boundary. So does
@@ -1057,6 +1062,11 @@ mod tests {
             service.monitors(),
             [("m".to_string(), "fig1".to_string(), 16)]
         );
+        // Registering the name again serves it again.
+        let (line, ok) = run(register);
+        assert!(ok, "{line}");
+        let (line, ok) = run(snapshot);
+        assert!(ok && line.starts_with(r#"{"id":7,"ok":true"#), "{line}");
     }
 
     #[test]

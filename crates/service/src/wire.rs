@@ -649,6 +649,10 @@ pub fn error_json(e: &ServiceError) -> Value {
             ("kind", Value::from("unknown_monitor")),
             ("message", Value::from(e.to_string())),
         ]),
+        ServiceError::MonitorPoisoned(_) => Value::object([
+            ("kind", Value::from("monitor_poisoned")),
+            ("message", Value::from(e.to_string())),
+        ]),
         ServiceError::Csv(_) => Value::object([
             ("kind", Value::from("csv")),
             ("message", Value::from(e.to_string())),

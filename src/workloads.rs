@@ -62,16 +62,6 @@ impl Workload {
             .attributes(names.into_iter().take(take))
             .build()
     }
-
-    /// An [`Audit`] whose index cuts its membership maps into `shards`
-    /// row blocks whose counts merge additively at query time — same
-    /// answers as [`Workload::audit`], different index layout.
-    pub fn audit_sharded(&self, shards: usize) -> Result<Audit, AuditError> {
-        Audit::builder(Arc::clone(&self.detection))
-            .ranking(self.ranking.clone())
-            .shards(shards)
-            .build()
-    }
 }
 
 fn bucketize_all(ds: &mut Dataset, specs: &[(&str, usize)]) {
