@@ -56,7 +56,7 @@ use rankfair_rank::{Ranker, Ranking};
 
 use crate::bounds::{BiasMeasure, Bounds};
 use crate::engine::{LowerEngine, LowerFrontier};
-use crate::incremental::{self, ReorderSpec, Store, Stream};
+use crate::incremental::{self, Reorder, Store, Stream};
 use crate::oracle;
 use crate::pattern::Pattern;
 use crate::report::{summarize_audit, KReport};
@@ -589,11 +589,12 @@ impl Audit {
 /// carries between delta re-audits of the [`Audit`] it edits: one
 /// [`Store`] per direction (the shared node arena plus run-state engine
 /// checkpoints every `cadence` values of `k`, grid
-/// `k ≡ k_min (mod cadence)`) and the replay work counters. The monitor
-/// invalidates entries that an edit batch made stale — everything (arena
-/// included) for an insertion; a pure reorder drops nothing — and
-/// [`Audit::run_range_checkpointed`] repairs and rewrites the stale ones
-/// while recomputing.
+/// `k ≡ k_min (mod cadence)`) and the replay work counters. An insertion
+/// voids everything, arena included, and counts it in `invalidated`. A
+/// pure reorder voids nothing up front: [`Audit::run_range_checkpointed`]
+/// repairs the seek checkpoint a moved row crossed, rewrites the grid
+/// checkpoints near each segment's start and drops the deeper stale ones,
+/// which `invalidated` does not count.
 #[derive(Debug)]
 pub(crate) struct EngineCheckpoints {
     /// Grid spacing `C`: one checkpoint every `C` values of `k`.
@@ -744,28 +745,26 @@ impl Audit {
     /// Checkpointed execution over the disjoint ascending `k` segments
     /// `spans` (each `[lo, hi]` inclusive): an optimized
     /// [`crate::MonitorAudit`]'s initial build and delta re-audits, run on
-    /// the audit the monitor edits, whose ranking is the post-batch order
-    /// a `reorder` repair diffs against.
+    /// the audit the monitor edits, after the batch.
     ///
     /// Functionally identical to [`Audit::run_range`] over the same
     /// `k` values (both directions drive the same engine step code; the
     /// differential sweeps assert equality), but it seeks into `ckpts`'s
     /// stored checkpoints instead of building the engines from scratch at
-    /// each segment's first `k`, repairing the seek checkpoint against
-    /// `reorder` when an edit swallowed it, and refreshes checkpoints as
-    /// it replays. Deadlines are unsupported (monitors reject them at
-    /// construction): a truncated replay would leave the checkpoint store
-    /// inconsistent with the cached results.
+    /// each segment's first `k`, repairs a seek checkpoint that a move of
+    /// `reorder` crosses from the top-`k` set diff the moves give, and
+    /// refreshes checkpoints as it replays. Deadlines are unsupported
+    /// (monitors reject them at construction): a truncated replay would
+    /// leave the checkpoint store inconsistent with the cached results.
     pub(crate) fn run_range_checkpointed(
         &self,
         cfg: &DetectConfig,
         spans: &[(usize, usize)],
         task: &AuditTask,
         ckpts: &mut EngineCheckpoints,
-        reorder: Option<&ReorderSpec>,
+        reorder: Option<&Reorder>,
     ) -> AuditOutcome {
         debug_assert!(cfg.deadline.is_none(), "checkpointed runs take no deadline");
-        let reorder = reorder.map(|r| (r, self.ranking.order()));
         let EngineCheckpoints {
             cadence,
             lower,

@@ -51,16 +51,18 @@
 //! ## Checkpoints and replay
 //!
 //! The live monitor keeps one [`Store`] per engine direction: the arena
-//! plus a grid of checkpoints every `C` values of `k`. [`replay`] seeks
-//! to a stored checkpoint, repairs it against a ranking reorder when the
-//! edit swallowed it ([`Incremental::repair`]: ±count walks over the
+//! plus a grid of checkpoints every `C` values of `k`. A pure-reorder
+//! batch is described once, as a [`Reorder`]: the rows whose rank
+//! position changed, with their positions before and after, from which
+//! both the changed-`k` segments and any top-`k` set diff are read.
+//! [`replay`] seeks to a stored checkpoint, repairs it when a move
+//! crosses its `k` ([`Incremental::repair`]: ±count walks over the
 //! top-`k` set diff plus one store reclassify), and replays forward over
-//! the requested **segments** of the `k` range, emitting per-`k` results.
-//! A delta re-audit therefore performs zero from-scratch builds on any
-//! pure reorder.
+//! the requested **segments** of the `k` range, emitting per-`k` results,
+//! so a pure reorder never pays a from-scratch build. It rewrites the
+//! grid near each segment's start and drops deeper stale checkpoints.
 
 use rankfair_data::{TupleId, ValueCode};
-use rankfair_rank::Ranking;
 
 use crate::pattern::Pattern;
 use crate::space::{AttrId, PatternSpace, RankedIndex};
@@ -763,56 +765,84 @@ impl<'a, E: Incremental<'a>> Iterator for Stream<E> {
     }
 }
 
-/// How a pure-reorder edit batch moved the ranking: the hull start `lo`
-/// (smallest rank position whose occupant changed) and the pre-batch
-/// ranking. A checkpoint at `k ≤ lo` or `k > hi` is untouched by the
-/// reorder; the one seek checkpoint that can land inside `(lo, hi]` is
-/// **repaired** from this spec instead of discarded — the top-`k` set
-/// diff is bounded by the number of moved tuples, never by the span, so
-/// the repair costs a handful of ±count walks plus one store rescan
-/// where a discard would cost a from-scratch build at `k_min`.
-pub(crate) struct ReorderSpec {
-    /// Smallest rank position whose occupant changed.
-    pub(crate) lo: usize,
-    /// The pre-batch ranking (a handle the batch replaced, not a copy).
-    pub(crate) old: Ranking,
+/// The rows a pure-reorder batch moved, each with its 0-based rank
+/// position before and after the batch. By Proposition 4.3 a row that
+/// moved from `old` to `new` changes the top-`k` set exactly for
+/// `k ∈ [min(old, new) + 1, max(old, new)]`: the changed-`k` segments and
+/// a crossed seek checkpoint's repair are both read off this one list.
+pub(crate) struct Reorder {
+    /// `(old, new)` per moved row, `new` ascending.
+    moves: Vec<(usize, usize)>,
 }
 
-/// The top-`k` set transition of a reorder whose hull starts at `lo`:
-/// `(entering, leaving)` rank positions **in the new order**. Entering
-/// tuples (joined the top-`k`) sit at their new positions `< k`; leaving
-/// tuples sit at their new positions `≥ k`, where the patched index can
-/// still read their attribute codes.
-fn top_k_diff(
-    k: usize,
-    lo: usize,
-    old_order: &[TupleId],
-    new_order: &[TupleId],
-) -> (Vec<usize>, Vec<usize>) {
-    debug_assert!(lo < k && k <= old_order.len() && old_order.len() == new_order.len());
-    // Only the window [lo, k) can differ between the two top-k sets; hash
-    // the windows so the diff stays linear in the window even when a
-    // top-of-ranking edit meets a large `k_min` (window = [0, k_min)).
-    let old_w: FxHashSet<TupleId> = old_order[lo..k].iter().copied().collect();
-    let new_w: FxHashSet<TupleId> = new_order[lo..k].iter().copied().collect();
-    let entering: Vec<usize> = (lo..k)
-        .filter(|&p| !old_w.contains(&new_order[p]))
-        .collect();
-    let mut remaining: FxHashSet<TupleId> = old_w.difference(&new_w).copied().collect();
-    debug_assert_eq!(entering.len(), remaining.len());
-    let mut leaving = Vec::with_capacity(remaining.len());
-    if !remaining.is_empty() {
-        for (off, r) in new_order[k..].iter().enumerate() {
-            if remaining.remove(r) {
-                leaving.push(k + off);
-                if remaining.is_empty() {
-                    break;
-                }
+impl Reorder {
+    /// The moves of a batch whose hull (the positions whose occupant
+    /// changed) starts at `lo` and holds `new_hull` after the batch;
+    /// `old_position` reads a row's pre-batch position. Rows that kept
+    /// their position are left out, and so is every move whose interval
+    /// starts at or past `horizon` (`k_max` plus the segment gap): it
+    /// crosses no `k` in range and, merged across a gap, reaches none.
+    pub(crate) fn new(
+        new_hull: &[TupleId],
+        lo: usize,
+        old_position: impl Fn(TupleId) -> usize,
+        horizon: usize,
+    ) -> Self {
+        let hull = lo..lo + new_hull.len();
+        let moves = hull
+            .clone()
+            .zip(new_hull)
+            .map(|(new, &row)| (old_position(row), new))
+            .inspect(|(old, _)| debug_assert!(hull.contains(old), "a reorder permutes its hull"))
+            .filter(|&(old, new)| old != new && old.min(new) + 1 < horizon)
+            .collect();
+        Reorder { moves }
+    }
+
+    /// The changed-`k` set as disjoint ascending inclusive segments: each
+    /// move's `[min + 1, max]`, merged across gaps shorter than `gap` (the
+    /// checkpoint cadence: a separate seek would replay the gap anyway)
+    /// and clamped to `[k_min, k_max]`.
+    pub(crate) fn segments(&self, k_min: usize, k_max: usize, gap: usize) -> Vec<(usize, usize)> {
+        let mut intervals: Vec<(usize, usize)> = self
+            .moves
+            .iter()
+            .map(|&(old, new)| (old.min(new) + 1, old.max(new)))
+            .collect();
+        intervals.sort_unstable();
+        let mut segments: Vec<(usize, usize)> = Vec::new();
+        for (s, e) in intervals {
+            match segments.last_mut() {
+                Some(last) if s <= last.1 + gap => last.1 = last.1.max(e),
+                _ => segments.push((s, e)),
             }
         }
-        debug_assert!(remaining.is_empty(), "leaving tuples must reappear below k");
+        segments
+            .into_iter()
+            .filter_map(|(s, e)| {
+                let s = s.max(k_min);
+                let e = e.min(k_max);
+                (s <= e).then_some((s, e))
+            })
+            .collect()
     }
-    (entering, leaving)
+
+    /// The top-`k` set transition: `(entering, leaving)` rank positions
+    /// **in the new order**, both ascending. Entering rows (joined the
+    /// top-`k`) sit at their new positions `< k`; leaving rows sit at
+    /// their new positions `≥ k`, where the patched index can still read
+    /// their attribute codes.
+    pub(crate) fn top_k_diff(&self, k: usize) -> (Vec<usize>, Vec<usize>) {
+        let (mut entering, mut leaving) = (Vec::new(), Vec::new());
+        for &(old, new) in &self.moves {
+            if new < k && k <= old {
+                entering.push(new);
+            } else if old < k && k <= new {
+                leaving.push(new);
+            }
+        }
+        (entering, leaving)
+    }
 }
 
 /// Writes a checkpoint at `k` when it sits on the grid
@@ -862,17 +892,18 @@ fn grid_checkpoint<'a, E: Incremental<'a>>(
 /// For each segment the replay seeks to the latest stored checkpoint at
 /// or below the segment start (or keeps stepping from the previous
 /// segment's end when that is at least as cheap) and replays forward with
-/// per-`k` subtree walks. When the edit hull swallowed a seek checkpoint
-/// (`cp.k > reorder.lo`), it is **repaired** in place from the top-`k`
-/// set diff rather than discarded — but only when that diff is non-empty:
-/// checkpoints in the gaps *between* segments are exact by construction
-/// (no row's net movement crossed their `k`), and checkpoints already
-/// healed by an earlier segment of this call hold the new state, so both
-/// are used as-is. With an empty store (initial audit, or after an
-/// insertion voided it) it builds at `k_min` exactly like a fresh run —
-/// on the shared arena, so even cold builds after the first run on prefix
-/// recounts. Every replayed grid `k` rewrites its checkpoint, keeping the
-/// whole store valid after every batch. Output-equivalent to
+/// per-`k` subtree walks. When a move of the batch's [`Reorder`] crosses
+/// a seek checkpoint's `k`, the checkpoint is **repaired** in place from
+/// the top-`k` set diff the moves give rather than discarded. A
+/// checkpoint no move crosses (outside the hull, or in a gap *between*
+/// segments) is exact, and one already healed by an earlier segment of
+/// this call holds the new state, so both are used as-is. With an empty
+/// store (initial audit, or after an insertion voided it) it builds at
+/// `k_min` exactly like a fresh run — on the shared arena, so even cold
+/// builds after the first run on prefix recounts. Every replayed grid `k`
+/// rewrites its checkpoint, except that a reorder replay drops the ones
+/// past each segment's heal cutoff (see `grid_checkpoint`), so the whole
+/// store stays valid after every batch. Output-equivalent to
 /// [`Stream::into_output`] on the replayed `k` values — asserted by the
 /// differential sweeps.
 pub(crate) fn replay<'a, E: Incremental<'a>>(
@@ -880,7 +911,7 @@ pub(crate) fn replay<'a, E: Incremental<'a>>(
     store: &mut Store<E::Frontier>,
     k_min: usize,
     spans: &[(usize, usize)],
-    reorder: Option<(&ReorderSpec, &[TupleId])>,
+    reorder: Option<&Reorder>,
     cadence: usize,
     counters: &mut ReplayCounters,
 ) -> DetectionOutput {
@@ -912,16 +943,13 @@ pub(crate) fn replay<'a, E: Incremental<'a>>(
                 counters.seeks += 1;
                 let cp_k = store.snaps[i].k;
                 restore(&mut engine, &store.snaps[i]);
-                if let Some((spec, new_order)) = reorder {
-                    if cp_k > spec.lo && !healed.contains(&cp_k) {
-                        let (entering, leaving) =
-                            top_k_diff(cp_k, spec.lo, spec.old.order(), new_order);
-                        if !(entering.is_empty() && leaving.is_empty()) {
-                            engine.repair(cp_k, &entering, &leaving, &mut guard);
-                            counters.repairs += 1;
-                            store.snaps[i] = checkpoint(&engine, cp_k);
-                            healed.insert(cp_k);
-                        }
+                if let Some(reorder) = reorder.filter(|_| !healed.contains(&cp_k)) {
+                    let (entering, leaving) = reorder.top_k_diff(cp_k);
+                    if !(entering.is_empty() && leaving.is_empty()) {
+                        engine.repair(cp_k, &entering, &leaving, &mut guard);
+                        counters.repairs += 1;
+                        store.snaps[i] = checkpoint(&engine, cp_k);
+                        healed.insert(cp_k);
                     }
                 }
                 cp_k
@@ -1153,6 +1181,100 @@ mod tests {
                         let bump = core.counts[id as usize] - before[id as usize];
                         let matches = index.matches_at(t_pos, core.pattern(id));
                         assert_eq!(bump, u32::from(matches), "t_pos={t_pos} {id}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `Reorder` against brute force, over seeded batches of score
+    /// updates on a live ranking: `top_k_diff(k)` is the difference of the
+    /// old and new top-`k` sets at every `k`, and `segments` is the set of
+    /// `k` whose top-`k` set changed, merged across `gap` and clamped the
+    /// same way, at every `k_max` — with every move kept, and with the
+    /// monitor's cut at `k_max + gap`.
+    #[test]
+    fn reorder_moves_give_the_exact_changed_k_and_top_k_diff() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use rankfair_rank::ScoredRanking;
+        let (n, k_min) = (60, 3);
+        let mut live = ScoredRanking::new((0..n).map(|r| r as f64).collect()).unwrap();
+        let mut rng = StdRng::seed_from_u64(29);
+        for batch in 0..40 {
+            let at = |p: usize| live.order()[p];
+            let edits: Vec<(TupleId, f64)> = match batch {
+                // The bottom row to the top.
+                0 => vec![(at(n - 1), 1e3)],
+                // A row sent away and back: its hull moved nobody.
+                1 => vec![(at(20), -1e3), (at(20), live.score(at(20)))],
+                // The same beside a move that shifts it by one.
+                2 => vec![
+                    (at(20), -1e3),
+                    (at(40), live.score(at(5)) + 0.5),
+                    (at(20), live.score(at(20))),
+                ],
+                // Two swaps at opposite ends of the ranking.
+                3 => vec![
+                    (at(2), live.score(at(1)) + 0.25),
+                    (at(n - 2), live.score(at(n - 3)) + 0.25),
+                ],
+                _ => (0..rng.random_range(1..=4usize))
+                    .map(|_| {
+                        let score = f64::from(rng.random_range(0..700u32)) / 10.0 - 5.0;
+                        (at(rng.random_range(0..n)), score)
+                    })
+                    .collect(),
+            };
+            let old = live.order().to_vec();
+            let mut hull: Option<(usize, usize)> = None;
+            for (row, score) in edits {
+                if let Some((lo, hi)) = live.update_score(row, score).unwrap().changed {
+                    hull = Some(hull.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+                }
+            }
+            let Some((lo, hi)) = hull else { continue };
+            let new = live.order();
+            let old_position = |row| old.iter().position(|&r| r == row).unwrap();
+            // Per k, the new positions of the rows that entered and left
+            // the top-k set.
+            let diffs: Vec<(Vec<usize>, Vec<usize>)> = (0..=n)
+                .map(|k| {
+                    let old_top: FxHashSet<TupleId> = old[..k].iter().copied().collect();
+                    let entering = (0..k).filter(|&p| !old_top.contains(&new[p])).collect();
+                    let leaving = (k..n).filter(|&p| old_top.contains(&new[p])).collect();
+                    (entering, leaving)
+                })
+                .collect();
+            let changed: Vec<usize> = (1..=n).filter(|&k| !diffs[k].0.is_empty()).collect();
+            if batch == 1 {
+                assert!(changed.is_empty(), "away and back moves nobody");
+            }
+            let every = Reorder::new(&new[lo..=hi], lo, old_position, usize::MAX);
+            for (k, diff) in diffs.iter().enumerate() {
+                assert_eq!(&every.top_k_diff(k), diff, "batch {batch} k {k}");
+            }
+            for gap in [1, 3, 8] {
+                let cut_at =
+                    |k_max: usize| Reorder::new(&new[lo..=hi], lo, old_position, k_max + gap);
+                for k_max in k_min..=n {
+                    let mut want: Vec<(usize, usize)> = Vec::new();
+                    for &k in &changed {
+                        match want.last_mut() {
+                            Some(last) if k <= last.1 + gap => last.1 = k,
+                            _ => want.push((k, k)),
+                        }
+                    }
+                    want.retain_mut(|seg| {
+                        *seg = (seg.0.max(k_min), seg.1.min(k_max));
+                        seg.0 <= seg.1
+                    });
+                    let what = format!("batch {batch} hull [{lo}, {hi}] gap {gap} k_max {k_max}");
+                    assert_eq!(every.segments(k_min, k_max, gap), want, "{what}");
+                    let cut = cut_at(k_max);
+                    assert_eq!(cut.segments(k_min, k_max, gap), want, "{what}");
+                    for (k, diff) in diffs.iter().enumerate().take(k_max + 1) {
+                        assert_eq!(&cut.top_k_diff(k), diff, "{what} k {k}");
                     }
                 }
             }

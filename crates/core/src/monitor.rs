@@ -32,10 +32,12 @@
 //!    changed-`k` set is the **union of per-row net movement intervals**
 //!    — a row that moved from position `op` to `p` changes top-`k`
 //!    membership for `k ∈ [min(op,p)+1, max(op,p)]` only. The monitor
-//!    computes that union, merges segments closer than the checkpoint
-//!    cadence (a seek would replay the gap anyway), and replays only the
-//!    surviving segments — a batch of two tight edit clusters far apart
-//!    no longer re-audits the dead middle. The re-run is the monitor's
+//!    lists the batch's **moves** once (every row whose position changed,
+//!    with its position before and after), takes the union of their
+//!    intervals, merges segments closer than the checkpoint cadence (a
+//!    seek would replay the gap anyway), and replays only the surviving
+//!    segments — a batch of two tight edit clusters far apart no longer
+//!    re-audits the dead middle. The re-run is the monitor's
 //!    own audit running its sub-range code, the code every
 //!    [`Audit::run`] runs, so a delta re-audit cannot drift from a full
 //!    one. Both engines take the same segments: the optimized ones replay
@@ -60,12 +62,14 @@
 //! stored arena nodes with prefix-only recounts (the stored `s_D` makes
 //! the full fused scan redundant), instead of paying the from-scratch
 //! top-down build at the segment's first `k` that used to dominate delta
-//! cost. A checkpoint is exact after a reorder whenever no moved row's
-//! net movement interval covers its `k` (stored counts are functions of
-//! the top-`k` *set* alone); a seek checkpoint an edit did swallow is
-//! **repaired in place** from the old-vs-new top-`k` set diff — ±count
-//! walks for the tuples that crossed, plus one store reclassify — so no
-//! pure reorder ever triggers a fresh engine build.
+//! cost. A checkpoint is exact after a reorder whenever no move crosses
+//! its `k` (stored counts are functions of the top-`k` *set* alone); a
+//! seek checkpoint a move does cross is **repaired in place** from the
+//! top-`k` set diff read off the same moves — ±count walks for the rows
+//! that crossed, plus one store reclassify — so no pure reorder ever
+//! triggers a fresh engine build. The replay rewrites the checkpoints
+//! near each segment's start and drops the deeper stale ones, so a
+//! reorder can leave fewer checkpoints than it found.
 //! [`MonitorAudit::checkpoint_stats`] exposes the live-checkpoint,
 //! arena/memory and seek/repair/segment counters (also on the wire
 //! `snapshot` op).
@@ -103,7 +107,7 @@ use rankfair_data::{Dataset, RowValue, TupleId};
 use rankfair_rank::{Ranking, ScoredRanking};
 
 use crate::audit::{Audit, AuditError, AuditKResult, AuditTask, Engine, EngineCheckpoints};
-use crate::incremental::ReorderSpec;
+use crate::incremental::Reorder;
 use crate::pattern::Pattern;
 use crate::report::KReport;
 use crate::space::PatternSpace;
@@ -297,8 +301,9 @@ pub struct CheckpointStats {
     /// Replay segments driven (per engine direction) — with segmented
     /// replay a sparse batch contributes its changed-`k` clusters only.
     pub segments: u64,
-    /// Checkpoints dropped by edit invalidation (everything, arena
-    /// included, on insertions; reorders repair instead).
+    /// Checkpoints dropped by insertions, which void the whole store,
+    /// arena included. The stale checkpoints a reorder replay drops past
+    /// each segment's start are not counted here.
     pub invalidated: u64,
 }
 
@@ -642,12 +647,6 @@ impl MonitorAudit {
         let has_insert = edits
             .iter()
             .any(|e| matches!(e, RankingEdit::Insert { .. }));
-        // The pre-batch ranking of a pure reorder, a handle the batch
-        // replaces: each moved row's old position bounds the `k` it
-        // changed, and a swallowed seek checkpoint is repaired from the
-        // old-vs-new top-k set diff. A batch with an insert recomputes
-        // the whole range instead.
-        let old = (!has_insert).then(|| self.audit.ranking().clone());
         let mut span: Option<(usize, usize)> = None;
         let merge = |d: Option<(usize, usize)>, span: &mut Option<(usize, usize)>| {
             if let Some((lo, hi)) = d {
@@ -687,46 +686,45 @@ impl MonitorAudit {
                 }
             }
         }
+        // A pure reorder's moves: every row of the hull whose position
+        // changed, its old position read off the audit's ranking before
+        // the scored order replaces it. Both the changed-`k` segments and
+        // the repair of a seek checkpoint a move crossed read this list.
+        let gap = self.checkpoints.as_ref().map_or(1, |ck| ck.cadence);
+        let horizon = self.cfg.k_max + gap;
+        let reorder = span.filter(|_| !has_insert).and_then(|(lo, hi)| {
+            let hull = self.scored.order().get(lo..=hi)?;
+            Some(Reorder::new(hull, lo, |row| ranking.position(row), horizon))
+        });
         // Patch the index over the hull of occupant-changed positions, and
         // keep the audit's ranking equal to the scored order.
         if let Some((lo, hi)) = span {
             index.rewrite_span(dataset, space, self.scored.order(), lo, hi);
             *ranking = self.scored.to_ranking();
         }
-        // Checkpoint maintenance. An insertion moves `n` and the `s_D`
-        // of every pattern the new tuple matches — every snapshot's
-        // counts (and the arena's pruned slots) are stale, so the store is voided
-        // and reseeded by the full-range recompute below. A pure reorder
-        // of positions `[lo, hi]` only changes the top-k *sets* for
-        // `k ∈ (lo, hi]`: snapshots at `k ≤ lo` and `k > hi` stay exact;
-        // of the stale ones, the replay rewrites every grid k inside the
-        // recomputed span and *repairs* the single seek checkpoint that
-        // can sit in the gap `(lo, k_min)` — so no snapshot is ever
-        // discarded on a reorder, and no reorder ever pays a fresh
-        // build. (Gap proof: grid ks are ≥ k_min and the seek k is the
-        // largest grid k ≤ max(lo + 1, k_min), so every other stale grid
-        // k lies inside the recomputed span.)
-        if has_insert {
+        // Checkpoint maintenance. An insertion moves `n` and the `s_D` of
+        // every pattern the new tuple matches, so every snapshot (and the
+        // arena's pruned slots) is stale: the store is voided, counted in
+        // `invalidated`, and reseeded by the full-range recompute below.
+        // A pure reorder voids nothing here: the replay repairs the seek
+        // snapshot a move crossed (no reorder pays a fresh build) and
+        // drops deeper stale ones, uncounted. A hull outside the ranking
+        // cannot happen (it comes from the ranking's own deltas); it is
+        // handled like an insert, never as a reorder without a repair.
+        let full = has_insert || (span.is_some() && reorder.is_none());
+        if full {
             if let Some(ckpts) = &mut self.checkpoints {
                 ckpts.invalidate_all();
             }
         }
         // The k values whose top-k membership can have changed: the whole
         // range when the universe grew (n and s_D moved); else the union
-        // of per-row net movement intervals, merged across gaps shorter
-        // than the checkpoint cadence (1 for a baseline monitor).
-        let segments: Vec<(usize, usize)> = match (&old, span) {
-            _ if has_insert => vec![(self.cfg.k_min, self.cfg.k_max)],
-            (Some(old), Some((lo, hi))) => changed_k_segments(
-                old.order(),
-                |row| self.scored.position(row),
-                lo,
-                hi,
-                self.cfg.k_min,
-                self.cfg.k_max,
-                self.checkpoints.as_ref().map_or(1, |ck| ck.cadence),
-            ),
-            _ => Vec::new(),
+        // of the moves' intervals, merged across gaps shorter than the
+        // checkpoint cadence (1 for a baseline monitor).
+        let segments: Vec<(usize, usize)> = match &reorder {
+            _ if full => vec![(self.cfg.k_min, self.cfg.k_max)],
+            Some(reorder) => reorder.segments(self.cfg.k_min, self.cfg.k_max, gap),
+            None => Vec::new(),
         };
         // Every segment empty (or clamped away): no top-k set in the
         // configured range changed, nothing to recompute — checkpoints in
@@ -746,16 +744,13 @@ impl MonitorAudit {
         // build at `k_lo`. A baseline monitor keeps no engine state and
         // re-runs `[k_lo, k_hi]` whole.
         let out = match &mut self.checkpoints {
-            Some(ckpts) => {
-                let reorder = old.zip(span).map(|(old, (lo, _))| ReorderSpec { lo, old });
-                self.audit.run_range_checkpointed(
-                    &self.cfg,
-                    &segments,
-                    &self.task,
-                    ckpts,
-                    reorder.as_ref(),
-                )
-            }
+            Some(ckpts) => self.audit.run_range_checkpointed(
+                &self.cfg,
+                &segments,
+                &self.task,
+                ckpts,
+                reorder.as_ref(),
+            ),
             None => {
                 let sub = DetectConfig {
                     tau_s: self.cfg.tau_s,
@@ -798,68 +793,6 @@ impl MonitorAudit {
             stats: out.stats,
         })
     }
-}
-
-/// The exact changed-`k` set of a pure reorder, as disjoint ascending
-/// inclusive segments. A row that moved from old position `op` to new
-/// position `p` (0-based ranks) changes top-`k` membership exactly for
-/// `k ∈ [min(op,p)+1, max(op,p)]`; the changed-`k` set is the union of
-/// those intervals over every moved row in the hull `[lo, hi]`. Segments
-/// separated by less than `gap` (the checkpoint cadence) are merged — a
-/// separate seek would replay the gap anyway — and the result is clamped
-/// to `[k_min, k_max]`. The union's outer bounds equal the hull's
-/// `[lo+1, hi]`.
-fn changed_k_segments(
-    old_order: &[TupleId],
-    new_position: impl Fn(TupleId) -> usize,
-    lo: usize,
-    hi: usize,
-    k_min: usize,
-    k_max: usize,
-    gap: usize,
-) -> Vec<(usize, usize)> {
-    let mut intervals: Vec<(usize, usize)> = Vec::new();
-    match old_order.get(lo..=hi) {
-        Some(old_hull) => {
-            for (i, &row) in old_hull.iter().enumerate() {
-                let op = lo + i;
-                let p = new_position(row);
-                // A pure reorder permutes the hull's own occupants; a row
-                // that left the hull means the caller's hull is unsound —
-                // fall back to full-hull replay rather than under-recompute.
-                if !(lo..=hi).contains(&p) {
-                    debug_assert!(false, "row {row} left the reorder hull");
-                    intervals = vec![(lo + 1, hi)];
-                    break;
-                }
-                if op != p {
-                    intervals.push((op.min(p) + 1, op.max(p)));
-                }
-            }
-        }
-        // A hull outside the ranking is a caller bug; replay it whole
-        // (clamped below) rather than panic or under-recompute.
-        _ => {
-            debug_assert!(false, "reorder hull [{lo}, {hi}] outside the ranking");
-            intervals.push((lo + 1, hi));
-        }
-    }
-    intervals.sort_unstable();
-    let mut segments: Vec<(usize, usize)> = Vec::new();
-    for (s, e) in intervals {
-        match segments.last_mut() {
-            Some(last) if s <= last.1 + gap => last.1 = last.1.max(e),
-            _ => segments.push((s, e)),
-        }
-    }
-    segments
-        .into_iter()
-        .filter_map(|(s, e)| {
-            let s = s.max(k_min);
-            let e = e.min(k_max);
-            (s <= e).then_some((s, e))
-        })
-        .collect()
 }
 
 /// `(in new but not old, in old but not new)` for canonically sorted
@@ -1219,7 +1152,7 @@ mod tests {
             let after = monitor.checkpoint_stats().unwrap();
             assert_eq!(after.seeks, 2, "cadence {cadence}");
             assert_eq!(after.cold_builds, 2, "no fresh build on a reorder");
-            assert_eq!(after.invalidated, 0, "reorders repair, never discard");
+            assert_eq!(after.invalidated, 0, "only inserts count as invalidations");
             // The replay heals the grid near the span start and may prune
             // deep stale snapshots (bounded clone churn), but always keeps
             // a seekable store.
@@ -1245,6 +1178,13 @@ mod tests {
                 "both directions repair their seek"
             );
             assert!(struck.lower_checkpoints >= 1);
+            // The replay drops the deeper stale snapshots past the heal
+            // cutoff, which `invalidated` does not count.
+            if cadence == 1 {
+                assert!(struck.lower_checkpoints < after.lower_checkpoints);
+                assert!(struck.upper_checkpoints < after.upper_checkpoints);
+            }
+            assert_eq!(struck.invalidated, 0);
             assert_matches_fresh(&monitor);
             assert_ranking_follows_scores(&monitor);
             // An insertion moves n and s_D: every snapshot is dropped,

@@ -428,6 +428,56 @@ pub fn match_brace(toks: &[Tok], open: usize) -> Option<usize> {
     None
 }
 
+/// Keywords that start an item once attributes and a visibility are
+/// skipped.
+const ITEM_KEYWORDS: [&str; 15] = [
+    "async",
+    "const",
+    "enum",
+    "extern",
+    "fn",
+    "impl",
+    "macro_rules",
+    "mod",
+    "static",
+    "struct",
+    "trait",
+    "type",
+    "union",
+    "unsafe",
+    "use",
+];
+
+fn is_open(t: &Tok) -> bool {
+    t.is_punct('(') || t.is_punct('[') || t.is_punct('{')
+}
+
+fn is_close(t: &Tok) -> bool {
+    t.is_punct(')') || t.is_punct(']') || t.is_punct('}')
+}
+
+/// The bracket that closes the group `toks[open]` opens, counting all
+/// three bracket kinds.
+fn group_end(toks: &[Tok], open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(open) {
+        if is_open(t) {
+            depth += 1;
+        } else if is_close(t) {
+            depth = depth.checked_sub(1)?;
+            if depth == 0 {
+                return Some(j);
+            }
+        }
+    }
+    None
+}
+
+/// Marks every token a `#[cfg(test)]` gates, from the attribute on. Past
+/// any further attributes and a visibility, an item (an item keyword, or
+/// a block) ends at its first `;` or at the `}` matching its first `{`,
+/// outside parentheses and brackets. Anything else is a field, variant,
+/// match arm, struct-literal member or statement: see [`element_end`].
 fn mark_test_spans(toks: &mut [Tok]) {
     let mut i = 0;
     while i + 6 < toks.len() {
@@ -442,22 +492,83 @@ fn mark_test_spans(toks: &mut [Tok]) {
             i += 1;
             continue;
         }
-        // Skip past further attributes to the item's opening brace.
-        let mut j = i + 7;
-        while j < toks.len() && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
-            j += 1;
+        let mut start = i + 7;
+        let after_group = |open: usize| group_end(toks, open).map_or(toks.len(), |e| e + 1);
+        while toks.get(start).is_some_and(|t| t.is_punct('#'))
+            && toks.get(start + 1).is_some_and(|t| t.is_punct('['))
+        {
+            start = after_group(start + 1);
         }
-        if j < toks.len() && toks[j].is_punct('{') {
-            if let Some(close) = match_brace(toks, j) {
-                for t in &mut toks[i..=close] {
-                    t.in_test = true;
-                }
-                i = close + 1;
-                continue;
+        if toks.get(start).is_some_and(|t| t.is_ident("pub")) {
+            start += 1;
+            if toks.get(start).is_some_and(|t| t.is_punct('(')) {
+                start = after_group(start);
             }
         }
-        i = j + 1;
+        let end = match toks.get(start) {
+            Some(t) if t.is_punct('{') || ITEM_KEYWORDS.iter().any(|k| t.is_ident(k)) => {
+                item_end(toks, start)
+            }
+            Some(_) => element_end(toks, start),
+            None => None,
+        };
+        let Some(end) = end else {
+            i = start;
+            continue;
+        };
+        for t in &mut toks[i..=end] {
+            t.in_test = true;
+        }
+        i = end + 1;
     }
+}
+
+/// The last token of the item starting at `start`: its first `;`, or the
+/// `}` matching its first `{`, outside parentheses and brackets (so an
+/// array type's `;` does not end a signature).
+fn item_end(toks: &[Tok], start: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(start) {
+        if depth == 0 && t.is_punct('{') {
+            return group_end(toks, j);
+        } else if depth == 0 && t.is_punct(';') {
+            return Some(j);
+        } else if is_open(t) {
+            depth += 1;
+        } else if is_close(t) {
+            depth = depth.checked_sub(1)?;
+        }
+    }
+    None
+}
+
+/// The last token of a gated element that is not an item: a field,
+/// variant, match arm, struct-literal member or statement. At bracket
+/// depth 0 it ends at its own `,` or `;`, or at the `}` closing a block
+/// it opened unless `else` follows (a match arm's block body takes no
+/// comma); otherwise it ends just before the bracket that closes the
+/// list around it. A comma in a field's generic arguments
+/// (`HashMap<K, V>`) ends it early, which leaves the rest of the type to
+/// the rules rather than hiding live code.
+fn element_end(toks: &[Tok], start: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(start) {
+        if is_open(t) {
+            depth += 1;
+        } else if is_close(t) {
+            let Some(inner) = depth.checked_sub(1) else {
+                return j.checked_sub(1);
+            };
+            depth = inner;
+            let else_follows = toks.get(j + 1).is_some_and(|n| n.is_ident("else"));
+            if depth == 0 && t.is_punct('}') && !else_follows {
+                return Some(j);
+            }
+        } else if depth == 0 && (t.is_punct(',') || t.is_punct(';')) {
+            return Some(j);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -555,6 +666,52 @@ mod tests {
         assert_eq!(unwraps, [false, true]);
         let live2 = lexed.toks.iter().find(|t| t.is_ident("live2")).unwrap();
         assert!(!live2.in_test);
+        // A gated element that is not an item ends at its own `,` or `;`
+        // (a match arm's block at its `}`): exactly the tokens on the
+        // listed lines are test code, and the live code after stays live.
+        let cases: [(&str, &str, &[u32]); 7] = [
+            (
+                "struct field",
+                "struct S {\n#[cfg(test)]\ngated: usize,\nlive: usize,\n}\nimpl S { fn f(&self) { self.live.unwrap(); } }",
+                &[2, 3],
+            ),
+            (
+                "pub(crate) struct field",
+                "struct S {\n#[cfg(test)]\npub(crate) gated: Vec<(u8, u8)>,\nlive: usize,\n}\nimpl S { fn f(&self) { self.live.unwrap(); } }",
+                &[2, 3],
+            ),
+            (
+                "enum variant",
+                "enum Work {\n#[cfg(test)]\nCall(Box<dyn FnOnce() -> u8>),\nReady(u8),\n}\nstruct Job { work: Work }",
+                &[2, 3],
+            ),
+            (
+                "struct-literal member",
+                "let s = S {\n#[cfg(test)]\ngated: 0,\nlive: x.unwrap(),\n};",
+                &[2, 3],
+            ),
+            (
+                "last struct-literal member",
+                "let s = S {\nlive: 1,\n#[cfg(test)]\ngated: 0\n};\nx.unwrap();",
+                &[3, 4],
+            ),
+            (
+                "match arm",
+                "match w {\n#[cfg(test)]\nWork::Call(f) => { f() }\nWork::Ready(v) => v.unwrap(),\n}",
+                &[2, 3],
+            ),
+            (
+                "statement",
+                "fn f() {\n#[cfg(test)]\nself.skips += 1;\nx.unwrap();\n}",
+                &[2, 3],
+            ),
+        ];
+        for (what, src, gated) in cases {
+            for t in lex(src).toks {
+                let want = gated.contains(&t.line);
+                assert_eq!(t.in_test, want, "{what}: `{}` on line {}", t.text, t.line);
+            }
+        }
     }
 
     #[test]

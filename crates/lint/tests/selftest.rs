@@ -210,6 +210,26 @@ mod tests {
     assert_clean(&lint(SERVING, src));
 }
 
+/// A `#[cfg(test)]` on a field gates that field alone: the `impl` after
+/// the struct is live code, and its `.unwrap()` is a finding.
+#[test]
+fn cfg_test_on_a_field_leaves_the_next_item_live() {
+    let src = "\
+struct Core {
+    #[cfg(test)]
+    pub(crate) skips: usize,
+    slots: Vec<u32>,
+}
+impl Core {
+    fn first(&self) -> u32 {
+        self.slots.first().copied().unwrap()
+    }
+}
+";
+    let a = lint(SERVING, src);
+    assert_eq!(rule_lines(&a, "panic-path"), vec![8], "{:?}", a.findings);
+}
+
 /// Panic-looking text inside string literals is not code; the lexer
 /// must keep it out of the token stream.
 #[test]
